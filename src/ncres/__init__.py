@@ -21,9 +21,26 @@ from .spectral import (DixmierEstimate, SpectralWeight, SpectrumModel,
                        dixmier_formula, enumerate_spectrum, norm_1inf,
                        sigma_n)
 from .symbols import (ClassicalSymbol, HomTerm, TrigPoly, classical_symbol,
-                      commutator, hom_eval, hom_term, identity_symbol,
+                      commutator, hom_term, identity_symbol,
                       laplace_shift_power, leibniz_compose, radial_term,
                       sphere_integrate, sphere_moment, transmission_check)
 from .literals import format_symbol, parse_symbol
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "PlusMinusDecomp", "RationalFn", "SGSymbol", "boundary_term", "compose_gg",
+    "compose_kt", "compose_tk", "from_ratio", "pi_prime", "pm_decompose",
+    "polynomial", "rational", "sg_symbol", "sg_trace", "simple_pole",
+    "tr_boundary_term", "AsymptoticFit", "HeatSamples", "boundary_heat_test",
+    "fit_expansion", "heat_samples", "heat_trace", "zeta_residue",
+    "WPTermList", "expand_resolvent", "mu_derivative",
+    "resolvent_log_coefficient", "resolvent_log_coefficient_closed",
+    "wp_log_coefficient", "BdMSymbol", "Cylinder", "ResidueBreakdown", "Torus",
+    "boundary_residue", "residue_density", "wodzicki_residue",
+    "DixmierEstimate", "SpectralWeight", "SpectrumModel", "StepFunction",
+    "cesaro_mean", "dixmier_estimate", "dixmier_formula", "enumerate_spectrum",
+    "norm_1inf", "sigma_n", "ClassicalSymbol", "HomTerm", "TrigPoly",
+    "classical_symbol", "commutator", "hom_term", "identity_symbol",
+    "laplace_shift_power", "leibniz_compose", "radial_term",
+    "sphere_integrate", "sphere_moment", "transmission_check", "format_symbol",
+    "parse_symbol",
+]

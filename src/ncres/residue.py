@@ -72,10 +72,6 @@ class Cylinder:
     def boundary_dim(self):
         return self.dim - 1
 
-    @property
-    def boundary_measure(self):
-        return 2 * TWO_PI ** (self.dim - 1)
-
     def interior_integral(self, tp):
         """Integrate a trig polynomial over T^(dim-1) x [0, pi] exactly."""
         out = 0j

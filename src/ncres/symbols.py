@@ -13,6 +13,15 @@ Residue-type functionals built on it therefore carry no quadrature error.
 Coefficients are complex scalars, or square complex matrices of a common
 size for systems; ``trace_part`` contracts the matrix index.
 
+Every :class:`HomTerm` keeps its atoms merged (one atom per key
+``(k, alpha, w)``), sorted by key, with no zero coefficient, and
+degree-valid (``|alpha| + w == degree``).  Operations that create or
+change keys (``times``, ``dxi``, ``+``, ``trace_part``, literals, sampling
+and the slot sums of :func:`classical_symbol`) re-establish this through
+:func:`hom_term`, which validates and merges every atom once.
+``scaled`` and ``dx`` keep every key, so they preserve it by construction
+and only drop coefficients that became zero.
+
 A :class:`ClassicalSymbol` is the finite family of homogeneous components
 ``order, order-1, ...`` together with an *exactness floor*: components at or
 above the floor are exactly represented (absent means exactly zero), while
@@ -36,9 +45,7 @@ _DEG_TOL = 1e-9
 # coefficient helpers (complex scalar or square complex matrix)
 
 
-def _as_coeff(c, matrix_dim):
-    if matrix_dim == 1:
-        return complex(c)
+def _as_matrix(c, matrix_dim):
     a = np.asarray(c, dtype=complex)
     if a.shape != (matrix_dim, matrix_dim):
         raise DimensionMismatchError(
@@ -170,7 +177,7 @@ class HomTerm:
         xi = np.asarray(xi, dtype=float)
         r = float(np.linalg.norm(xi))
         if r == 0.0:
-            raise ValueError("hom_eval requires xi != 0")
+            raise ValueError("HomTerm.__call__ requires xi != 0")
         out = _czero(self.matrix_dim)
         for c, k, alpha, w in self.atoms:
             mono = 1.0
@@ -198,9 +205,8 @@ class HomTerm:
     # -- derivations --------------------------------------------------------
 
     def dx(self, i):
-        atoms = [(c * (1j * k[i]), k, alpha, w)
-                 for c, k, alpha, w in self.atoms if k[i]]
-        return hom_term(self.degree, self.n, atoms, self.matrix_dim)
+        return self._same_keys([(c * (1j * k[i]), k, alpha, w)
+                                for c, k, alpha, w in self.atoms if k[i]])
 
     def dxi(self, i):
         atoms = []
@@ -225,9 +231,16 @@ class HomTerm:
         return self + other.scaled(-1.0)
 
     def scaled(self, z):
-        return hom_term(self.degree, self.n,
-                        [(c * z, k, a, w) for c, k, a, w in self.atoms],
-                        self.matrix_dim)
+        if self.matrix_dim == 1:
+            return self._same_keys([(complex(c * z), k, a, w)
+                                    for c, k, a, w in self.atoms])
+        return self._same_keys([(c * z, k, a, w) for c, k, a, w in self.atoms])
+
+    def _same_keys(self, atoms):
+        """A term of this degree from ``atoms``, which carry a subsequence of
+        this term's keys: merged, sorted and degree-valid already."""
+        return HomTerm(self.degree, self.n,
+                       _drop_zeros(atoms, self.matrix_dim), self.matrix_dim)
 
     def times(self, other):
         """Pointwise product; matrix coefficients multiply in this order."""
@@ -269,29 +282,38 @@ class HomTerm:
         return max((sum(a) for _, _, a, _ in self.atoms), default=0)
 
 
-def hom_term(degree, n, atoms, matrix_dim=1):
+def hom_term(degree, n, atoms, matrix_dim=1, *, fold=False):
     """Build a :class:`HomTerm`, merging duplicate atoms and validating
-    ``|alpha| + w == degree`` for each."""
+    ``|alpha| + w == degree`` for each.
+
+    With ``fold=True``, ``atoms`` is the concatenation of the atoms of merged
+    terms ``t1, t2, ...`` and every coefficient comes out bit for bit as in
+    the left fold ``t1 + t2 + ...``: a sum that cancels exactly is dropped
+    there, so the next atom of its key restarts it instead of adding to 0.
+    """
+    scalar = matrix_dim == 1
     merged = {}
+    get = merged.get
     for c, k, alpha, w in atoms:
-        k = tuple(int(v) for v in k)
-        alpha = tuple(int(v) for v in alpha)
+        k = tuple(map(int, k))
+        alpha = tuple(map(int, alpha))
         w = float(w)
         if len(k) != n or len(alpha) != n:
             raise DimensionMismatchError("atom index length != n")
-        if any(a < 0 for a in alpha):
+        if min(alpha, default=0) < 0:
             raise ValueError("negative monomial exponent")
         if abs(sum(alpha) + w - degree) > _DEG_TOL:
             raise ValueError(
                 f"atom |alpha|+w = {sum(alpha) + w} != degree {degree}")
-        c = _as_coeff(c, matrix_dim)
+        c = complex(c) if scalar else _as_matrix(c, matrix_dim)
         key = (k, alpha, w)
-        if key in merged:
-            merged[key] = merged[key] + c
-        else:
+        prev = get(key)
+        if prev is None or (fold and _is_zero_coeff(prev)):
             merged[key] = c
-    out = tuple((c, k, a, w) for (k, a, w), c in sorted(merged.items())
-                if not _is_zero_coeff(c))
+        else:
+            merged[key] = prev + c
+    out = _drop_zeros([(c, k, a, w) for (k, a, w), c in sorted(merged.items())],
+                      matrix_dim)
     return HomTerm(float(degree), n, out, matrix_dim)
 
 
@@ -299,9 +321,10 @@ def zero_term(degree, n, matrix_dim=1):
     return HomTerm(float(degree), n, (), matrix_dim)
 
 
-def hom_eval(term, x, xi):
-    """Evaluate a homogeneous term at (x, xi); rejects xi = 0."""
-    return term(x, xi)
+def _drop_zeros(atoms, matrix_dim):
+    if matrix_dim == 1:
+        return tuple(atom for atom in atoms if atom[0] != 0)
+    return tuple(atom for atom in atoms if np.any(atom[0]))
 
 
 def radial_term(degree, n, coeff=1.0):
@@ -336,10 +359,6 @@ class ClassicalSymbol:
     @property
     def truncation(self):
         return len(self.terms) - 1
-
-    @property
-    def lowest_stored(self):
-        return self.order - self.truncation
 
     @property
     def lowest_nonzero(self):
@@ -470,13 +489,18 @@ def classical_symbol(terms, n, order=None, matrix_dim=1, exact_floor=None):
     depth = order - lowest
     if exact_floor is not None:
         depth = max(depth, int(math.ceil(order - exact_floor - _DEG_TOL)))
-    slots = [zero_term(order - j, n, matrix_dim) for j in range(depth + 1)]
+    # one merge per slot over the atoms of its terms in input order, with the
+    # sums of the left fold zero + t1 + t2 + ...
+    buckets = [[] for _ in range(depth + 1)]
     for t in terms:
         if t.n != n or t.matrix_dim != matrix_dim:
             raise DimensionMismatchError("term dimension mismatch")
-        j = int(round(order - t.degree))
-        slots[j] = slots[j] + t
-    return ClassicalSymbol(order, n, tuple(slots), matrix_dim, exact_floor)
+        buckets[int(round(order - t.degree))].extend(t.atoms)
+    slots = tuple(
+        hom_term(float(order - j), n, atoms, matrix_dim, fold=True) if atoms
+        else zero_term(order - j, n, matrix_dim)
+        for j, atoms in enumerate(buckets))
+    return ClassicalSymbol(order, n, slots, matrix_dim, exact_floor)
 
 
 def identity_symbol(n, matrix_dim=1):

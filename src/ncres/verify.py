@@ -52,9 +52,9 @@ class CheckResult:
 
 
 def _timed(fn):
-    t0 = time.time()
+    t0 = time.perf_counter()
     out = fn()
-    return out, time.time() - t0
+    return out, time.perf_counter() - t0
 
 
 # --- 1 -----------------------------------------------------------------

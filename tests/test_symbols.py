@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ncres.errors import TruncationFloorError
 from ncres.literals import format_symbol, parse_symbol
 from ncres.sampling import random_symbol
-from ncres.symbols import (classical_symbol, commutator, hom_term, hom_eval,
+from ncres.symbols import (classical_symbol, commutator, hom_term,
                            identity_symbol, laplace_shift_power,
                            leibniz_compose, multi_indices, radial_term,
                            sphere_integrate, sphere_moment,
@@ -18,7 +19,7 @@ from ncres.symbols import (classical_symbol, commutator, hom_term, hom_eval,
 def test_hom_eval_examples():
     for n in (2, 3):
         t = radial_term(-float(n), n)
-        assert hom_eval(t, np.zeros(n), np.eye(n)[-1] * 2) == pytest.approx(2.0 ** -n)
+        assert t(np.zeros(n), np.eye(n)[-1] * 2) == pytest.approx(2.0 ** -n)
     t = hom_term(1, 2, [(1.0, (0, 0), (1, 0), 0.0)])
     assert t((0.1, 0.2), (3.0, 4.0)) == pytest.approx(3.0)
     t = hom_term(-1, 2, [(1.0, (0, 0), (2, 0), -3.0)])
@@ -296,3 +297,109 @@ def test_zero_term_component_lookup():
     assert sym.component(-3).is_zero
     assert sym.component(5).is_zero
     assert isinstance(sym.component(-3), type(zero_term(-3, 2)))
+
+
+# ---------------------------------------------------------------------------
+# HomTerm invariant: merged, sorted, nonzero, degree-valid
+
+
+def _matrix_symbol(sym, rng):
+    """``sym`` with each coefficient c replaced by c times a random 2x2."""
+    terms = [hom_term(t.degree, t.n,
+                      [(c * (rng.normal(size=(2, 2))
+                             + 1j * rng.normal(size=(2, 2))), k, a, w)
+                       for c, k, a, w in t.atoms], matrix_dim=2)
+             for t in sym.terms]
+    return classical_symbol(terms, sym.n, order=sym.order, matrix_dim=2)
+
+
+def _real_symbol(sym):
+    """``sym`` with each coefficient c replaced by its real part."""
+    terms = [hom_term(t.degree, t.n,
+                      [(c.real, k, a, w) for c, k, a, w in t.atoms])
+             for t in sym.terms]
+    return classical_symbol(terms, sym.n, order=sym.order)
+
+
+def _symbol_pair(seed, kind):
+    rng = np.random.default_rng(seed)
+    n = 2 + seed % 2
+    a = random_symbol(rng, n=n, depth=3)
+    b = random_symbol(rng, n=n, depth=3)
+    if kind == "real":
+        a, b = _real_symbol(a), _real_symbol(b)
+    elif kind == "matrix":
+        a, b = _matrix_symbol(a, rng), _matrix_symbol(b, rng)
+    return a, b
+
+
+def _assert_invariant(term):
+    keys = [(k, a, w) for _, k, a, w in term.atoms]
+    assert all(k1 < k2 for k1, k2 in zip(keys, keys[1:]))
+    for c, k, a, w in term.atoms:
+        if term.matrix_dim == 1:
+            assert type(c) is complex and c != 0
+        else:
+            assert c.shape == (2, 2) and np.any(c)
+        assert sum(a) + w == term.degree
+
+
+def _assert_same_atoms(t1, t2):
+    """Equal keys and bit-identical coefficients, signed zeros included."""
+    assert t1.degree == t2.degree and len(t1.atoms) == len(t2.atoms)
+    for (c1, *key1), (c2, *key2) in zip(t1.atoms, t2.atoms):
+        assert key1 == key2
+        assert np.asarray(c1).tobytes() == np.asarray(c2).tobytes()
+
+
+seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
+kinds = st.sampled_from(["complex", "real", "matrix"])
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=seeds, kind=kinds)
+def test_term_operations_keep_invariant(seed, kind):
+    a, b = _symbol_pair(seed, kind)
+    for t in a.terms:
+        _assert_invariant(t)
+        _assert_invariant(t.scaled(np.complex128(0.5 - 2j)))
+        for i in range(a.n):
+            _assert_invariant(t.dx(i))
+            _assert_invariant(t.dxi(i))
+        for u in b.terms:
+            _assert_invariant(t.times(u))
+    depth = a.order + b.order + 2
+    for sym in (leibniz_compose(a, b, depth), commutator(a, b, depth)):
+        for t in sym.terms:
+            _assert_invariant(t)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=seeds, kind=kinds)
+def test_classical_symbol_matches_left_fold(seed, kind):
+    a, b = _symbol_pair(seed, kind)
+    matrix_dim = a.matrix_dim
+    # products share keys across and within degrees, so slots really merge;
+    # the first negated copies cancel sums exactly and the second ones restart
+    # them, which with real coefficients carries signed zeros
+    terms = [t.times(u) for t in a.nonzero_terms() for u in b.nonzero_terms()]
+    negated = [t.scaled(-1.0) for t in terms[::3]]
+    terms += negated + negated
+    order = a.order + b.order
+    sym = classical_symbol(terms, a.n, order=order, matrix_dim=matrix_dim)
+    for j, slot in enumerate(sym.terms):
+        _assert_invariant(slot)
+        fold = zero_term(order - j, a.n, matrix_dim)
+        for t in terms:
+            if t.degree == order - j:
+                fold = fold + t
+        _assert_same_atoms(slot, fold)
+
+
+@pytest.mark.parametrize("kind", ["complex", "matrix"])
+def test_scaled_by_zero_is_zero_term(kind):
+    a, _ = _symbol_pair(4, kind)
+    for t in a.nonzero_terms():
+        z = t.scaled(0)
+        assert z.is_zero and z.degree == t.degree
+        assert z.matrix_dim == t.matrix_dim
