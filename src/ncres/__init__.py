@@ -9,7 +9,7 @@ from .halfline import (PlusMinusDecomp, RationalFn, SGSymbol, boundary_term,
                        pi_prime, pm_decompose, polynomial, rational,
                        sg_symbol, sg_trace, simple_pole, tr_boundary_term)
 from .heatzeta import (AsymptoticFit, HeatSamples, boundary_heat_test,
-                       fit_expansion, heat_samples, heat_trace, zeta_residue)
+                       fit_expansion, heat_samples, zeta_residue)
 from .parametric import (WPTermList, expand_resolvent, mu_derivative,
                          resolvent_log_coefficient,
                          resolvent_log_coefficient_closed,
@@ -31,7 +31,7 @@ __all__ = [
     "compose_kt", "compose_tk", "from_ratio", "pi_prime", "pm_decompose",
     "polynomial", "rational", "sg_symbol", "sg_trace", "simple_pole",
     "tr_boundary_term", "AsymptoticFit", "HeatSamples", "boundary_heat_test",
-    "fit_expansion", "heat_samples", "heat_trace", "zeta_residue",
+    "fit_expansion", "heat_samples", "zeta_residue",
     "WPTermList", "expand_resolvent", "mu_derivative",
     "resolvent_log_coefficient", "resolvent_log_coefficient_closed",
     "wp_log_coefficient", "BdMSymbol", "Cylinder", "ResidueBreakdown", "Torus",

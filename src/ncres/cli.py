@@ -5,7 +5,9 @@ Every task is driven by a JSON configuration document (see
 redirect output.  Each run writes ``<task>.csv`` and ``<task>.txt`` into
 the output directory, both stamped with the library version and the sha256
 of the effective configuration, and is bit-reproducible for a fixed
-document (thread count included: parallel reductions are chunk-ordered).
+document: reductions are serial and chunk-ordered.  ``--threads`` and the
+``threads`` field are accepted so that older commands and documents still
+run; they have no effect.
 
 Exit codes: 0 success, 2 configuration error, 3 tolerance/verification
 failure, 4 resource cap.
@@ -70,10 +72,11 @@ def main(argv=None):
 
 def _common_flags(p):
     p.add_argument("--set", action="append", default=[], metavar="PATH=JSON",
-                   help="override a config entry, e.g. --set threads=8")
+                   help="override a config entry, e.g. --set seed=3")
     p.add_argument("--out", help="output directory (overrides output_dir)")
     p.add_argument("--seed", type=int, help="override the RNG seed")
-    p.add_argument("--threads", type=int, help="override the thread count")
+    p.add_argument("--threads", type=int,
+                   help="accepted for older commands; no effect")
 
 
 def _effective_config(args):
@@ -124,7 +127,6 @@ def _write(out_dir, task, csv_data, report):
 
 def _dispatch(cfg):
     task = cfg["task"]
-    threads = cfg.get("threads", 1)
     out_dir, meta = _outputs(cfg)
 
     if task == "residue":
@@ -153,8 +155,7 @@ def _dispatch(cfg):
         samples = heat_samples(build_weight(section["p_weight"]),
                                build_weight(section["a_weight"]),
                                build_model(section["model"]),
-                               build_t_grid(section["t_grid"]),
-                               threads=threads)
+                               build_t_grid(section["t_grid"]))
         report = writers._report_head("heat", meta) + "\n"
         if "exponents" in section:
             fit = fit_expansion(samples, section["exponents"],
@@ -172,8 +173,7 @@ def _dispatch(cfg):
                               t_grid=build_t_grid(section["t_grid"])
                               if "t_grid" in section else None,
                               exponents=section.get("exponents"),
-                              log_exponents=section.get("log_exponents"),
-                              threads=threads)
+                              log_exponents=section.get("log_exponents"))
         report = writers._report_head("zeta", meta) + "\n"
         report += (f"  residue at s={result.sigma:g}: {result.residue!r}\n"
                    f"  entire part (diagnostic): {result.entire_part!r}\n")
@@ -202,7 +202,6 @@ def _dispatch(cfg):
     if task == "verify":
         fast = cfg.get("verify", {}).get("fast", False)
         results, ok = run_all(fast=fast, seed=cfg.get("seed", 0),
-                              threads=threads,
                               progress=lambda r: print(r.line(), flush=True))
         (out_dir / "verify.csv").write_bytes(writers.verify_csv(results, meta))
         (out_dir / "verify.txt").write_text(

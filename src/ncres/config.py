@@ -203,8 +203,8 @@ SCHEMA = {
 def config_hash(cfg):
     """sha256 of the semantic configuration.
 
-    Thread count and output directory are execution details, not inputs:
-    results are bit-identical across them, so they stay out of the hash.
+    The output directory and ``threads`` (accepted so that older documents
+    load, and without effect) are not inputs, so they stay out of the hash.
     """
     clean = {k: v for k, v in cfg.items()
              if k not in ("threads", "output_dir")}

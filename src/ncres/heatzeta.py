@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (IllConditionedFitError, TailBoundError, WindowError)
+from .errors import (ConfigError, IllConditionedFitError, TailBoundError,
+                     WindowError)
 from .spectral import enumerate_spectrum
 from .summation import chunked_sum
 
@@ -59,11 +60,37 @@ def _lattice_tail(dim, R, t):
     raise ValueError("tail bound implemented for dim <= 3")
 
 
+def _non_increasing(weight, lam_min):
+    """Whether |weight| is non-increasing on [lam_min, inf).
+
+    With u = shift + lam, d/dlam ln|weight| = power/u - rate, so the weight
+    decays iff rate >= 0 and power <= rate * u at u = shift + lam_min > 0;
+    a zero scale or power needs only rate >= 0.
+    """
+    if weight.scale == 0.0:
+        return True
+    if weight.rate < 0.0:
+        return False
+    if weight.power == 0.0:
+        return True
+    u0 = weight.shift + lam_min
+    return u0 > 0.0 and weight.power <= weight.rate * u0
+
+
 def heat_tail_bound(model, p_weight, a_weight, t):
-    """Certified bound on the modes dropped beyond the model cutoff."""
+    """Certified bound on the modes dropped beyond the model cutoff.
+
+    The supremum of |P| beyond the cutoff is read at the cutoff, which holds
+    only for weights that do not grow there; others raise
+    :class:`TailBoundError`.
+    """
     R = float(model.cutoff)
     lam_min = max((R - math.sqrt(model.dim)) ** 2, 0.0)
-    p_top = abs(float(p_weight(lam_min)))  # non-increasing beyond the cutoff
+    if not _non_increasing(p_weight, lam_min):
+        raise TailBoundError(
+            f"P weight {p_weight.describe()} grows beyond eigenvalue "
+            f"{lam_min:g}; no certified tail bound")
+    p_top = abs(float(p_weight(lam_min)))
     shift = a_weight.shift * a_weight.scale
     dim = model.dim
     mult = model.copies if model.kind == "boundary_lattice" else 1
@@ -85,50 +112,35 @@ class HeatSamples:
             raise ValueError("t grid must be strictly decreasing")
 
 
-def heat_trace(p_weight, a_weight, model, t, threads=1, tail_tol=None):
-    """trace(P exp(-t A)) = sum_modes P(lam) exp(-t A(lam)).
+def heat_samples(p_weight, a_weight, model, t_grid, tail_tol=None):
+    """trace(P exp(-t A)) = sum_modes P(lam) exp(-t A(lam)) on a t grid.
 
     P and A are weight functions of the same model eigenvalues
-    (simultaneous diagonalization is assumed throughout).  Returns
-    (value, tail_bound); raises :class:`TailBoundError` when the certified
-    tail exceeds ``tail_tol``.
+    (simultaneous diagonalization is assumed throughout); A must be affine,
+    scale * (shift + lam) with scale > 0, and P finite on the spectrum, or
+    :class:`ConfigError` is raised.  The grid is sorted descending; each
+    sample carries its certified tail bound, and :class:`TailBoundError` is
+    raised when one exceeds ``tail_tol``.
     """
-    if a_weight.power != 1.0 or a_weight.rate != 0.0:
-        raise ValueError("A must be affine in the eigenvalue: (shift+lam)")
-    t = float(t)
-    if t <= 0:
-        raise ValueError("t must be positive")
-    spec = enumerate_spectrum(model)
-    lam = spec.values
-    pw = p_weight(lam) * spec.counts
-    aw = a_weight(lam)
-
-    def part(lo, hi):
-        return float(np.sum(pw[lo:hi] * np.exp(-t * aw[lo:hi])))
-
-    value = chunked_sum(part, lam.size, threads=threads)
-    bound = heat_tail_bound(model, p_weight, a_weight, t)
-    if tail_tol is not None and bound > tail_tol:
-        raise TailBoundError(
-            f"tail {bound:.3e} above tolerance {tail_tol:.3e} at t={t:g}; "
-            f"raise the cutoff")
-    return float(value), float(bound)
-
-
-def heat_samples(p_weight, a_weight, model, t_grid, threads=1, tail_tol=None):
-    """Vectorized :func:`heat_trace` over a (descending) t grid."""
+    if a_weight.power != 1.0 or a_weight.rate != 0.0 \
+            or not a_weight.scale > 0.0:
+        raise ConfigError(
+            f"A weight {a_weight.describe()} is not affine in the "
+            f"eigenvalue: need power 1, rate 0 and scale > 0")
     t_grid = np.asarray(sorted(t_grid, reverse=True), dtype=float)
-    if a_weight.power != 1.0 or a_weight.rate != 0.0:
-        raise ValueError("A must be affine in the eigenvalue: (shift+lam)")
     spec = enumerate_spectrum(model)
     lam = spec.values
-    pw = p_weight(lam) * spec.counts
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pw = p_weight(lam) * spec.counts
+    if not np.all(np.isfinite(pw)):
+        raise ConfigError(
+            f"P weight {p_weight.describe()} is not finite on the spectrum")
     aw = a_weight(lam)
 
     def part(lo, hi):
         return np.exp(-np.outer(t_grid, aw[lo:hi])) @ pw[lo:hi]
 
-    values = chunked_sum(part, lam.size, threads=threads)
+    values = chunked_sum(part, lam.size)
     bounds = np.array([heat_tail_bound(model, p_weight, a_weight, t)
                        for t in t_grid])
     if tail_tol is not None and bounds.max() > tail_tol:
@@ -237,7 +249,7 @@ class ZetaResidue:
 
 
 def zeta_residue(p_weight, a_weight, model, sigma, t_grid=None,
-                 exponents=None, log_exponents=None, threads=1):
+                 exponents=None, log_exponents=None):
     """Residue of trace(P A^-s) at s = sigma via the Mellin split.
 
     The unit-interval piece of Gamma(s) trace(P A^-s) is continued through
@@ -249,11 +261,11 @@ def zeta_residue(p_weight, a_weight, model, sigma, t_grid=None,
         raise ValueError("only sigma >= 0 residues are implemented")
     if t_grid is None:
         t_grid = np.geomspace(1e-3, 5e-2, 40)
+    samples = heat_samples(p_weight, a_weight, model, t_grid)
     d_exps, d_logs = default_exponents(p_weight, a_weight, model.dim)
     exps = list(exponents) if exponents is not None else d_exps
     logexps = list(log_exponents) if log_exponents is not None else d_logs
     exps = sorted(set(float(e) for e in exps) | {-float(sigma)})
-    samples = heat_samples(p_weight, a_weight, model, t_grid, threads=threads)
     fit = fit_expansion(samples, exps, logexps)
     if sigma == 0:
         residue = -fit.coefficient(0.0, log=True)
@@ -261,7 +273,7 @@ def zeta_residue(p_weight, a_weight, model, sigma, t_grid=None,
         residue = fit.coefficient(-sigma, log=False) / math.gamma(sigma)
 
     wide = np.geomspace(1.0, 40.0, 200)
-    ws = heat_samples(p_weight, a_weight, model, wide, threads=threads)
+    ws = heat_samples(p_weight, a_weight, model, wide)
     tt, vv = ws.t[::-1], ws.values[::-1]
     entire = float(np.trapezoid(tt ** (sigma - 1.0) * vv, tt))
     return ZetaResidue(float(sigma), float(residue), entire, fit)
@@ -306,7 +318,7 @@ class BoundaryHeatResult:
 
 
 def halfspace_heat_samples(t_grid, shift=1.0, p_shift=1.0, m_cutoff=4000,
-                           threads=1, identity_p=False):
+                           identity_p=False):
     """trace(P_+ exp(-t A)) on the cylinder [0, pi] x circle.
 
     A = Dirichlet Laplacian + ``shift`` with eigenbasis sin(j x) e^{i k y};
@@ -325,28 +337,20 @@ def halfspace_heat_samples(t_grid, shift=1.0, p_shift=1.0, m_cutoff=4000,
     tmin = float(t_grid[-1])
     jmax = int(math.ceil(9.0 / math.sqrt(tmin)))
     kmax = jmax
-    W = _sine_weight_matrix(jmax, m_cutoff) / math.pi ** 2
+    if m_cutoff < 2 * jmax:  # the m tail bound below needs M >= 2 jmax
+        raise TailBoundError(
+            f"m cutoff {m_cutoff} below twice the mode cutoff {jmax}")
     ks = np.arange(0, kmax + 1)
-    ms = np.arange(-m_cutoff, m_cutoff + 1).astype(float)
-
-    def bracket(lo, hi):
-        # G[j, k] = (1/pi^2) sum_m |I_jm|^2 / (p_shift + m^2 + k^2)
-        out = np.zeros((jmax, hi - lo))
-        for idx, k in enumerate(ks[lo:hi]):
-            out[:, idx] = W @ (1.0 / (p_shift + ms ** 2 + float(k) ** 2))
-        return out
 
     if identity_p:
         G = np.ones((jmax, kmax + 1))
     else:
-        ranges = _fixed_ranges(kmax + 1, 64)
-        if threads > 1:
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(max_workers=threads) as ex:
-                blocks = list(ex.map(lambda rg: bracket(*rg), ranges))
-        else:
-            blocks = [bracket(lo, hi) for lo, hi in ranges]
-        G = np.hstack(blocks)
+        # G[j, k] = (1/pi^2) sum_m |I_jm|^2 / (p_shift + m^2 + k^2)
+        W = _sine_weight_matrix(jmax, m_cutoff) / math.pi ** 2
+        ms = np.arange(-m_cutoff, m_cutoff + 1).astype(float)
+        D = (p_shift + ms ** 2)[:, None] + ks.astype(float) ** 2
+        np.divide(1.0, D, out=D)
+        G = W @ D
     js = np.arange(1, jmax + 1).astype(float)
     kw = np.where(ks == 0, 1.0, 2.0)
     values = []
@@ -360,9 +364,6 @@ def halfspace_heat_samples(t_grid, shift=1.0, p_shift=1.0, m_cutoff=4000,
     # m truncation of the bracket sum; for m > M >= 2 jmax one has
     # m^2 - j^2 >= (3/4) m^2, so the per-mode m tail is bounded by
     # (128/27) j^2 M^-3 / (p_shift + M^2 + k^2).
-    if m_cutoff < 2 * jmax:
-        raise TailBoundError(
-            f"m cutoff {m_cutoff} below twice the mode cutoff {jmax}")
     jk_tail = np.array([
         _lattice_tail(2, jmax, t) * math.exp(-t * shift) / p_shift
         for t in t_grid])
@@ -375,20 +376,15 @@ def halfspace_heat_samples(t_grid, shift=1.0, p_shift=1.0, m_cutoff=4000,
     return HeatSamples(t_grid, values, bounds)
 
 
-def _fixed_ranges(n, parts):
-    step = max(1, (n + parts - 1) // parts)
-    return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
-
-
 def boundary_heat_test(t_grid=None, shift=1.0, m_cutoff=4000, threads=1):
     """Fit the ln t coefficient of the cylinder half-space heat trace.
 
     Exponent ladder: half-integer powers with log slots at 0, 1/2 and 1.
+    ``threads`` is accepted for older callers and has no effect.
     """
     if t_grid is None:
         t_grid = np.geomspace(1.5e-3, 5e-2, 30)
-    samples = halfspace_heat_samples(t_grid, shift=shift, m_cutoff=m_cutoff,
-                                     threads=threads)
+    samples = halfspace_heat_samples(t_grid, shift=shift, m_cutoff=m_cutoff)
     fit = fit_expansion(samples, [0.0, 0.5, 1.0, 1.5, 2.0],
                         [0.0, 0.5, 1.0])
     return BoundaryHeatResult(fit.coefficient(0.0, log=True), fit, samples)

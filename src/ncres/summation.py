@@ -1,15 +1,14 @@
 """Deterministic compensated summation with fixed chunking.
 
 Large lattice sums are split into chunks whose boundaries depend only on the
-problem size, never on the worker count.  Each chunk is reduced with numpy's
-pairwise summation, and the per-chunk partials are combined in chunk order
-with a Neumaier-compensated accumulator.  The result is therefore bit
-identical for 1, 4 or 8 threads; threads only decide who computes a chunk.
+problem size.  Each chunk is reduced with numpy's pairwise summation, and the
+per-chunk partials are combined in chunk order with a Neumaier-compensated
+accumulator, so a given problem always rounds the same way and its output
+bytes are reproducible.  Reductions run serially: on the hosts measured,
+worker threads gave no speed-up.
 """
 
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -17,23 +16,8 @@ DEFAULT_CHUNK = 1 << 18
 
 
 def chunk_slices(n, chunk=DEFAULT_CHUNK):
-    """Fixed [lo, hi) partition of range(n); independent of thread count."""
+    """Fixed [lo, hi) partition of range(n)."""
     return [(lo, min(lo + chunk, n)) for lo in range(0, max(n, 0), chunk)]
-
-
-def neumaier(values):
-    """Compensated sum of a short python iterable (used for chunk partials)."""
-    s = 0.0
-    c = 0.0
-    for v in values:
-        v = float(v)
-        t = s + v
-        if abs(s) >= abs(v):
-            c += (s - t) + v
-        else:
-            c += (v - t) + s
-        s = t
-    return s + c
 
 
 def _combine_vectors(parts):
@@ -48,22 +32,13 @@ def _combine_vectors(parts):
     return s + c
 
 
-def chunked_sum(fn, n, threads=1, chunk=DEFAULT_CHUNK):
+def chunked_sum(fn, n, chunk=DEFAULT_CHUNK):
     """Deterministic reduction of ``sum(fn(lo, hi) for fixed chunks)``.
 
-    ``fn(lo, hi)`` must return a float or a 1-D array (e.g. one value per
-    sample time); the chunk partials are combined in chunk order with
-    compensation regardless of how many workers evaluated them.
+    ``fn(lo, hi)`` returns a 1-D array (e.g. one value per sample time); the
+    chunk partials are combined in chunk order with compensation.  An empty
+    range reduces ``fn(0, 0)``.
     """
-    slices = chunk_slices(n, chunk)
-    if not slices:
-        return 0.0
-    if threads <= 1 or len(slices) == 1:
-        parts = [fn(lo, hi) for lo, hi in slices]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            parts = list(ex.map(lambda s: fn(*s), slices))
-    parts = [np.asarray(p, dtype=float) for p in parts]
-    if parts[0].ndim == 0:
-        return float(neumaier(float(p) for p in parts))
+    parts = [np.asarray(fn(lo, hi), dtype=float)
+             for lo, hi in chunk_slices(n, chunk) or [(0, 0)]]
     return _combine_vectors(parts)

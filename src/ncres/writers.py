@@ -1,13 +1,16 @@
 """CSV and text report emitters.
 
 CSV files start with comment lines ``# key=value`` (library version and the
-config hash among them), then a header row, then data rows.  Floats are
-rendered with ``repr`` (shortest round-trip form), so identical computations
-produce identical bytes; nothing time- or machine-dependent is written.
+config hash among them), then a header row, then data rows; a field holding
+a comma is quoted.  Floats, numpy scalars included, are rendered with the
+``repr`` of a Python float (shortest round-trip form), so identical
+computations produce identical bytes; nothing time- or machine-dependent is
+written.
 """
 
 from __future__ import annotations
 
+import csv
 import io
 
 from ._version import __version__
@@ -15,9 +18,10 @@ from ._version import __version__
 
 def _fmt(v):
     if isinstance(v, complex):
-        return f"{v.real!r}{'+' if v.imag >= 0 else '-'}{abs(v.imag)!r}j"
+        real, imag = float(v.real), float(v.imag)
+        return f"{real!r}{'+' if imag >= 0 else '-'}{abs(imag)!r}j"
     if isinstance(v, float):
-        return repr(v)
+        return repr(float(v))
     return str(v)
 
 
@@ -26,9 +30,9 @@ def csv_bytes(meta, columns, rows):
     buf.write(f"# ncres {__version__}\n")
     for k in sorted(meta):
         buf.write(f"# {k}={meta[k]}\n")
-    buf.write(",".join(columns) + "\n")
-    for row in rows:
-        buf.write(",".join(_fmt(v) for v in row) + "\n")
+    out = csv.writer(buf, lineterminator="\n")
+    out.writerow(columns)
+    out.writerows([_fmt(v) for v in row] for row in rows)
     return buf.getvalue().encode()
 
 
@@ -119,10 +123,10 @@ def parametric_csv(closed, route, meta):
 
 
 def verify_csv(results, meta):
-    rows = [(r.name, int(r.passed), r.value, r.expected, r.tolerance,
-             f"{r.seconds:.2f}") for r in results]
+    rows = [(r.name, int(r.passed), r.value, r.expected, r.tolerance)
+            for r in results]
     return csv_bytes(meta, ["check", "passed", "value", "expected",
-                            "tolerance", "seconds"], rows)
+                            "tolerance"], rows)
 
 
 def _report_head(title, meta):

@@ -1,5 +1,6 @@
 """Command line: config validation, artifacts, exit codes, determinism."""
 
+import csv
 import json
 import math
 from pathlib import Path
@@ -114,6 +115,7 @@ def test_set_override_and_hash_changes(tmp_path):
 
 
 def test_byte_identical_across_threads(tmp_path):
+    # --threads is accepted for older commands and changes nothing
     blobs = {}
     for threads in (1, 4, 8):
         out = tmp_path / f"t{threads}"
@@ -126,6 +128,62 @@ def test_byte_identical_across_threads(tmp_path):
             blobs[(task, threads)] = (out / f"{task}.csv").read_bytes()
     for task in ("dixmier", "heat", "zeta"):
         assert blobs[(task, 1)] == blobs[(task, 4)] == blobs[(task, 8)]
+
+
+@pytest.mark.parametrize("task, cfgfile, override", [
+    ("heat", "heat_torus.json", "heat.a_weight.power=2"),
+    ("heat", "heat_torus.json", "heat.a_weight.scale=-1"),
+    ("zeta", "zeta_epstein.json", "zeta.a_weight.power=0")])
+def test_non_affine_a_weight_exit_code(tmp_path, capsys, task, cfgfile,
+                                       override):
+    code = run([task, "--config", CONFIGS / cfgfile,
+                "--out", tmp_path, "--set", override])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+
+
+def test_growing_p_weight_exit_code(tmp_path):
+    # an empty weight is P = lam, which has no certified tail bound
+    code = run(["heat", "--config", CONFIGS / "heat_torus.json",
+                "--out", tmp_path, "--set", "heat.p_weight={}"])
+    assert code == 3
+
+
+# columns holding labels; every other column must parse as a float
+TEXT_COLUMNS = {"block", "route", "check", "tolerance"}
+
+
+@pytest.fixture(scope="module")
+def demo_outputs(tmp_path_factory):
+    out = {}
+    for cfgfile in sorted(CONFIGS.glob("*.json")):
+        task = json.loads(cfgfile.read_text())["task"]
+        path = tmp_path_factory.mktemp(cfgfile.stem)
+        assert run([task, "--config", cfgfile, "--out", path]) == 0
+        out[cfgfile.stem] = path / f"{task}.csv"
+    return out
+
+
+def test_demo_csvs_well_formed(demo_outputs):
+    for name, path in demo_outputs.items():
+        lines = [l for l in path.read_text().splitlines()
+                 if not l.startswith("#")]
+        header, *rows = list(csv.reader(lines))
+        assert rows, name
+        for row in rows:
+            assert len(row) == len(header), (name, row)
+            for col, field in zip(header, row):
+                if col not in TEXT_COLUMNS:
+                    float(field)
+
+
+def test_verify_csv_byte_reproducible(demo_outputs, tmp_path, capsys):
+    code = run(["verify", "--config", CONFIGS / "verify_fast.json",
+                "--out", tmp_path])
+    assert code == 0
+    assert (tmp_path / "verify.csv").read_bytes() == \
+        demo_outputs["verify_fast"].read_bytes()
 
 
 def test_verify_fast_smoke(tmp_path, capsys):

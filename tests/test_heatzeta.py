@@ -4,13 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from ncres.errors import (IllConditionedFitError, TailBoundError, WindowError)
+from ncres.errors import (ConfigError, IllConditionedFitError, TailBoundError,
+                          WindowError)
 from ncres.heatzeta import (HeatSamples, boundary_heat_test, default_exponents,
                             fit_expansion, halfspace_heat_samples,
-                            heat_samples, heat_trace, sine_extension_sq,
-                            zeta_residue)
+                            heat_samples, sine_extension_sq, zeta_residue)
 from ncres.spectral import SpectralWeight, SpectrumModel
 
 PI = math.pi
@@ -27,9 +28,14 @@ def theta_1d(t, K=60):
     return sum(math.exp(-t * k * k) for k in range(-K, K + 1))
 
 
+def heat_at(p_weight, a_weight, model, t, **kw):
+    s = heat_samples(p_weight, a_weight, model, [t], **kw)
+    return s.values[0], s.tail_bounds[0]
+
+
 def test_heat_trace_factorizes():
     for t in (0.5, 1.0, 2.0):
-        v, bound = heat_trace(ONE, AW, torus(), t)
+        v, bound = heat_at(ONE, AW, torus(), t)
         want = math.exp(-t) * theta_1d(t) ** 2
         assert v == pytest.approx(want, rel=1e-12)
         assert bound < 1e-12
@@ -37,7 +43,7 @@ def test_heat_trace_factorizes():
 
 def test_heat_trace_large_t_dominated_by_bottom_mode():
     t = 40.0
-    v, _ = heat_trace(INV, AW, torus(), t)
+    v, _ = heat_at(INV, AW, torus(), t)
     assert v == pytest.approx(math.exp(-t), rel=1e-6)
 
 
@@ -60,7 +66,44 @@ def test_tail_bound_certifies_cutoff_doubling():
 
 def test_tail_bound_raises_when_unattainable():
     with pytest.raises(TailBoundError):
-        heat_trace(ONE, AW, torus(20), 1e-3, tail_tol=1e-12)
+        heat_at(ONE, AW, torus(20), 1e-3, tail_tol=1e-12)
+
+
+def test_tail_bound_rejects_growing_weight():
+    # P = lam^2 grows beyond the cutoff: its value there bounds nothing
+    # (dropped mass 1.48e6 against 1.21e6 read at the cutoff)
+    with pytest.raises(TailBoundError):
+        heat_at(SpectralWeight(power=2.0), AW, torus(20), 0.01)
+
+
+@settings(max_examples=150, deadline=None)
+@given(power=st.floats(-3.0, 3.0), shift=st.floats(0.0, 5.0),
+       rate=st.floats(0.0, 1.0), scale=st.floats(0.1, 10.0),
+       cutoff=st.floats(10.0, 40.0), t=st.floats(1e-3, 1.0))
+def test_tail_bound_holds_or_raises(power, shift, rate, scale, cutoff, t):
+    pw = SpectralWeight(power=power, shift=shift, rate=rate, scale=scale)
+    try:
+        near, bound = heat_at(pw, AW, torus(cutoff), t)
+        far, _ = heat_at(pw, AW, torus(2 * cutoff), t)
+    except (TailBoundError, ConfigError):
+        return
+    assert bound >= far - near - 1e-12 * abs(far)
+
+
+@pytest.mark.parametrize("a_weight", [
+    SpectralWeight(power=2.0, shift=1.0),
+    SpectralWeight(power=1.0, shift=1.0, rate=0.5),
+    SpectralWeight(power=1.0, shift=1.0, scale=-1.0),
+    SpectralWeight(power=1.0, shift=1.0, scale=0.0)])
+def test_non_affine_a_weight_rejected(a_weight):
+    with pytest.raises(ConfigError):
+        heat_at(INV, a_weight, torus(20), 0.1)
+
+
+def test_p_weight_singular_on_spectrum_rejected():
+    # (0 + lam)^-1 is infinite at the zero mode of the torus
+    with pytest.raises(ConfigError):
+        heat_at(SpectralWeight(power=-1.0), AW, torus(20), 0.1)
 
 
 def test_heat_samples_grid_decreasing_invariant():
@@ -192,6 +235,32 @@ def test_halfspace_monotone_decay():
     vals = samples.values[::-1]   # ascending t
     assert np.all(np.diff(vals) < 0)
     assert vals[-1] < 1.0
+
+
+def test_halfspace_bracket_against_triple_sum():
+    # independent route: the (j, m, k) sum term by term, k over both signs
+    ts = np.geomspace(0.3, 3.0, 6)
+    shift, p_shift, M = 0.5, 2.5, 200
+    got = halfspace_heat_samples(ts, shift=shift, p_shift=p_shift,
+                                 m_cutoff=M)
+    jmax = int(math.ceil(9.0 / math.sqrt(ts.min())))
+    inner = {}
+    for j in range(1, jmax + 1):
+        for k in range(-jmax, jmax + 1):
+            inner[j, k] = math.fsum(
+                sine_extension_sq(j, m) / (p_shift + m * m + k * k)
+                for m in range(-M, M + 1)) / PI ** 2
+    for t, value in zip(got.t, got.values):
+        want = math.exp(-t * shift) * math.fsum(
+            math.exp(-t * (j * j + k * k)) * g for (j, k), g in inner.items())
+        assert value == pytest.approx(want, rel=1e-13)
+
+
+def test_boundary_heat_threads_keyword_inert():
+    one = boundary_heat_test(threads=1)
+    two = boundary_heat_test(threads=2)
+    assert one.log_coefficient == two.log_coefficient
+    assert np.array_equal(one.samples.values, two.samples.values)
 
 
 @pytest.mark.slow
