@@ -23,8 +23,8 @@ from pathlib import Path
 from ._version import __version__
 from .config import (build_bdm, build_model, build_symbol, build_t_grid,
                      build_weight, config_hash, load_config, validate_config)
-from .errors import (ConfigError, IllConditionedFitError, NcresError,
-                     ResourceCapError, TailBoundError)
+from .errors import (ConfigError, GradingError, IllConditionedFitError,
+                     NcresError, ResourceCapError, TailBoundError)
 from .heatzeta import fit_expansion, heat_samples, zeta_residue
 from .parametric import (resolvent_log_coefficient,
                          resolvent_log_coefficient_closed)
@@ -140,9 +140,13 @@ def _dispatch(cfg):
         section = cfg["dixmier"]
         model = build_model({**section["model"],
                              "weight": section["weight"]})
-        est = dixmier_estimate(model,
-                               window_decades=section.get("window_decades",
-                                                          2.0))
+        try:
+            est = dixmier_estimate(
+                model, window_decades=section.get("window_decades", 2.0))
+        except GradingError as exc:
+            # a growing or non-positive weight is outside the estimator's
+            # domain: an input error, not a failed computation
+            raise ConfigError(f"dixmier.weight: {exc}") from exc
         report = writers.dixmier_report(est, meta)
         if "formula" in section:
             ref = dixmier_formula(build_bdm(section["formula"])).real

@@ -122,31 +122,42 @@ def heat_samples(p_weight, a_weight, model, t_grid, tail_tol=None):
     sample carries its certified tail bound, and :class:`TailBoundError` is
     raised when one exceeds ``tail_tol``.
     """
+    return _heat_sampler(p_weight, a_weight, model)(t_grid, tail_tol)
+
+
+def _heat_sampler(p_weight, a_weight, model):
+    """Check the weights, enumerate the model once and return
+    ``sample(t_grid, tail_tol=None)``, the body of :func:`heat_samples`."""
     if a_weight.power != 1.0 or a_weight.rate != 0.0 \
             or not a_weight.scale > 0.0:
         raise ConfigError(
             f"A weight {a_weight.describe()} is not affine in the "
             f"eigenvalue: need power 1, rate 0 and scale > 0")
-    t_grid = np.asarray(sorted(t_grid, reverse=True), dtype=float)
     spec = enumerate_spectrum(model)
     lam = spec.values
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         pw = p_weight(lam) * spec.counts
     if not np.all(np.isfinite(pw)):
         raise ConfigError(
             f"P weight {p_weight.describe()} is not finite on the spectrum")
     aw = a_weight(lam)
 
-    def part(lo, hi):
-        return np.exp(-np.outer(t_grid, aw[lo:hi])) @ pw[lo:hi]
+    def sample(t_grid, tail_tol=None):
+        t_grid = np.asarray(sorted(t_grid, reverse=True), dtype=float)
 
-    values = chunked_sum(part, lam.size)
-    bounds = np.array([heat_tail_bound(model, p_weight, a_weight, t)
-                       for t in t_grid])
-    if tail_tol is not None and bounds.max() > tail_tol:
-        raise TailBoundError(
-            f"tail {bounds.max():.3e} above {tail_tol:.3e}; raise the cutoff")
-    return HeatSamples(t_grid, np.asarray(values, dtype=float), bounds)
+        def part(lo, hi):
+            return np.exp(-np.outer(t_grid, aw[lo:hi])) @ pw[lo:hi]
+
+        values = chunked_sum(part, lam.size)
+        bounds = np.array([heat_tail_bound(model, p_weight, a_weight, t)
+                           for t in t_grid])
+        if tail_tol is not None and bounds.max() > tail_tol:
+            raise TailBoundError(
+                f"tail {bounds.max():.3e} above {tail_tol:.3e}; "
+                f"raise the cutoff")
+        return HeatSamples(t_grid, np.asarray(values, dtype=float), bounds)
+
+    return sample
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +272,8 @@ def zeta_residue(p_weight, a_weight, model, sigma, t_grid=None,
         raise ValueError("only sigma >= 0 residues are implemented")
     if t_grid is None:
         t_grid = np.geomspace(1e-3, 5e-2, 40)
-    samples = heat_samples(p_weight, a_weight, model, t_grid)
+    sample = _heat_sampler(p_weight, a_weight, model)
+    samples = sample(t_grid)
     d_exps, d_logs = default_exponents(p_weight, a_weight, model.dim)
     exps = list(exponents) if exponents is not None else d_exps
     logexps = list(log_exponents) if log_exponents is not None else d_logs
@@ -273,7 +285,7 @@ def zeta_residue(p_weight, a_weight, model, sigma, t_grid=None,
         residue = fit.coefficient(-sigma, log=False) / math.gamma(sigma)
 
     wide = np.geomspace(1.0, 40.0, 200)
-    ws = heat_samples(p_weight, a_weight, model, wide)
+    ws = sample(wide)
     tt, vv = ws.t[::-1], ws.values[::-1]
     entire = float(np.trapezoid(tt ** (sigma - 1.0) * vv, tt))
     return ZetaResidue(float(sigma), float(residue), entire, fit)

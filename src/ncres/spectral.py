@@ -1,10 +1,12 @@
 """Explicit spectra, singular-value sums and Dixmier trace estimation.
 
 Model spectra (torus lattices, Dirichlet cylinders, boundary lattices) are
-enumerated exhaustively up to a cutoff and aggregated by eigenvalue, so a
-spectrum is a pair of arrays (values ascending, multiplicities).  Partial
-sums sigma_N, the (1,infinity) norm, logarithmic Cesaro means and the
-Dixmier trace estimator operate on those arrays.
+enumerated exhaustively up to a cutoff and aggregated by eigenvalue (dim 2
+and 3: one int32 table, the plane counted over an octant, the cylinder as
+half the lattice points off the j = 0 hyperplane) into arrays (values,
+multiplicities) ordered by descending weight.  Partial sums sigma_N, the
+(1,infinity) norm, logarithmic Cesaro means and the Dixmier trace
+estimator operate on those arrays.
 
 The estimator reports the least-squares slope of sigma_N against ln N over
 the top decades of N.  Because sigma_N = C ln N + const + o(1) for the
@@ -108,29 +110,22 @@ def _estimate_modes(model):
     raise ValueError(f"unknown model kind {model.kind!r}")
 
 
-def _add_squares(cnt, base, budget, outer_weight):
-    """cnt[base + k^2] += outer_weight * (1 if k == 0 else 2), k^2 <= budget."""
-    ks = np.arange(0, math.isqrt(budget) + 1)
-    cnt[base + ks * ks] += outer_weight * np.where(ks == 0, 1, 2)
-
-
-def _ball_counts(dim, R2):
-    """counts[m] = #{k in Z^dim : |k|^2 = m}, m = 0..R2 (dim <= 3).
-
-    Filled in place row by row; one array for the whole lattice."""
-    cnt = np.zeros(R2 + 1, dtype=np.int64)
-    if dim == 1:
-        _add_squares(cnt, 0, R2, 1)
-    elif dim == 2:
-        for j in range(0, math.isqrt(R2) + 1):
-            _add_squares(cnt, j * j, R2 - j * j, 1 if j == 0 else 2)
+def _ball_counts(dim, R2, sq):
+    """counts[m] = #{k in Z^dim : |k|^2 = m} for m <= R2; sq[j] = j^2."""
+    # every count is at most r_3(m) with m <= 4e8, far below 2^31
+    cnt = np.zeros(R2 + 1, dtype=np.int32)
+    if dim == 2:
+        # the octant 0 <= i <= j: 8 points, 4 on an axis or the diagonal
+        cnt[0] = 1
+        cnt[sq[1:]] += 4
+        for i in range(1, math.isqrt(R2 // 2) + 1):
+            row = cnt[i * i:]
+            row[i * i] += 4
+            row[sq[i + 1:math.isqrt(R2 - i * i) + 1]] += 8
     elif dim == 3:
-        for i in range(0, math.isqrt(R2) + 1):
-            wi = 1 if i == 0 else 2
-            for j in range(0, math.isqrt(R2 - i * i) + 1):
-                wj = wi * (1 if j == 0 else 2)
-                base = i * i + j * j
-                _add_squares(cnt, base, R2 - base, wj)
+        sub = _ball_counts(2, R2, sq)
+        for k in range(sq.size):
+            cnt[sq[k]:] += (2 if k else 1) * sub[:R2 + 1 - sq[k]]
     else:
         raise ValueError("lattice counting implemented for dim <= 3")
     return cnt
@@ -144,13 +139,15 @@ def enumerate_spectrum(model, require_monotone=False):
     """
     if model.cutoff < 1:
         raise ValueError("cutoff must be >= 1")
+    mult = model.copies if model.kind == "boundary_lattice" else 1
+    if mult < 1:
+        raise ValueError("copies must be >= 1")
     est = _estimate_modes(model)
     if est > model.mode_cap:
         raise ResourceCapError(
             f"~{est:.2e} modes exceed the cap {model.mode_cap:.2e}")
     R = int(model.cutoff)
     R2 = R * R
-    mult = model.copies if model.kind == "boundary_lattice" else 1
     if model.dim == 1:
         # eigenvalues k^2 (or j^2, j >= 1) indexed directly; the dense
         # eigenvalue-indexed array would be quadratic in the cutoff
@@ -166,27 +163,29 @@ def enumerate_spectrum(model, require_monotone=False):
         if R2 > 400_000_000:
             raise ResourceCapError(
                 f"dense eigenvalue table of length {R2:.2e} over the cap")
-        if model.kind in ("torus_lattice", "boundary_lattice"):
-            cnt = mult * _ball_counts(model.dim, R2)
-        elif model.kind == "dirichlet_cylinder":
-            cnt = np.zeros(R2 + 1, dtype=np.int64)
+        sq = np.arange(R + 1, dtype=np.int64) ** 2
+        cnt = _ball_counts(model.dim, R2, sq)
+        if model.kind == "dirichlet_cylinder":
+            # j >= 1: half the points off the j = 0 hyperplane
             if model.dim == 2:
-                for j in range(1, R + 1):
-                    _add_squares(cnt, j * j, R2 - j * j, 1)
+                cnt[0] -= 1
+                cnt[sq[1:]] -= 2
             else:
-                for j in range(1, R + 1):
-                    sub = _ball_counts(model.dim - 1, R2 - j * j)
-                    cnt[j * j:j * j + sub.size] += sub
-        else:
-            raise ValueError(f"unknown model kind {model.kind!r}")
-        ms = np.nonzero(cnt)[0]
+                cnt -= _ball_counts(2, R2, sq)
+            cnt >>= 1
+        ms = np.flatnonzero(cnt != 0)   # the boolean path is the fast one
+        counts = cnt[ms].astype(np.int64)
+        del cnt   # free the table before the weights are built
+        counts *= mult
         values = ms.astype(float)
-        counts = cnt[ms]
     w = model.weight(values)
     if require_monotone:
         if np.any(w <= 0) or np.any(np.diff(w) > 1e-12 * np.abs(w[:-1])):
             raise GradingError(
                 "Dixmier estimation needs positive non-increasing weights")
+    if np.all(w[1:] <= w[:-1]):
+        # already in the order a stable argsort(-w) would give
+        return Spectrum(values, counts, w)
     order = np.argsort(-w, kind="stable")
     return Spectrum(values[order], counts[order], w[order])
 

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import warnings
 from pathlib import Path
 
 import pytest
@@ -143,11 +144,33 @@ def test_non_affine_a_weight_exit_code(tmp_path, capsys, task, cfgfile,
     assert err.startswith("config error:") and err.count("\n") == 1
 
 
+def test_overflowing_p_weight_exit_code(tmp_path, capsys):
+    # P overflows at the zero mode: one config error line and no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["heat", "--config", CONFIGS / "heat_torus.json",
+                    "--out", tmp_path, "--set",
+                    'heat.p_weight={"power": -3, "shift": 1e-300}'])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+
+
 def test_growing_p_weight_exit_code(tmp_path):
     # an empty weight is P = lam, which has no certified tail bound
     code = run(["heat", "--config", CONFIGS / "heat_torus.json",
                 "--out", tmp_path, "--set", "heat.p_weight={}"])
     assert code == 3
+
+
+def test_growing_dixmier_weight_exit_code(tmp_path, capsys):
+    # a growing weight is outside the Dixmier estimator's domain
+    code = run(["dixmier", "--config", CONFIGS / "dixmier_torus.json",
+                "--out", tmp_path, "--set", "dixmier.weight.power=1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert "non-increasing" in err
 
 
 # columns holding labels; every other column must parse as a float

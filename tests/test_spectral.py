@@ -1,6 +1,8 @@
 """Spectra, partial sums, Cesaro means, Dixmier estimation and formula."""
 
+import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -56,6 +58,68 @@ def test_enumeration_deterministic():
     b = enumerate_spectrum(m)
     assert np.array_equal(a.values, b.values)
     assert np.array_equal(a.weights, b.weights)
+
+
+def _brute_force(kind, dim, cutoff, copies):
+    """{eigenvalue: multiplicity} over the box [-R, R]^dim, pure Python."""
+    R = int(cutoff)
+    out = Counter()
+    for k in itertools.product(range(-R, R + 1), repeat=dim):
+        if kind == "dirichlet_cylinder" and k[0] < 1:
+            continue   # k[0] plays j >= 1
+        lam = sum(x * x for x in k)
+        if lam <= R * R:
+            out[lam] += copies if kind == "boundary_lattice" else 1
+    return out
+
+
+@pytest.mark.parametrize("kind", ["torus_lattice", "dirichlet_cylinder",
+                                  "boundary_lattice"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_enumeration_matches_brute_force(kind, dim):
+    for cutoff in (1, 2, 7.5, 13):
+        for copies in (1, 3):
+            sp = enumerate_spectrum(
+                SpectrumModel(kind, dim, cutoff, INV, copies=copies))
+            oracle = _brute_force(kind, dim, cutoff, copies)
+            assert list(sp.values) == sorted(oracle)
+            assert list(sp.counts) == [oracle[m] for m in sorted(oracle)]
+
+
+def test_torus_counts_match_jacobi_two_squares():
+    # r_2(m) = 4 (d_1(m) - d_3(m)), divisors counted mod 4
+    M = 10 ** 4
+    d13 = [0] * (M + 1)
+    for d in range(1, M + 1, 2):
+        sign = 1 if d % 4 == 1 else -1
+        for m in range(d, M + 1, d):
+            d13[m] += sign
+    sp = enumerate_spectrum(SpectrumModel("torus_lattice", 2, 100, INV))
+    r2 = dict(zip(sp.values.astype(int).tolist(), sp.counts.tolist()))
+    for m in range(1, M + 1):
+        assert r2.get(m, 0) == 4 * d13[m], m
+
+
+@pytest.mark.parametrize("kind", ["torus_lattice", "dirichlet_cylinder",
+                                  "boundary_lattice"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_enumeration_dtypes_and_order(kind, dim):
+    flat = enumerate_spectrum(
+        SpectrumModel(kind, dim, 9, SpectralWeight(power=0.0), copies=2))
+    assert flat.counts.dtype == np.int64
+    assert flat.values.dtype == np.float64
+    assert np.all(np.diff(flat.values) > 0)      # constant weight: ascending
+    grow = enumerate_spectrum(
+        SpectrumModel(kind, dim, 9, SpectralWeight(power=1.0), copies=2))
+    assert np.array_equal(grow.values, flat.values[::-1])
+    assert np.array_equal(grow.counts, flat.counts[::-1])
+    assert np.all(np.diff(grow.weights) <= 0)
+
+
+def test_boundary_copies_must_be_positive():
+    with pytest.raises(ValueError):
+        enumerate_spectrum(
+            SpectrumModel("boundary_lattice", 2, 5, INV, copies=0))
 
 
 def test_sigma_n_harmonic():
