@@ -15,19 +15,19 @@ import math
 
 import numpy as np
 
-from ncres import (SpectralWeight, SpectrumModel, Torus, fit_expansion,
-                   heat_samples, laplace_shift_power, wodzicki_residue,
-                   zeta_residue)
+from ncres import (SpectralWeight, SpectrumModel, Torus, enumerate_spectrum,
+                   fit_expansion, heat_samples, laplace_shift_power,
+                   wodzicki_residue, zeta_residue)
 
 PI = math.pi
-model = SpectrumModel("torus_lattice", 2, 300)
+spec = enumerate_spectrum(SpectrumModel("torus_lattice", 2, 300))
 inv = SpectralWeight(power=-1.0, shift=1.0)     # weight of (1 - Delta)^-1
 one = SpectralWeight(power=0.0)
 aw = SpectralWeight(power=1.0, shift=1.0)       # spectrum of 1 - Delta
 
 print("== fitted small-t expansion of trace(P e^{-tA}) ==")
 grid = np.geomspace(1e-3, 5e-2, 40)
-samples = heat_samples(inv, aw, model, grid)
+samples = heat_samples(inv, aw, spec, grid)
 fit = fit_expansion(samples, [0.0, 0.5, 1.0, 1.5, 2.0], [0.0, 1.0])
 c_log = fit.coefficient(0.0, log=True)
 print(f"  ln t coefficient  {c_log:.8f}   (expected -pi = {-PI:.8f})")
@@ -35,20 +35,20 @@ print(f"  fit residual      {fit.residual:.2e},  condition {fit.condition:.1e}")
 
 print("\n== shift invariance: the log coefficient ignores spectral shifts ==")
 fit2 = fit_expansion(heat_samples(inv, SpectralWeight(power=1.0, shift=2.0),
-                                  model, grid),
+                                  spec, grid),
                      [0.0, 0.5, 1.0, 1.5, 2.0], [0.0, 1.0])
 print(f"  shift 1 vs shift 2: {c_log:.8f} vs "
       f"{fit2.coefficient(0.0, log=True):.8f}")
 
 print("\n== zeta residues by Mellin splitting ==")
-z1 = zeta_residue(one, aw, model, 1.0,
+z1 = zeta_residue(one, aw, spec, 1.0,
                   exponents=[-1.0, 0.0, 1.0, 2.0, 3.0], log_exponents=[])
 print(f"  residue at s=1 of the lattice zeta: {z1.residue:.8f}   (pi)")
-z0 = zeta_residue(inv, aw, model, 0.0,
+z0 = zeta_residue(inv, aw, spec, 0.0,
                   exponents=[0.0, 0.5, 1.0, 1.5, 2.0],
                   log_exponents=[0.0, 1.0])
 print(f"  residue at s=0 of trace(P A^-s):    {z0.residue:.8f}   (pi)")
-z2 = zeta_residue(one, aw, model, 2.0,
+z2 = zeta_residue(one, aw, spec, 2.0,
                   exponents=[-1.0, 0.0, 1.0, 2.0, 3.0], log_exponents=[])
 print(f"  residue at the regular point s=2:   {z2.residue:.2e}")
 

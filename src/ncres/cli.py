@@ -29,7 +29,7 @@ from .heatzeta import fit_expansion, heat_samples, zeta_residue
 from .parametric import (resolvent_log_coefficient,
                          resolvent_log_coefficient_closed)
 from .residue import boundary_residue
-from .spectral import dixmier_estimate, dixmier_formula
+from .spectral import dixmier_estimate, dixmier_formula, enumerate_spectrum
 from . import writers
 from .verify import run_all
 
@@ -142,7 +142,8 @@ def _dispatch(cfg):
                              "weight": section["weight"]})
         try:
             est = dixmier_estimate(
-                model, window_decades=section.get("window_decades", 2.0))
+                enumerate_spectrum(model),
+                window_decades=section.get("window_decades", 2.0))
         except GradingError as exc:
             # a growing or non-positive weight is outside the estimator's
             # domain: an input error, not a failed computation
@@ -156,10 +157,10 @@ def _dispatch(cfg):
 
     if task == "heat":
         section = cfg["heat"]
+        spec = enumerate_spectrum(build_model(section["model"]))
         samples = heat_samples(build_weight(section["p_weight"]),
                                build_weight(section["a_weight"]),
-                               build_model(section["model"]),
-                               build_t_grid(section["t_grid"]))
+                               spec, build_t_grid(section["t_grid"]))
         report = writers._report_head("heat", meta) + "\n"
         if "exponents" in section:
             fit = fit_expansion(samples, section["exponents"],
@@ -170,10 +171,10 @@ def _dispatch(cfg):
 
     if task == "zeta":
         section = cfg["zeta"]
+        spec = enumerate_spectrum(build_model(section["model"]))
         result = zeta_residue(build_weight(section["p_weight"]),
                               build_weight(section["a_weight"]),
-                              build_model(section["model"]),
-                              section["sigma"],
+                              spec, section["sigma"],
                               t_grid=build_t_grid(section["t_grid"])
                               if "t_grid" in section else None,
                               exponents=section.get("exponents"),
@@ -192,9 +193,7 @@ def _dispatch(cfg):
         a = build_symbol(section["a"], n)
         k = section["power"]
         closed = resolvent_log_coefficient_closed(p, a.order, k)
-        route = resolvent_log_coefficient(p, a, k,
-                                          levels=section.get("levels"),
-                                          depth=section.get("depth"))
+        route = resolvent_log_coefficient(p, a, k, depth=section.get("depth"))
         report = writers._report_head("parametric", meta) + "\n"
         report += (f"  closed form      {closed:.12g}\n"
                    f"  expansion route  {route:.12g}\n"

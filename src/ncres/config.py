@@ -17,6 +17,7 @@ import hashlib
 import json
 import re
 
+import jsonschema
 import numpy as np
 
 from .errors import ConfigError
@@ -25,11 +26,6 @@ from .literals import parse_symbol
 from .residue import BdMSymbol, Cylinder, Torus
 from .spectral import SpectralWeight, SpectrumModel
 from .symbols import laplace_shift_power
-
-try:
-    import jsonschema
-except ImportError:  # pragma: no cover
-    jsonschema = None
 
 TASKS = ("residue", "dixmier", "heat", "zeta", "parametric", "verify")
 
@@ -236,17 +232,16 @@ def parse_config(text, source="<config>"):
 
 
 def validate_config(cfg, text="", source="<config>"):
-    if jsonschema is not None:
-        validator = jsonschema.Draft202012Validator(SCHEMA)
-        errors = sorted(validator.iter_errors(cfg),
-                        key=lambda e: list(e.absolute_path))
-        if errors:
-            e = errors[0]
-            path = "/".join(str(p) for p in e.absolute_path) or "<root>"
-            key = list(e.absolute_path)[-1] if e.absolute_path else ""
-            line = _find_line(text, key) if text else None
-            at = f"{source}:{line}: " if line else f"{source}: "
-            raise ConfigError(f"{at}at {path}: {e.message}")
+    validator = jsonschema.Draft202012Validator(SCHEMA)
+    errors = sorted(validator.iter_errors(cfg),
+                    key=lambda e: list(e.absolute_path))
+    if errors:
+        e = errors[0]
+        path = "/".join(str(p) for p in e.absolute_path) or "<root>"
+        key = list(e.absolute_path)[-1] if e.absolute_path else ""
+        line = _find_line(text, key) if text else None
+        at = f"{source}:{line}: " if line else f"{source}: "
+        raise ConfigError(f"{at}at {path}: {e.message}")
     task = cfg.get("task")
     if task not in TASKS:
         raise ConfigError(f"{source}: unknown task {task!r}")

@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import (ConfigError, IllConditionedFitError, TailBoundError,
                      WindowError)
-from .spectral import enumerate_spectrum
 from .summation import chunked_sum
 
 COND_LIMIT = 1e8
@@ -60,23 +59,6 @@ def _lattice_tail(dim, R, t):
     raise ValueError("tail bound implemented for dim <= 3")
 
 
-def _non_increasing(weight, lam_min):
-    """Whether |weight| is non-increasing on [lam_min, inf).
-
-    With u = shift + lam, d/dlam ln|weight| = power/u - rate, so the weight
-    decays iff rate >= 0 and power <= rate * u at u = shift + lam_min > 0;
-    a zero scale or power needs only rate >= 0.
-    """
-    if weight.scale == 0.0:
-        return True
-    if weight.rate < 0.0:
-        return False
-    if weight.power == 0.0:
-        return True
-    u0 = weight.shift + lam_min
-    return u0 > 0.0 and weight.power <= weight.rate * u0
-
-
 def heat_tail_bound(model, p_weight, a_weight, t):
     """Certified bound on the modes dropped beyond the model cutoff.
 
@@ -86,7 +68,7 @@ def heat_tail_bound(model, p_weight, a_weight, t):
     """
     R = float(model.cutoff)
     lam_min = max((R - math.sqrt(model.dim)) ** 2, 0.0)
-    if not _non_increasing(p_weight, lam_min):
+    if not p_weight.non_increasing(lam_min):
         raise TailBoundError(
             f"P weight {p_weight.describe()} grows beyond eigenvalue "
             f"{lam_min:g}; no certified tail bound")
@@ -112,28 +94,21 @@ class HeatSamples:
             raise ValueError("t grid must be strictly decreasing")
 
 
-def heat_samples(p_weight, a_weight, model, t_grid, tail_tol=None):
+def heat_samples(p_weight, a_weight, spec, t_grid, tail_tol=None):
     """trace(P exp(-t A)) = sum_modes P(lam) exp(-t A(lam)) on a t grid.
 
-    P and A are weight functions of the same model eigenvalues
-    (simultaneous diagonalization is assumed throughout); A must be affine,
-    scale * (shift + lam) with scale > 0, and P finite on the spectrum, or
-    :class:`ConfigError` is raised.  The grid is sorted descending; each
-    sample carries its certified tail bound, and :class:`TailBoundError` is
-    raised when one exceeds ``tail_tol``.
+    P and A are weight functions of the eigenvalues of the enumerated
+    spectrum ``spec`` (simultaneous diagonalization is assumed throughout);
+    A must be affine, scale * (shift + lam) with scale > 0, and P finite on
+    the spectrum, or :class:`ConfigError` is raised.  The grid is sorted
+    descending; each sample carries its certified tail bound, and
+    :class:`TailBoundError` is raised when one exceeds ``tail_tol``.
     """
-    return _heat_sampler(p_weight, a_weight, model)(t_grid, tail_tol)
-
-
-def _heat_sampler(p_weight, a_weight, model):
-    """Check the weights, enumerate the model once and return
-    ``sample(t_grid, tail_tol=None)``, the body of :func:`heat_samples`."""
     if a_weight.power != 1.0 or a_weight.rate != 0.0 \
             or not a_weight.scale > 0.0:
         raise ConfigError(
             f"A weight {a_weight.describe()} is not affine in the "
             f"eigenvalue: need power 1, rate 0 and scale > 0")
-    spec = enumerate_spectrum(model)
     lam = spec.values
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         pw = p_weight(lam) * spec.counts
@@ -141,23 +116,18 @@ def _heat_sampler(p_weight, a_weight, model):
         raise ConfigError(
             f"P weight {p_weight.describe()} is not finite on the spectrum")
     aw = a_weight(lam)
+    t_grid = np.asarray(sorted(t_grid, reverse=True), dtype=float)
 
-    def sample(t_grid, tail_tol=None):
-        t_grid = np.asarray(sorted(t_grid, reverse=True), dtype=float)
+    def part(lo, hi):
+        return np.exp(-np.outer(t_grid, aw[lo:hi])) @ pw[lo:hi]
 
-        def part(lo, hi):
-            return np.exp(-np.outer(t_grid, aw[lo:hi])) @ pw[lo:hi]
-
-        values = chunked_sum(part, lam.size)
-        bounds = np.array([heat_tail_bound(model, p_weight, a_weight, t)
-                           for t in t_grid])
-        if tail_tol is not None and bounds.max() > tail_tol:
-            raise TailBoundError(
-                f"tail {bounds.max():.3e} above {tail_tol:.3e}; "
-                f"raise the cutoff")
-        return HeatSamples(t_grid, np.asarray(values, dtype=float), bounds)
-
-    return sample
+    values = chunked_sum(part, lam.size)
+    bounds = np.array([heat_tail_bound(spec.model, p_weight, a_weight, t)
+                       for t in t_grid])
+    if tail_tol is not None and bounds.max() > tail_tol:
+        raise TailBoundError(
+            f"tail {bounds.max():.3e} above {tail_tol:.3e}; raise the cutoff")
+    return HeatSamples(t_grid, np.asarray(values, dtype=float), bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -259,9 +229,10 @@ class ZetaResidue:
     fit: AsymptoticFit
 
 
-def zeta_residue(p_weight, a_weight, model, sigma, t_grid=None,
+def zeta_residue(p_weight, a_weight, spec, sigma, t_grid=None,
                  exponents=None, log_exponents=None):
-    """Residue of trace(P A^-s) at s = sigma via the Mellin split.
+    """Residue of trace(P A^-s) at s = sigma via the Mellin split, on the
+    enumerated spectrum ``spec``.
 
     The unit-interval piece of Gamma(s) trace(P A^-s) is continued through
     the fitted small-t expansion (the candidate power t^-sigma is always
@@ -272,9 +243,8 @@ def zeta_residue(p_weight, a_weight, model, sigma, t_grid=None,
         raise ValueError("only sigma >= 0 residues are implemented")
     if t_grid is None:
         t_grid = np.geomspace(1e-3, 5e-2, 40)
-    sample = _heat_sampler(p_weight, a_weight, model)
-    samples = sample(t_grid)
-    d_exps, d_logs = default_exponents(p_weight, a_weight, model.dim)
+    samples = heat_samples(p_weight, a_weight, spec, t_grid)
+    d_exps, d_logs = default_exponents(p_weight, a_weight, spec.model.dim)
     exps = list(exponents) if exponents is not None else d_exps
     logexps = list(log_exponents) if log_exponents is not None else d_logs
     exps = sorted(set(float(e) for e in exps) | {-float(sigma)})
@@ -285,7 +255,7 @@ def zeta_residue(p_weight, a_weight, model, sigma, t_grid=None,
         residue = fit.coefficient(-sigma, log=False) / math.gamma(sigma)
 
     wide = np.geomspace(1.0, 40.0, 200)
-    ws = sample(wide)
+    ws = heat_samples(p_weight, a_weight, spec, wide)
     tt, vv = ws.t[::-1], ws.values[::-1]
     entire = float(np.trapezoid(tt ** (sigma - 1.0) * vv, tt))
     return ZetaResidue(float(sigma), float(residue), entire, fit)

@@ -134,21 +134,20 @@ def resolvent_log_coefficient_closed(p, ord_a, k):
     return TWO_PI ** (-n) * ((-1.0) ** k / ord_a) * res
 
 
-def resolvent_log_coefficient(p, a, k, levels=None, depth=None):
+def resolvent_log_coefficient(p, a, k, depth=None):
     """Expansion route to the same ln lambda coefficient.
 
     Expands the resolvent power of ``a``, composes with ``p``, extracts the
     mu^(-mk) ln mu coefficient and converts to the lambda normalization
     (ln lambda = m ln mu against lambda^-k = mu^-mk leaves a net 1/m).
+    Only the i = 0 group is read, so only that one is built.
     """
     m = a.order
     n = p.n
-    if levels is None:
-        levels = 2
     if depth is None:
         # the read group has order 0, so p # group needs degree -n exact
         depth = max(p.order + n, 0)
-    terms = expand_resolvent(a, m, k, levels=levels)
+    terms = expand_resolvent(a, m, k, levels=1)
     composed = compose_with(p, terms, depth)
     d = -m * k
     c_mu = wp_log_coefficient(composed, d, 0)

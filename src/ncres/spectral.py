@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (GradingError, ResourceCapError, TransmissionError,
-                     WindowError)
+from .errors import (GradingError, IllConditionedFitError, ResourceCapError,
+                     TransmissionError, WindowError)
 from .residue import TWO_PI, _boundary_cosphere_integral, wodzicki_residue
 from .symbols import transmission_check
 
@@ -61,6 +61,22 @@ class SpectralWeight:
             parts.append(f"*exp(-{self.rate:g}*lam)")
         return "".join(parts)
 
+    def non_increasing(self, lam_min):
+        """Whether |weight| is non-increasing on [lam_min, inf).
+
+        With u = shift + lam, d/dlam ln|weight| = power/u - rate, so the weight
+        decays iff rate >= 0 and power <= rate * u at u = shift + lam_min > 0;
+        a zero scale or power needs only rate >= 0.
+        """
+        if self.scale == 0.0:
+            return True
+        if self.rate < 0.0:
+            return False
+        if self.power == 0.0:
+            return True
+        u0 = self.shift + lam_min
+        return u0 > 0.0 and self.power <= self.rate * u0
+
 
 # ---------------------------------------------------------------------------
 # spectrum models and enumeration
@@ -91,11 +107,8 @@ class Spectrum:
 
     values: np.ndarray   # base eigenvalues
     counts: np.ndarray   # multiplicities
-    weights: np.ndarray  # weight(values), non-increasing
-
-    @property
-    def total_modes(self):
-        return int(self.counts.sum())
+    weights: np.ndarray  # model.weight(values), non-increasing
+    model: SpectrumModel
 
 
 def _estimate_modes(model):
@@ -131,7 +144,7 @@ def _ball_counts(dim, R2, sq):
     return cnt
 
 
-def enumerate_spectrum(model, require_monotone=False):
+def enumerate_spectrum(model):
     """Exhaustive (eigenvalue, multiplicity) enumeration below the cutoff.
 
     Deterministic; raises :class:`ResourceCapError` before allocating when
@@ -178,28 +191,19 @@ def enumerate_spectrum(model, require_monotone=False):
         del cnt   # free the table before the weights are built
         counts *= mult
         values = ms.astype(float)
-    w = model.weight(values)
-    if require_monotone:
-        if np.any(w <= 0) or np.any(np.diff(w) > 1e-12 * np.abs(w[:-1])):
-            raise GradingError(
-                "Dixmier estimation needs positive non-increasing weights")
+    # a weight infinite on the spectrum only orders it here; the consumer
+    # that reads the weights, dixmier_estimate, rejects it
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        w = model.weight(values)
     if np.all(w[1:] <= w[:-1]):
         # already in the order a stable argsort(-w) would give
-        return Spectrum(values, counts, w)
+        return Spectrum(values, counts, w, model)
     order = np.argsort(-w, kind="stable")
-    return Spectrum(values[order], counts[order], w[order])
+    return Spectrum(values[order], counts[order], w[order], model)
 
 
 # ---------------------------------------------------------------------------
 # partial sums and the (1, infinity) norm
-
-
-def sigma_n(weights, N):
-    """Sum of the N largest entries of a descending weight sequence."""
-    weights = np.asarray(weights, dtype=float)
-    if N < 1 or N > weights.size:
-        raise ValueError(f"N = {N} outside 1..{weights.size}")
-    return float(weights[:N].sum())
 
 
 @dataclass(frozen=True, eq=False)
@@ -344,9 +348,9 @@ class DixmierEstimate:
     omega_consistent: bool
 
 
-def dixmier_estimate(model, window_decades=2.0, fit_samples=400,
+def dixmier_estimate(spec, window_decades=2.0, fit_samples=400,
                      cesaro_samples=3000):
-    """Estimate the Dixmier trace of the weighted model operator.
+    """Estimate the Dixmier trace of the weighted operator of ``spec``.
 
     Primary estimator: least-squares slope of sigma_N versus ln N over the
     top ``window_decades`` decades of N.  Corroboration: the Cesaro mean of
@@ -355,8 +359,17 @@ def dixmier_estimate(model, window_decades=2.0, fit_samples=400,
     tail sits further from the slope than its own ln ln N / ln N
     convergence scale allows, which would mean the averaging choice
     matters for this operator.
+
+    The model weight must be positive and non-increasing from the bottom
+    eigenvalue on, or :class:`GradingError` is raised.  A slope, residual
+    or Cesaro tail that is not finite, or a slope below the rounding floor
+    of the partial sums, raises :class:`IllConditionedFitError`.
     """
-    spec = enumerate_spectrum(model, require_monotone=True)
+    weight = spec.model.weight
+    if not (weight.scale > 0.0
+            and weight.non_increasing(float(spec.values.min()))):
+        raise GradingError(
+            "Dixmier estimation needs positive non-increasing weights")
     curve = SigmaCurve.from_spectrum(spec)
     n_max = curve.n_max
     if n_max < 100:
@@ -367,16 +380,27 @@ def dixmier_estimate(model, window_decades=2.0, fit_samples=400,
     x = np.log(ns.astype(float))
     y = curve.sigma(ns)
     design = np.vstack([x, np.ones_like(x)]).T
-    (slope, intercept), *_ = np.linalg.lstsq(design, y, rcond=None)
-    resid = float(np.sqrt(np.mean((design @ [slope, intercept] - y) ** 2)))
-
-    cn = np.unique(np.round(np.geomspace(2, n_max,
-                                         cesaro_samples)).astype(np.int64))
-    sig = curve.sigma(cn)
-    ratio = sig / np.log(cn)
-    f = StepFunction(cn.astype(float), ratio[:-1])
-    pts, mf = cesaro_mean(f)
+    # a dominant weight can overflow the squared residuals; the checks
+    # after the block reject what that leaves
+    with np.errstate(over="ignore", invalid="ignore"):
+        (slope, intercept), *_ = np.linalg.lstsq(design, y, rcond=None)
+        resid = float(np.sqrt(np.mean((design @ [slope, intercept] - y) ** 2)))
+        cn = np.unique(np.round(np.geomspace(2, n_max,
+                                             cesaro_samples)).astype(np.int64))
+        sig = curve.sigma(cn)
+        ratio = sig / np.log(cn)
+        f = StepFunction(cn.astype(float), ratio[:-1])
+        pts, mf = cesaro_mean(f)
     tail = float(mf[-1])
+    # sigma_N carries a rounding error of eps * |sigma_N|, which moves the
+    # slope by that much over the ln N span of the window
+    floor = np.finfo(float).eps * float(np.max(np.abs(y))) \
+        / math.log(n_max / n_lo)
+    if not np.all(np.isfinite([slope, resid, tail])) \
+            or floor > 1e-6 * (1.0 + abs(slope)):
+        raise IllConditionedFitError(
+            f"degenerate Dixmier fit: slope {slope:.3g} (rounding floor "
+            f"{floor:.2g}), residual {resid:.3g}, Cesaro tail {tail:.3g}")
     tenth = np.searchsorted(pts, n_max / 10)
     drift = abs(tail - float(mf[min(tenth, mf.size - 1)]))
     # the Cesaro mean approaches the limit like ln ln N / ln N with a

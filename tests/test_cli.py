@@ -173,6 +173,46 @@ def test_growing_dixmier_weight_exit_code(tmp_path, capsys):
     assert "non-increasing" in err
 
 
+@pytest.mark.parametrize("override", ["dixmier.weight.shift=0",
+                                      "dixmier.weight.rate=-1e-6"])
+def test_dixmier_weight_outside_domain_exit_code(tmp_path, capsys, override):
+    # infinite at the zero mode, or growing far out: no quiet wrong slope
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["dixmier", "--config", CONFIGS / "dixmier_torus.json",
+                    "--out", tmp_path, "--set", override])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("shift", ["1e-300", "1e-150", "1e-30"])
+def test_degenerate_dixmier_fit_exit_code(tmp_path, capsys, shift):
+    # one weight dwarfs the log growth of the partial sums
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["dixmier", "--config", CONFIGS / "dixmier_torus.json",
+                    "--out", tmp_path, "--set",
+                    f'dixmier.weight={{"power": -1, "shift": {shift}}}'])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("tolerance failure:") and err.count("\n") == 1
+
+
+def test_parametric_levels_inert(tmp_path):
+    blobs = []
+    for levels in (1, 3):
+        out = tmp_path / f"levels{levels}"
+        code = run(["parametric", "--config",
+                    CONFIGS / "parametric_resolvent.json", "--out", out,
+                    "--set", f"parametric.levels={levels}"])
+        assert code == 0
+        # the header's config hash changes with the document
+        blobs.append([l for l in (out / "parametric.csv").read_bytes()
+                      .splitlines() if not l.startswith(b"# config_sha256=")])
+    assert blobs[0] == blobs[1]
+
+
 # columns holding labels; every other column must parse as a float
 TEXT_COLUMNS = {"block", "route", "check", "tolerance"}
 

@@ -1,6 +1,7 @@
 """Heat traces, expansion fits, zeta residues, half-space boundary trace."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from ncres.errors import (ConfigError, IllConditionedFitError, TailBoundError,
 from ncres.heatzeta import (HeatSamples, boundary_heat_test, default_exponents,
                             fit_expansion, halfspace_heat_samples,
                             heat_samples, sine_extension_sq, zeta_residue)
-from ncres.spectral import SpectralWeight, SpectrumModel
+from ncres.spectral import (SpectralWeight, SpectrumModel, dixmier_estimate,
+                            enumerate_spectrum)
 
 PI = math.pi
 ONE = SpectralWeight(power=0.0)
@@ -21,15 +23,15 @@ AW = SpectralWeight(power=1.0, shift=1.0)
 
 
 def torus(cutoff=120):
-    return SpectrumModel("torus_lattice", 2, cutoff)
+    return enumerate_spectrum(SpectrumModel("torus_lattice", 2, cutoff))
 
 
 def theta_1d(t, K=60):
     return sum(math.exp(-t * k * k) for k in range(-K, K + 1))
 
 
-def heat_at(p_weight, a_weight, model, t, **kw):
-    s = heat_samples(p_weight, a_weight, model, [t], **kw)
+def heat_at(p_weight, a_weight, spec, t, **kw):
+    s = heat_samples(p_weight, a_weight, spec, [t], **kw)
     return s.values[0], s.tail_bounds[0]
 
 
@@ -202,6 +204,24 @@ def test_zeta_entire_part_matches_quadrature():
 
     want = quad(h, 1.0, 40.0, limit=200)[0]
     assert z.entire_part == pytest.approx(want, rel=1e-3)
+
+
+def test_consumers_take_the_spectrum_without_enumerating(monkeypatch):
+    heat_spec = torus(300)
+    dixmier_spec = enumerate_spectrum(
+        SpectrumModel("torus_lattice", 2, 300, INV))
+
+    def enumerate_again(model):
+        raise AssertionError(f"{model} enumerated again")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "ncres" \
+                and hasattr(module, "enumerate_spectrum"):
+            monkeypatch.setattr(module, "enumerate_spectrum", enumerate_again)
+    heat_samples(INV, AW, heat_spec, np.geomspace(1e-3, 5e-2, 12))
+    zeta_residue(ONE, AW, heat_spec, 1.0,
+                 exponents=[-1.0, 0.0, 1.0, 2.0, 3.0], log_exponents=[])
+    dixmier_estimate(dixmier_spec)
 
 
 # ---------------------------------------------------------------------------

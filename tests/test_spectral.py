@@ -2,18 +2,20 @@
 
 import itertools
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from ncres.errors import GradingError, ResourceCapError, WindowError
+from ncres.errors import (GradingError, IllConditionedFitError,
+                          ResourceCapError, WindowError)
 from ncres.halfline import boundary_term, compose_kt, simple_pole
 from ncres.residue import BdMSymbol, Cylinder, Torus
 from ncres.spectral import (SigmaCurve, SpectralWeight, SpectrumModel,
                             StepFunction, cesaro_mean, dixmier_estimate,
                             dixmier_formula, enumerate_spectrum, norm_1inf,
-                            norm_1inf_curve, sigma_n)
+                            norm_1inf_curve)
 from ncres.symbols import (classical_symbol, hom_term, laplace_shift_power,
                            radial_term)
 
@@ -123,10 +125,12 @@ def test_boundary_copies_must_be_positive():
 
 
 def test_sigma_n_harmonic():
+    # one mode per block: sigma_N is the N-th harmonic number
     w = 1.0 / np.arange(1.0, 101.0)
-    assert sigma_n(w, 5) == pytest.approx(sum(1 / k for k in range(1, 6)))
+    curve = SigmaCurve(np.arange(1, 101), np.cumsum(w), w)
+    assert curve.sigma(5) == pytest.approx(sum(1 / k for k in range(1, 6)))
     with pytest.raises(ValueError):
-        sigma_n(w, 200)
+        curve.sigma(200)
 
 
 def test_norm_1inf_harmonic_sup_near_small_n():
@@ -203,9 +207,12 @@ def test_cesaro_window_too_small():
 # Dixmier estimation
 
 
+def estimate(model):
+    return dixmier_estimate(enumerate_spectrum(model))
+
+
 def test_dixmier_estimate_torus_modest_cutoff():
-    est = dixmier_estimate(
-        SpectrumModel("torus_lattice", 2, 500, INV))
+    est = estimate(SpectrumModel("torus_lattice", 2, 500, INV))
     assert est.slope == pytest.approx(PI, rel=5e-3)
     assert est.fit_residual < 0.05
     assert est.omega_consistent
@@ -215,18 +222,38 @@ def test_dixmier_estimate_requires_monotone_weight():
     bad = SpectrumModel("torus_lattice", 2, 100,
                         SpectralWeight(power=1.0, shift=1.0))
     with pytest.raises(GradingError):
-        dixmier_estimate(bad)
+        estimate(bad)
+
+
+@pytest.mark.parametrize("weight", [
+    SpectralWeight(power=-1.0, shift=0.0),          # infinite at lam = 0
+    SpectralWeight(power=-1.0, shift=1.0, rate=-1e-6),   # grows at last
+    SpectralWeight(power=-1.0, shift=1.0, scale=0.0),
+    SpectralWeight(power=-1.0, shift=1.0, scale=-1.0)])
+def test_dixmier_estimate_rejects_weight_outside_domain(weight):
+    with pytest.raises(GradingError):
+        estimate(SpectrumModel("torus_lattice", 2, 300, weight))
+
+
+@pytest.mark.parametrize("shift", [1e-300, 1e-150, 1e-30])
+def test_dixmier_slope_below_rounding_floor_raises(shift):
+    # sigma_N = 1/shift + pi ln N + ...: the log growth is rounded away
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IllConditionedFitError):
+            estimate(SpectrumModel("torus_lattice", 2, 300,
+                                   SpectralWeight(power=-1.0, shift=shift)))
 
 
 def test_sigma_ratio_near_pi_at_top():
     # the raw sigma_N / ln N functional sits within 10% at this cutoff
-    est = dixmier_estimate(SpectrumModel("torus_lattice", 2, 2000, INV))
+    est = estimate(SpectrumModel("torus_lattice", 2, 2000, INV))
     assert est.ratio_values[-1] == pytest.approx(PI, rel=0.10)
 
 
 def test_trace_class_estimate_zero():
     w = SpectralWeight(power=-3.0, shift=1.0)   # order -6 on a 2-d lattice
-    est = dixmier_estimate(SpectrumModel("torus_lattice", 2, 300, w))
+    est = estimate(SpectrumModel("torus_lattice", 2, 300, w))
     assert abs(est.slope) < 1e-3
     # the Cesaro corroboration decays only like ln ln N / ln N
     mid = est.cesaro_values[est.cesaro_values.size // 4]
@@ -285,7 +312,7 @@ def test_dixmier_formula_grading_enforced():
 
 
 def test_estimate_matches_formula_cylinder():
-    est = dixmier_estimate(SpectrumModel(
+    est = estimate(SpectrumModel(
         "dirichlet_cylinder", 2, 700, SpectralWeight(power=-1.0, shift=0.0)))
     A = BdMSymbol(Cylinder(2), p=classical_symbol([radial_term(-2.0, 2)], 2))
     formula = dixmier_formula(A).real
