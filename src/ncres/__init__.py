@@ -18,7 +18,7 @@ from .residue import (BdMSymbol, Cylinder, ResidueBreakdown, Torus,
                       boundary_residue, residue_density, wodzicki_residue)
 from .spectral import (DixmierEstimate, SpectralWeight, SpectrumModel,
                        StepFunction, cesaro_mean, dixmier_estimate,
-                       dixmier_formula, enumerate_spectrum, norm_1inf)
+                       dixmier_formula, enumerate_spectrum)
 from .symbols import (ClassicalSymbol, HomTerm, TrigPoly, classical_symbol,
                       commutator, hom_term, identity_symbol,
                       laplace_shift_power, leibniz_compose, radial_term,
@@ -37,8 +37,7 @@ __all__ = [
     "boundary_residue", "residue_density", "wodzicki_residue",
     "DixmierEstimate", "SpectralWeight", "SpectrumModel", "StepFunction",
     "cesaro_mean", "dixmier_estimate", "dixmier_formula", "enumerate_spectrum",
-    "norm_1inf", "ClassicalSymbol", "HomTerm", "TrigPoly",
-    "classical_symbol", "commutator", "hom_term", "identity_symbol",
+    "ClassicalSymbol", "HomTerm", "TrigPoly", "classical_symbol", "commutator", "hom_term", "identity_symbol",
     "laplace_shift_power", "leibniz_compose", "radial_term",
     "sphere_integrate", "sphere_moment", "transmission_check", "format_symbol",
     "parse_symbol",

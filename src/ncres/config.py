@@ -199,11 +199,15 @@ SCHEMA = {
 def config_hash(cfg):
     """sha256 of the semantic configuration.
 
-    The output directory and ``threads`` (accepted so that older documents
-    load, and without effect) are not inputs, so they stay out of the hash.
+    The output directory, ``threads`` and ``parametric.levels`` (both
+    accepted so that older documents load, and without effect) are not
+    inputs, so they stay out of the hash.
     """
     clean = {k: v for k, v in cfg.items()
              if k not in ("threads", "output_dir")}
+    if "parametric" in clean:
+        clean["parametric"] = {k: v for k, v in clean["parametric"].items()
+                               if k != "levels"}
     return hashlib.sha256(
         json.dumps(clean, sort_keys=True).encode()).hexdigest()[:16]
 

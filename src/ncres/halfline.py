@@ -138,14 +138,6 @@ class RationalFn:
             num.pop()
         return tuple(num)
 
-    def asymptotic_coefficient(self, r):
-        """Coefficient of tau^(-r), r >= 1, in the expansion at infinity."""
-        out = 0j
-        for p, s, c in self.pole_terms:
-            if r >= s:
-                out += c * _binom(r - 1, s - 1) * p ** (r - s)
-        return out
-
 
 def rational(poly=(), pole_terms=()):
     """Normalize and validate a rational function in split form."""

@@ -265,21 +265,9 @@ def zeta_residue(p_weight, a_weight, spec, sigma, t_grid=None,
 # half-space (cylinder) heat trace for the truncated interior operator
 
 
-def sine_extension_sq(j, m):
-    """|integral_0^pi sin(j x) exp(-i m x) dx|^2, exact.
-
-    The zero-extension of sin(jx) from [0, pi] to the circle has Fourier
-    integrals pi/2 in modulus at m = +-j, 2j/(j^2-m^2) when j+m is odd and
-    0 otherwise.
-    """
-    if m == j or m == -j:
-        return (math.pi / 2.0) ** 2
-    if (j + m) % 2 == 0:
-        return 0.0
-    return 4.0 * j * j / float(j * j - m * m) ** 2
-
-
 def _sine_weight_matrix(jmax, mmax):
+    """W[j - 1, m + mmax] = |integral_0^pi sin(j x) exp(-i m x) dx|^2:
+    (pi/2)^2 at m = +-j, (2j/(j^2 - m^2))^2 when j + m is odd, else 0."""
     js = np.arange(1, jmax + 1)[:, None].astype(float)
     ms = np.arange(-mmax, mmax + 1)[None, :].astype(float)
     denom = (js ** 2 - ms ** 2) ** 2

@@ -234,42 +234,6 @@ class SigmaCurve:
         return s_prev + (N - n_prev) * self.block_weights[b]
 
 
-@dataclass(frozen=True)
-class Norm1InfResult:
-    value: float
-    argmax: int
-    attained_at_tail: bool  # growth warning: sup sits at the data boundary
-
-    def __float__(self):
-        return self.value
-
-
-def norm_1inf(weights):
-    """sup_{N>=2} sigma_N / ln N over the available data.
-
-    When the sup is attained at the last data point the sequence is still
-    growing and the true norm may be infinite; ``attained_at_tail`` flags it.
-    """
-    weights = np.asarray(weights, dtype=float)
-    if weights.size < 2:
-        raise ValueError("need at least two weights")
-    sig = np.cumsum(weights)
-    ns = np.arange(1, weights.size + 1)
-    ratio = sig[1:] / np.log(ns[1:])
-    i = int(np.argmax(ratio))
-    return Norm1InfResult(float(ratio[i]), int(ns[1:][i]),
-                          i == ratio.size - 1)
-
-
-def norm_1inf_curve(curve, samples=4000):
-    """norm_1inf for a block spectrum, evaluated on a geometric N grid."""
-    ns = np.unique(np.round(np.geomspace(2, curve.n_max,
-                                         samples)).astype(np.int64))
-    ratio = curve.sigma(ns) / np.log(ns)
-    i = int(np.argmax(ratio))
-    return Norm1InfResult(float(ratio[i]), int(ns[i]), i == ratio.size - 1)
-
-
 # ---------------------------------------------------------------------------
 # logarithmic Cesaro mean
 

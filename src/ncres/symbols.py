@@ -15,12 +15,16 @@ size for systems; ``trace_part`` contracts the matrix index.
 
 Every :class:`HomTerm` keeps its atoms merged (one atom per key
 ``(k, alpha, w)``), sorted by key, with no zero coefficient, and
-degree-valid (``|alpha| + w == degree``).  Operations that create or
-change keys (``times``, ``dxi``, ``+``, ``trace_part``, literals, sampling
-and the slot sums of :func:`classical_symbol`) re-establish this through
-:func:`hom_term`, which validates and merges every atom once.
-``scaled`` and ``dx`` keep every key, so they preserve it by construction
-and only drop coefficients that became zero.
+degree-valid (``|alpha| + w == degree``), with canonical types: ``k`` and
+``alpha`` tuples of ints, ``w`` a float, coefficients complex or
+``(d, d)`` complex arrays.  Atoms from outside (literals, sampling, user
+code) are checked and converted once, at :func:`hom_term`.  Operations on
+terms build their atoms from canonical atoms, so they merge without
+re-checking: ``times``, ``dxi`` and ``+`` create keys and merge them,
+:func:`classical_symbol` and :func:`leibniz_compose` fold products and
+components into their degree slots with the same merge, and ``scaled``,
+``dx`` and ``trace_part`` keep every key and only drop coefficients that
+became zero.
 
 A :class:`ClassicalSymbol` is the finite family of homogeneous components
 ``order, order-1, ...`` together with an *exactness floor*: components at or
@@ -34,6 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from math import lgamma
+from operator import add, mul
 
 import numpy as np
 
@@ -217,15 +222,16 @@ class HomTerm:
             if w:
                 raised = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:]
                 atoms.append((c * w, k, raised, w - 2.0))
-        return hom_term(self.degree - 1.0, self.n, atoms, self.matrix_dim)
+        return _merged(self.degree - 1.0, self.n, atoms, self.matrix_dim)
 
     # -- algebra -------------------------------------------------------------
 
     def __add__(self, other):
-        if abs(self.degree - other.degree) > _DEG_TOL or self.n != other.n:
+        if (abs(self.degree - other.degree) > _DEG_TOL or self.n != other.n
+                or self.matrix_dim != other.matrix_dim):
             raise DimensionMismatchError("terms of unequal degree or dimension")
-        return hom_term(self.degree, self.n, self.atoms + other.atoms,
-                        self.matrix_dim)
+        return _merged(self.degree, self.n, self.atoms + other.atoms,
+                       self.matrix_dim)
 
     def __sub__(self, other):
         return self + other.scaled(-1.0)
@@ -246,21 +252,14 @@ class HomTerm:
         """Pointwise product; matrix coefficients multiply in this order."""
         if self.n != other.n or self.matrix_dim != other.matrix_dim:
             raise DimensionMismatchError("incompatible term product")
-        atoms = []
-        for c1, k1, a1, w1 in self.atoms:
-            for c2, k2, a2, w2 in other.atoms:
-                atoms.append((
-                    _cmul(c1, c2),
-                    tuple(x + y for x, y in zip(k1, k2)),
-                    tuple(x + y for x, y in zip(a1, a2)),
-                    w1 + w2,
-                ))
-        return hom_term(self.degree + other.degree, self.n, atoms,
-                        self.matrix_dim)
+        return HomTerm(self.degree + other.degree, self.n,
+                       _sorted_atoms(_product(self, other), self.matrix_dim),
+                       self.matrix_dim)
 
     def trace_part(self):
-        return hom_term(self.degree, self.n,
-                        [(_ctrace(c), k, a, w) for c, k, a, w in self.atoms], 1)
+        return HomTerm(self.degree, self.n,
+                       _drop_zeros([(_ctrace(c), k, a, w)
+                                    for c, k, a, w in self.atoms], 1), 1)
 
     def norm1(self):
         return sum(_cabs(c) for c, *_ in self.atoms)
@@ -282,18 +281,16 @@ class HomTerm:
         return max((sum(a) for _, _, a, _ in self.atoms), default=0)
 
 
-def hom_term(degree, n, atoms, matrix_dim=1, *, fold=False):
-    """Build a :class:`HomTerm`, merging duplicate atoms and validating
-    ``|alpha| + w == degree`` for each.
+def hom_term(degree, n, atoms, matrix_dim=1):
+    """Build a :class:`HomTerm` from atoms ``(coeff, k, alpha, w)``.
 
-    With ``fold=True``, ``atoms`` is the concatenation of the atoms of merged
-    terms ``t1, t2, ...`` and every coefficient comes out bit for bit as in
-    the left fold ``t1 + t2 + ...``: a sum that cancels exactly is dropped
-    there, so the next atom of its key restarts it instead of adding to 0.
+    Each atom is converted to the canonical types and checked: ``k`` and
+    ``alpha`` of length ``n``, ``alpha >= 0``, ``|alpha| + w == degree`` and,
+    for systems, a ``(matrix_dim, matrix_dim)`` coefficient.  Duplicate keys
+    are then summed in input order.
     """
     scalar = matrix_dim == 1
-    merged = {}
-    get = merged.get
+    checked = []
     for c, k, alpha, w in atoms:
         k = tuple(map(int, k))
         alpha = tuple(map(int, alpha))
@@ -306,15 +303,49 @@ def hom_term(degree, n, atoms, matrix_dim=1, *, fold=False):
             raise ValueError(
                 f"atom |alpha|+w = {sum(alpha) + w} != degree {degree}")
         c = complex(c) if scalar else _as_matrix(c, matrix_dim)
+        checked.append((c, k, alpha, w))
+    return _merged(float(degree), n, checked, matrix_dim)
+
+
+def _merge_into(merged, atoms, fold=False):
+    """Sum canonical atoms ``(coeff, k, alpha, w)`` into ``merged``, a dict
+    from key ``(k, alpha, w)`` to coefficient, in input order.
+
+    With ``fold=True`` the atoms come from merged terms ``t1, t2, ...`` and
+    every sum comes out bit for bit as in the left fold ``t1 + t2 + ...``:
+    a sum that cancels exactly is dropped there, so the next atom of its key
+    restarts it instead of adding to 0.
+    """
+    get = merged.get
+    for c, k, alpha, w in atoms:
         key = (k, alpha, w)
         prev = get(key)
         if prev is None or (fold and _is_zero_coeff(prev)):
             merged[key] = c
         else:
             merged[key] = prev + c
-    out = _drop_zeros([(c, k, a, w) for (k, a, w), c in sorted(merged.items())],
-                      matrix_dim)
-    return HomTerm(float(degree), n, out, matrix_dim)
+    return merged
+
+
+def _sorted_atoms(merged, matrix_dim):
+    """The atoms of a merged dict, sorted by key, zero coefficients dropped."""
+    return _drop_zeros([(c, k, a, w) for (k, a, w), c in sorted(merged.items())],
+                       matrix_dim)
+
+
+def _merged(degree, n, atoms, matrix_dim):
+    """A term from canonical, degree-valid atoms, merged without checks."""
+    return HomTerm(degree, n, _sorted_atoms(_merge_into({}, atoms), matrix_dim),
+                   matrix_dim)
+
+
+def _product(t1, t2):
+    """The merged dict of the atom products of ``t1`` and ``t2``."""
+    cmul = mul if t1.matrix_dim == 1 else np.matmul
+    return _merge_into({}, [(cmul(c1, c2), tuple(map(add, k1, k2)),
+                             tuple(map(add, a1, a2)), w1 + w2)
+                            for c1, k1, a1, w1 in t1.atoms
+                            for c2, k2, a2, w2 in t2.atoms])
 
 
 def zero_term(degree, n, matrix_dim=1):
@@ -477,30 +508,35 @@ def classical_symbol(terms, n, order=None, matrix_dim=1, exact_floor=None):
     if abs(order - round(order)) > _DEG_TOL:
         raise ValueError(f"symbol order must be an integer, got {order}")
     order = int(round(order))
-    lowest = order
     for t in terms:
         j = order - t.degree
         if abs(j - round(j)) > _DEG_TOL or t.degree > order + _DEG_TOL:
             raise ValueError(
                 f"term degree {t.degree} not on the ladder below order {order}")
-        lowest = min(lowest, int(round(t.degree)))
-    if exact_floor is not None and exact_floor > lowest:
-        raise ValueError("exactness floor above a stored term")
-    depth = order - lowest
-    if exact_floor is not None:
-        depth = max(depth, int(math.ceil(order - exact_floor - _DEG_TOL)))
-    # one merge per slot over the atoms of its terms in input order, with the
-    # sums of the left fold zero + t1 + t2 + ...
-    buckets = [[] for _ in range(depth + 1)]
-    for t in terms:
         if t.n != n or t.matrix_dim != matrix_dim:
             raise DimensionMismatchError("term dimension mismatch")
-        buckets[int(round(order - t.degree))].extend(t.atoms)
-    slots = tuple(
-        hom_term(float(order - j), n, atoms, matrix_dim, fold=True) if atoms
-        else zero_term(order - j, n, matrix_dim)
-        for j, atoms in enumerate(buckets))
-    return ClassicalSymbol(order, n, slots, matrix_dim, exact_floor)
+    if exact_floor is not None and exact_floor > min(
+            (int(round(t.degree)) for t in terms), default=order):
+        raise ValueError("exactness floor above a stored term")
+    # the sums of the left fold zero + t1 + t2 + ... in each slot
+    slots = {}
+    for t in terms:
+        _merge_into(slots.setdefault(int(round(order - t.degree)), {}),
+                    t.atoms, fold=True)
+    return _ladder_symbol(order, n, slots, matrix_dim, exact_floor)
+
+
+def _ladder_symbol(order, n, slots, matrix_dim, exact_floor):
+    """The symbol whose component of degree ``order - j`` is the merged
+    dict ``slots[j]``; components run down to the lowest filled slot and to
+    the exactness floor, and absent ones are zero."""
+    depth = max(slots, default=0)
+    if exact_floor is not None:
+        depth = max(depth, int(math.ceil(order - exact_floor - _DEG_TOL)))
+    return ClassicalSymbol(order, n, tuple(
+        HomTerm(float(order - j), n,
+                _sorted_atoms(slots.get(j, {}), matrix_dim), matrix_dim)
+        for j in range(depth + 1)), matrix_dim, exact_floor)
 
 
 def identity_symbol(n, matrix_dim=1):
@@ -555,13 +591,19 @@ def multi_indices(n, total):
 
 
 def _derivative_table(sym, maxlen, kind):
-    """d^alpha applied to every stored component, for |alpha| <= maxlen."""
+    """d^alpha of the stored components, for |alpha| <= maxlen.
+
+    Level |alpha| keeps the components j <= maxlen - |alpha| only: a
+    composition product of d^alpha of component j has degree at most
+    ``top - j - |alpha|``, so the others fall below ``top - maxlen``.
+    """
     n = sym.n
-    table = {(0,) * n: list(sym.terms)}
+    table = {(0,) * n: list(sym.terms[:maxlen + 1])}
     for total in range(1, maxlen + 1):
         for alpha in multi_indices(n, total):
             i = next(idx for idx, a in enumerate(alpha) if a > 0)
             prev = table[alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]]
+            prev = prev[:maxlen - total + 1]
             if kind == "xi":
                 table[alpha] = [t.dxi(i) for t in prev]
             else:
@@ -612,7 +654,9 @@ def leibniz_compose(a, b, depth):
     da = _derivative_table(a, depth, "xi")
     db = _derivative_table(b, depth, "x")
     fact = [math.factorial(i) for i in range(depth + 1)]
-    out = []
+    # each product is merged, scaled and folded straight into its slot, with
+    # the sums of classical_symbol over the scaled product terms
+    slots = {}
     for total in range(depth + 1):
         for alpha in multi_indices(n, total):
             pref = (-1j) ** total
@@ -629,9 +673,14 @@ def leibniz_compose(a, b, depth):
                         continue
                     if floor is not None and deg < floor - _DEG_TOL:
                         continue
-                    out.append(ta.times(tb).scaled(pref))
-    return classical_symbol(out, n, order=top, matrix_dim=a.matrix_dim,
-                            exact_floor=floor)
+                    atoms = _drop_zeros(
+                        [(c * pref, k, al, w)
+                         for (k, al, w), c in _product(ta, tb).items()],
+                        a.matrix_dim)
+                    if atoms:
+                        _merge_into(slots.setdefault(round(top - deg), {}),
+                                    atoms, fold=True)
+    return _ladder_symbol(top, n, slots, a.matrix_dim, floor)
 
 
 def commutator(a, b, depth):

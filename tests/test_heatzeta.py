@@ -12,7 +12,7 @@ from ncres.errors import (ConfigError, IllConditionedFitError, TailBoundError,
                           WindowError)
 from ncres.heatzeta import (HeatSamples, boundary_heat_test, default_exponents,
                             fit_expansion, halfspace_heat_samples,
-                            heat_samples, sine_extension_sq, zeta_residue)
+                            heat_samples, zeta_residue)
 from ncres.spectral import (SpectralWeight, SpectrumModel, dixmier_estimate,
                             enumerate_spectrum)
 
@@ -226,6 +226,20 @@ def test_consumers_take_the_spectrum_without_enumerating(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # half-space boundary heat trace
+
+
+def sine_extension_sq(j, m):
+    """|integral_0^pi sin(j x) exp(-i m x) dx|^2, exact.
+
+    The zero-extension of sin(jx) from [0, pi] to the circle has Fourier
+    integrals pi/2 in modulus at m = +-j, 2j/(j^2-m^2) when j+m is odd and
+    0 otherwise.
+    """
+    if m == j or m == -j:
+        return (math.pi / 2.0) ** 2
+    if (j + m) % 2 == 0:
+        return 0.0
+    return 4.0 * j * j / float(j * j - m * m) ** 2
 
 
 def test_sine_extension_against_quadrature():

@@ -14,8 +14,7 @@ from ncres.halfline import boundary_term, compose_kt, simple_pole
 from ncres.residue import BdMSymbol, Cylinder, Torus
 from ncres.spectral import (SigmaCurve, SpectralWeight, SpectrumModel,
                             StepFunction, cesaro_mean, dixmier_estimate,
-                            dixmier_formula, enumerate_spectrum, norm_1inf,
-                            norm_1inf_curve)
+                            dixmier_formula, enumerate_spectrum)
 from ncres.symbols import (classical_symbol, hom_term, laplace_shift_power,
                            radial_term)
 
@@ -133,12 +132,20 @@ def test_sigma_n_harmonic():
         curve.sigma(200)
 
 
+def _log_ratio(curve, ns):
+    """sigma_N / ln N on the integers ``ns`` (the Dixmier-norm ratio)."""
+    return curve.sigma(ns) / np.log(ns)
+
+
 def test_norm_1inf_harmonic_sup_near_small_n():
     w = 1.0 / np.arange(1.0, 2001.0)
-    res = norm_1inf(w)
-    assert res.argmax == 2
-    assert res.value == pytest.approx((1 + 0.5) / math.log(2))
-    assert not res.attained_at_tail
+    curve = SigmaCurve(np.arange(1, 2001), np.cumsum(w), w)
+    ns = np.arange(2, 2001)
+    ratio = _log_ratio(curve, ns)
+    i = int(np.argmax(ratio))
+    assert ns[i] == 2
+    assert ratio[i] == pytest.approx((1 + 0.5) / math.log(2))
+    assert i != ratio.size - 1
 
 
 def test_trace_class_ratio_vanishes():
@@ -149,16 +156,18 @@ def test_trace_class_ratio_vanishes():
 
 
 def test_norm_1inf_growth_flag():
-    # lam^(-n/4) on a 2-d lattice: sigma_N ~ sqrt(N), ratio grows
-    grow = SpectrumModel("dirichlet_cylinder", 2, 150,
-                         SpectralWeight(power=-0.5, shift=0.0))
-    curve = SigmaCurve.from_spectrum(enumerate_spectrum(grow))
-    res = norm_1inf_curve(curve)
-    assert res.attained_at_tail
-    ok = SpectrumModel("dirichlet_cylinder", 2, 150,
-                       SpectralWeight(power=-1.0, shift=0.0))
-    curve2 = SigmaCurve.from_spectrum(enumerate_spectrum(ok))
-    assert not norm_1inf_curve(curve2).attained_at_tail
+    # lam^(-n/4) on a 2-d lattice: sigma_N ~ sqrt(N), ratio grows; the sup
+    # over a geometric N grid sits at the last point only then
+    def sup_at_tail(power):
+        model = SpectrumModel("dirichlet_cylinder", 2, 150,
+                              SpectralWeight(power=power, shift=0.0))
+        curve = SigmaCurve.from_spectrum(enumerate_spectrum(model))
+        ns = np.unique(np.round(np.geomspace(2, curve.n_max, 4000))
+                       .astype(np.int64))
+        ratio = _log_ratio(curve, ns)
+        return int(np.argmax(ratio)) == ratio.size - 1
+    assert sup_at_tail(-0.5)
+    assert not sup_at_tail(-1.0)
 
 
 def test_sigma_curve_matches_direct_sum():

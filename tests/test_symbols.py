@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncres.errors import TruncationFloorError
+from ncres.errors import DimensionMismatchError, TruncationFloorError
 from ncres.literals import format_symbol, parse_symbol
 from ncres.sampling import random_symbol
 from ncres.symbols import (classical_symbol, commutator, hom_term,
@@ -292,6 +292,34 @@ def test_matrix_dimension_must_match():
         hom_term(0.0, 2, [(bad, (0, 0), (0, 0), 0.0)], matrix_dim=2)
 
 
+@pytest.mark.parametrize("atom, matrix_dim, error, match", [
+    ((1.0, (0,), (0, 0), 0.0), 1, DimensionMismatchError, "index length"),
+    ((1.0, (0, 0), (0, 0, 0), 0.0), 1, DimensionMismatchError,
+     "index length"),
+    ((1.0, (0, 0), (-1, 1), 0.0), 1, ValueError, "negative"),
+    ((1.0, (0, 0), (1, 0), -2.0), 1, ValueError, r"\|alpha\|\+w"),
+    ((1.0, (0, 0), (0, 0), 0.0), 2, DimensionMismatchError, "shape"),
+])
+def test_hom_term_boundary_checks(atom, matrix_dim, error, match):
+    valid = (np.eye(2) if matrix_dim == 2 else 1.0, (0, 0), (0, 0), 0.0)
+    hom_term(0.0, 2, [valid], matrix_dim)
+    with pytest.raises(error, match=match) as info:
+        hom_term(0.0, 2, [valid, atom], matrix_dim)
+    assert info.type is error
+
+
+def test_literals_and_sampling_reach_hom_term_checks(monkeypatch):
+    # with a negative degree tolerance every atom fails the degree check,
+    # so both sources of outside atoms must stop at hom_term
+    import ncres.symbols
+    monkeypatch.setattr(ncres.symbols, "_DEG_TOL", -1.0)
+    from ncres.errors import ConfigError
+    with pytest.raises(ConfigError, match=r"\|alpha\|\+w"):
+        parse_symbol("xi1 * |xi|^-3", 2)
+    with pytest.raises(ValueError, match=r"\|alpha\|\+w"):
+        random_symbol(np.random.default_rng(0), n=2)
+
+
 def test_zero_term_component_lookup():
     sym = classical_symbol([radial_term(-2.0, 2)], 2)
     assert sym.component(-3).is_zero
@@ -321,15 +349,29 @@ def _real_symbol(sym):
     return classical_symbol(terms, sym.n, order=sym.order)
 
 
+def _sign_symbol(sym, rng):
+    """``sym`` with each coefficient replaced by a random real sign: sums
+    of such products cancel exactly, and with real coefficients the signed
+    zeros of a restarted sum show."""
+    terms = [hom_term(t.degree, t.n,
+                      [(float(rng.choice([-1, 1])), k, a, w)
+                       for c, k, a, w in t.atoms])
+             for t in sym.terms]
+    return classical_symbol(terms, sym.n, order=sym.order)
+
+
 def _symbol_pair(seed, kind):
     rng = np.random.default_rng(seed)
     n = 2 + seed % 2
-    a = random_symbol(rng, n=n, depth=3)
-    b = random_symbol(rng, n=n, depth=3)
+    atoms_per_term = 4 if kind == "signs" else 2
+    a = random_symbol(rng, n=n, depth=3, atoms_per_term=atoms_per_term)
+    b = random_symbol(rng, n=n, depth=3, atoms_per_term=atoms_per_term)
     if kind == "real":
         a, b = _real_symbol(a), _real_symbol(b)
     elif kind == "matrix":
         a, b = _matrix_symbol(a, rng), _matrix_symbol(b, rng)
+    elif kind == "signs":
+        a, b = _sign_symbol(a, rng), _sign_symbol(b, rng)
     return a, b
 
 
@@ -403,3 +445,76 @@ def test_scaled_by_zero_is_zero_term(kind):
         z = t.scaled(0)
         assert z.is_zero and z.degree == t.degree
         assert z.matrix_dim == t.matrix_dim
+
+
+# ---------------------------------------------------------------------------
+# composition against the plain algorithm, bit for bit
+
+
+def _reference_compose(a, b, depth):
+    """a # b the plain way: d^alpha of every stored component, then each
+    product as its own term, ``times`` -> ``scaled(pref)``, summed by
+    :func:`classical_symbol`."""
+    n, top = a.n, a.order + b.order
+    floors = []
+    if a.exact_floor is not None:
+        floors.append(a.exact_floor + b.order)
+    if b.exact_floor is not None:
+        floors.append(b.exact_floor + a.order)
+    trunc = top - depth
+    if a.lowest_nonzero is None or b.lowest_nonzero is None:
+        return classical_symbol([], n, order=top, matrix_dim=a.matrix_dim)
+    if a.exact_floor is None and b.exact_floor is None:
+        if b.is_x_independent:
+            max_alpha = 0
+        elif a.is_xi_polynomial:
+            max_alpha = a.max_alpha_total
+        else:
+            max_alpha = None
+        if (max_alpha is None or
+                trunc > a.lowest_nonzero + b.lowest_nonzero - max_alpha):
+            floors.append(trunc)
+    else:
+        floors.append(trunc)
+    floor = max(floors) if floors else None
+    out = []
+    for total in range(depth + 1):
+        for alpha in multi_indices(n, total):
+            # derivatives applied from the last axis to the first, the order
+            # in which the derivative tables take them
+            da, db = list(a.terms), list(b.terms)
+            for axis in reversed(range(n)):
+                for _ in range(alpha[axis]):
+                    da = [t.dxi(axis) for t in da]
+                    db = [t.dx(axis) for t in db]
+            pref = (-1j) ** total
+            for d in alpha:
+                pref /= math.factorial(d)
+            for ta in da:
+                for tb in db:
+                    deg = ta.degree + tb.degree
+                    if ta.is_zero or tb.is_zero or deg < trunc or (
+                            floor is not None and deg < floor):
+                        continue
+                    out.append(ta.times(tb).scaled(pref))
+    return classical_symbol(out, n, order=top, matrix_dim=a.matrix_dim,
+                            exact_floor=floor)
+
+
+def _assert_same_symbol(s1, s2):
+    assert (s1.order, s1.exact_floor, s1.matrix_dim, len(s1.terms)) == \
+        (s2.order, s2.exact_floor, s2.matrix_dim, len(s2.terms))
+    for t1, t2 in zip(s1.terms, s2.terms):
+        _assert_same_atoms(t1, t2)
+
+
+@pytest.mark.parametrize("kind", ["complex", "real", "matrix", "signs"])
+@settings(max_examples=5, deadline=None)
+@given(seed=seeds)
+def test_compose_matches_reference_bitwise(kind, seed):
+    a, b = _symbol_pair(seed, kind)
+    for depth in (0, 2, 5):
+        ab = _reference_compose(a, b, depth)
+        _assert_same_symbol(leibniz_compose(a, b, depth), ab)
+        _assert_same_symbol(commutator(a, b, depth),
+                            ab - _reference_compose(b, a, depth))
