@@ -1,34 +1,30 @@
-"""Resolvent-power expansions and the half-space heat trace.
+"""Resolvent log coefficients and the half-space heat trace.
 
-The geometric regrouping of (a - mu^m)^-k into mu-exponent groups makes the
-leading log coefficient of the traced resolvent power a one-group read-off,
-manifestly independent of the auxiliary symbol.  On the cylinder, the heat
-trace of the truncated interior operator against the Dirichlet semigroup is
-an exact triple lattice sum whose fitted ln t coefficient reproduces minus
-the residue over 2 (2 pi)^n.
+Only the i = 0 term (-1)^k of the expansion of (a - mu^m)^-k carries the
+leading log coefficient of the traced resolvent power, so the coefficient is
+(2 pi)^-n res(p # (-1)^k) / m, manifestly independent of the auxiliary
+symbol beyond its order.  On the cylinder, the heat trace of the truncated
+interior operator against the Dirichlet semigroup is an exact triple
+lattice sum whose fitted ln t coefficient reproduces minus the residue over
+2 (2 pi)^n.
 """
 
 import math
 
-from ncres import (boundary_heat_test, classical_symbol, expand_resolvent,
-                   hom_term, laplace_shift_power, radial_term,
+from ncres import (boundary_heat_test, classical_symbol, hom_term,
+                   laplace_shift_power, radial_term,
                    resolvent_log_coefficient, resolvent_log_coefficient_closed)
 from ncres.parametric import heat_log_coefficient_from_resolvent
 
 PI = math.pi
 
-print("== the expansion evaluates the scalar resolvent power ==")
+print("== two routes to the log coefficient ==")
 a = classical_symbol([radial_term(2.0, 2)], 2)
-terms = expand_resolvent(a, 2, 1, levels=12)
-v = terms.eval((0.0, 0.0), (1.0, 0.0), 10j)
-print(f"  at |xi| = 1, mu = 10i: {v.real:.12f}  (1/101 = {1 / 101:.12f})")
-
-print("\n== two routes to the log coefficient ==")
 p = laplace_shift_power(2, -1.0, 2)
 for k in (1, 2, 3):
     closed = resolvent_log_coefficient_closed(p, 2, k).real
     route = resolvent_log_coefficient(p, a, k).real
-    print(f"  k={k}: closed {closed:+.8f}, expansion route {route:+.8f}")
+    print(f"  k={k}: closed {closed:+.8f}, composition route {route:+.8f}")
 
 print("\n== auxiliary independence ==")
 a2 = classical_symbol([radial_term(2.0, 2),

@@ -10,10 +10,8 @@ from .halfline import (PlusMinusDecomp, RationalFn, SGSymbol, boundary_term,
                        sg_symbol, sg_trace, simple_pole, tr_boundary_term)
 from .heatzeta import (AsymptoticFit, HeatSamples, boundary_heat_test,
                        fit_expansion, heat_samples, zeta_residue)
-from .parametric import (WPTermList, expand_resolvent, mu_derivative,
-                         resolvent_log_coefficient,
-                         resolvent_log_coefficient_closed,
-                         wp_log_coefficient)
+from .parametric import (resolvent_log_coefficient,
+                         resolvent_log_coefficient_closed)
 from .residue import (BdMSymbol, Cylinder, ResidueBreakdown, Torus,
                       boundary_residue, residue_density, wodzicki_residue)
 from .spectral import (DixmierEstimate, SpectralWeight, SpectrumModel,
@@ -31,9 +29,8 @@ __all__ = [
     "polynomial", "rational", "sg_symbol", "sg_trace", "simple_pole",
     "tr_boundary_term", "AsymptoticFit", "HeatSamples", "boundary_heat_test",
     "fit_expansion", "heat_samples", "zeta_residue",
-    "WPTermList", "expand_resolvent", "mu_derivative",
     "resolvent_log_coefficient", "resolvent_log_coefficient_closed",
-    "wp_log_coefficient", "BdMSymbol", "Cylinder", "ResidueBreakdown", "Torus",
+    "BdMSymbol", "Cylinder", "ResidueBreakdown", "Torus",
     "boundary_residue", "residue_density", "wodzicki_residue",
     "DixmierEstimate", "SpectralWeight", "SpectrumModel", "StepFunction",
     "cesaro_mean", "dixmier_estimate", "dixmier_formula", "enumerate_spectrum",

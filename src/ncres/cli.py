@@ -97,8 +97,11 @@ def _effective_config(args):
             value = raw
         node = cfg
         keys = path.split(".")
-        for key in keys[:-1]:
+        for i, key in enumerate(keys[:-1]):
             node = node.setdefault(key, {})
+            if not isinstance(node, dict):
+                raise ConfigError(f"--set {path}: "
+                                  f"{'.'.join(keys[:i + 1])} is not an object")
         node[keys[-1]] = value
     if args.out:
         cfg["output_dir"] = args.out

@@ -24,7 +24,7 @@ from .errors import ConfigError
 from .halfline import boundary_term, from_ratio, rational, sg_symbol
 from .literals import parse_symbol
 from .residue import BdMSymbol, Cylinder, Torus
-from .spectral import SpectralWeight, SpectrumModel
+from .spectral import MODE_CAP_DEFAULT, SpectralWeight, SpectrumModel
 from .symbols import laplace_shift_power
 
 TASKS = ("residue", "dixmier", "heat", "zeta", "parametric", "verify")
@@ -310,7 +310,7 @@ def build_model(spec):
                          weight=build_weight(spec.get("weight", {}))
                          if "weight" in spec else SpectralWeight(),
                          copies=spec.get("copies", 1),
-                         mode_cap=int(spec.get("mode_cap", 3e8)))
+                         mode_cap=int(spec.get("mode_cap", MODE_CAP_DEFAULT)))
 
 
 def build_boundary_term(spec, n, kind):

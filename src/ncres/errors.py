@@ -33,10 +33,6 @@ class GradingError(NcresError):
     """Operator-matrix entries violate the declared order/type grading."""
 
 
-class MissingComponentError(NcresError):
-    """A required homogeneous component is absent from the data."""
-
-
 class TailBoundError(NcresError):
     """The certified truncation tail exceeds the requested tolerance."""
 

@@ -113,31 +113,6 @@ class RationalFn:
                     terms.extend(_cross_split(p1, r1, p2, r2, c1 * c2))
         return rational(poly, terms)
 
-    # -- num/den view ---------------------------------------------------------
-
-    def denominator(self):
-        """Monic denominator prod (tau - p)^mult, ascending coefficients."""
-        den = (1 + 0j,)
-        for p, r in self.poles():
-            for _ in range(r):
-                den = _poly_mul(den, (-p, 1 + 0j))
-        return den
-
-    def numerator(self):
-        den = self.denominator()
-        num = _poly_mul(self.poly, den)
-        for p, r, c in self.pole_terms:
-            part = (1 + 0j,)
-            for q, mult in self.poles():
-                rem = mult - (r if q == p else 0)
-                for _ in range(rem):
-                    part = _poly_mul(part, (-q, 1 + 0j))
-            num = _poly_add(num, tuple(c * v for v in part))
-        num = list(num)
-        while num and num[-1] == 0:
-            num.pop()
-        return tuple(num)
-
 
 def rational(poly=(), pole_terms=()):
     """Normalize and validate a rational function in split form."""

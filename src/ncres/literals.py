@@ -115,7 +115,11 @@ def parse_atom(text, n):
             continue
         m = _RAD_RE.match(factor)
         if m:
-            w += float(m.group(1))
+            try:
+                w += float(m.group(1))
+            except ValueError as exc:
+                raise ConfigError(
+                    f"bad radial exponent in {factor!r}") from exc
             continue
         try:
             coeff *= complex(factor.replace(" ", ""))

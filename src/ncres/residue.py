@@ -68,10 +68,6 @@ class Cylinder:
     def boundary_components(self):
         return 2
 
-    @property
-    def boundary_dim(self):
-        return self.dim - 1
-
     def interior_integral(self, tp):
         """Integrate a trig polynomial over T^(dim-1) x [0, pi] exactly."""
         out = 0j
@@ -201,6 +197,31 @@ def _boundary_cosphere_integral(term, geometry):
     return geometry.boundary_integral(tp)
 
 
+def _interior_and_boundary_pdo(A, transmission_depth, transmission_tol):
+    """The two reads shared by the residue and the Dixmier formula.
+
+    Returns the interior residue of ``A.p`` (after the transmission check
+    on a geometry with boundary) and the boundary cosphere integral of the
+    trace of ``s_{1-n}``; an absent entry reads 0.
+    """
+    geo = A.geometry
+    interior = 0j
+    if A.p is not None:
+        if geo.has_boundary:
+            report = transmission_check(A.p, depth=transmission_depth,
+                                        tol=transmission_tol)
+            if not report.ok:
+                raise TransmissionError(
+                    f"interior symbol violates transmission at "
+                    f"(degree, alpha', k) = {report.violation}")
+        interior = wodzicki_residue(A.p, geo)
+    pdo = 0j
+    if A.s is not None:
+        s_comp = A.s.component(1 - geo.dim).trace_part()
+        pdo = _boundary_cosphere_integral(s_comp, geo)
+    return interior, pdo
+
+
 def boundary_residue(A, transmission_depth=2, transmission_tol=1e-8):
     """Residue of an operator-matrix symbol; reduces to the interior residue
     when the boundary is empty.
@@ -215,16 +236,8 @@ def boundary_residue(A, transmission_depth=2, transmission_tol=1e-8):
     """
     geo = A.geometry
     n = geo.dim
-    interior = 0j
-    if A.p is not None:
-        if geo.has_boundary:
-            report = transmission_check(A.p, depth=transmission_depth,
-                                        tol=transmission_tol)
-            if not report.ok:
-                raise TransmissionError(
-                    f"interior symbol violates transmission at "
-                    f"(degree, alpha', k) = {report.violation}")
-        interior = wodzicki_residue(A.p, geo)
+    interior, pdo = _interior_and_boundary_pdo(A, transmission_depth,
+                                               transmission_tol)
     if not geo.has_boundary:
         return ResidueBreakdown(interior, 0j, 0j, interior)
     if n < 2:
@@ -235,10 +248,6 @@ def boundary_residue(A, transmission_depth=2, transmission_tol=1e-8):
         green_sum = green_sum + tr_boundary_term(term).trace_part()
     green_val = TWO_PI * _boundary_cosphere_integral(green_sum, geo)
 
-    pdo_val = 0j
-    if A.s is not None:
-        s_comp = A.s.component(1 - n).trace_part()
-        pdo_val = TWO_PI * _boundary_cosphere_integral(s_comp, geo)
-
+    pdo_val = TWO_PI * pdo
     total = interior + green_val + pdo_val
     return ResidueBreakdown(interior, green_val, pdo_val, total)

@@ -25,9 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (GradingError, IllConditionedFitError, ResourceCapError,
-                     TransmissionError, WindowError)
-from .residue import TWO_PI, _boundary_cosphere_integral, wodzicki_residue
-from .symbols import transmission_check
+                     WindowError)
+from .residue import TWO_PI, _interior_and_boundary_pdo
 
 MODE_CAP_DEFAULT = 300_000_000
 
@@ -245,11 +244,6 @@ class StepFunction:
     knots: np.ndarray   # length m+1, strictly increasing, knots[0] >= 1
     values: np.ndarray  # length m
 
-    @classmethod
-    def from_sequence(cls, values, start=1):
-        v = np.asarray(values, dtype=float)
-        return cls(np.arange(start, start + v.size + 1, dtype=float), v)
-
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         i = np.clip(np.searchsorted(self.knots, t, side="right") - 1,
@@ -390,22 +384,15 @@ def dixmier_formula(A, transmission_depth=2, transmission_tol=1e-8):
     rule when n = 2).  The singular Green, potential and trace entries are
     validated against the grading and then ignored: they cannot contribute.
     """
-    geo = A.geometry
-    n = geo.dim
+    n = A.geometry.dim
     _validate_dixmier_grading(A, n)
+    interior, pdo = _interior_and_boundary_pdo(A, transmission_depth,
+                                               transmission_tol)
     total = 0j
     if A.p is not None:
-        if geo.has_boundary:
-            report = transmission_check(A.p, depth=transmission_depth,
-                                        tol=transmission_tol)
-            if not report.ok:
-                raise TransmissionError(
-                    f"interior symbol violates transmission at {report.violation}")
-        total += wodzicki_residue(A.p, geo) / (TWO_PI ** n * n)
+        total += interior / (TWO_PI ** n * n)
     if A.s is not None:
-        s_comp = A.s.component(1 - n).trace_part()
-        total += _boundary_cosphere_integral(s_comp, geo) \
-            / (TWO_PI ** (n - 1) * (n - 1))
+        total += pdo / (TWO_PI ** (n - 1) * (n - 1))
     return total
 
 

@@ -447,25 +447,6 @@ class ClassicalSymbol:
                                tuple(t.dxi(i) for t in self.terms),
                                self.matrix_dim, floor)
 
-    def pointwise(self, other):
-        """Exact pointwise product (no Leibniz corrections)."""
-        if self.n != other.n or self.matrix_dim != other.matrix_dim:
-            raise DimensionMismatchError("incompatible symbols")
-        floors = []
-        if self.exact_floor is not None:
-            floors.append(self.exact_floor + other.order)
-        if other.exact_floor is not None:
-            floors.append(other.exact_floor + self.order)
-        floor = max(floors) if floors else None
-        terms = []
-        for t1 in self.nonzero_terms():
-            for t2 in other.nonzero_terms():
-                if floor is None or t1.degree + t2.degree >= floor - _DEG_TOL:
-                    terms.append(t1.times(t2))
-        return classical_symbol(terms, self.n,
-                                order=self.order + other.order,
-                                matrix_dim=self.matrix_dim, exact_floor=floor)
-
     def eval(self, x, xi):
         """Sum of the stored components at (x, xi)."""
         out = _czero(self.matrix_dim)

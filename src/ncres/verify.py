@@ -42,7 +42,6 @@ class CheckResult:
     tolerance: str
     detail: str
     seconds: float
-    slow: bool = False
 
     def line(self):
         status = "PASS" if self.passed else "FAIL"
@@ -326,7 +325,7 @@ def check_boundary_heat():
     (c, rel), secs = _timed(body)
     return CheckResult(
         "boundary_heat_log", rel <= 0.05, c, -math.pi / 2, "5%",
-        f"rel {rel:.2e}", secs, slow=True)
+        f"rel {rel:.2e}", secs)
 
 
 # --- 10 ----------------------------------------------------------------

@@ -59,6 +59,28 @@ def test_parametric_subcommand(tmp_path, capsys):
     assert "3.14159" in txt
 
 
+def test_parametric_dim_one(tmp_path):
+    cfg = tmp_path / "p1.json"
+    cfg.write_text(json.dumps({
+        "task": "parametric",
+        "parametric": {
+            "dim": 1,
+            "p": {"literal": "|xi|^-1 + 0.5 * exp(i*(1).x) * |xi|^-1"
+                             " + xi1 * |xi|^-2"},
+            "a": {"literal": "|xi|^2", "order": 2},
+            "power": 3}}))
+    assert run(["parametric", "--config", cfg, "--out", tmp_path]) == 0
+    rows = {}
+    for line in (tmp_path / "parametric.csv").read_text().splitlines():
+        if line.startswith("#") or line.startswith("route"):
+            continue
+        name, re, im = line.split(",")
+        rows[name] = complex(float(re), float(im))
+    # (2 pi)^-1 (-1)^3 / 2 * (1 + 1) * 2 pi: the two-point rule at xi = +-1
+    assert rows["closed_form"] == pytest.approx(-1.0)
+    assert rows["expansion_route"] == rows["closed_form"]
+
+
 def test_dixmier_subcommand(tmp_path):
     code = run(["dixmier", "--config", CONFIGS / "dixmier_torus.json",
                 "--out", tmp_path])
@@ -85,6 +107,31 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert run(["residue", "--config", bad3]) == 2
     err = capsys.readouterr().err
     assert "kind" in err
+
+
+def _one_config_error_line(capsys):
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:"), err
+    return err[0]
+
+
+def test_bad_radial_exponent_exit_code(tmp_path, capsys):
+    code = run(["residue", "--config", CONFIGS / "residue_torus.json",
+                "--out", tmp_path,
+                "--set", 'residue.p={"literal": "|xi|^-1.2.3"}'])
+    assert code == 2
+    assert "|xi|^-1.2.3" in _one_config_error_line(capsys)
+    assert not (tmp_path / "residue.csv").exists()
+
+
+@pytest.mark.parametrize("item", ["seed.x=1", "seed.x.y=1",
+                                  "residue.geometry.dim.x=1"])
+def test_set_through_non_object_exit_code(tmp_path, capsys, item):
+    code = run(["residue", "--config", CONFIGS / "residue_torus.json",
+                "--out", tmp_path, "--set", item])
+    assert code == 2
+    assert item.partition("=")[0] in _one_config_error_line(capsys)
+    assert not (tmp_path / "residue.csv").exists()
 
 
 def test_task_mismatch_rejected(tmp_path):

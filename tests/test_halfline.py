@@ -191,15 +191,6 @@ def test_tr_boundary_term_degree_shift():
     assert traced((0.0,), (2.0,)) == pytest.approx(0.25)
 
 
-def test_numerator_denominator_view():
-    f = lorentz()
-    den = f.denominator()
-    num = f.numerator()
-    # monic denominator tau^2 + 1, numerator 1
-    assert np.allclose(den, (1 + 0j, 0j, 1 + 0j))
-    assert np.allclose(num, (1 + 0j,))
-
-
 def test_product_against_pointwise():
     rng = np.random.default_rng(8)
     for _ in range(10):

@@ -1,20 +1,18 @@
-"""Resolvent expansions, log-coefficient routes, auxiliary independence."""
+"""Log-coefficient routes of resolvent powers, auxiliary independence."""
 
 import math
 
 import numpy as np
 import pytest
 
-from ncres.errors import MissingComponentError
-from ncres.parametric import (compose_with, expand_resolvent,
-                              heat_log_coefficient_from_resolvent,
-                              mu_derivative, resolvent_log_coefficient,
-                              resolvent_log_coefficient_closed,
-                              wp_log_coefficient)
+import ncres
+from ncres.parametric import (heat_log_coefficient_from_resolvent,
+                              resolvent_log_coefficient,
+                              resolvent_log_coefficient_closed)
 from ncres.residue import Torus, wodzicki_residue
 from ncres.sampling import random_symbol
-from ncres.symbols import (classical_symbol, hom_term, laplace_shift_power,
-                           radial_term)
+from ncres.symbols import (classical_symbol, hom_term, identity_symbol,
+                           laplace_shift_power, leibniz_compose, radial_term)
 
 PI = math.pi
 TWO_PI = 2 * PI
@@ -28,74 +26,17 @@ def aux(m=2, perturbed=False):
     return classical_symbol(terms, 2)
 
 
-def test_scalar_geometric_series():
-    terms = expand_resolvent(aux(), 2, 1, levels=12)
-    got = terms.eval((0.0, 0.0), (1.0, 0.0), 10j)
-    assert got == pytest.approx(1.0 / (1.0 - (10j) ** 2), rel=1e-10)
-
-
-def test_eval_oracle_random_points():
-    rng = np.random.default_rng(0)
-    a = aux(perturbed=True)
-    k = 2
-    terms = expand_resolvent(a, 2, k, levels=14)
-    for _ in range(50):
-        x = rng.uniform(0, TWO_PI, 2)
-        xi = rng.normal(size=2)
-        xi = xi / np.linalg.norm(xi) * rng.uniform(1.0, 2.0)
-        aval = a.eval(x, xi)
-        mu = 4.0 * abs(aval) ** 0.5 * np.exp(1j * rng.uniform(0.3, math.pi - 0.3))
-        want = (aval - mu ** 2) ** -k
-        got = terms.eval(x, xi, mu)
-        assert abs(got - want) <= 1e-6 * abs(want)
-
-
-def test_mu_derivative_is_power_shift():
-    a = aux()
-    for k in (1, 2):
-        d = mu_derivative(expand_resolvent(a, 2, k, levels=10))
-        ref = expand_resolvent(a, 2, k + 1, levels=10)
-        dref = dict(ref.groups)
-        for e, sym in d.groups:
-            if e in dref:
-                assert (sym - dref[e].scaled(k)).norm1() < 1e-12
-        assert d.power == k + 1
-
-
 def test_composition_top_mu_coefficient_independent_of_aux():
     p = classical_symbol([radial_term(-2.0, 2)], 2)
     k = 2
     for a in (aux(), aux(perturbed=True)):
-        terms = compose_with(p, expand_resolvent(a, 2, k, levels=3),
-                             depth=2)
-        comp = terms.group(-2 * k).component(-2)
+        # the route's composition: p with the i = 0 term (-1)^k
+        group = identity_symbol(2, a.matrix_dim).scaled((-1.0) ** k)
+        comp = leibniz_compose(p, group, depth=2).component(-2)
         # (-1)^k p_{-2}: single radial atom of coefficient +1
         ((c, kk, alpha, w),) = comp.atoms
         assert c == pytest.approx((-1.0) ** k)
         assert w == -2.0 and alpha == (0, 0) and kk == (0, 0)
-
-
-def test_wp_log_coefficient_value():
-    # identity p composed trivially: pick the resolvent's own group
-    p = laplace_shift_power(2, -1.0, 2)
-    k = 2
-    composed = compose_with(p, expand_resolvent(aux(), 2, k, levels=2),
-                            depth=2)
-    c_mu = wp_log_coefficient(composed, -2 * k, 0)
-    # lambda normalization: divide by ord a = 2 -> pi
-    assert c_mu / 2 == pytest.approx(PI)
-    with pytest.raises(MissingComponentError):
-        wp_log_coefficient(composed, -2 * k, 7)
-
-
-def test_wp_log_coefficient_density_option():
-    p = laplace_shift_power(2, -1.0, 2)
-    composed = compose_with(p, expand_resolvent(aux(), 2, 2, levels=2),
-                            depth=2)
-    tp = wp_log_coefficient(composed, -4, 0, x_integrate=False)
-    # constant density: x-integral reproduces the mu coefficient 2 pi,
-    # whose lambda normalization (divide by ord a = 2) is pi
-    assert tp((0.3, 0.4)) * (TWO_PI) ** 2 / 2 == pytest.approx(PI)
 
 
 def test_routes_agree_and_sign():
@@ -119,11 +60,12 @@ def test_lambda_mu_bookkeeping():
     # with the ln lambda = m ln mu factor cancelling the mu^{-mk} regroup
     p = laplace_shift_power(2, -1.0, 2)
     k = 2
-    composed = compose_with(p, expand_resolvent(aux(), 2, k, levels=2),
-                            depth=2)
-    c_mu = wp_log_coefficient(composed, -2 * k, 0)
-    c_lambda = resolvent_log_coefficient(p, aux(), k)
-    assert c_lambda == pytest.approx(c_mu / 2)
+    composed = leibniz_compose(p, identity_symbol(2).scaled((-1.0) ** k), 2)
+    c_mu = wodzicki_residue(composed, Torus(2)) / TWO_PI ** 2
+    for m in (1, 2):
+        a = classical_symbol([radial_term(float(m), 2)], 2)
+        c_lambda = resolvent_log_coefficient(p, a, k)
+        assert c_lambda == pytest.approx(c_mu / m)
 
 
 def test_random_triples_routes():
@@ -151,8 +93,20 @@ def test_residue_loop_through_heat_normalization():
     assert cs[1] == pytest.approx(cs[2]) == pytest.approx(cs[3])
 
 
-def test_expansion_requires_matching_order():
-    with pytest.raises(ValueError):
-        expand_resolvent(aux(2), 3, 1)
-    with pytest.raises(ValueError):
-        expand_resolvent(aux(2), 2, 0)
+def test_resolvent_power_must_be_positive():
+    p = laplace_shift_power(2, -1.0, 2)
+    for k in (0, -1):
+        with pytest.raises(ValueError):
+            resolvent_log_coefficient(p, aux(), k)
+
+
+def test_public_names_resolve_and_expansion_family_gone():
+    for name in ncres.__all__:
+        assert getattr(ncres, name) is not None, name
+    assert len(set(ncres.__all__)) == len(ncres.__all__)
+    for name in ("WPTermList", "expand_resolvent", "mu_derivative",
+                 "wp_log_coefficient"):
+        assert name not in ncres.__all__
+        assert not hasattr(ncres, name)
+        assert not hasattr(ncres.parametric, name)
+    assert not hasattr(ncres.parametric, "compose_with")

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from ncres.errors import (GradingError, IllConditionedFitError,
-                          ResourceCapError, WindowError)
+                          ResourceCapError, TransmissionError, WindowError)
 from ncres.halfline import boundary_term, compose_kt, simple_pole
 from ncres.residue import BdMSymbol, Cylinder, Torus
 from ncres.spectral import (SigmaCurve, SpectralWeight, SpectrumModel,
@@ -184,7 +184,7 @@ def test_sigma_curve_matches_direct_sum():
 
 
 def test_cesaro_constant():
-    f = StepFunction.from_sequence(np.full(50, 4.2))
+    f = StepFunction(np.arange(1.0, 52.0), np.full(50, 4.2))
     pts, mf = cesaro_mean(f)
     assert np.allclose(mf, 4.2)
 
@@ -207,7 +207,7 @@ def test_cesaro_annihilates_lnln_over_ln():
 
 
 def test_cesaro_window_too_small():
-    f = StepFunction.from_sequence([1.0])
+    f = StepFunction(np.array([1.0, 2.0]), np.array([1.0]))
     with pytest.raises(WindowError):
         cesaro_mean(f)
 
@@ -318,6 +318,15 @@ def test_dixmier_formula_grading_enforced():
                     green=(g_type1,))
     with pytest.raises(GradingError):
         dixmier_formula(bad)
+
+
+def test_dixmier_formula_requires_transmission():
+    # order -2, but the degree -3 part |xi|^-3 is even in xi_n: parity fails
+    bad = classical_symbol([radial_term(-2.0, 2), radial_term(-3.0, 2)], 2)
+    with pytest.raises(TransmissionError):
+        dixmier_formula(BdMSymbol(Cylinder(2), p=bad))
+    # no boundary, no transmission condition
+    assert dixmier_formula(BdMSymbol(Torus(2), p=bad)) == pytest.approx(PI)
 
 
 def test_estimate_matches_formula_cylinder():
