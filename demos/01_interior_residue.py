@@ -25,9 +25,9 @@ for n in (2, 3):
 
 print("\n== the residue only sees the degree -n component ==")
 sym = parse_symbol("xi1^2 * |xi|^-4 + 3 * |xi|^-3 + |xi|^-1", 2)
-density = residue_density(sym)
+density = residue_density(sym, (0.0, 0.0))
 print(f"  density of xi1^2 |xi|^-4 (plus junk at other degrees): "
-      f"{density((0.0, 0.0)).real:.10f}  (pi = {math.pi:.10f})")
+      f"{density.real:.10f}  (pi = {math.pi:.10f})")
 
 print("\n== a zero-mean density integrates to nothing ==")
 osc = classical_symbol([hom_term(-2.0, 2, [(1.0, (1, 0), (0, 0), -2.0)])], 2)

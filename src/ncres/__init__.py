@@ -17,7 +17,7 @@ from .residue import (BdMSymbol, Cylinder, ResidueBreakdown, Torus,
 from .spectral import (DixmierEstimate, SpectralWeight, SpectrumModel,
                        StepFunction, cesaro_mean, dixmier_estimate,
                        dixmier_formula, enumerate_spectrum)
-from .symbols import (ClassicalSymbol, HomTerm, TrigPoly, classical_symbol,
+from .symbols import (ClassicalSymbol, HomTerm, classical_symbol,
                       commutator, hom_term, identity_symbol,
                       laplace_shift_power, leibniz_compose, radial_term,
                       sphere_integrate, sphere_moment, transmission_check)
@@ -34,7 +34,8 @@ __all__ = [
     "boundary_residue", "residue_density", "wodzicki_residue",
     "DixmierEstimate", "SpectralWeight", "SpectrumModel", "StepFunction",
     "cesaro_mean", "dixmier_estimate", "dixmier_formula", "enumerate_spectrum",
-    "ClassicalSymbol", "HomTerm", "TrigPoly", "classical_symbol", "commutator", "hom_term", "identity_symbol",
+    "ClassicalSymbol", "HomTerm", "classical_symbol", "commutator",
+    "hom_term", "identity_symbol",
     "laplace_shift_power", "leibniz_compose", "radial_term",
     "sphere_integrate", "sphere_moment", "transmission_check", "format_symbol",
     "parse_symbol",

@@ -22,7 +22,7 @@ from pathlib import Path
 
 from ._version import __version__
 from .config import (build_bdm, build_model, build_symbol, build_t_grid,
-                     build_weight, config_hash, load_config, validate_config)
+                     build_weight, config_hash, decode_config, validate_config)
 from .errors import (ConfigError, GradingError, IllConditionedFitError,
                      NcresError, ResourceCapError, TailBoundError)
 from .heatzeta import fit_expansion, heat_samples, zeta_residue
@@ -80,11 +80,15 @@ def _common_flags(p):
 
 
 def _effective_config(args):
+    """The document with every override applied, validated once against
+    the file's own text, so errors name the file and its lines."""
+    text, source = "", "<config>"
     if getattr(args, "config", None):
-        cfg = load_config(args.config)
-        if cfg.get("task") != args.task:
-            raise ConfigError(
-                f"config task {cfg.get('task')!r} != subcommand {args.task!r}")
+        source = str(args.config)
+        text = Path(source).read_text(encoding="utf-8")
+        cfg = decode_config(text, source)
+        if not isinstance(cfg, dict):
+            raise ConfigError(f"{source}: the document is not a JSON object")
     else:
         cfg = {"task": args.task}
     for item in args.set:
@@ -111,7 +115,10 @@ def _effective_config(args):
         cfg["threads"] = args.threads
     if getattr(args, "fast", False):
         cfg.setdefault("verify", {})["fast"] = True
-    validate_config(cfg, text=json.dumps(cfg, indent=1))
+    validate_config(cfg, text, source)
+    if cfg["task"] != args.task:
+        raise ConfigError(
+            f"config task {cfg['task']!r} != subcommand {args.task!r}")
     return cfg
 
 

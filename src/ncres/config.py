@@ -219,20 +219,18 @@ def _find_line(text, key):
     return None
 
 
-def load_config(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return parse_config(text, source=str(path))
-
-
-def parse_config(text, source="<config>"):
+def decode_config(text, source="<config>"):
+    """The JSON document in ``text``, not yet validated; syntax errors
+    carry ``source:line:col``."""
     try:
-        cfg = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{source}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    validate_config(cfg, text=text, source=source)
-    return cfg
+
+
+def parse_config(text, source="<config>"):
+    return validate_config(decode_config(text, source), text, source)
 
 
 def validate_config(cfg, text="", source="<config>"):

@@ -75,9 +75,8 @@ def heat_tail_bound(model, p_weight, a_weight, t):
     p_top = abs(float(p_weight(lam_min)))
     shift = a_weight.shift * a_weight.scale
     dim = model.dim
-    mult = model.copies if model.kind == "boundary_lattice" else 1
     scale = a_weight.scale
-    bound = mult * _lattice_tail(dim, R, t * scale)
+    bound = model.copies * _lattice_tail(dim, R, t * scale)
     return p_top * math.exp(-t * shift) * bound
 
 

@@ -7,10 +7,10 @@ point error is arithmetic.  The boundary extension adds, with weight 2*pi,
 the residues of the traced singular Green part and of the boundary
 pseudodifferential part over the boundary cosphere.
 
-For n = 1 the cosphere is the two points +-1 and the residue is
-``integral of a_{-1}(x,-1) + a_{-1}(x,1)``.  For n = 2 the *boundary*
-cosphere degenerates the same way, and the boundary integrals use the
-two-point rule f(x',1) + f(x',-1).
+Every cosphere integral, inside and on the boundary, is one call of
+:func:`~ncres.symbols.sphere_integrate`, which returns the trigonometric
+polynomial left in x as a degree-0 term; for n = 1 inside, and n = 2 on
+the boundary, the cosphere is S^0, the two points +-1.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .errors import (DimensionMismatchError, GradingError,
                      TransmissionError)
 from .halfline import tr_boundary_term
-from .symbols import (ClassicalSymbol, sphere_integrate,
+from .symbols import (ClassicalSymbol, _trig_value, sphere_integrate,
                       transmission_check, zero_term)
 
 TWO_PI = 2.0 * math.pi
@@ -45,8 +45,8 @@ class Torus:
     def volume(self):
         return TWO_PI ** self.dim
 
-    def interior_integral(self, tp):
-        return tp.torus_integral()
+    def interior_integral(self, trig):
+        return _torus_integral(trig)
 
 
 @dataclass(frozen=True)
@@ -68,21 +68,28 @@ class Cylinder:
     def boundary_components(self):
         return 2
 
-    def interior_integral(self, tp):
+    def interior_integral(self, trig):
         """Integrate a trig polynomial over T^(dim-1) x [0, pi] exactly."""
         out = 0j
-        for k, c in tp.coeffs:
+        for c, k, _, _ in trig.atoms:
             if any(k[:-1]):
                 continue
             out += c * TWO_PI ** (self.dim - 1) * _int_0_pi(k[-1])
         return out
 
-    def boundary_integral(self, tp):
+    def boundary_integral(self, trig):
         """Integral over both boundary copies of a boundary trig polynomial.
 
         Boundary symbol data is a single expression applied on each copy.
         """
-        return self.boundary_components * tp.torus_integral()
+        return self.boundary_components * _torus_integral(trig)
+
+
+def _torus_integral(trig):
+    """(2 pi)^n times the zero-frequency coefficient of a trig polynomial."""
+    zero = (0,) * trig.n
+    return TWO_PI ** trig.n * next(
+        (c for c, k, _, _ in trig.atoms if k == zero), 0j)
 
 
 def _int_0_pi(k):
@@ -95,21 +102,14 @@ def _int_0_pi(k):
 # interior residue
 
 
-def residue_density(a, x=None, n=None):
-    """Cosphere integral of the degree -n component at fixed x.
+def residue_density(a, x=None):
+    """Cosphere integral of the traced degree -n component.
 
-    Returns the trig polynomial in x (or its value when ``x`` is given);
-    integrating it over the manifold gives the total residue.
+    Returns the trig polynomial in x as a degree-0 term (or its value when
+    ``x`` is given); integrating it over the manifold gives the residue.
     """
-    n = a.n if n is None else n
-    comp = a.component(-n).trace_part()
-    if n == 1:
-        tp = comp.evaluate_trig((1.0,)) + comp.evaluate_trig((-1.0,))
-    else:
-        tp = sphere_integrate(comp, n)
-    if x is None:
-        return tp
-    return tp(x)
+    density = sphere_integrate(a.component(-a.n).trace_part(), a.n)
+    return density if x is None else _trig_value(density, x)
 
 
 def wodzicki_residue(a, geometry):
@@ -120,8 +120,7 @@ def wodzicki_residue(a, geometry):
     """
     if a.n != geometry.dim:
         raise DimensionMismatchError("symbol and geometry dimensions differ")
-    tp = residue_density(a)
-    return geometry.interior_integral(tp)
+    return geometry.interior_integral(residue_density(a))
 
 
 # ---------------------------------------------------------------------------
@@ -184,19 +183,6 @@ class ResidueBreakdown:
     total: complex
 
 
-def _boundary_cosphere_integral(term, geometry):
-    """Integrate a boundary homogeneous term over the boundary cosphere and
-    the boundary manifold; n = 2 uses the two-point rule."""
-    n = geometry.dim
-    if term.is_zero:
-        return 0j
-    if n == 2:
-        tp = term.evaluate_trig((1.0,)) + term.evaluate_trig((-1.0,))
-    else:
-        tp = sphere_integrate(term, n - 1)
-    return geometry.boundary_integral(tp)
-
-
 def _interior_and_boundary_pdo(A, transmission_depth, transmission_tol):
     """The two reads shared by the residue and the Dixmier formula.
 
@@ -218,7 +204,7 @@ def _interior_and_boundary_pdo(A, transmission_depth, transmission_tol):
     pdo = 0j
     if A.s is not None:
         s_comp = A.s.component(1 - geo.dim).trace_part()
-        pdo = _boundary_cosphere_integral(s_comp, geo)
+        pdo = geo.boundary_integral(sphere_integrate(s_comp, geo.dim - 1))
     return interior, pdo
 
 
@@ -246,7 +232,8 @@ def boundary_residue(A, transmission_depth=2, transmission_tol=1e-8):
     green_sum = zero_term(1.0 - n, n - 1)
     for term in A.green_component(-n):
         green_sum = green_sum + tr_boundary_term(term).trace_part()
-    green_val = TWO_PI * _boundary_cosphere_integral(green_sum, geo)
+    green_val = TWO_PI * geo.boundary_integral(
+        sphere_integrate(green_sum, n - 1))
 
     pdo_val = TWO_PI * pdo
     total = interior + green_val + pdo_val

@@ -4,9 +4,9 @@ Model spectra (torus lattices, Dirichlet cylinders, boundary lattices) are
 enumerated exhaustively up to a cutoff and aggregated by eigenvalue (dim 2
 and 3: one int32 table, the plane counted over an octant, the cylinder as
 half the lattice points off the j = 0 hyperplane) into arrays (values,
-multiplicities) ordered by descending weight.  Partial sums sigma_N, the
-(1,infinity) norm, logarithmic Cesaro means and the Dixmier trace
-estimator operate on those arrays.
+multiplicities) ordered by descending weight.  Partial sums sigma_N,
+logarithmic Cesaro means and the Dixmier trace estimator operate on those
+arrays.
 
 The estimator reports the least-squares slope of sigma_N against ln N over
 the top decades of N.  Because sigma_N = C ln N + const + o(1) for the
@@ -88,8 +88,10 @@ class SpectrumModel:
     kind:
       'torus_lattice'      lam = |k|^2, k in Z^dim
       'dirichlet_cylinder' lam = j^2 + |k|^2, j >= 1, k in Z^(dim-1)
-      'boundary_lattice'   lam = |k|^2, k in Z^dim, each with ``copies``
+      'boundary_lattice'   lam = |k|^2, k in Z^dim
     cutoff: modes with base eigenvalue <= cutoff^2 are enumerated.
+    copies: every multiplicity is multiplied by it (for example, two
+    boundary circles carry each mode twice).
     """
 
     kind: str
@@ -113,12 +115,10 @@ class Spectrum:
 def _estimate_modes(model):
     r = float(model.cutoff)
     d = model.dim
-    if model.kind == "torus_lattice":
-        return (2 * r + 1) ** d
-    if model.kind == "dirichlet_cylinder":
-        return r * (2 * r + 1) ** (d - 1)
-    if model.kind == "boundary_lattice":
+    if model.kind in ("torus_lattice", "boundary_lattice"):
         return model.copies * (2 * r + 1) ** d
+    if model.kind == "dirichlet_cylinder":
+        return model.copies * r * (2 * r + 1) ** (d - 1)
     raise ValueError(f"unknown model kind {model.kind!r}")
 
 
@@ -151,8 +151,7 @@ def enumerate_spectrum(model):
     """
     if model.cutoff < 1:
         raise ValueError("cutoff must be >= 1")
-    mult = model.copies if model.kind == "boundary_lattice" else 1
-    if mult < 1:
+    if model.copies < 1:
         raise ValueError("copies must be >= 1")
     est = _estimate_modes(model)
     if est > model.mode_cap:
@@ -170,7 +169,7 @@ def enumerate_spectrum(model):
         else:
             ks = np.arange(0, R + 1)
             values = (ks * ks).astype(float)
-            counts = mult * np.where(ks == 0, 1, 2).astype(np.int64)
+            counts = np.where(ks == 0, 1, 2).astype(np.int64)
     else:
         if R2 > 400_000_000:
             raise ResourceCapError(
@@ -188,8 +187,8 @@ def enumerate_spectrum(model):
         ms = np.flatnonzero(cnt != 0)   # the boolean path is the fast one
         counts = cnt[ms].astype(np.int64)
         del cnt   # free the table before the weights are built
-        counts *= mult
         values = ms.astype(float)
+    counts *= model.copies
     # a weight infinite on the spectrum only orders it here; the consumer
     # that reads the weights, dixmier_estimate, rejects it
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -202,7 +201,7 @@ def enumerate_spectrum(model):
 
 
 # ---------------------------------------------------------------------------
-# partial sums and the (1, infinity) norm
+# partial sums
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,6 +9,9 @@ real.  This span is closed under x- and xi-derivatives, products and the
 asymptotic composition, its x-integral over the torus keeps only the zero
 frequency, and its sphere integral reduces to Gaussian monomial moments.
 Residue-type functionals built on it therefore carry no quadrature error.
+A trigonometric polynomial in x (a term at fixed xi, or a sphere
+integral) is the degree-0 term whose atoms have ``alpha = 0`` and
+``w = 0``, so one atom type serves both.
 
 Coefficients are complex scalars, or square complex matrices of a common
 size for systems; ``trace_part`` contracts the matrix index.
@@ -58,12 +61,6 @@ def _as_matrix(c, matrix_dim):
     return a
 
 
-def _cmul(a, b):
-    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
-        return a @ b
-    return a * b
-
-
 def _cabs(c):
     if isinstance(c, np.ndarray):
         return float(np.abs(c).sum())
@@ -87,81 +84,6 @@ def _is_zero_coeff(c):
 
 
 # ---------------------------------------------------------------------------
-# trigonometric polynomials (the x-dependence)
-
-
-@dataclass(frozen=True, eq=False)
-class TrigPoly:
-    """Finite sum  sum_k c_k exp(i<k, x>)  on the n-torus."""
-
-    n: int
-    coeffs: tuple  # ((freq tuple, coeff), ...) sorted by frequency
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        out = 0j
-        for k, c in self.coeffs:
-            out = out + c * np.exp(1j * float(np.dot(k, x)))
-        return out
-
-    def mean(self):
-        """Zero-frequency coefficient (the average over the torus)."""
-        for k, c in self.coeffs:
-            if not any(k):
-                return c
-        if self.coeffs and isinstance(self.coeffs[0][1], np.ndarray):
-            return np.zeros_like(self.coeffs[0][1])
-        return 0j
-
-    def torus_integral(self):
-        return (2.0 * math.pi) ** self.n * self.mean()
-
-    def __add__(self, other):
-        if self.n != other.n:
-            raise DimensionMismatchError("trig polynomials on different tori")
-        return trig_poly(self.n, list(self.coeffs) + list(other.coeffs))
-
-    def scaled(self, z):
-        return trig_poly(self.n, [(k, _cmul(c, z) if isinstance(c, np.ndarray)
-                                   else c * z) for k, c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + other.scaled(-1.0)
-
-    def trace_part(self):
-        return trig_poly(self.n, [(k, _ctrace(c)) for k, c in self.coeffs])
-
-    def restrict_axis(self, axis, value=0.0):
-        """Set x[axis] = value and drop that variable."""
-        pairs = []
-        for k, c in self.coeffs:
-            phase = complex(np.exp(1j * k[axis] * value))
-            pairs.append((k[:axis] + k[axis + 1:], c * phase))
-        return trig_poly(self.n - 1, pairs)
-
-    def max_abs_coeff(self):
-        return max((_cabs(c) for _, c in self.coeffs), default=0.0)
-
-    @property
-    def is_zero(self):
-        return not self.coeffs
-
-
-def trig_poly(n, pairs):
-    merged = {}
-    for k, c in pairs:
-        k = tuple(int(v) for v in k)
-        if len(k) != n:
-            raise DimensionMismatchError("frequency length != n")
-        if k in merged:
-            merged[k] = merged[k] + c
-        else:
-            merged[k] = c
-    items = [(k, c) for k, c in sorted(merged.items()) if not _is_zero_coeff(c)]
-    return TrigPoly(n, tuple(items))
-
-
-# ---------------------------------------------------------------------------
 # homogeneous terms
 
 
@@ -178,34 +100,24 @@ class HomTerm:
 
     def __call__(self, x, xi):
         """Value at (x, xi); positively homogeneous of ``degree`` in xi != 0."""
-        x = np.asarray(x, dtype=float)
-        xi = np.asarray(xi, dtype=float)
-        r = float(np.linalg.norm(xi))
-        if r == 0.0:
-            raise ValueError("HomTerm.__call__ requires xi != 0")
-        out = _czero(self.matrix_dim)
-        for c, k, alpha, w in self.atoms:
-            mono = 1.0
-            for xj, aj in zip(xi, alpha):
-                if aj:
-                    mono *= float(xj) ** aj
-            out = out + c * (np.exp(1j * float(np.dot(k, x))) * mono * r ** w)
-        return out
+        return _trig_value(self.evaluate_trig(xi), x)
 
     def evaluate_trig(self, xi):
-        """Freeze xi; return the remaining trigonometric polynomial in x."""
+        """Freeze xi != 0; return the remaining trigonometric polynomial in
+        x, a degree-0 term whose atoms have alpha = 0 and w = 0."""
         xi = np.asarray(xi, dtype=float)
         r = float(np.linalg.norm(xi))
         if r == 0.0:
             raise ValueError("xi must be nonzero")
-        pairs = []
+        flat = (0,) * self.n
+        atoms = []
         for c, k, alpha, w in self.atoms:
             mono = 1.0
             for xj, aj in zip(xi, alpha):
                 if aj:
                     mono *= float(xj) ** aj
-            pairs.append((k, c * (mono * r ** w)))
-        return trig_poly(self.n, pairs)
+            atoms.append((c * (mono * r ** w), k, flat, 0.0))
+        return _merged(0.0, self.n, atoms, self.matrix_dim)
 
     # -- derivations --------------------------------------------------------
 
@@ -346,6 +258,15 @@ def _product(t1, t2):
                              tuple(map(add, a1, a2)), w1 + w2)
                             for c1, k1, a1, w1 in t1.atoms
                             for c2, k2, a2, w2 in t2.atoms])
+
+
+def _trig_value(trig, x):
+    """Value at x of a trigonometric polynomial (alpha = 0, w = 0)."""
+    x = np.asarray(x, dtype=float)
+    out = _czero(trig.matrix_dim)
+    for c, k, _, _ in trig.atoms:
+        out = out + c * np.exp(1j * float(np.dot(k, x)))
+    return out
 
 
 def zero_term(degree, n, matrix_dim=1):
@@ -718,15 +639,24 @@ def transmission_check(p, depth=2, tol=1e-8):
                     for axis, reps in enumerate(alpha_p):
                         for _ in range(reps):
                             q = q.dxi(axis)
-                    tp = q.evaluate_trig(plus).restrict_axis(n - 1)
-                    tm = q.evaluate_trig(minus).restrict_axis(n - 1)
+                    tp = _at_boundary(q.evaluate_trig(plus))
+                    tm = _at_boundary(q.evaluate_trig(minus))
                     sign = (-1.0) ** (j - atot)
-                    defect = (tp - tm.scaled(sign)).max_abs_coeff()
+                    defect = max((_cabs(c) for c, *_ in
+                                  (tp - tm.scaled(sign)).atoms), default=0.0)
                     if defect > worst:
                         worst = defect
                     if defect > tol * scale and violation is None:
                         violation = (j, alpha_p, k)
     return TransmissionReport(violation is None, violation, worst)
+
+
+def _at_boundary(trig):
+    """Set x_n = 0 in a trigonometric polynomial (every phase becomes 1)
+    and drop the variable."""
+    return _merged(0.0, trig.n - 1, [(c, k[:-1], a[:-1], w)
+                                     for c, k, a, w in trig.atoms],
+                   trig.matrix_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -749,13 +679,15 @@ def sphere_moment(alpha, n):
 def sphere_integrate(term, n):
     """Integrate a homogeneous term over the unit sphere S^{n-1}.
 
-    On the sphere |xi|^w = 1, so every atom reduces to a monomial moment;
-    the result is the remaining trigonometric polynomial in x.  Needs
-    n >= 2 (one dimension uses the two-point rule instead).
+    The result is the remaining trigonometric polynomial in x, a degree-0
+    term whose atoms have alpha = 0 and w = 0.  S^0 is the two points +-1;
+    for n >= 2, |xi|^w = 1 on the sphere and every atom reduces to a
+    monomial moment.
     """
-    if n < 2:
-        raise DimensionMismatchError("sphere_integrate needs n >= 2")
-    if term.n != n:
+    if n < 1 or term.n != n:
         raise DimensionMismatchError("term dimension != n")
-    pairs = [(k, c * sphere_moment(a, n)) for c, k, a, _ in term.atoms]
-    return trig_poly(n, pairs)
+    if n == 1:
+        return term.evaluate_trig((1.0,)) + term.evaluate_trig((-1.0,))
+    flat = (0,) * n
+    return _merged(0.0, n, [(c * sphere_moment(a, n), k, flat, 0.0)
+                            for c, k, a, _ in term.atoms], term.matrix_dim)

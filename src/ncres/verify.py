@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .halfline import pi_prime, rational, sg_trace, compose_gg, \
-    compose_kt, compose_tk
+from .halfline import boundary_term, pi_prime, rational, sg_trace, \
+    compose_gg, compose_kt, compose_tk
 from .heatzeta import boundary_heat_test, fit_expansion, heat_samples, \
     zeta_residue
 from .parametric import heat_log_coefficient_from_resolvent, \
@@ -41,7 +41,7 @@ class CheckResult:
     expected: float
     tolerance: str
     detail: str
-    seconds: float
+    seconds: float = 0.0  # filled in by run_all
 
     def line(self):
         status = "PASS" if self.passed else "FAIL"
@@ -50,86 +50,68 @@ class CheckResult:
                 f"[{self.seconds:.1f}s] {self.detail}")
 
 
-def _timed(fn):
-    t0 = time.perf_counter()
-    out = fn()
-    return out, time.perf_counter() - t0
-
-
 # --- 1 -----------------------------------------------------------------
 
 
 def check_residue_closed_form():
-    def body():
-        worst = 0.0
-        vals = []
-        for n in (2, 3):
-            a = laplace_shift_power(n, -n / 2.0, depth=2)
-            got = wodzicki_residue(a, Torus(n)).real
-            want = sphere_moment((0,) * n, n) * TWO_PI ** n
-            worst = max(worst, abs(got - want) / want)
-            vals.append(got)
-        return vals[0], worst
-
-    (val, worst), secs = _timed(body)
+    worst = 0.0
+    vals = []
+    for n in (2, 3):
+        a = laplace_shift_power(n, -n / 2.0, depth=2)
+        got = wodzicki_residue(a, Torus(n)).real
+        want = sphere_moment((0,) * n, n) * TWO_PI ** n
+        worst = max(worst, abs(got - want) / want)
+        vals.append(got)
     return CheckResult(
-        "residue_closed_form", worst <= 1e-10, val, 8 * math.pi ** 3,
-        "rel 1e-10, n=2 and 3", f"worst rel err {worst:.2e}", secs)
+        "residue_closed_form", worst <= 1e-10, vals[0], 8 * math.pi ** 3,
+        "rel 1e-10, n=2 and 3", f"worst rel err {worst:.2e}")
 
 
 # --- 2 -----------------------------------------------------------------
 
 
 def check_trace_property(seed=0, pairs=100):
-    def body():
-        rng = np.random.default_rng(seed)
-        geo = Torus(2)
-        worst = 0.0
-        for _ in range(pairs):
-            a = random_symbol(rng, n=2, max_order=2, depth=5)
-            b = random_symbol(rng, n=2, max_order=2, depth=5)
-            comm = commutator(a, b, a.order + b.order + 2)
-            r = wodzicki_residue(comm, geo)
-            worst = max(worst, abs(r) / (1.0 + a.norm1() * b.norm1()))
-        return worst
-
-    worst, secs = _timed(body)
+    rng = np.random.default_rng(seed)
+    geo = Torus(2)
+    worst = 0.0
+    for _ in range(pairs):
+        a = random_symbol(rng, n=2, max_order=2, depth=5)
+        b = random_symbol(rng, n=2, max_order=2, depth=5)
+        comm = commutator(a, b, a.order + b.order + 2)
+        r = wodzicki_residue(comm, geo)
+        worst = max(worst, abs(r) / (1.0 + a.norm1() * b.norm1()))
     return CheckResult(
         "trace_property", worst <= 1e-8, worst, 0.0,
         f"<= 1e-8 * scale over {pairs} seeded pairs",
-        f"worst scaled commutator residue {worst:.2e}", secs)
+        f"worst scaled commutator residue {worst:.2e}")
 
 
 # --- 3 -----------------------------------------------------------------
 
 
 def check_boundary_algebra(seed=0, pairs=50):
-    def body():
-        h = rational((), [(1j, 1, 1 / 2j), (-1j, 1, -1 / 2j)])
-        exact_half = pi_prime(h) == 0.5 + 0j
-        killed = (pi_prime(rational((0, 1), [(-1j, 1, 1.0)])) == 0j)
-        rng = np.random.default_rng(seed)
-        worst_compat = 0.0
-        worst_cyc = 0.0
-        for _ in range(pairs):
-            k = random_plus_fn(rng)
-            t = random_minus_fn(rng)
-            lhs = sg_trace(compose_kt(k, t))
-            rhs = compose_tk(t, k)
-            worst_compat = max(worst_compat, abs(lhs - rhs))
-            g1 = random_sg(rng)
-            g2 = random_sg(rng)
-            cyc = abs(sg_trace(compose_gg(g1, g2)) -
-                      sg_trace(compose_gg(g2, g1)))
-            worst_cyc = max(worst_cyc, cyc)
-        return exact_half and killed, worst_compat, worst_cyc
-
-    (exact, compat, cyc), secs = _timed(body)
+    h = rational((), [(1j, 1, 1 / 2j), (-1j, 1, -1 / 2j)])
+    exact_half = pi_prime(h) == 0.5 + 0j
+    killed = (pi_prime(rational((0, 1), [(-1j, 1, 1.0)])) == 0j)
+    exact = exact_half and killed
+    rng = np.random.default_rng(seed)
+    compat = 0.0
+    cyc = 0.0
+    for _ in range(pairs):
+        k = random_plus_fn(rng)
+        t = random_minus_fn(rng)
+        lhs = sg_trace(compose_kt(k, t))
+        rhs = compose_tk(t, k)
+        compat = max(compat, abs(lhs - rhs))
+        g1 = random_sg(rng)
+        g2 = random_sg(rng)
+        cyc = max(cyc, abs(sg_trace(compose_gg(g1, g2)) -
+                           sg_trace(compose_gg(g2, g1))))
     ok = exact and compat <= 1e-12 and cyc <= 1e-10
     return CheckResult(
         "pi_prime_boundary_algebra", ok, compat, 0.0,
         "exact projections; compat 1e-12; cyclicity 1e-10",
-        f"exact={exact} compat={compat:.2e} cyclicity={cyc:.2e}", secs)
+        f"exact={exact} compat={compat:.2e} cyclicity={cyc:.2e}")
 
 
 # --- 4 -----------------------------------------------------------------
@@ -141,18 +123,14 @@ def connes_model(cutoff=4000):
 
 
 def check_connes_identity():
-    def body():
-        est = dixmier_estimate(enumerate_spectrum(connes_model()))
-        res = wodzicki_residue(laplace_shift_power(2, -1.0, 2), Torus(2)).real
-        rel1 = abs(est.slope - math.pi) / math.pi
-        rel2 = abs(TWO_PI ** 2 * 2 * est.slope - res) / res
-        return est.slope, max(rel1, rel2)
-
-    (slope, rel), secs = _timed(body)
+    slope = dixmier_estimate(enumerate_spectrum(connes_model())).slope
+    res = wodzicki_residue(laplace_shift_power(2, -1.0, 2), Torus(2)).real
+    rel = max(abs(slope - math.pi) / math.pi,
+              abs(TWO_PI ** 2 * 2 * slope - res) / res)
     return CheckResult(
         "connes_identity_torus", rel <= 0.02, slope, math.pi,
         "2% for the estimate and against the residue",
-        f"worst rel dev {rel:.2e}", secs)
+        f"worst rel dev {rel:.2e}")
 
 
 # --- 5 -----------------------------------------------------------------
@@ -167,44 +145,38 @@ def boundary_models(cutoff=4000, boundary_cutoff=10 ** 6):
 
 
 def check_boundary_dixmier():
-    def body():
-        cyl_model, bdry_model = boundary_models()
-        # one spectrum alive at a time: the cylinder's is the large one
-        est_c = dixmier_estimate(enumerate_spectrum(cyl_model))
-        est_b = dixmier_estimate(enumerate_spectrum(bdry_model))
-        A_c = BdMSymbol(Cylinder(2), p=classical_symbol(
-            [radial_term(-2, 2)], 2))
-        A_b = BdMSymbol(Cylinder(2), s=classical_symbol(
-            [radial_term(-1, 1)], 1))
-        f_c = dixmier_formula(A_c).real
-        f_b = dixmier_formula(A_b).real
-        from .sampling import random_sg
-        from .halfline import boundary_term
-        rng = np.random.default_rng(7)
-        g = boundary_term(hom_term(-2.0, 1, [(1.0, (0,), (0,), -2.0)]),
-                          random_sg(rng, type_d=0), kind="green")
-        kterm = boundary_term(hom_term(-2.0, 1, [(0.5, (1,), (0,), -2.0)]),
-                              random_plus_fn(rng), kind="potential")
-        tterm = boundary_term(hom_term(-1.0, 1, [(0.5, (0,), (0,), -1.0)]),
-                              random_minus_fn(rng), kind="trace")
-        A_pert = BdMSymbol(Cylinder(2), p=A_c.p, green=(g,),
-                           potential=(kterm,), trace_terms=(tterm,))
-        invariant = dixmier_formula(A_pert) == dixmier_formula(A_c)
-        rels = [abs(est_c.slope - math.pi / 2) / (math.pi / 2),
-                abs(est_b.slope - 4.0) / 4.0,
-                abs(f_c - math.pi / 2) / (math.pi / 2),
-                abs(f_b - 4.0) / 4.0,
-                abs(est_c.slope - f_c) / f_c,
-                abs(est_b.slope - f_b) / f_b]
-        return est_c.slope, est_b.slope, rels, invariant
-
-    (sc, sb, rels, inv), secs = _timed(body)
+    cyl_model, bdry_model = boundary_models()
+    # one spectrum alive at a time: the cylinder's is the large one
+    est_c = dixmier_estimate(enumerate_spectrum(cyl_model))
+    est_b = dixmier_estimate(enumerate_spectrum(bdry_model))
+    A_c = BdMSymbol(Cylinder(2), p=classical_symbol([radial_term(-2, 2)], 2))
+    A_b = BdMSymbol(Cylinder(2), s=classical_symbol([radial_term(-1, 1)], 1))
+    f_c = dixmier_formula(A_c).real
+    f_b = dixmier_formula(A_b).real
+    rng = np.random.default_rng(7)
+    g = boundary_term(hom_term(-2.0, 1, [(1.0, (0,), (0,), -2.0)]),
+                      random_sg(rng, type_d=0), kind="green")
+    kterm = boundary_term(hom_term(-2.0, 1, [(0.5, (1,), (0,), -2.0)]),
+                          random_plus_fn(rng), kind="potential")
+    tterm = boundary_term(hom_term(-1.0, 1, [(0.5, (0,), (0,), -1.0)]),
+                          random_minus_fn(rng), kind="trace")
+    A_pert = BdMSymbol(Cylinder(2), p=A_c.p, green=(g,),
+                       potential=(kterm,), trace_terms=(tterm,))
+    invariant = dixmier_formula(A_pert) == dixmier_formula(A_c)
+    rels = [abs(est_c.slope - math.pi / 2) / (math.pi / 2),
+            abs(est_b.slope - 4.0) / 4.0,
+            abs(f_c - math.pi / 2) / (math.pi / 2),
+            abs(f_b - 4.0) / 4.0,
+            abs(est_c.slope - f_c) / f_c,
+            abs(est_b.slope - f_b) / f_b]
     ok = rels[0] <= 0.03 and rels[1] <= 0.02 and rels[2] <= 1e-12 \
-        and rels[3] <= 1e-12 and rels[4] <= 0.03 and rels[5] <= 0.02 and inv
+        and rels[3] <= 1e-12 and rels[4] <= 0.03 and rels[5] <= 0.02 \
+        and invariant
     return CheckResult(
-        "boundary_dixmier", ok, sc, math.pi / 2,
+        "boundary_dixmier", ok, est_c.slope, math.pi / 2,
         "cylinder 3%, boundary circles 2%, formula exact, g/k/t inert",
-        f"cylinder={sc:.6f} circles={sb:.6f} gkt_inert={inv}", secs)
+        f"cylinder={est_c.slope:.6f} circles={est_b.slope:.6f} "
+        f"gkt_inert={invariant}")
 
 
 # --- 6 -----------------------------------------------------------------
@@ -217,115 +189,99 @@ def heat_log_inputs(cutoff=300):
 
 
 def check_heat_log_coefficient():
-    def body():
-        spec, pw = heat_log_inputs()
-        grid = np.geomspace(1e-3, 5e-2, 40)
-        exps = [0.0, 0.5, 1.0, 1.5, 2.0]
-        logs = [0.0, 1.0]
-        coeffs = []
-        for shift in (1.0, 2.0):
-            aw = SpectralWeight(power=1.0, shift=shift)
-            fit = fit_expansion(heat_samples(pw, aw, spec, grid), exps, logs)
-            coeffs.append(fit.coefficient(0.0, log=True))
-        rel = abs(coeffs[0] + math.pi) / math.pi
-        shift_rel = abs(coeffs[1] - coeffs[0]) / abs(coeffs[0])
-        return coeffs[0], rel, shift_rel
-
-    (c0, rel, srel), secs = _timed(body)
+    spec, pw = heat_log_inputs()
+    grid = np.geomspace(1e-3, 5e-2, 40)
+    exps = [0.0, 0.5, 1.0, 1.5, 2.0]
+    logs = [0.0, 1.0]
+    coeffs = []
+    for shift in (1.0, 2.0):
+        aw = SpectralWeight(power=1.0, shift=shift)
+        fit = fit_expansion(heat_samples(pw, aw, spec, grid), exps, logs)
+        coeffs.append(fit.coefficient(0.0, log=True))
+    rel = abs(coeffs[0] + math.pi) / math.pi
+    shift_rel = abs(coeffs[1] - coeffs[0]) / abs(coeffs[0])
     return CheckResult(
-        "heat_log_coefficient", rel <= 0.02 and srel <= 0.005, c0, -math.pi,
-        "2%; shift invariance 0.5%",
-        f"rel {rel:.2e}, shift delta {srel:.2e}", secs)
+        "heat_log_coefficient", rel <= 0.02 and shift_rel <= 0.005,
+        coeffs[0], -math.pi, "2%; shift invariance 0.5%",
+        f"rel {rel:.2e}, shift delta {shift_rel:.2e}")
 
 
 # --- 7 -----------------------------------------------------------------
 
 
 def check_zeta_residues():
-    def body():
-        spec, pw = heat_log_inputs()
-        one = SpectralWeight(power=0.0)
-        aw = SpectralWeight(power=1.0, shift=1.0)
-        z1 = zeta_residue(one, aw, spec, 1.0,
-                          exponents=[-1.0, 0.0, 1.0, 2.0, 3.0],
-                          log_exponents=[])
-        z0 = zeta_residue(pw, aw, spec, 0.0,
-                          exponents=[0.0, 0.5, 1.0, 1.5, 2.0],
-                          log_exponents=[0.0, 1.0])
-        res_exact = wodzicki_residue(
-            laplace_shift_power(2, -1.0, 2), Torus(2)).real
-        grid = np.geomspace(1e-3, 5e-2, 40)
-        fit = fit_expansion(heat_samples(pw, aw, spec, grid),
-                            [0.0, 0.5, 1.0, 1.5, 2.0], [0.0, 1.0])
-        res_heat = -TWO_PI ** 2 * 2 * fit.coefficient(0.0, log=True)
-        res_zeta = TWO_PI ** 2 * 2 * z0.residue
-        rel_eps = abs(z1.residue - math.pi) / math.pi
-        rel_z0 = abs(z0.residue - math.pi) / math.pi
-        triangle = max(abs(res_heat - res_exact) / res_exact,
-                       abs(res_zeta - res_exact) / res_exact,
-                       abs(res_heat - res_zeta) / res_exact)
-        return z1.residue, rel_eps, rel_z0, triangle
-
-    (r1, rel_eps, rel_z0, tri), secs = _timed(body)
-    ok = rel_eps <= 0.01 and rel_z0 <= 0.02 and tri <= 0.03
+    spec, pw = heat_log_inputs()
+    one = SpectralWeight(power=0.0)
+    aw = SpectralWeight(power=1.0, shift=1.0)
+    z1 = zeta_residue(one, aw, spec, 1.0,
+                      exponents=[-1.0, 0.0, 1.0, 2.0, 3.0],
+                      log_exponents=[])
+    z0 = zeta_residue(pw, aw, spec, 0.0,
+                      exponents=[0.0, 0.5, 1.0, 1.5, 2.0],
+                      log_exponents=[0.0, 1.0])
+    res_exact = wodzicki_residue(
+        laplace_shift_power(2, -1.0, 2), Torus(2)).real
+    grid = np.geomspace(1e-3, 5e-2, 40)
+    fit = fit_expansion(heat_samples(pw, aw, spec, grid),
+                        [0.0, 0.5, 1.0, 1.5, 2.0], [0.0, 1.0])
+    res_heat = -TWO_PI ** 2 * 2 * fit.coefficient(0.0, log=True)
+    res_zeta = TWO_PI ** 2 * 2 * z0.residue
+    rel_eps = abs(z1.residue - math.pi) / math.pi
+    rel_z0 = abs(z0.residue - math.pi) / math.pi
+    triangle = max(abs(res_heat - res_exact) / res_exact,
+                   abs(res_zeta - res_exact) / res_exact,
+                   abs(res_heat - res_zeta) / res_exact)
+    ok = rel_eps <= 0.01 and rel_z0 <= 0.02 and triangle <= 0.03
     return CheckResult(
-        "zeta_residues", ok, r1, math.pi,
+        "zeta_residues", ok, z1.residue, math.pi,
         "s=1 1%; s=0 2%; triangle 3%",
-        f"s=1 {rel_eps:.2e}, s=0 {rel_z0:.2e}, triangle {tri:.2e}", secs)
+        f"s=1 {rel_eps:.2e}, s=0 {rel_z0:.2e}, triangle {triangle:.2e}")
 
 
 # --- 8 -----------------------------------------------------------------
 
 
 def check_parametric_routes(seed=0, triples=20):
-    def body():
-        rng = np.random.default_rng(seed)
-        worst = 0.0
-        for _ in range(triples):
-            p = random_symbol(rng, n=2, max_order=0, depth=3)
-            m = int(rng.integers(1, 3))
-            k = int(rng.integers(1, 4))
-            a = classical_symbol(
-                [radial_term(m, 2),
-                 hom_term(m - 1.0, 2,
-                          [(complex(rng.normal(), rng.normal()),
-                            (1, 0), (0, 0), m - 1.0)])], 2)
-            closed = resolvent_log_coefficient_closed(p, m, k)
-            route = resolvent_log_coefficient(p, a, k)
-            a2 = classical_symbol([radial_term(m, 2)], 2)
-            route2 = resolvent_log_coefficient(p, a2, k)
-            scale = 1.0 + abs(closed)
-            worst = max(worst, abs(route - closed) / scale,
-                        abs(route - route2) / scale)
-        p1 = laplace_shift_power(2, -1.0, 2)
-        a1 = classical_symbol([radial_term(2, 2)], 2)
-        c = heat_log_coefficient_from_resolvent(
-            resolvent_log_coefficient(p1, a1, 2), 2)
-        res = wodzicki_residue(p1, Torus(2)).real
-        loop = abs(-TWO_PI ** 2 * 2 * c - res) / res
-        return worst, loop
-
-    (worst, loop), secs = _timed(body)
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(triples):
+        p = random_symbol(rng, n=2, max_order=0, depth=3)
+        m = int(rng.integers(1, 3))
+        k = int(rng.integers(1, 4))
+        a = classical_symbol(
+            [radial_term(m, 2),
+             hom_term(m - 1.0, 2,
+                      [(complex(rng.normal(), rng.normal()),
+                        (1, 0), (0, 0), m - 1.0)])], 2)
+        closed = resolvent_log_coefficient_closed(p, m, k)
+        route = resolvent_log_coefficient(p, a, k)
+        a2 = classical_symbol([radial_term(m, 2)], 2)
+        route2 = resolvent_log_coefficient(p, a2, k)
+        scale = 1.0 + abs(closed)
+        worst = max(worst, abs(route - closed) / scale,
+                    abs(route - route2) / scale)
+    p1 = laplace_shift_power(2, -1.0, 2)
+    a1 = classical_symbol([radial_term(2, 2)], 2)
+    c = heat_log_coefficient_from_resolvent(
+        resolvent_log_coefficient(p1, a1, 2), 2)
+    res = wodzicki_residue(p1, Torus(2)).real
+    loop = abs(-TWO_PI ** 2 * 2 * c - res) / res
     ok = worst <= 1e-8 and loop <= 1e-8
     return CheckResult(
         "parametric_routes", ok, worst, 0.0,
         "route agreement and auxiliary independence 1e-8; residue loop 1e-8",
-        f"worst route dev {worst:.2e}, residue loop {loop:.2e}", secs)
+        f"worst route dev {worst:.2e}, residue loop {loop:.2e}")
 
 
 # --- 9 -----------------------------------------------------------------
 
 
 def check_boundary_heat():
-    def body():
-        out = boundary_heat_test()
-        rel = abs(out.log_coefficient + math.pi / 2) / (math.pi / 2)
-        return out.log_coefficient, rel
-
-    (c, rel), secs = _timed(body)
+    c = boundary_heat_test().log_coefficient
+    rel = abs(c + math.pi / 2) / (math.pi / 2)
     return CheckResult(
         "boundary_heat_log", rel <= 0.05, c, -math.pi / 2, "5%",
-        f"rel {rel:.2e}", secs)
+        f"rel {rel:.2e}")
 
 
 # --- 10 ----------------------------------------------------------------
@@ -350,11 +306,11 @@ def check_determinism():
                                  {}))
         return b"|".join(parts)
 
-    same, secs = _timed(lambda: run() == run())
+    same = run() == run()
     return CheckResult(
-        "determinism_across_threads", bool(same), float(same), 1.0,
+        "determinism_across_threads", same, float(same), 1.0,
         "byte-identical CSV over two runs",
-        "dixmier + heat + zeta + cylinder outputs compared", secs)
+        "dixmier + heat + zeta + cylinder outputs compared")
 
 
 ALL_CHECKS = [
@@ -380,7 +336,9 @@ def run_all(fast=False, seed=0, progress=None):
             kwargs["seed"] = seed
         if fast and fn is check_boundary_heat:
             continue
+        t0 = time.perf_counter()
         result = fn(**kwargs)
+        result.seconds = time.perf_counter() - t0
         results.append(result)
         if progress is not None:
             progress(result)

@@ -91,6 +91,19 @@ def test_dixmier_subcommand(tmp_path):
     assert slope == pytest.approx(math.pi, rel=5e-3)
 
 
+def test_dixmier_copies_triple_the_slope(tmp_path):
+    slopes = {}
+    for copies in (1, 3):
+        out = tmp_path / f"c{copies}"
+        code = run(["dixmier", "--config", CONFIGS / "dixmier_torus.json",
+                    "--out", out, "--set", "dixmier.model.cutoff=300",
+                    "--set", f"dixmier.model.copies={copies}"])
+        assert code == 0
+        text = (out / "dixmier.csv").read_text()
+        slopes[copies] = float(text.split("# slope=")[1].split("\n")[0])
+    assert slopes[3] == pytest.approx(3 * slopes[1], rel=1e-3)
+
+
 def test_config_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"task": "residue"')          # syntax error
@@ -107,6 +120,10 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert run(["residue", "--config", bad3]) == 2
     err = capsys.readouterr().err
     assert "kind" in err
+    bad4 = tmp_path / "bad4.json"
+    bad4.write_text("[1, 2]")                     # not an object
+    assert run(["residue", "--config", bad4, "--set", "seed=1"]) == 2
+    assert "bad4.json" in capsys.readouterr().err
 
 
 def _one_config_error_line(capsys):
@@ -132,6 +149,17 @@ def test_set_through_non_object_exit_code(tmp_path, capsys, item):
     assert code == 2
     assert item.partition("=")[0] in _one_config_error_line(capsys)
     assert not (tmp_path / "residue.csv").exists()
+
+
+def test_override_error_names_the_config_file(tmp_path, capsys):
+    code = run(["dixmier", "--config", CONFIGS / "dixmier_torus.json",
+                "--out", tmp_path, "--set", 'dixmier.model.kind="moebius"'])
+    assert code == 2
+    line = _one_config_error_line(capsys)
+    # the file and the line of "kind" in it, not a re-serialised document
+    kind_line = 1 + (CONFIGS / "dixmier_torus.json").read_text().split(
+        '"kind"')[0].count("\n")
+    assert f"dixmier_torus.json:{kind_line}: at dixmier/model/kind" in line
 
 
 def test_task_mismatch_rejected(tmp_path):

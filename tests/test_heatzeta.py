@@ -66,6 +66,16 @@ def test_tail_bound_certifies_cutoff_doubling():
     assert np.all(np.abs(s2.values - s1.values) <= s1.tail_bounds + roundoff)
 
 
+def test_copies_double_heat_values_and_tails():
+    # copies multiplies every multiplicity, whatever the model kind
+    grid = np.geomspace(1e-3, 0.5, 7)
+    one, two = (heat_samples(INV, AW, enumerate_spectrum(
+        SpectrumModel("torus_lattice", 2, 60, copies=c)), grid)
+        for c in (1, 2))
+    assert np.array_equal(two.values, 2 * one.values)
+    assert np.array_equal(two.tail_bounds, 2 * one.tail_bounds)
+
+
 def test_tail_bound_raises_when_unattainable():
     with pytest.raises(TailBoundError):
         heat_at(ONE, AW, torus(20), 1e-3, tail_tol=1e-12)

@@ -46,14 +46,17 @@ def test_residue_commutators_vanish():
 def test_residue_density_examples():
     n = 2
     a = classical_symbol([radial_term(-2.0, n)], n)
-    tp = residue_density(a)
-    assert tp((0.7, 0.1)) == pytest.approx(2 * PI)   # constant sphere area
+    density = residue_density(a)
+    # a trigonometric polynomial: one degree-0 atom with alpha = 0, w = 0
+    assert density.degree == 0.0
+    assert [(k, al, w) for _, k, al, w in density.atoms] == [
+        ((0, 0), (0, 0), 0.0)]
+    assert residue_density(a, (0.7, 0.1)) == pytest.approx(2 * PI)
     b = classical_symbol([hom_term(-2.0, n, [(1.0, (1, 0), (0, 0), -2.0)])], n)
-    tpb = residue_density(b)
-    assert tpb((0.0, 0.0)) == pytest.approx(2 * PI)
+    assert residue_density(b, (0.0, 0.0)) == pytest.approx(2 * PI)
     assert wodzicki_residue(b, Torus(2)) == 0j        # zero-mean density
     c = classical_symbol([hom_term(-2.0, n, [(1.0, (0, 0), (2, 0), -4.0)])], n)
-    assert residue_density(c)((0.0, 0.0)) == pytest.approx(PI)
+    assert residue_density(c, (0.0, 0.0)) == pytest.approx(PI)
     assert wodzicki_residue(c, Torus(2)) == pytest.approx(4 * PI ** 3)
 
 
@@ -166,8 +169,10 @@ def test_boundary_entries_on_torus_rejected():
 def test_cylinder_interior_integral():
     geo = Cylinder(2)
     assert geo.volume == pytest.approx(2 * PI ** 2)
-    from ncres.symbols import trig_poly
-    tp = trig_poly(2, [((0, 0), 1.0), ((0, 1), 1.0), ((0, 2), 3.0)])
+    # the trig polynomial 1 + e^{i s} + 3 e^{2is} as a degree-0 term
+    trig = hom_term(0.0, 2, [(1.0, (0, 0), (0, 0), 0.0),
+                             (1.0, (0, 1), (0, 0), 0.0),
+                             (3.0, (0, 2), (0, 0), 0.0)])
     # int_0^pi e^{i s} ds = 2i, e^{2is} integrates to 0
     want = 2 * PI * PI + 2 * PI * 2j
-    assert geo.interior_integral(tp) == pytest.approx(want)
+    assert geo.interior_integral(trig) == pytest.approx(want)

@@ -70,7 +70,7 @@ def _brute_force(kind, dim, cutoff, copies):
             continue   # k[0] plays j >= 1
         lam = sum(x * x for x in k)
         if lam <= R * R:
-            out[lam] += copies if kind == "boundary_lattice" else 1
+            out[lam] += copies
     return out
 
 
@@ -118,9 +118,9 @@ def test_enumeration_dtypes_and_order(kind, dim):
 
 
 def test_boundary_copies_must_be_positive():
-    with pytest.raises(ValueError):
-        enumerate_spectrum(
-            SpectrumModel("boundary_lattice", 2, 5, INV, copies=0))
+    for kind in ("torus_lattice", "dirichlet_cylinder", "boundary_lattice"):
+        with pytest.raises(ValueError):
+            enumerate_spectrum(SpectrumModel(kind, 2, 5, INV, copies=0))
 
 
 def test_sigma_n_harmonic():

@@ -133,9 +133,31 @@ def test_sphere_integrate_vs_quadrature(n):
         w = float(rng.integers(-3, 1))
         deg = sum(alpha) + w
         term = hom_term(deg, n, [(1.7, (0,) * n, alpha, w)])
-        exact = sphere_integrate(term, n).mean()
+        # x-independent: at most one atom, at the zero frequency
+        exact = sum(c for c, *_ in sphere_integrate(term, n).atoms)
         quad = _sphere_quadrature(term, n)
         assert abs(exact - quad) <= 1e-9 * (1 + abs(quad))
+
+
+def test_sphere_integrate_s0_is_two_point_rule():
+    # S^0 is the two points +-1: bit for bit the two-point sum, and each
+    # atom c e^{ikx} xi^alpha |xi|^w contributes c (1 + (-1)^alpha) e^{ikx}
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        sym = random_symbol(rng, n=1, depth=3, atoms_per_term=3,
+                            freq_range=2)
+        for term in sym.nonzero_terms():
+            got = sphere_integrate(term, 1)
+            two_point = (term.evaluate_trig((1.0,))
+                         + term.evaluate_trig((-1.0,)))
+            assert got.degree == 0.0
+            assert repr(got.atoms) == repr(two_point.atoms)
+            want = {}
+            for c, k, (a,), _ in term.atoms:
+                want[k] = want.get(k, 0j) + c * (1 + (-1) ** a)
+            assert {k: c for c, k, _, _ in got.atoms} == pytest.approx(
+                {k: c for k, c in want.items() if abs(c) > 1e-12})
+            assert all(al == (0,) and w == 0.0 for _, _, al, w in got.atoms)
 
 
 # ---------------------------------------------------------------------------
