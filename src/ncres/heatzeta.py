@@ -27,6 +27,11 @@ from .summation import chunked_sum
 
 COND_LIMIT = 1e8
 
+# exp(-x) rounds to +0.0 for every x > 745.1332 (e^-x is then below half the
+# smallest subnormal, 2^-1075), so a heat sum leaves out the terms with
+# t * A(lam) > 746: they are the exact zeros a full evaluation would write.
+EXP_UNDERFLOW = 746.0
+
 
 # ---------------------------------------------------------------------------
 # lattice heat sums with certified tails
@@ -80,6 +85,16 @@ def heat_tail_bound(model, p_weight, a_weight, t):
     return p_top * math.exp(-t * shift) * bound
 
 
+def _descending_grid(t_grid):
+    """The t grid sorted descending; :class:`ValueError` unless it is
+    non-empty with every t finite and positive."""
+    t = np.asarray(sorted(t_grid, reverse=True), dtype=float)
+    if t.size == 0 or not np.all(np.isfinite(t) & (t > 0)):
+        raise ValueError("t grid must be non-empty with every t finite "
+                         "and positive")
+    return t
+
+
 @dataclass(frozen=True, eq=False)
 class HeatSamples:
     """(t, value) samples on a decreasing grid with per-sample tail bounds."""
@@ -100,14 +115,17 @@ def heat_samples(p_weight, a_weight, spec, t_grid, tail_tol=None):
     spectrum ``spec`` (simultaneous diagonalization is assumed throughout);
     A must be affine, scale * (shift + lam) with scale > 0, and P finite on
     the spectrum, or :class:`ConfigError` is raised.  The grid is sorted
-    descending; each sample carries its certified tail bound, and
-    :class:`TailBoundError` is raised when one exceeds ``tail_tol``.
+    descending and must hold finite t > 0 (else :class:`ValueError`); each
+    sample carries its certified tail bound, and :class:`TailBoundError` is
+    raised when one exceeds ``tail_tol``.  Exponentials that underflow to
+    0.0 are not evaluated; the sums are the same as if they were.
     """
     if a_weight.power != 1.0 or a_weight.rate != 0.0 \
             or not a_weight.scale > 0.0:
         raise ConfigError(
             f"A weight {a_weight.describe()} is not affine in the "
             f"eigenvalue: need power 1, rate 0 and scale > 0")
+    t_grid = _descending_grid(t_grid)
     lam = spec.values
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         pw = p_weight(lam) * spec.counts
@@ -115,10 +133,14 @@ def heat_samples(p_weight, a_weight, spec, t_grid, tail_tol=None):
         raise ConfigError(
             f"P weight {p_weight.describe()} is not finite on the spectrum")
     aw = a_weight(lam)
-    t_grid = np.asarray(sorted(t_grid, reverse=True), dtype=float)
 
     def part(lo, hi):
-        return np.exp(-np.outer(t_grid, aw[lo:hi])) @ pw[lo:hi]
+        a = aw[lo:hi]
+        e = np.zeros((t_grid.size, a.size))
+        for row, t in zip(e, t_grid):
+            live = a <= EXP_UNDERFLOW / t
+            row[live] = np.exp(-(t * a[live]))
+        return e @ pw[lo:hi]
 
     values = chunked_sum(part, lam.size)
     bounds = np.array([heat_tail_bound(spec.model, p_weight, a_weight, t)
@@ -267,15 +289,15 @@ def zeta_residue(p_weight, a_weight, spec, sigma, t_grid=None,
 def _sine_weight_matrix(jmax, mmax):
     """W[j - 1, m + mmax] = |integral_0^pi sin(j x) exp(-i m x) dx|^2:
     (pi/2)^2 at m = +-j, (2j/(j^2 - m^2))^2 when j + m is odd, else 0."""
-    js = np.arange(1, jmax + 1)[:, None].astype(float)
-    ms = np.arange(-mmax, mmax + 1)[None, :].astype(float)
-    denom = (js ** 2 - ms ** 2) ** 2
-    odd = ((js + ms) % 2.0) != 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        W = np.where(odd, 4.0 * js ** 2 / denom, 0.0)
-    for j in range(1, jmax + 1):
-        W[j - 1, mmax + j] = (math.pi / 2.0) ** 2
-        W[j - 1, mmax - j] = (math.pi / 2.0) ** 2
+    js = np.arange(1, jmax + 1)
+    ms = np.arange(-mmax, mmax + 1)
+    W = np.zeros((jmax, ms.size))
+    for r in (0, 1):
+        # rows j = r + 1, r + 3, ...; columns of the m of the other parity
+        c = (mmax + r) % 2
+        j2 = js[r::2, None] ** 2
+        W[r::2, c::2] = 4.0 * j2 / (j2 - ms[c::2] ** 2) ** 2
+    W[js - 1, mmax + js] = W[js - 1, mmax - js] = (math.pi / 2.0) ** 2
     return W
 
 
@@ -300,9 +322,10 @@ def halfspace_heat_samples(t_grid, shift=1.0, p_shift=1.0, m_cutoff=4000,
     chosen from the smallest t; the m truncation error is added to the
     certified tail bound.  With ``identity_p`` the bracket is exactly 1
     and the trace factorizes into the Dirichlet/full theta product (the
-    sanity route for the mode sums).
+    sanity route for the mode sums).  Every t must be finite and positive,
+    or :class:`ValueError` is raised.
     """
-    t_grid = np.asarray(sorted(t_grid, reverse=True), dtype=float)
+    t_grid = _descending_grid(t_grid)
     tmin = float(t_grid[-1])
     jmax = int(math.ceil(9.0 / math.sqrt(tmin)))
     kmax = jmax

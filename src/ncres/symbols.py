@@ -106,6 +106,9 @@ class HomTerm:
         """Freeze xi != 0; return the remaining trigonometric polynomial in
         x, a degree-0 term whose atoms have alpha = 0 and w = 0."""
         xi = np.asarray(xi, dtype=float)
+        if xi.shape != (self.n,):
+            raise DimensionMismatchError(
+                f"xi of shape {xi.shape} for a term in n = {self.n}")
         r = float(np.linalg.norm(xi))
         if r == 0.0:
             raise ValueError("xi must be nonzero")

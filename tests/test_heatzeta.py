@@ -10,11 +10,13 @@ from scipy.integrate import quad
 
 from ncres.errors import (ConfigError, IllConditionedFitError, TailBoundError,
                           WindowError)
-from ncres.heatzeta import (HeatSamples, boundary_heat_test, default_exponents,
+from ncres.heatzeta import (HeatSamples, _sine_weight_matrix,
+                            boundary_heat_test, default_exponents,
                             fit_expansion, halfspace_heat_samples,
                             heat_samples, zeta_residue)
 from ncres.spectral import (SpectralWeight, SpectrumModel, dixmier_estimate,
                             enumerate_spectrum)
+from ncres.summation import DEFAULT_CHUNK, chunked_sum
 
 PI = math.pi
 ONE = SpectralWeight(power=0.0)
@@ -121,6 +123,64 @@ def test_p_weight_singular_on_spectrum_rejected():
 def test_heat_samples_grid_decreasing_invariant():
     with pytest.raises(ValueError):
         HeatSamples(np.array([1e-3, 5e-3]), np.zeros(2), np.zeros(2))
+
+
+@pytest.mark.parametrize("grid", [
+    [math.nan, 0.01], [0.01, math.inf], [0.0, 0.01], [-0.01, 0.01], []])
+def test_t_grid_outside_domain_rejected(grid):
+    with pytest.raises(ValueError):
+        heat_samples(INV, AW, torus(20), grid)
+    with pytest.raises(ValueError):
+        halfspace_heat_samples(grid)
+
+
+def _dense_heat(p_weight, a_weight, spec, t):
+    # every exponential evaluated, underflowing or not
+    pw = p_weight(spec.values) * spec.counts
+    aw = a_weight(spec.values)
+    return chunked_sum(
+        lambda lo, hi: np.exp(-np.outer(t, aw[lo:hi])) @ pw[lo:hi], aw.size)
+
+
+MIXED = np.geomspace(1e-3, 5e-2, 40)
+NO_UNDERFLOW = np.geomspace(1e-4, 1e-2, 12)   # t A <= 289 at cutoff 120
+WIDE = np.geomspace(1.0, 40.0, 200)           # almost every term underflows
+
+
+@pytest.mark.parametrize("weight", [
+    SpectralWeight(),                          # descending eigenvalues
+    SpectralWeight(power=-1.0, shift=1.0),     # ascending
+    SpectralWeight(power=1.0, rate=0.01)])     # neither
+@pytest.mark.parametrize("grid", [MIXED, NO_UNDERFLOW, WIDE])
+def test_heat_samples_match_dense_sum(weight, grid):
+    spec = enumerate_spectrum(
+        SpectrumModel("torus_lattice", 2, 120, weight=weight))
+    s = heat_samples(INV, AW, spec, grid)
+    assert s.values.tobytes() == _dense_heat(INV, AW, spec, s.t).tobytes()
+
+
+def test_heat_samples_match_dense_sum_over_two_chunks():
+    spec = torus(1150)
+    assert spec.values.size > DEFAULT_CHUNK
+    for grid in (MIXED[::5], WIDE[::25]):
+        s = heat_samples(INV, AW, spec, grid)
+        assert s.values.tobytes() == _dense_heat(INV, AW, spec, s.t).tobytes()
+
+
+def test_heat_samples_keep_subnormal_terms():
+    # every t A(lam) lies in (709, 745.1]: each exponential is subnormal and
+    # only the 1e300 scale of P lifts the sum to a normal number
+    spec = torus(5)
+    a_weight = SpectralWeight(power=1.0, shift=2000.0)
+    p_weight = SpectralWeight(power=0.0, scale=1e300)
+    aw = a_weight(spec.values)
+    grid = np.geomspace(709.5 / aw.min(), 745.1 / aw.max(), 6)
+    tA = np.outer(grid, aw)
+    assert tA.min() > 709.0 and 745.0 < tA.max() <= 745.1
+    s = heat_samples(p_weight, a_weight, spec, grid)
+    assert np.all(s.values > 0.0)
+    assert s.values.tobytes() == \
+        _dense_heat(p_weight, a_weight, spec, s.t).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +320,14 @@ def test_sine_extension_against_quadrature():
         for m in (-4, -1, 0, 1, 2, 3, j, -j):
             ig = np.sum(ws * np.sin(j * xs) * np.exp(-1j * m * xs))
             assert abs(sine_extension_sq(j, m) - abs(ig) ** 2) < 1e-10
+
+
+@pytest.mark.parametrize("jmax, mmax", [(1, 2), (7, 14), (8, 17)])
+def test_sine_weight_matrix_matches_pointwise_formula(jmax, mmax):
+    want = np.array([[sine_extension_sq(j, m)
+                      for m in range(-mmax, mmax + 1)]
+                     for j in range(1, jmax + 1)])
+    assert _sine_weight_matrix(jmax, mmax).tobytes() == want.tobytes()
 
 
 def test_halfspace_identity_weight_factorizes():

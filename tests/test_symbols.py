@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncres.errors import DimensionMismatchError, TruncationFloorError
+from ncres.halfline import boundary_term, compose_kt, simple_pole
 from ncres.literals import format_symbol, parse_symbol
 from ncres.sampling import random_symbol
 from ncres.symbols import (classical_symbol, commutator, hom_term,
@@ -31,6 +32,20 @@ def test_hom_eval_rejects_zero():
     t = radial_term(-2.0, 2)
     with pytest.raises(ValueError):
         t((0.0, 0.0), (0.0, 0.0))
+
+
+@pytest.mark.parametrize("xi", [(1.0, 0.0, 5.0), (2.0,)])
+def test_eval_rejects_xi_of_wrong_length(xi):
+    t = radial_term(-2.0, 2)
+    with pytest.raises(DimensionMismatchError):
+        t((0.0, 0.0), xi)
+    with pytest.raises(DimensionMismatchError):
+        classical_symbol([t], 2).eval((0.0, 0.0), xi)
+    # a boundary term's b lives in n - 1 = 2 dimensions
+    bt = boundary_term(radial_term(-2.0, 2),
+                       compose_kt(simple_pole(1j), simple_pole(-1j)))
+    with pytest.raises(DimensionMismatchError):
+        bt((0.0, 0.0), xi, 0.4, -0.2)
 
 
 def test_homogeneity_random():
