@@ -1,11 +1,14 @@
-"""Command-line front end.
+"""Command-line front end: ``ncres TASK [flags]``.
 
-Every task is driven by a JSON configuration document (see
+One parser declares every flag once, and flags may stand before or after
+the task.  Every task is driven by a JSON configuration document (see
 :mod:`ncres.config`); flags only pick the file, override dotted paths and
-redirect output.  Each run writes ``<task>.csv`` and ``<task>.txt`` into
-the output directory, both stamped with the library version and the sha256
-of the effective configuration, and is bit-reproducible for a fixed
-document: reductions are serial and chunk-ordered.  ``--threads`` and the
+redirect output.  ``--config`` may be left out for ``verify`` only, and
+``--fast`` applies to ``verify`` only; either misuse is a configuration
+error.  Each run writes ``<task>.csv`` and ``<task>.txt`` into the output
+directory, both stamped with the library version and the sha256 of the
+effective configuration, and is bit-reproducible for a fixed document:
+reductions are serial and chunk-ordered.  ``--threads`` and the
 ``threads`` field are accepted so that older commands and documents still
 run; they have no effect.
 
@@ -21,8 +24,9 @@ import sys
 from pathlib import Path
 
 from ._version import __version__
-from .config import (build_bdm, build_model, build_symbol, build_t_grid,
-                     build_weight, config_hash, decode_config, validate_config)
+from .config import (TASKS, build_bdm, build_model, build_symbol,
+                     build_t_grid, build_weight, config_hash, decode_config,
+                     validate_config)
 from .errors import (ConfigError, GradingError, IllConditionedFitError,
                      NcresError, ResourceCapError, TailBoundError)
 from .heatzeta import fit_expansion, heat_samples, zeta_residue
@@ -41,17 +45,19 @@ def main(argv=None):
                     "geometries")
     parser.add_argument("--version", action="version",
                         version=f"ncres {__version__}")
-    sub = parser.add_subparsers(dest="task", required=True)
-    for task in ("residue", "dixmier", "heat", "zeta", "parametric"):
-        p = sub.add_parser(task, help=f"run a {task} job from a config file")
-        p.add_argument("--config", required=True, help="JSON job document")
-        _common_flags(p)
-    v = sub.add_parser("verify", help="run the cross-check suite")
-    v.add_argument("--config", help="optional JSON job document")
-    v.add_argument("--fast", action="store_true",
-                   help="skip the slow cylinder heat-trace check")
-    _common_flags(v)
-
+    parser.add_argument("task", choices=TASKS)
+    parser.add_argument("--config",
+                        help="JSON job document (optional for verify only)")
+    parser.add_argument("--fast", action="store_true",
+                        help="verify only: skip the slow cylinder heat-trace "
+                             "check")
+    parser.add_argument("--set", action="append", default=[],
+                        metavar="PATH=JSON",
+                        help="override a config entry, e.g. --set seed=3")
+    parser.add_argument("--out", help="output directory (overrides output_dir)")
+    parser.add_argument("--seed", type=int, help="override the RNG seed")
+    parser.add_argument("--threads", type=int,
+                        help="accepted for older commands; no effect")
     args = parser.parse_args(argv)
     try:
         cfg = _effective_config(args)
@@ -70,20 +76,16 @@ def main(argv=None):
         return 1
 
 
-def _common_flags(p):
-    p.add_argument("--set", action="append", default=[], metavar="PATH=JSON",
-                   help="override a config entry, e.g. --set seed=3")
-    p.add_argument("--out", help="output directory (overrides output_dir)")
-    p.add_argument("--seed", type=int, help="override the RNG seed")
-    p.add_argument("--threads", type=int,
-                   help="accepted for older commands; no effect")
-
-
 def _effective_config(args):
     """The document with every override applied, validated once against
     the file's own text, so errors name the file and its lines."""
+    if args.task != "verify":
+        if not args.config:
+            raise ConfigError(f"{args.task} needs --config")
+        if args.fast:
+            raise ConfigError("--fast applies to verify only")
     text, source = "", "<config>"
-    if getattr(args, "config", None):
+    if args.config:
         source = str(args.config)
         text = Path(source).read_text(encoding="utf-8")
         cfg = decode_config(text, source)
@@ -113,12 +115,12 @@ def _effective_config(args):
         cfg["seed"] = args.seed
     if args.threads is not None:
         cfg["threads"] = args.threads
-    if getattr(args, "fast", False):
+    if args.fast:
         cfg.setdefault("verify", {})["fast"] = True
     validate_config(cfg, text, source)
     if cfg["task"] != args.task:
         raise ConfigError(
-            f"config task {cfg['task']!r} != subcommand {args.task!r}")
+            f"config task {cfg['task']!r} != task argument {args.task!r}")
     return cfg
 
 

@@ -24,7 +24,7 @@ from .errors import ConfigError
 from .halfline import boundary_term, from_ratio, rational, sg_symbol
 from .literals import parse_symbol
 from .residue import BdMSymbol, Cylinder, Torus
-from .spectral import MODE_CAP_DEFAULT, SpectralWeight, SpectrumModel
+from .spectral import SpectralWeight, SpectrumModel
 from .symbols import laplace_shift_power
 
 TASKS = ("residue", "dixmier", "heat", "zeta", "parametric", "verify")
@@ -109,6 +109,22 @@ _TGRID = {
     "required": ["start", "stop", "points"],
     "additionalProperties": False,
 }
+# an operator-matrix (BdM) symbol: the residue task and dixmier.formula
+_RESIDUE = {
+    "type": "object",
+    "properties": {
+        "geometry": _GEOMETRY,
+        "p": _SYMBOL,
+        "s": _SYMBOL,
+        "green": {"type": "array", "items": _BOUNDARY_TERM},
+        "potential": {"type": "array", "items": _BOUNDARY_TERM},
+        "trace": {"type": "array", "items": _BOUNDARY_TERM},
+        "order": {"type": "integer"},
+        "type": {"type": "integer", "minimum": 0},
+    },
+    "required": ["geometry"],
+    "additionalProperties": False,
+}
 
 SCHEMA = {
     "type": "object",
@@ -117,28 +133,14 @@ SCHEMA = {
         "seed": {"type": "integer", "minimum": 0},
         "threads": {"type": "integer", "minimum": 1, "maximum": 64},
         "output_dir": {"type": "string"},
-        "residue": {
-            "type": "object",
-            "properties": {
-                "geometry": _GEOMETRY,
-                "p": _SYMBOL,
-                "s": _SYMBOL,
-                "green": {"type": "array", "items": _BOUNDARY_TERM},
-                "potential": {"type": "array", "items": _BOUNDARY_TERM},
-                "trace": {"type": "array", "items": _BOUNDARY_TERM},
-                "order": {"type": "integer"},
-                "type": {"type": "integer", "minimum": 0},
-            },
-            "required": ["geometry"],
-            "additionalProperties": False,
-        },
+        "residue": _RESIDUE,
         "dixmier": {
             "type": "object",
             "properties": {
                 "model": _MODEL,
                 "weight": _WEIGHT,
                 "window_decades": {"type": "number", "minimum": 0.5},
-                "formula": {"type": "object"},
+                "formula": _RESIDUE,
             },
             "required": ["model", "weight"],
             "additionalProperties": False,
@@ -229,10 +231,6 @@ def decode_config(text, source="<config>"):
             f"{source}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
 
 
-def parse_config(text, source="<config>"):
-    return validate_config(decode_config(text, source), text, source)
-
-
 def validate_config(cfg, text="", source="<config>"):
     validator = jsonschema.Draft202012Validator(SCHEMA)
     errors = sorted(validator.iter_errors(cfg),
@@ -244,9 +242,7 @@ def validate_config(cfg, text="", source="<config>"):
         line = _find_line(text, key) if text else None
         at = f"{source}:{line}: " if line else f"{source}: "
         raise ConfigError(f"{at}at {path}: {e.message}")
-    task = cfg.get("task")
-    if task not in TASKS:
-        raise ConfigError(f"{source}: unknown task {task!r}")
+    task = cfg["task"]
     if task != "verify" and task not in cfg:
         line = _find_line(text, "task") if text else None
         at = f"{source}:{line}: " if line else f"{source}: "
@@ -296,19 +292,18 @@ def build_geometry(spec):
 
 
 def build_weight(spec):
-    return SpectralWeight(power=spec.get("power", 1.0),
-                          shift=spec.get("shift", 0.0),
-                          rate=spec.get("rate", 0.0),
-                          scale=spec.get("scale", 1.0))
+    return SpectralWeight(**spec)
 
 
 def build_model(spec):
-    return SpectrumModel(kind=spec["kind"], dim=spec["dim"],
-                         cutoff=spec["cutoff"],
-                         weight=build_weight(spec.get("weight", {}))
-                         if "weight" in spec else SpectralWeight(),
-                         copies=spec.get("copies", 1),
-                         mode_cap=int(spec.get("mode_cap", MODE_CAP_DEFAULT)))
+    """A validated model section; an absent field takes the dataclass
+    default."""
+    fields = dict(spec)
+    if "weight" in fields:
+        fields["weight"] = build_weight(fields["weight"])
+    if "mode_cap" in fields:
+        fields["mode_cap"] = int(fields["mode_cap"])
+    return SpectrumModel(**fields)
 
 
 def build_boundary_term(spec, n, kind):

@@ -206,11 +206,11 @@ def _cross_split(p, r, q, s, c):
 # construction from numerator / denominator coefficients
 
 
-def from_ratio(num, den, pole_tol=1e-6):
+def from_ratio(num, den):
     """Build a rational function from ascending coefficient lists.
 
     Denominator roots are found numerically and clustered into multiple
-    poles within ``pole_tol``; a root on the real axis raises
+    poles within a relative 1e-6; a root on the real axis raises
     :class:`RealPoleError`.  Intended for configuration input -- library
     internals construct split forms directly and stay exact.
     """
@@ -231,7 +231,7 @@ def from_ratio(num, den, pole_tol=1e-6):
     clusters = []
     for root in sorted(roots, key=lambda z: (z.real, z.imag)):
         for cl in clusters:
-            if abs(root - cl[0][-1]) < pole_tol * max(1.0, abs(root)):
+            if abs(root - cl[0][-1]) < 1e-6 * max(1.0, abs(root)):
                 cl[0].append(root)
                 break
         else:
@@ -438,10 +438,9 @@ class HomBoundaryTerm:
         return self.b.n + 1
 
     def __call__(self, xp, xip, xin, etan=None):
-        s = float(np.linalg.norm(np.atleast_1d(xip)))
-        if s == 0.0:
-            raise ValueError("xi' must be nonzero")
+        # b checks the length of xi' and rejects xi' = 0
         bval = self.b(xp, xip)
+        s = float(np.linalg.norm(xip))
         if self.kind == "green":
             return bval * self.fiber(xin / s, etan / s)
         return bval * self.fiber(xin / s)

@@ -175,7 +175,7 @@ class AsymptoticFit:
         return self.coefficients[(float(exponent), bool(log))]
 
 
-def fit_expansion(samples, exponents, log_exponents=(), tail_check=1e-3):
+def fit_expansion(samples, exponents, log_exponents=()):
     """Fit samples to  sum c_e t^e + sum c'_e t^e ln t.
 
     Rows are weighted by 1/|value| so every sample counts with its relative
@@ -216,10 +216,11 @@ def fit_expansion(samples, exponents, log_exponents=(), tail_check=1e-3):
     coeffs = {names[i]: float(coef[i]) for i in range(len(names))}
 
     if getattr(samples, "tail_bounds", None) is not None:
-        # each fitted term must dominate the certified tail where it peaks
+        # each fitted term must dominate the certified tail, by a factor
+        # of 10^3, where it peaks
         contrib = [abs(c) * max(t.min() ** e, t.max() ** e)
                    for (e, _), c in coeffs.items() if abs(c) > 1e-9]
-        if contrib and float(np.max(samples.tail_bounds)) > tail_check * min(contrib):
+        if contrib and float(np.max(samples.tail_bounds)) > 1e-3 * min(contrib):
             raise TailBoundError(
                 "certified tail is not negligible against the smallest "
                 "fitted contribution; raise the cutoff")

@@ -183,7 +183,7 @@ class ResidueBreakdown:
     total: complex
 
 
-def _interior_and_boundary_pdo(A, transmission_depth, transmission_tol):
+def _interior_and_boundary_pdo(A):
     """The two reads shared by the residue and the Dixmier formula.
 
     Returns the interior residue of ``A.p`` (after the transmission check
@@ -194,8 +194,7 @@ def _interior_and_boundary_pdo(A, transmission_depth, transmission_tol):
     interior = 0j
     if A.p is not None:
         if geo.has_boundary:
-            report = transmission_check(A.p, depth=transmission_depth,
-                                        tol=transmission_tol)
+            report = transmission_check(A.p)
             if not report.ok:
                 raise TransmissionError(
                     f"interior symbol violates transmission at "
@@ -208,7 +207,7 @@ def _interior_and_boundary_pdo(A, transmission_depth, transmission_tol):
     return interior, pdo
 
 
-def boundary_residue(A, transmission_depth=2, transmission_tol=1e-8):
+def boundary_residue(A):
     """Residue of an operator-matrix symbol; reduces to the interior residue
     when the boundary is empty.
 
@@ -222,8 +221,7 @@ def boundary_residue(A, transmission_depth=2, transmission_tol=1e-8):
     """
     geo = A.geometry
     n = geo.dim
-    interior, pdo = _interior_and_boundary_pdo(A, transmission_depth,
-                                               transmission_tol)
+    interior, pdo = _interior_and_boundary_pdo(A)
     if not geo.has_boundary:
         return ResidueBreakdown(interior, 0j, 0j, interior)
     if n < 2:

@@ -305,17 +305,17 @@ class DixmierEstimate:
     omega_consistent: bool
 
 
-def dixmier_estimate(spec, window_decades=2.0, fit_samples=400,
-                     cesaro_samples=3000):
+def dixmier_estimate(spec, window_decades=2.0):
     """Estimate the Dixmier trace of the weighted operator of ``spec``.
 
     Primary estimator: least-squares slope of sigma_N versus ln N over the
-    top ``window_decades`` decades of N.  Corroboration: the Cesaro mean of
-    sigma_N / ln N (subsampled on a geometric grid; the step integral over
-    that grid is exact).  ``omega_consistent`` is cleared when the Cesaro
-    tail sits further from the slope than its own ln ln N / ln N
-    convergence scale allows, which would mean the averaging choice
-    matters for this operator.
+    top ``window_decades`` decades of N, at 400 geometric samples.
+    Corroboration: the Cesaro mean of sigma_N / ln N (subsampled on a
+    geometric grid of 3000 points; the step integral over that grid is
+    exact).  ``omega_consistent`` is cleared when the Cesaro tail sits
+    further from the slope than its own ln ln N / ln N convergence scale
+    allows, which would mean the averaging choice matters for this
+    operator.
 
     The model weight must be positive and non-increasing from the bottom
     eigenvalue on, or :class:`GradingError` is raised.  A slope, residual
@@ -333,7 +333,7 @@ def dixmier_estimate(spec, window_decades=2.0, fit_samples=400,
         raise WindowError("too few modes for a slope window")
     n_lo = max(2, int(n_max / 10 ** window_decades))
     ns = np.unique(np.round(np.geomspace(n_lo, n_max,
-                                         fit_samples)).astype(np.int64))
+                                         400)).astype(np.int64))
     x = np.log(ns.astype(float))
     y = curve.sigma(ns)
     design = np.vstack([x, np.ones_like(x)]).T
@@ -343,7 +343,7 @@ def dixmier_estimate(spec, window_decades=2.0, fit_samples=400,
         (slope, intercept), *_ = np.linalg.lstsq(design, y, rcond=None)
         resid = float(np.sqrt(np.mean((design @ [slope, intercept] - y) ** 2)))
         cn = np.unique(np.round(np.geomspace(2, n_max,
-                                             cesaro_samples)).astype(np.int64))
+                                             3000)).astype(np.int64))
         sig = curve.sigma(cn)
         ratio = sig / np.log(cn)
         f = StepFunction(cn.astype(float), ratio[:-1])
@@ -374,7 +374,7 @@ def dixmier_estimate(spec, window_decades=2.0, fit_samples=400,
 # symbol-side Dixmier trace
 
 
-def dixmier_formula(A, transmission_depth=2, transmission_tol=1e-8):
+def dixmier_formula(A):
     """Dixmier trace of an operator matrix of order -n from its symbols.
 
     Value: interior term  (2pi)^-n n^-1 * int_X int_S tr p_{-n} sigma dx
@@ -385,8 +385,7 @@ def dixmier_formula(A, transmission_depth=2, transmission_tol=1e-8):
     """
     n = A.geometry.dim
     _validate_dixmier_grading(A, n)
-    interior, pdo = _interior_and_boundary_pdo(A, transmission_depth,
-                                               transmission_tol)
+    interior, pdo = _interior_and_boundary_pdo(A)
     total = 0j
     if A.p is not None:
         total += interior / (TWO_PI ** n * n)

@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from ncres.cli import main
-from ncres.config import config_hash, parse_config
+from ncres.config import build_model, build_weight, config_hash
+from ncres.spectral import SpectralWeight, SpectrumModel
 
 CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
@@ -162,6 +163,56 @@ def test_override_error_names_the_config_file(tmp_path, capsys):
     assert f"dixmier_torus.json:{kind_line}: at dixmier/model/kind" in line
 
 
+def test_flags_before_the_task(tmp_path):
+    blobs = []
+    for argv in (["residue", "--config", CONFIGS / "residue_torus.json",
+                  "--out", tmp_path / "after", "--seed", 3],
+                 ["--seed", 3, "--out", tmp_path / "before", "--config",
+                  CONFIGS / "residue_torus.json", "residue"]):
+        assert run(argv) == 0
+        blobs.append((argv[argv.index("--out") + 1] / "residue.csv")
+                     .read_bytes())
+    assert blobs[0] == blobs[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["residue"],
+    ["residue", "--config", CONFIGS / "residue_torus.json", "--fast"],
+    ["--fast", "heat", "--config", CONFIGS / "heat_torus.json"]])
+def test_flag_misuse_exit_code(tmp_path, capsys, argv):
+    # --config may be left out for verify only; --fast is for verify only
+    assert run(argv + ["--out", tmp_path]) == 2
+    _one_config_error_line(capsys)
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("formula", [
+    "{}",
+    '{"geometry": {"kind": "torus", "dim": 2}, "p": {"literal": 5}}',
+    '{"geometry": {"kind": "torus", "dim": 2}, "q": {"literal": "1"}}'])
+def test_dixmier_formula_validated_as_residue(tmp_path, capsys, formula):
+    code = run(["dixmier", "--config", CONFIGS / "dixmier_torus.json",
+                "--out", tmp_path, "--set", f"dixmier.formula={formula}"])
+    assert code == 2
+    assert "dixmier/formula" in _one_config_error_line(capsys)
+    assert not (tmp_path / "dixmier.csv").exists()
+
+
+def test_builders_leave_defaults_to_the_dataclasses():
+    assert build_weight({}) == SpectralWeight()
+    assert build_weight({"power": -1, "shift": 2.0}) == \
+        SpectralWeight(-1, 2.0, 0.0, 1.0)
+    plain = build_model({"kind": "torus_lattice", "dim": 2, "cutoff": 50})
+    assert plain == SpectrumModel("torus_lattice", 2, 50)
+    assert repr(plain) == repr(SpectrumModel("torus_lattice", 2, 50))
+    full = build_model({"kind": "dirichlet_cylinder", "dim": 2, "cutoff": 9,
+                        "weight": {"power": -1}, "copies": 2,
+                        "mode_cap": 1e6})
+    assert full == SpectrumModel("dirichlet_cylinder", 2, 9,
+                                 SpectralWeight(power=-1), 2, 1_000_000)
+    assert type(full.mode_cap) is int
+
+
 def test_task_mismatch_rejected(tmp_path):
     assert run(["dixmier", "--config", CONFIGS / "residue_torus.json"]) == 2
 
@@ -182,12 +233,16 @@ def test_tolerance_failure_exit_code(tmp_path):
 
 
 def test_set_override_and_hash_changes(tmp_path):
-    cfg1 = parse_config((CONFIGS / "residue_torus.json").read_text())
-    code = run(["residue", "--config", CONFIGS / "residue_torus.json",
-                "--out", tmp_path, "--set", "seed=5"])
-    assert code == 0
-    csv = (tmp_path / "residue.csv").read_text()
-    assert config_hash(cfg1) not in csv    # override changed the hash
+    cfg1 = json.loads((CONFIGS / "residue_torus.json").read_text())
+    csvs = []
+    for extra in ([], ["--set", "seed=5"]):
+        out = tmp_path / f"run{len(csvs)}"
+        code = run(["residue", "--config", CONFIGS / "residue_torus.json",
+                    "--out", out] + extra)
+        assert code == 0
+        csvs.append((out / "residue.csv").read_text())
+    assert config_hash(cfg1) in csvs[0]
+    assert config_hash(cfg1) not in csvs[1]    # override changed the hash
 
 
 def test_byte_identical_across_threads(tmp_path):

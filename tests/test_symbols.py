@@ -34,7 +34,7 @@ def test_hom_eval_rejects_zero():
         t((0.0, 0.0), (0.0, 0.0))
 
 
-@pytest.mark.parametrize("xi", [(1.0, 0.0, 5.0), (2.0,)])
+@pytest.mark.parametrize("xi", [(1.0, 0.0, 5.0), (2.0,), ()])
 def test_eval_rejects_xi_of_wrong_length(xi):
     t = radial_term(-2.0, 2)
     with pytest.raises(DimensionMismatchError):
