@@ -17,9 +17,9 @@ from .residue import (BdMSymbol, Cylinder, ResidueBreakdown, Torus,
 from .spectral import (DixmierEstimate, SpectralWeight, SpectrumModel,
                        StepFunction, cesaro_mean, dixmier_estimate,
                        dixmier_formula, enumerate_spectrum)
-from .symbols import (ClassicalSymbol, HomTerm, classical_symbol,
-                      commutator, hom_term, identity_symbol,
-                      laplace_shift_power, leibniz_compose, radial_term,
+from .symbols import (ClassicalSymbol, HomTerm, classical_symbol, commutator,
+                      hom_term, identity_symbol, laplace_shift_power,
+                      leibniz_component, leibniz_compose, radial_term,
                       sphere_integrate, sphere_moment, transmission_check)
 from .literals import format_symbol, parse_symbol
 
@@ -35,8 +35,7 @@ __all__ = [
     "DixmierEstimate", "SpectralWeight", "SpectrumModel", "StepFunction",
     "cesaro_mean", "dixmier_estimate", "dixmier_formula", "enumerate_spectrum",
     "ClassicalSymbol", "HomTerm", "classical_symbol", "commutator",
-    "hom_term", "identity_symbol",
-    "laplace_shift_power", "leibniz_compose", "radial_term",
-    "sphere_integrate", "sphere_moment", "transmission_check", "format_symbol",
-    "parse_symbol",
+    "hom_term", "identity_symbol", "laplace_shift_power", "leibniz_component",
+    "leibniz_compose", "radial_term", "sphere_integrate", "sphere_moment",
+    "transmission_check", "format_symbol", "parse_symbol",
 ]

@@ -22,7 +22,7 @@ which is manifestly independent of the auxiliary symbol.
 from __future__ import annotations
 
 from .residue import TWO_PI, Torus, wodzicki_residue
-from .symbols import identity_symbol, leibniz_compose
+from .symbols import identity_symbol, leibniz_component, leibniz_compose
 
 
 def resolvent_log_coefficient_closed(p, ord_a, k):
@@ -44,11 +44,11 @@ def resolvent_log_coefficient(p, a, k, depth=None):
     if k < 1:
         raise ValueError("resolvent power k must be >= 1")
     n = p.n
-    if depth is None:
-        # the i = 0 term has order 0, so p # it needs degree -n exact
-        depth = max(p.order + n, 0)
     group = identity_symbol(n, a.matrix_dim).scaled((-1.0) ** k)
-    composed = leibniz_compose(p, group, depth)
+    if depth is None or depth >= p.order + n:  # compose degree -n alone
+        composed = leibniz_component(p, group, -n)
+    else:  # a composition that stops above degree -n reads its floor
+        composed = leibniz_compose(p, group, depth)
     return TWO_PI ** (-n) * wodzicki_residue(composed, Torus(n)) / a.order
 
 

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from .errors import (DimensionMismatchError, GradingError,
                      TransmissionError)
 from .halfline import tr_boundary_term
-from .symbols import (ClassicalSymbol, _trig_value, sphere_integrate,
-                      transmission_check, zero_term)
+from .symbols import (ClassicalSymbol, HomTerm, _trig_value,
+                      sphere_integrate, transmission_check, zero_term)
 
 TWO_PI = 2.0 * math.pi
 
@@ -103,12 +103,16 @@ def _int_0_pi(k):
 
 
 def residue_density(a, x=None):
-    """Cosphere integral of the traced degree -n component.
+    """Cosphere integral of the traced degree -n component (of ``a`` itself
+    when it is a :class:`HomTerm`, which must be of degree -n).
 
     Returns the trig polynomial in x as a degree-0 term (or its value when
     ``x`` is given); integrating it over the manifold gives the residue.
     """
-    density = sphere_integrate(a.component(-a.n).trace_part(), a.n)
+    term = a if isinstance(a, HomTerm) else a.component(-a.n)
+    if term.degree != -a.n:
+        raise ValueError(f"the residue reads degree {-a.n}, not {term.degree}")
+    density = sphere_integrate(term.trace_part(), a.n)
     return density if x is None else _trig_value(density, x)
 
 

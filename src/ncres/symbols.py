@@ -528,10 +528,26 @@ def leibniz_compose(a, b, depth):
     so the result is bilinear and exactly the composed expansion on the
     computed range; the exactness floor records what may be read.
     """
-    if a.n != b.n or a.matrix_dim != b.matrix_dim:
-        raise DimensionMismatchError("composition of incompatible symbols")
     if depth < 0:
         raise ValueError("depth must be >= 0")
+    return _leibniz(a, b, depth)
+
+
+def leibniz_component(a, b, degree):
+    """``leibniz_compose(a, b, a.order + b.order - degree).component(degree)``
+    bit for bit (zero above the order, ValueError off the integer ladder),
+    composing only the products of that degree."""
+    top = a.order + b.order
+    depth = round(top - degree)
+    if abs(top - degree - depth) > _DEG_TOL:
+        raise ValueError(f"degree {degree} off the ladder below {top}")
+    return _leibniz(a, b, depth, lowest=True).component(degree)
+
+
+def _leibniz(a, b, depth, lowest=False):
+    """:func:`leibniz_compose`; with ``lowest``, its slot ``depth`` only."""
+    if a.n != b.n or a.matrix_dim != b.matrix_dim:
+        raise DimensionMismatchError("composition of incompatible symbols")
     n = a.n
     top = a.order + b.order
     floors = []
@@ -574,7 +590,8 @@ def leibniz_compose(a, b, depth):
                     if tb.is_zero:
                         continue
                     deg = ta.degree + tb.degree
-                    if deg < trunc - _DEG_TOL:
+                    if deg < trunc - _DEG_TOL or (
+                            lowest and deg > trunc + _DEG_TOL):
                         continue
                     if floor is not None and deg < floor - _DEG_TOL:
                         continue

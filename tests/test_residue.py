@@ -60,6 +60,19 @@ def test_residue_density_examples():
     assert wodzicki_residue(c, Torus(2)) == pytest.approx(4 * PI ** 3)
 
 
+def test_residue_of_a_degree_minus_n_term():
+    rng = np.random.default_rng(3)
+    sym = random_symbol(rng, n=2, max_order=1, depth=4)
+    term = sym.component(-2)
+    assert not term.is_zero
+    assert wodzicki_residue(term, Torus(2)) == wodzicki_residue(sym, Torus(2))
+    assert residue_density(term, (0.3, 1.1)) == residue_density(sym, (0.3, 1.1))
+    with pytest.raises(ValueError, match="degree -2"):
+        wodzicki_residue(sym.component(-1), Torus(2))
+    with pytest.raises(DimensionMismatchError):
+        wodzicki_residue(term, Torus(3))
+
+
 def test_residue_one_dimension():
     # n = 1: two-point cosphere, integral over the circle
     a = classical_symbol([hom_term(-1.0, 1, [(1.0, (0,), (0,), -1.0)])], 1)

@@ -12,7 +12,8 @@ from ncres.literals import format_symbol, parse_symbol
 from ncres.sampling import random_symbol
 from ncres.symbols import (classical_symbol, commutator, hom_term,
                            identity_symbol, laplace_shift_power,
-                           leibniz_compose, multi_indices, radial_term,
+                           leibniz_component, leibniz_compose,
+                           multi_indices, radial_term,
                            sphere_integrate, sphere_moment,
                            transmission_check, zero_term)
 
@@ -550,8 +551,39 @@ def _assert_same_symbol(s1, s2):
 @given(seed=seeds)
 def test_compose_matches_reference_bitwise(kind, seed):
     a, b = _symbol_pair(seed, kind)
+    top = a.order + b.order
     for depth in (0, 2, 5):
         ab = _reference_compose(a, b, depth)
+        comm = ab - _reference_compose(b, a, depth)
         _assert_same_symbol(leibniz_compose(a, b, depth), ab)
-        _assert_same_symbol(commutator(a, b, depth),
-                            ab - _reference_compose(b, a, depth))
+        _assert_same_symbol(commutator(a, b, depth), comm)
+        # every slot composed alone, and the commutator slot from two of them
+        for degree in range(top, top - depth - 1, -1):
+            ab_slot = leibniz_component(a, b, degree)
+            _assert_same_atoms(ab_slot, ab.component(degree))
+            _assert_same_atoms(ab_slot - leibniz_component(b, a, degree),
+                               comm.component(degree))
+
+
+def test_leibniz_component_typed_errors():
+    a = laplace_shift_power(2, -1.0, 2)   # exact floor -6
+    b = classical_symbol([radial_term(1.0, 2)], 2)
+    # a # b has order -1 and is exact down to -6 + 1 = -5
+    _assert_same_atoms(leibniz_component(a, b, -5),
+                       leibniz_compose(a, b, 4).component(-5))
+    with pytest.raises(TruncationFloorError):
+        leibniz_compose(a, b, 5).component(-6)
+    with pytest.raises(TruncationFloorError):
+        leibniz_component(a, b, -6)
+    for degree in (-2.5, 0.5):
+        with pytest.raises(ValueError, match="ladder"):
+            leibniz_component(a, b, degree)
+    for degree in (0, 3):
+        above = leibniz_component(a, b, degree)
+        assert above.is_zero and above.degree == degree and above.n == 2
+    with pytest.raises(DimensionMismatchError):
+        leibniz_component(a, laplace_shift_power(3, -1.0, 2), -5)
+    with pytest.raises(DimensionMismatchError):
+        leibniz_component(identity_symbol(2, matrix_dim=2), b, 0)
+    with pytest.raises(DimensionMismatchError):
+        leibniz_component(a, laplace_shift_power(3, -1.0, 2), 2)
