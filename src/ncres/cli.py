@@ -205,7 +205,7 @@ def _dispatch(cfg):
         a = build_symbol(section["a"], n)
         k = section["power"]
         closed = resolvent_log_coefficient_closed(p, a.order, k)
-        route = resolvent_log_coefficient(p, a, k, depth=section.get("depth"))
+        route = resolvent_log_coefficient(p, a, k)
         report = writers._report_head("parametric", meta) + "\n"
         report += (f"  closed form      {closed:.12g}\n"
                    f"  expansion route  {route:.12g}\n"

@@ -182,7 +182,6 @@ SCHEMA = {
                 "a": _SYMBOL,
                 "power": {"type": "integer", "minimum": 1},
                 "levels": {"type": "integer", "minimum": 1},
-                "depth": {"type": "integer", "minimum": 0},
             },
             "required": ["dim", "p", "a", "power"],
             "additionalProperties": False,

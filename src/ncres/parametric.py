@@ -22,7 +22,7 @@ which is manifestly independent of the auxiliary symbol.
 from __future__ import annotations
 
 from .residue import TWO_PI, Torus, wodzicki_residue
-from .symbols import identity_symbol, leibniz_component, leibniz_compose
+from .symbols import identity_symbol, leibniz_component
 
 
 def resolvent_log_coefficient_closed(p, ord_a, k):
@@ -35,20 +35,18 @@ def resolvent_log_coefficient_closed(p, ord_a, k):
     return TWO_PI ** (-n) * ((-1.0) ** k / ord_a) * res
 
 
-def resolvent_log_coefficient(p, a, k, depth=None):
+def resolvent_log_coefficient(p, a, k):
     """Composition route to the same ln lambda coefficient.
 
     Composes ``p`` with the i = 0 term (-1)^k of the resolvent power of
-    ``a`` and returns (2pi)^(-n) res(p # (-1)^k) / ord a.
+    ``a``, keeping only the degree -n slot that the residue reads, and
+    returns (2pi)^(-n) res(p # (-1)^k) / ord a.
     """
     if k < 1:
         raise ValueError("resolvent power k must be >= 1")
     n = p.n
     group = identity_symbol(n, a.matrix_dim).scaled((-1.0) ** k)
-    if depth is None or depth >= p.order + n:  # compose degree -n alone
-        composed = leibniz_component(p, group, -n)
-    else:  # a composition that stops above degree -n reads its floor
-        composed = leibniz_compose(p, group, depth)
+    composed = leibniz_component(p, group, -n)
     return TWO_PI ** (-n) * wodzicki_residue(composed, Torus(n)) / a.order
 
 

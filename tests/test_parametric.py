@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import ncres
-from ncres.errors import TruncationFloorError
 from ncres.parametric import (heat_log_coefficient_from_resolvent,
                               resolvent_log_coefficient,
                               resolvent_log_coefficient_closed)
@@ -92,21 +91,6 @@ def test_residue_loop_through_heat_normalization():
     cs = {k: heat_log_coefficient_from_resolvent(
         resolvent_log_coefficient(p, aux(), k), k) for k in (1, 2, 3)}
     assert cs[1] == pytest.approx(cs[2]) == pytest.approx(cs[3])
-
-
-def test_explicit_depth_reads_as_that_composition():
-    # a depth reaching degree -2 gives the component route's bits; one that
-    # stops above it raises, as the composition of that depth does
-    p = laplace_shift_power(2, -1.0, 3)   # order -2, exact floor -8
-    a = aux()
-    route = resolvent_log_coefficient(p, a, 2)
-    for depth in (0, 1, 4):
-        assert resolvent_log_coefficient(p, a, 2, depth=depth) == route
-    root = laplace_shift_power(2, 0.5, 3)   # degrees 1, -1, -3, -5 only
-    with pytest.raises(TruncationFloorError):
-        resolvent_log_coefficient(root, a, 2, depth=2)
-    for depth in (3, None):
-        assert resolvent_log_coefficient(root, a, 2, depth=depth) == 0j
 
 
 def test_resolvent_power_must_be_positive():
