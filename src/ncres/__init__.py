@@ -13,10 +13,11 @@ from .heatzeta import (AsymptoticFit, HeatSamples, boundary_heat_test,
 from .parametric import (resolvent_log_coefficient,
                          resolvent_log_coefficient_closed)
 from .residue import (BdMSymbol, Cylinder, ResidueBreakdown, Torus,
-                      boundary_residue, residue_density, wodzicki_residue)
+                      boundary_residue, dixmier_formula, residue_density,
+                      wodzicki_residue)
 from .spectral import (DixmierEstimate, SpectralWeight, SpectrumModel,
                        StepFunction, cesaro_mean, dixmier_estimate,
-                       dixmier_formula, enumerate_spectrum)
+                       enumerate_spectrum)
 from .symbols import (ClassicalSymbol, HomTerm, classical_symbol, commutator,
                       hom_term, identity_symbol, laplace_shift_power,
                       leibniz_component, leibniz_compose, radial_term,

@@ -32,8 +32,8 @@ from .errors import (ConfigError, GradingError, IllConditionedFitError,
 from .heatzeta import fit_expansion, heat_samples, zeta_residue
 from .parametric import (resolvent_log_coefficient,
                          resolvent_log_coefficient_closed)
-from .residue import boundary_residue
-from .spectral import dixmier_estimate, dixmier_formula, enumerate_spectrum
+from .residue import boundary_residue, dixmier_formula
+from .spectral import dixmier_estimate, enumerate_spectrum
 from . import writers
 from .verify import run_all
 

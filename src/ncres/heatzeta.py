@@ -184,7 +184,8 @@ def fit_expansion(samples, exponents, log_exponents=()):
     error.  Needs at least twice as many samples as coefficients and a grid
     spanning >= 1.5 decades.  Reports the rms relative residual, the
     equilibrated condition number and a cross-validation delta (largest
-    coefficient change when refitting on every other sample).
+    coefficient change when refitting on every other sample).  ``samples``
+    is a :class:`HeatSamples`, whose certified tail must stay negligible.
     """
     t = np.asarray(samples.t, dtype=float)
     y = np.asarray(samples.values, dtype=float)
@@ -217,15 +218,14 @@ def fit_expansion(samples, exponents, log_exponents=()):
     cross = float(np.max(np.abs(coef - coef_half)))
     coeffs = {names[i]: float(coef[i]) for i in range(len(names))}
 
-    if getattr(samples, "tail_bounds", None) is not None:
-        # each fitted term must dominate the certified tail, by a factor
-        # of 10^3, where it peaks
-        contrib = [abs(c) * max(t.min() ** e, t.max() ** e)
-                   for (e, _), c in coeffs.items() if abs(c) > 1e-9]
-        if contrib and float(np.max(samples.tail_bounds)) > 1e-3 * min(contrib):
-            raise TailBoundError(
-                "certified tail is not negligible against the smallest "
-                "fitted contribution; raise the cutoff")
+    # each fitted term must dominate the certified tail, by a factor of
+    # 10^3, where it peaks
+    contrib = [abs(c) * max(t.min() ** e, t.max() ** e)
+               for (e, _), c in coeffs.items() if abs(c) > 1e-9]
+    if contrib and float(np.max(samples.tail_bounds)) > 1e-3 * min(contrib):
+        raise TailBoundError(
+            "certified tail is not negligible against the smallest "
+            "fitted contribution; raise the cutoff")
     return AsymptoticFit(tuple(float(e) for e in exponents),
                          tuple(float(e) for e in log_exponents),
                          coeffs, resid, cond, cross)

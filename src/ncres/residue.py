@@ -5,7 +5,9 @@ over the cosphere and the manifold; on the flat models used here (tori and
 finite cylinders) both integrals are closed-form, so the only floating
 point error is arithmetic.  The boundary extension adds, with weight 2*pi,
 the residues of the traced singular Green part and of the boundary
-pseudodifferential part over the boundary cosphere.
+pseudodifferential part over the boundary cosphere.  Dixmier's trace of
+an operator of order -n is that breakdown with each block normalised by
+its own order.
 
 Every cosphere integral, inside and on the boundary, is one call of
 :func:`~ncres.symbols.sphere_integrate`, which returns the trigonometric
@@ -128,7 +130,7 @@ def wodzicki_residue(a, geometry):
 
 
 # ---------------------------------------------------------------------------
-# full operator-matrix symbols and the boundary residue
+# full operator-matrix symbols, the boundary residue and Dixmier's trace
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,8 +177,7 @@ class BdMSymbol:
             raise DimensionMismatchError("boundary symbol dimension mismatch")
 
     def green_component(self, degree):
-        terms = [t for t in self.green if abs(t.degree - degree) < 1e-9]
-        return terms
+        return [t for t in self.green if abs(t.degree - degree) < 1e-9]
 
 
 @dataclass(frozen=True)
@@ -185,30 +186,6 @@ class ResidueBreakdown:
     green: complex
     boundary_pdo: complex
     total: complex
-
-
-def _interior_and_boundary_pdo(A):
-    """The two reads shared by the residue and the Dixmier formula.
-
-    Returns the interior residue of ``A.p`` (after the transmission check
-    on a geometry with boundary) and the boundary cosphere integral of the
-    trace of ``s_{1-n}``; an absent entry reads 0.
-    """
-    geo = A.geometry
-    interior = 0j
-    if A.p is not None:
-        if geo.has_boundary:
-            report = transmission_check(A.p)
-            if not report.ok:
-                raise TransmissionError(
-                    f"interior symbol violates transmission at "
-                    f"(degree, alpha', k) = {report.violation}")
-        interior = wodzicki_residue(A.p, geo)
-    pdo = 0j
-    if A.s is not None:
-        s_comp = A.s.component(1 - geo.dim).trace_part()
-        pdo = geo.boundary_integral(sphere_integrate(s_comp, geo.dim - 1))
-    return interior, pdo
 
 
 def boundary_residue(A):
@@ -225,18 +202,68 @@ def boundary_residue(A):
     """
     geo = A.geometry
     n = geo.dim
-    interior, pdo = _interior_and_boundary_pdo(A)
+    interior = 0j
+    if A.p is not None:
+        if geo.has_boundary:
+            report = transmission_check(A.p)
+            if not report.ok:
+                raise TransmissionError(
+                    f"interior symbol violates transmission at "
+                    f"(degree, alpha', k) = {report.violation}")
+        interior = wodzicki_residue(A.p, geo)
     if not geo.has_boundary:
         return ResidueBreakdown(interior, 0j, 0j, interior)
     if n < 2:
         raise DimensionMismatchError("boundary residue needs dim >= 2")
 
+    def on_boundary(term):
+        return TWO_PI * geo.boundary_integral(sphere_integrate(term, n - 1))
+
     green_sum = zero_term(1.0 - n, n - 1)
     for term in A.green_component(-n):
         green_sum = green_sum + tr_boundary_term(term).trace_part()
-    green_val = TWO_PI * geo.boundary_integral(
-        sphere_integrate(green_sum, n - 1))
-
-    pdo_val = TWO_PI * pdo
+    green_val = on_boundary(green_sum)
+    pdo_val = 0j
+    if A.s is not None:
+        pdo_val = on_boundary(A.s.component(1 - n).trace_part())
     total = interior + green_val + pdo_val
     return ResidueBreakdown(interior, green_val, pdo_val, total)
+
+
+def dixmier_formula(A):
+    """Dixmier trace of an operator matrix of order -n: each block of
+    :func:`boundary_residue` over (2 pi)^n times its own order.
+
+    The interior block is divided by n (Connes); tr G and S act on the
+    boundary with order 1-n, so the green and boundary blocks are divided
+    by n-1 (Fedosov-Golse-Leichtnam-Schrohe).  The off-diagonal K and T
+    are checked against the grading and contribute nothing.
+    """
+    n = A.geometry.dim
+    _validate_dixmier_grading(A, n)
+    r = boundary_residue(A)
+    total = r.interior / (TWO_PI ** n * n)
+    if A.geometry.has_boundary:
+        total += (r.green + r.boundary_pdo) / (TWO_PI ** n * (n - 1))
+    return total
+
+
+def _validate_dixmier_grading(A, n):
+    m = -n
+    if A.p is not None and A.p.order != m:
+        raise GradingError(f"interior symbol order {A.p.order} != {m}")
+    if A.type_d != 0:
+        raise GradingError("Dixmier trace needs type 0")
+    for t in A.green:
+        if t.degree > m + 1e-9:
+            raise GradingError("singular Green term above order -n")
+        if getattr(t.fiber, "type_d", 0) != 0:
+            raise GradingError("singular Green term must have type 0")
+    for t in A.potential:
+        if t.degree > m + 1e-9:
+            raise GradingError("potential term above order -n")
+    for t in A.trace_terms:
+        if t.degree > m + 1 + 1e-9:
+            raise GradingError("trace term above order -n+1")
+    if A.s is not None and A.s.order != m + 1:
+        raise GradingError(f"boundary symbol order {A.s.order} != {m + 1}")

@@ -26,7 +26,6 @@ import numpy as np
 
 from .errors import (GradingError, IllConditionedFitError, ResourceCapError,
                      WindowError)
-from .residue import TWO_PI, _interior_and_boundary_pdo
 
 MODE_CAP_DEFAULT = 300_000_000
 
@@ -368,48 +367,3 @@ def dixmier_estimate(spec, window_decades=2.0):
     return DixmierEstimate(float(slope), float(intercept),
                            (int(n_lo), int(n_max)), resid, pts,
                            sig, ratio, mf, tail, drift, consistent)
-
-
-# ---------------------------------------------------------------------------
-# symbol-side Dixmier trace
-
-
-def dixmier_formula(A):
-    """Dixmier trace of an operator matrix of order -n from its symbols.
-
-    Value: interior term  (2pi)^-n n^-1 * int_X int_S tr p_{-n} sigma dx
-    plus the boundary pseudodifferential term
-    (2pi)^(1-n) (n-1)^-1 * int_dX int_S' tr s_{1-n} sigma' dx'  (two-point
-    rule when n = 2).  The singular Green, potential and trace entries are
-    validated against the grading and then ignored: they cannot contribute.
-    """
-    n = A.geometry.dim
-    _validate_dixmier_grading(A, n)
-    interior, pdo = _interior_and_boundary_pdo(A)
-    total = 0j
-    if A.p is not None:
-        total += interior / (TWO_PI ** n * n)
-    if A.s is not None:
-        total += pdo / (TWO_PI ** (n - 1) * (n - 1))
-    return total
-
-
-def _validate_dixmier_grading(A, n):
-    m = -n
-    if A.p is not None and A.p.order != m:
-        raise GradingError(f"interior symbol order {A.p.order} != {m}")
-    if A.type_d != 0:
-        raise GradingError("Dixmier trace needs type 0")
-    for t in A.green:
-        if t.degree > m + 1e-9:
-            raise GradingError("singular Green term above order -n")
-        if getattr(t.fiber, "type_d", 0) != 0:
-            raise GradingError("singular Green term must have type 0")
-    for t in A.potential:
-        if t.degree > m + 1e-9:
-            raise GradingError("potential term above order -n")
-    for t in A.trace_terms:
-        if t.degree > m + 1 + 1e-9:
-            raise GradingError("trace term above order -n+1")
-    if A.s is not None and A.s.order != m + 1:
-        raise GradingError(f"boundary symbol order {A.s.order} != {m + 1}")

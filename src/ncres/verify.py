@@ -16,16 +16,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .halfline import boundary_term, pi_prime, rational, sg_trace, \
-    compose_gg, compose_kt, compose_tk
+from .halfline import boundary_term, pi_prime, rational, sg_symbol, \
+    sg_trace, simple_pole, compose_gg, compose_kt, compose_tk
 from .heatzeta import boundary_heat_test, fit_expansion, heat_samples, \
     zeta_residue
 from .parametric import heat_log_coefficient_from_resolvent, \
     resolvent_log_coefficient, resolvent_log_coefficient_closed
-from .residue import TWO_PI, BdMSymbol, Cylinder, Torus, wodzicki_residue
+from .residue import TWO_PI, BdMSymbol, Cylinder, Torus, dixmier_formula, \
+    wodzicki_residue
 from .sampling import random_minus_fn, random_plus_fn, random_sg, random_symbol
 from .spectral import SpectralWeight, SpectrumModel, dixmier_estimate, \
-    dixmier_formula, enumerate_spectrum
+    enumerate_spectrum
 from .symbols import classical_symbol, hom_term, laplace_shift_power, \
     leibniz_component, radial_term, sphere_moment
 from .writers import dixmier_csv, heat_csv
@@ -72,16 +73,21 @@ def check_trace_property(seed=0, pairs=100):
     rng = np.random.default_rng(seed)
     geo = Torus(2)
     worst = 0.0
+    empty = 0
     for _ in range(pairs):
         a = random_symbol(rng, n=2, max_order=2, depth=5)
         b = random_symbol(rng, n=2, max_order=2, depth=5)
-        r = wodzicki_residue(leibniz_component(a, b, -2)
-                             - leibniz_component(b, a, -2), geo)
+        ab = leibniz_component(a, b, -2)
+        ba = leibniz_component(b, a, -2)
+        # an empty product would pass the commutator gate vacuously
+        empty += ab.is_zero or ba.is_zero
+        r = wodzicki_residue(ab - ba, geo)
         worst = max(worst, abs(r) / (1.0 + a.norm1() * b.norm1()))
     return CheckResult(
-        "trace_property", worst <= 1e-8, worst, 0.0,
-        f"<= 1e-8 * scale over {pairs} seeded pairs",
-        f"worst scaled commutator residue {worst:.2e}")
+        "trace_property", worst <= 1e-8 and not empty, worst, 0.0,
+        f"<= 1e-8 * scale over {pairs} seeded pairs, no empty product",
+        f"worst scaled commutator residue {worst:.2e}, "
+        f"empty products {empty}")
 
 
 # --- 3 -----------------------------------------------------------------
@@ -151,15 +157,19 @@ def check_boundary_dixmier():
     A_b = BdMSymbol(Cylinder(2), s=classical_symbol([radial_term(-1, 1)], 1))
     f_c = dixmier_formula(A_c).real
     f_b = dixmier_formula(A_b).real
+    # G with normal kernel e^{-a(x+y)} at both ends, a = sqrt(1+k^2): tr G
+    # acts on the boundary with singular values ~ 1/|k|, Dixmier trace 2
+    g = boundary_term(radial_term(-2.0, 1), sg_symbol(
+        [(simple_pole(1j, -1j), simple_pole(-1j, 1j))]))
+    f_g = dixmier_formula(BdMSymbol(Cylinder(2), green=(g,))).real
     rng = np.random.default_rng(7)
-    g = boundary_term(hom_term(-2.0, 1, [(1.0, (0,), (0,), -2.0)]),
-                      random_sg(rng, type_d=0), kind="green")
     kterm = boundary_term(hom_term(-2.0, 1, [(0.5, (1,), (0,), -2.0)]),
                           random_plus_fn(rng), kind="potential")
     tterm = boundary_term(hom_term(-1.0, 1, [(0.5, (0,), (0,), -1.0)]),
                           random_minus_fn(rng), kind="trace")
-    A_pert = BdMSymbol(Cylinder(2), p=A_c.p, green=(g,),
-                       potential=(kterm,), trace_terms=(tterm,))
+    # K and T are off-diagonal: exactly inert
+    A_pert = BdMSymbol(Cylinder(2), p=A_c.p, potential=(kterm,),
+                       trace_terms=(tterm,))
     invariant = dixmier_formula(A_pert) == dixmier_formula(A_c)
     rels = [abs(est_c.slope - math.pi / 2) / (math.pi / 2),
             abs(est_b.slope - 4.0) / 4.0,
@@ -169,12 +179,13 @@ def check_boundary_dixmier():
             abs(est_b.slope - f_b) / f_b]
     ok = rels[0] <= 0.03 and rels[1] <= 0.02 and rels[2] <= 1e-12 \
         and rels[3] <= 1e-12 and rels[4] <= 0.03 and rels[5] <= 0.02 \
-        and invariant
+        and abs(f_g - 2.0) <= 1e-12 and invariant
     return CheckResult(
         "boundary_dixmier", ok, est_c.slope, math.pi / 2,
-        "cylinder 3%, boundary circles 2%, formula exact, g/k/t inert",
+        "cylinder 3%, boundary circles 2%, formula exact, green term 2 "
+        "at 1e-12, k/t inert",
         f"cylinder={est_c.slope:.6f} circles={est_b.slope:.6f} "
-        f"gkt_inert={invariant}")
+        f"green={f_g!r} kt_inert={invariant}")
 
 
 # --- 6 -----------------------------------------------------------------

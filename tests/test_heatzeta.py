@@ -22,6 +22,7 @@ PI = math.pi
 ONE = SpectralWeight(power=0.0)
 INV = SpectralWeight(power=-1.0, shift=1.0)
 AW = SpectralWeight(power=1.0, shift=1.0)
+LAM = SpectralWeight(power=1.0)
 
 
 def torus(cutoff=120):
@@ -51,12 +52,34 @@ def test_heat_trace_large_t_dominated_by_bottom_mode():
     assert v == pytest.approx(math.exp(-t), rel=1e-6)
 
 
-def test_heat_trace_small_t_leading_term():
-    # trace exp(-t(1-Delta)) ~ (pi/t) e^{-t}: fitted t^-1 coefficient near pi
-    grid = np.geomspace(1e-3, 5e-2, 30)
-    samples = heat_samples(ONE, AW, torus(300), grid)
-    fit = fit_expansion(samples, [-1.0, 0.0, 1.0, 2.0], [])
-    assert fit.coefficient(-1.0) == pytest.approx(PI, rel=5e-3)
+# Jacobi inversion: sum_j e^{-t j^2} = theta(t)
+# = sqrt(pi/t) sum_m e^{-pi^2 m^2/t}, so trace exp(t Delta) is theta^2 = pi/t
+# on T^2 and theta (theta - 1) / 2 = pi/(2t) - sqrt(pi/t)/2 on the Dirichlet
+# cylinder [0, pi] x S^1, up to terms below e^{-pi^2/t};
+# (exact trace, t^-1 and t^-1/2 coefficients)
+THETA_TRACES = {
+    "torus_lattice": (lambda th: th * th, PI, 0.0),
+    "dirichlet_cylinder": (lambda th: 0.5 * th * (th - 1.0), PI / 2,
+                           -math.sqrt(PI) / 2),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(THETA_TRACES))
+def test_heat_trace_small_t_leading_term(kind):
+    exact, c_inv, c_half = THETA_TRACES[kind]
+    spec = enumerate_spectrum(SpectrumModel(kind, 2, 300))
+    samples = heat_samples(ONE, LAM, spec, np.geomspace(1e-3, 5e-2, 40))
+    t = samples.t
+    theta = np.sqrt(PI / t) * sum(np.exp(-PI ** 2 * m * m / t)
+                                  for m in range(-6, 7))
+    want = exact(theta)
+    # truncation is certified; summing the distinct eigenvalues rounds
+    rounding = spec.values.size * np.finfo(float).eps * want
+    assert np.all(np.abs(samples.values - want)
+                  <= samples.tail_bounds + rounding)
+    fit = fit_expansion(samples, [-1.0, -0.5, 0.0, 0.5, 1.0], [])
+    assert fit.coefficient(-1.0) == pytest.approx(c_inv, abs=1e-9)
+    assert fit.coefficient(-0.5) == pytest.approx(c_half, abs=1e-9)
 
 
 def test_tail_bound_certifies_cutoff_doubling():

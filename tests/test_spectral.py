@@ -8,13 +8,14 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from ncres.errors import (GradingError, IllConditionedFitError,
-                          ResourceCapError, TransmissionError, WindowError)
-from ncres.halfline import boundary_term, compose_kt, simple_pole
-from ncres.residue import BdMSymbol, Cylinder, Torus
+from ncres.errors import (DimensionMismatchError, GradingError,
+                          IllConditionedFitError, ResourceCapError,
+                          TransmissionError, WindowError)
+from ncres.halfline import boundary_term, compose_kt, sg_symbol, simple_pole
+from ncres.residue import BdMSymbol, Cylinder, Torus, dixmier_formula
 from ncres.spectral import (SigmaCurve, SpectralWeight, SpectrumModel,
                             StepFunction, cesaro_mean, dixmier_estimate,
-                            dixmier_formula, enumerate_spectrum)
+                            enumerate_spectrum)
 from ncres.symbols import (classical_symbol, hom_term, laplace_shift_power,
                            radial_term)
 
@@ -278,6 +279,9 @@ def test_trace_class_estimate_zero():
 def test_dixmier_formula_values():
     A = BdMSymbol(Torus(2), p=laplace_shift_power(2, -1.0, 2))
     assert dixmier_formula(A) == pytest.approx(PI)
+    # no boundary, no division by n - 1 = 0: |xi|^-1 on the circle gives 2
+    A1 = BdMSymbol(Torus(1), p=classical_symbol([radial_term(-1.0, 1)], 1))
+    assert dixmier_formula(A1) == 2.0
     Ac = BdMSymbol(Cylinder(2), p=classical_symbol([radial_term(-2.0, 2)], 2))
     assert dixmier_formula(Ac) == pytest.approx(PI / 2)
     Ab = BdMSymbol(Cylinder(2), s=classical_symbol([radial_term(-1.0, 1)], 1))
@@ -292,19 +296,33 @@ def test_dixmier_formula_linearity_positivity():
     assert dixmier_formula(A1).real > 0
 
 
-def test_dixmier_formula_ignores_g_k_t():
+def test_dixmier_formula_ignores_k_t():
+    # K and T are off-diagonal entries of the operator matrix
     p = classical_symbol([radial_term(-2.0, 2)], 2)
     base = dixmier_formula(BdMSymbol(Cylinder(2), p=p))
-    g = boundary_term(hom_term(-2.0, 1, [(1.0, (0,), (0,), -2.0)]),
-                      compose_kt(simple_pole(1j), simple_pole(-1j)),
-                      kind="green")
     k = boundary_term(hom_term(-2.0, 1, [(1.0, (1,), (0,), -2.0)]),
                       simple_pole(1j), kind="potential")
     t = boundary_term(hom_term(-1.0, 1, [(1.0, (0,), (0,), -1.0)]),
                       simple_pole(-1j), kind="trace")
-    pert = BdMSymbol(Cylinder(2), p=p, green=(g,), potential=(k,),
-                     trace_terms=(t,))
+    pert = BdMSymbol(Cylinder(2), p=p, potential=(k,), trace_terms=(t,))
     assert dixmier_formula(pert) == base   # exactly, not approximately
+
+
+def test_dixmier_formula_green_matches_spectrum():
+    # G on [0, pi] x S^1 with normal kernel e^{-a(x+y)} at both ends per
+    # Fourier mode k, a = sqrt(1+k^2): on the span of e^{-ax}, e^{-a(pi-x)}
+    # its eigenvalues are d +- o, d = (1 - e^{-2 pi a})/(2a), o = pi e^{-pi a}
+    g = boundary_term(radial_term(-2.0, 1), sg_symbol(
+        [(simple_pole(1j, -1j), simple_pole(-1j, 1j))]))
+    formula = dixmier_formula(BdMSymbol(Cylinder(2), green=(g,)))
+    a = np.sqrt(1.0 + np.arange(-10 ** 5, 10 ** 5 + 1.0) ** 2)
+    d = -np.expm1(-2 * PI * a) / (2 * a)
+    o = PI * np.exp(-PI * a)
+    sv = -np.sort(-np.concatenate([d + o, d - o]))
+    n = np.arange(sv.size // 100, sv.size + 1)
+    slope = np.polyfit(np.log(n), np.cumsum(sv)[n - 1], 1)[0]
+    assert formula == pytest.approx(2.0, abs=1e-12)
+    assert slope == pytest.approx(formula.real, rel=0.02)
 
 
 def test_dixmier_formula_grading_enforced():
@@ -318,6 +336,10 @@ def test_dixmier_formula_grading_enforced():
                     green=(g_type1,))
     with pytest.raises(GradingError):
         dixmier_formula(bad)
+    # the boundary of [0, pi] is a point: no boundary cosphere to read
+    p1 = classical_symbol([radial_term(-1.0, 1)], 1)
+    with pytest.raises(DimensionMismatchError):
+        dixmier_formula(BdMSymbol(Cylinder(1), p=p1))
 
 
 def test_dixmier_formula_requires_transmission():
