@@ -150,11 +150,10 @@ def _dispatch(cfg):
 
     if task == "dixmier":
         section = cfg["dixmier"]
-        model = build_model({**section["model"],
-                             "weight": section["weight"]})
+        spec = enumerate_spectrum(build_model(section["model"]))
         try:
             est = dixmier_estimate(
-                enumerate_spectrum(model),
+                spec, build_weight(section["weight"]),
                 window_decades=section.get("window_decades", 2.0))
         except GradingError as exc:
             # a growing or non-positive weight is outside the estimator's

@@ -298,8 +298,6 @@ def build_model(spec):
     """A validated model section; an absent field takes the dataclass
     default."""
     fields = dict(spec)
-    if "weight" in fields:
-        fields["weight"] = build_weight(fields["weight"])
     if "mode_cap" in fields:
         fields["mode_cap"] = int(fields["mode_cap"])
     return SpectrumModel(**fields)

@@ -119,8 +119,10 @@ def heat_samples(p_weight, a_weight, spec, t_grid, tail_tol=None):
     sample carries its certified tail bound, and :class:`TailBoundError` is
     raised when one exceeds ``tail_tol``.  It bounds truncation, not rounding:
     at cutoff 300 on T^2 it is 6.7e-41, yet samples differ from the exact
-    theta-inversion value by up to 3.6e-15.  Exponentials that underflow to
-    0.0 are not evaluated; the sums are the same as if they were.
+    theta-inversion value by up to 3.6e-15.  The sum runs from the top
+    eigenvalue down, so a decaying sum adds its smallest terms first.
+    Exponentials that underflow to 0.0 are not evaluated; the sums are the
+    same as if they were.
     """
     if a_weight.power != 1.0 or a_weight.rate != 0.0 \
             or not a_weight.scale > 0.0:
@@ -128,9 +130,9 @@ def heat_samples(p_weight, a_weight, spec, t_grid, tail_tol=None):
             f"A weight {a_weight.describe()} is not affine in the "
             f"eigenvalue: need power 1, rate 0 and scale > 0")
     t_grid = _descending_grid(t_grid)
-    lam = spec.values
+    lam = spec.values[::-1]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        pw = p_weight(lam) * spec.counts
+        pw = p_weight(lam) * spec.counts[::-1]
     if not np.all(np.isfinite(pw)):
         raise ConfigError(
             f"P weight {p_weight.describe()} is not finite on the spectrum")
@@ -260,8 +262,9 @@ def zeta_residue(p_weight, a_weight, spec, sigma, t_grid=None,
 
     The unit-interval piece of Gamma(s) trace(P A^-s) is continued through
     the fitted small-t expansion (the candidate power t^-sigma is always
-    included so a regular point fits ~0); the piece beyond t = 1 is entire
-    and only reported as a diagnostic.
+    included so a regular point fits ~0, and at sigma = 0 the log slot
+    t^0 ln t that holds the residue); the piece beyond t = 1 is entire and
+    only reported as a diagnostic.
     """
     if sigma < 0:
         raise ValueError("only sigma >= 0 residues are implemented")
@@ -272,6 +275,8 @@ def zeta_residue(p_weight, a_weight, spec, sigma, t_grid=None,
     exps = list(exponents) if exponents is not None else d_exps
     logexps = list(log_exponents) if log_exponents is not None else d_logs
     exps = sorted(set(float(e) for e in exps) | {-float(sigma)})
+    if sigma == 0 and 0.0 not in logexps:
+        logexps.append(0.0)
     fit = fit_expansion(samples, exps, logexps)
     if sigma == 0:
         residue = -fit.coefficient(0.0, log=True)

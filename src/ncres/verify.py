@@ -121,13 +121,14 @@ def check_boundary_algebra(seed=0, pairs=50):
 # --- 4 -----------------------------------------------------------------
 
 
-def connes_model(cutoff=4000):
-    return SpectrumModel("torus_lattice", 2, cutoff,
-                         SpectralWeight(power=-1.0, shift=1.0))
+def connes_estimate(cutoff=4000):
+    return dixmier_estimate(enumerate_spectrum(
+        SpectrumModel("torus_lattice", 2, cutoff)),
+        SpectralWeight(power=-1.0, shift=1.0))
 
 
 def check_connes_identity():
-    slope = dixmier_estimate(enumerate_spectrum(connes_model())).slope
+    slope = connes_estimate().slope
     res = wodzicki_residue(laplace_shift_power(2, -1.0, 2), Torus(2)).real
     rel = max(abs(slope - math.pi) / math.pi,
               abs(TWO_PI ** 2 * 2 * slope - res) / res)
@@ -140,19 +141,18 @@ def check_connes_identity():
 # --- 5 -----------------------------------------------------------------
 
 
-def boundary_models(cutoff=4000, boundary_cutoff=10 ** 6):
-    cyl = SpectrumModel("dirichlet_cylinder", 2, cutoff,
-                        SpectralWeight(power=-1.0, shift=0.0))
-    bdry = SpectrumModel("boundary_lattice", 1, boundary_cutoff,
-                         SpectralWeight(power=-0.5, shift=1.0), copies=2)
-    return cyl, bdry
+def cylinder_estimate(cutoff=4000):
+    return dixmier_estimate(enumerate_spectrum(
+        SpectrumModel("dirichlet_cylinder", 2, cutoff)),
+        SpectralWeight(power=-1.0, shift=0.0))
 
 
 def check_boundary_dixmier():
-    cyl_model, bdry_model = boundary_models()
     # one spectrum alive at a time: the cylinder's is the large one
-    est_c = dixmier_estimate(enumerate_spectrum(cyl_model))
-    est_b = dixmier_estimate(enumerate_spectrum(bdry_model))
+    est_c = cylinder_estimate()
+    est_b = dixmier_estimate(enumerate_spectrum(
+        SpectrumModel("boundary_lattice", 1, 10 ** 6, copies=2)),
+        SpectralWeight(power=-0.5, shift=1.0))
     A_c = BdMSymbol(Cylinder(2), p=classical_symbol([radial_term(-2, 2)], 2))
     A_b = BdMSymbol(Cylinder(2), s=classical_symbol([radial_term(-1, 1)], 1))
     f_c = dixmier_formula(A_c).real
@@ -289,8 +289,7 @@ def check_determinism():
     # keeps the name that callers match on; compares two runs byte for byte
     def run():
         parts = []
-        est = dixmier_estimate(enumerate_spectrum(connes_model(cutoff=800)))
-        parts.append(dixmier_csv(est, {}))
+        parts.append(dixmier_csv(connes_estimate(cutoff=800), {}))
         spec, pw = heat_log_inputs(cutoff=200)
         aw = SpectralWeight(power=1.0, shift=1.0)
         s = heat_samples(pw, aw, spec, np.geomspace(1e-3, 5e-2, 25))
@@ -299,9 +298,7 @@ def check_determinism():
                          exponents=[0.0, 0.5, 1.0, 1.5, 2.0],
                          log_exponents=[0.0, 1.0])
         parts.append(repr(z.residue).encode())
-        cyl, _ = boundary_models(cutoff=500, boundary_cutoff=2000)
-        parts.append(dixmier_csv(dixmier_estimate(enumerate_spectrum(cyl)),
-                                 {}))
+        parts.append(dixmier_csv(cylinder_estimate(cutoff=500), {}))
         return b"|".join(parts)
 
     same = run() == run()

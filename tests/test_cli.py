@@ -206,10 +206,8 @@ def test_builders_leave_defaults_to_the_dataclasses():
     assert plain == SpectrumModel("torus_lattice", 2, 50)
     assert repr(plain) == repr(SpectrumModel("torus_lattice", 2, 50))
     full = build_model({"kind": "dirichlet_cylinder", "dim": 2, "cutoff": 9,
-                        "weight": {"power": -1}, "copies": 2,
-                        "mode_cap": 1e6})
-    assert full == SpectrumModel("dirichlet_cylinder", 2, 9,
-                                 SpectralWeight(power=-1), 2, 1_000_000)
+                        "copies": 2, "mode_cap": 1e6})
+    assert full == SpectrumModel("dirichlet_cylinder", 2, 9, 2, 1_000_000)
     assert type(full.mode_cap) is int
 
 
@@ -230,6 +228,19 @@ def test_tolerance_failure_exit_code(tmp_path):
     code = run(["zeta", "--config", CONFIGS / "zeta_epstein.json",
                 "--out", tmp_path, "--set", "zeta.model.cutoff=40"])
     assert code == 3
+
+
+def test_zeta_at_zero_without_log_slots(tmp_path):
+    # the s = 0 residue is read off the t^0 ln t slot, which the fit adds
+    # when the document lists none; the Epstein zeta is regular at 0
+    code = run(["zeta", "--config", CONFIGS / "zeta_epstein.json",
+                "--out", tmp_path, "--set", "zeta.sigma=0",
+                "--set", "zeta.log_exponents=[]"])
+    assert code == 0
+    lines = (tmp_path / "zeta.csv").read_text().splitlines()
+    residue = [l for l in lines if l.startswith("# residue=")][0]
+    assert abs(float(residue.partition("=")[2])) < 1e-4
+    assert any(l.startswith("0.0,1,") for l in lines)
 
 
 def test_set_override_and_hash_changes(tmp_path):
@@ -316,9 +327,10 @@ def test_dixmier_weight_outside_domain_exit_code(tmp_path, capsys, override):
     assert err.startswith("config error:") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("shift", ["1e-300", "1e-150", "1e-30"])
+@pytest.mark.parametrize("shift", ["1e-300", "1e-150", "1e-30", "1e-320"])
 def test_degenerate_dixmier_fit_exit_code(tmp_path, capsys, shift):
-    # one weight dwarfs the log growth of the partial sums
+    # one weight dwarfs the log growth of the partial sums; at 1e-320 it
+    # overflows to inf, which no warning may turn into a crash
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = run(["dixmier", "--config", CONFIGS / "dixmier_torus.json",

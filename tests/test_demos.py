@@ -16,6 +16,8 @@ def test_demo_runs(script, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    # pytest's filterwarnings does not reach a subprocess
+    env["PYTHONWARNINGS"] = "error"
     proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path,
                           env=env, capture_output=True, text=True,
                           timeout=300)

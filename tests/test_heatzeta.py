@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.special import exp1
 
 from ncres.errors import (ConfigError, IllConditionedFitError, TailBoundError,
                           WindowError)
@@ -80,6 +81,63 @@ def test_heat_trace_small_t_leading_term(kind):
     fit = fit_expansion(samples, [-1.0, -0.5, 0.0, 0.5, 1.0], [])
     assert fit.coefficient(-1.0) == pytest.approx(c_inv, abs=1e-9)
     assert fit.coefficient(-0.5) == pytest.approx(c_half, abs=1e-9)
+
+
+def theta_flat(kind, s):
+    """Theta(s) - c/s - h/sqrt(s) for the (c, h) of THETA_TRACES, flat at
+    s = 0.  With theta = r (1 + 2E), r = sqrt(pi/s) and E = sum_{m >= 1}
+    e^{-pi^2 m^2/s}, no singular term is subtracted in floating point."""
+    r = math.sqrt(PI / s)
+    e = math.fsum(math.exp(-PI ** 2 * m * m / s) for m in range(1, 80))
+    flat = 4.0 * r * r * e * (1.0 + e)   # theta^2 - pi/s
+    if kind == "dirichlet_cylinder":
+        flat = 0.5 * flat - r * e        # (theta^2 - theta)/2 - pi/2s + r/2
+    return flat
+
+
+S_END = 60.0   # e^-s Theta(s) beyond it is below 1e-25
+
+
+def flat_integral(kind, lo, hi):
+    g = lambda s: math.exp(-s) * theta_flat(kind, s)
+    return sum(quad(g, a, b, epsabs=1e-15, epsrel=1e-14, limit=200)[0]
+               for a, b in ((lo, min(hi, 1.0)), (max(lo, 1.0), hi)) if a < b)
+
+
+@pytest.mark.parametrize("kind", sorted(THETA_TRACES))
+def test_heat_trace_of_the_resolvent_matches_theta_inversion(kind):
+    # P = (1 + Delta)^-1 and A = 1 + Delta: the trace is
+    # F(t) = int_t^inf e^-s Theta(s) ds = c E_1(t) + h Gamma(1/2, t)
+    #        + int_t^inf e^-s (Theta - c/s - h/sqrt(s)) ds,
+    # so ln t carries -c, t^0 -c gamma + h sqrt(pi) + int_0^inf of the
+    # flat part, t^1/2 -2h and t^1 c
+    _, c, h = THETA_TRACES[kind]
+    spec = enumerate_spectrum(SpectrumModel(kind, 2, 300))
+    samples = heat_samples(INV, AW, spec, np.geomspace(1e-3, 5e-2, 40))
+    want = np.array([c * exp1(t) + h * math.sqrt(PI) * math.erfc(math.sqrt(t))
+                     + flat_integral(kind, t, S_END) for t in samples.t])
+    rounding = spec.values.size * np.finfo(float).eps * want
+    assert np.all(np.abs(samples.values - want)
+                  <= samples.tail_bounds + rounding)
+    fit = fit_expansion(samples, [0.0, 0.5, 1.0, 1.5, 2.0], [0.0, 1.0])
+    t0 = -c * np.euler_gamma + h * math.sqrt(PI) \
+        + flat_integral(kind, 0.0, S_END)
+    assert fit.coefficient(0.0, log=True) == pytest.approx(-c, rel=2e-5)
+    assert fit.coefficient(0.0) == pytest.approx(t0, rel=2e-4)
+    assert fit.coefficient(0.5) == pytest.approx(-2.0 * h, abs=5e-3)
+    assert fit.coefficient(1.0) == pytest.approx(c, rel=0.05)
+
+
+def test_zeta_entire_part_of_the_resolvent_matches_theta_inversion():
+    # int_1^40 F(t) dt/t = int_1^inf e^-s Theta(s) ln min(s, 40) ds
+    z = zeta_residue(INV, AW, torus(300), 0.0,
+                     exponents=[0.0, 0.5, 1.0, 1.5, 2.0],
+                     log_exponents=[0.0, 1.0])
+    exact = THETA_TRACES["torus_lattice"][0]
+    want = quad(lambda s: math.exp(-s) * exact(theta_1d(s))
+                * math.log(min(s, 40.0)), 1.0, S_END, points=[40.0],
+                limit=200)[0]
+    assert z.entire_part == pytest.approx(want, rel=1e-3)
 
 
 def test_tail_bound_certifies_cutoff_doubling():
@@ -158,9 +216,11 @@ def test_t_grid_outside_domain_rejected(grid):
 
 
 def _dense_heat(p_weight, a_weight, spec, t):
-    # every exponential evaluated, underflowing or not
-    pw = p_weight(spec.values) * spec.counts
-    aw = a_weight(spec.values)
+    # every exponential evaluated, underflowing or not, from the top
+    # eigenvalue down as heat_samples sums
+    lam = spec.values[::-1]
+    pw = p_weight(lam) * spec.counts[::-1]
+    aw = a_weight(lam)
     return chunked_sum(
         lambda lo, hi: np.exp(-np.outer(t, aw[lo:hi])) @ pw[lo:hi], aw.size)
 
@@ -171,15 +231,12 @@ WIDE = np.geomspace(1.0, 40.0, 200)           # almost every term underflows
 
 
 @pytest.mark.parametrize("weight", [
-    SpectralWeight(),                          # descending eigenvalues
-    SpectralWeight(power=-1.0, shift=1.0),     # ascending
-    SpectralWeight(power=1.0, rate=0.01)])     # neither
+    ONE, INV, SpectralWeight(power=-2.0, shift=0.5, rate=0.01)])
 @pytest.mark.parametrize("grid", [MIXED, NO_UNDERFLOW, WIDE])
 def test_heat_samples_match_dense_sum(weight, grid):
-    spec = enumerate_spectrum(
-        SpectrumModel("torus_lattice", 2, 120, weight=weight))
-    s = heat_samples(INV, AW, spec, grid)
-    assert s.values.tobytes() == _dense_heat(INV, AW, spec, s.t).tobytes()
+    spec = torus(120)
+    s = heat_samples(weight, AW, spec, grid)
+    assert s.values.tobytes() == _dense_heat(weight, AW, spec, s.t).tobytes()
 
 
 def test_heat_samples_match_dense_sum_over_two_chunks():
@@ -282,6 +339,23 @@ def test_zeta_residue_at_zero():
     assert z.residue == pytest.approx(PI, rel=0.02)
 
 
+@pytest.mark.parametrize("p_weight, exponents, residue", [
+    (INV, [0.0, 0.5, 1.0, 1.5, 2.0], PI),
+    (ONE, [-1.0, 0.0, 1.0, 2.0, 3.0], 0.0)])
+def test_zeta_residue_at_zero_adds_its_log_slot(p_weight, exponents,
+                                                residue):
+    # at s = 0 the residue is minus the t^0 ln t coefficient, which the fit
+    # holds even when no log slot is asked for
+    spec = torus(300)
+    z = zeta_residue(p_weight, AW, spec, 0.0, exponents=exponents,
+                     log_exponents=[])
+    assert z.fit.log_exponents == (0.0,)
+    assert z.residue == pytest.approx(residue, rel=1e-5, abs=1e-4)
+    same = zeta_residue(p_weight, AW, spec, 0.0, exponents=exponents,
+                        log_exponents=[0.0])
+    assert same.residue == z.residue
+
+
 def test_zeta_regular_point_residue_zero():
     z = zeta_residue(ONE, AW, torus(300), 2.0,
                      exponents=[-1.0, 0.0, 1.0, 2.0, 3.0], log_exponents=[])
@@ -300,9 +374,10 @@ def test_zeta_entire_part_matches_quadrature():
 
 
 def test_consumers_take_the_spectrum_without_enumerating(monkeypatch):
-    heat_spec = torus(300)
-    dixmier_spec = enumerate_spectrum(
-        SpectrumModel("torus_lattice", 2, 300, INV))
+    # one enumeration feeds every reading: Dixmier's trace, the heat trace
+    # and the zeta residue of operators on the same spectrum
+    spec = torus(300)
+    before = spec.values.tobytes(), spec.counts.tobytes()
 
     def enumerate_again(model):
         raise AssertionError(f"{model} enumerated again")
@@ -311,10 +386,16 @@ def test_consumers_take_the_spectrum_without_enumerating(monkeypatch):
         if name.split(".")[0] == "ncres" \
                 and hasattr(module, "enumerate_spectrum"):
             monkeypatch.setattr(module, "enumerate_spectrum", enumerate_again)
-    heat_samples(INV, AW, heat_spec, np.geomspace(1e-3, 5e-2, 12))
-    zeta_residue(ONE, AW, heat_spec, 1.0,
-                 exponents=[-1.0, 0.0, 1.0, 2.0, 3.0], log_exponents=[])
-    dixmier_estimate(dixmier_spec)
+    assert dixmier_estimate(spec, INV).slope == pytest.approx(PI, rel=0.01)
+    heat = fit_expansion(heat_samples(INV, AW, spec, np.geomspace(1e-3, 5e-2,
+                                                                  40)),
+                         [0.0, 0.5, 1.0, 1.5, 2.0], [0.0, 1.0])
+    assert heat.coefficient(0.0, log=True) == pytest.approx(-PI, rel=0.02)
+    zeta = zeta_residue(ONE, AW, spec, 1.0,
+                        exponents=[-1.0, 0.0, 1.0, 2.0, 3.0],
+                        log_exponents=[])
+    assert zeta.residue == pytest.approx(PI, rel=0.01)
+    assert (spec.values.tobytes(), spec.counts.tobytes()) == before
 
 
 # ---------------------------------------------------------------------------

@@ -24,26 +24,26 @@ INV = SpectralWeight(power=-1.0, shift=1.0)
 
 
 def test_enumerate_torus_small():
-    sp = enumerate_spectrum(SpectrumModel("torus_lattice", 2, 1, INV))
+    sp = enumerate_spectrum(SpectrumModel("torus_lattice", 2, 1))
     assert list(sp.values) == [0.0, 1.0]
     assert list(sp.counts) == [1, 4]
 
 
 def test_enumerate_dirichlet_cylinder_small():
-    sp = enumerate_spectrum(SpectrumModel("dirichlet_cylinder", 2, 2, INV))
+    sp = enumerate_spectrum(SpectrumModel("dirichlet_cylinder", 2, 2))
     assert list(sp.values) == [1.0, 2.0, 4.0]
     assert list(sp.counts) == [1, 2, 1]
 
 
 def test_enumerate_boundary_lattice_small():
     sp = enumerate_spectrum(
-        SpectrumModel("boundary_lattice", 1, 3, INV, copies=2))
+        SpectrumModel("boundary_lattice", 1, 3, copies=2))
     assert list(sp.values) == [0.0, 1.0, 4.0, 9.0]
     assert list(sp.counts) == [2, 4, 4, 4]
 
 
 def test_enumerate_torus_3d_counts():
-    sp = enumerate_spectrum(SpectrumModel("torus_lattice", 3, 2, INV))
+    sp = enumerate_spectrum(SpectrumModel("torus_lattice", 3, 2))
     # |k|^2 = 0,1,2,3,4 with multiplicities 1,6,12,8,6
     assert list(sp.values[:5]) == [0.0, 1.0, 2.0, 3.0, 4.0]
     assert list(sp.counts[:5]) == [1, 6, 12, 8, 6]
@@ -51,15 +51,15 @@ def test_enumerate_torus_3d_counts():
 
 def test_mode_cap_raises_before_allocation():
     with pytest.raises(ResourceCapError):
-        enumerate_spectrum(SpectrumModel("torus_lattice", 2, 10 ** 6, INV))
+        enumerate_spectrum(SpectrumModel("torus_lattice", 2, 10 ** 6))
 
 
 def test_enumeration_deterministic():
-    m = SpectrumModel("torus_lattice", 2, 50, INV)
+    m = SpectrumModel("torus_lattice", 2, 50)
     a = enumerate_spectrum(m)
     b = enumerate_spectrum(m)
     assert np.array_equal(a.values, b.values)
-    assert np.array_equal(a.weights, b.weights)
+    assert np.array_equal(a.counts, b.counts)
 
 
 def _brute_force(kind, dim, cutoff, copies):
@@ -82,7 +82,7 @@ def test_enumeration_matches_brute_force(kind, dim):
     for cutoff in (1, 2, 7.5, 13):
         for copies in (1, 3):
             sp = enumerate_spectrum(
-                SpectrumModel(kind, dim, cutoff, INV, copies=copies))
+                SpectrumModel(kind, dim, cutoff, copies=copies))
             oracle = _brute_force(kind, dim, cutoff, copies)
             assert list(sp.values) == sorted(oracle)
             assert list(sp.counts) == [oracle[m] for m in sorted(oracle)]
@@ -96,7 +96,7 @@ def test_torus_counts_match_jacobi_two_squares():
         sign = 1 if d % 4 == 1 else -1
         for m in range(d, M + 1, d):
             d13[m] += sign
-    sp = enumerate_spectrum(SpectrumModel("torus_lattice", 2, 100, INV))
+    sp = enumerate_spectrum(SpectrumModel("torus_lattice", 2, 100))
     r2 = dict(zip(sp.values.astype(int).tolist(), sp.counts.tolist()))
     for m in range(1, M + 1):
         assert r2.get(m, 0) == 4 * d13[m], m
@@ -106,22 +106,24 @@ def test_torus_counts_match_jacobi_two_squares():
                                   "boundary_lattice"])
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_enumeration_dtypes_and_order(kind, dim):
-    flat = enumerate_spectrum(
-        SpectrumModel(kind, dim, 9, SpectralWeight(power=0.0), copies=2))
-    assert flat.counts.dtype == np.int64
-    assert flat.values.dtype == np.float64
-    assert np.all(np.diff(flat.values) > 0)      # constant weight: ascending
-    grow = enumerate_spectrum(
-        SpectrumModel(kind, dim, 9, SpectralWeight(power=1.0), copies=2))
-    assert np.array_equal(grow.values, flat.values[::-1])
-    assert np.array_equal(grow.counts, flat.counts[::-1])
-    assert np.all(np.diff(grow.weights) <= 0)
+    sp = enumerate_spectrum(SpectrumModel(kind, dim, 9, copies=2))
+    assert sp.counts.dtype == np.int64
+    assert sp.values.dtype == np.float64
+    assert np.all(np.diff(sp.values) > 0)
+    assert np.all(sp.counts >= 2)
 
 
 def test_boundary_copies_must_be_positive():
     for kind in ("torus_lattice", "dirichlet_cylinder", "boundary_lattice"):
         with pytest.raises(ValueError):
-            enumerate_spectrum(SpectrumModel(kind, 2, 5, INV, copies=0))
+            enumerate_spectrum(SpectrumModel(kind, 2, 5, copies=0))
+
+
+def sigma_curve(spec, weight):
+    """The partial sums of ``weight`` over ``spec``, as the estimator
+    builds them."""
+    w = weight(spec.values)
+    return SigmaCurve(np.cumsum(spec.counts), np.cumsum(spec.counts * w), w)
 
 
 def test_sigma_n_harmonic():
@@ -160,9 +162,9 @@ def test_norm_1inf_growth_flag():
     # lam^(-n/4) on a 2-d lattice: sigma_N ~ sqrt(N), ratio grows; the sup
     # over a geometric N grid sits at the last point only then
     def sup_at_tail(power):
-        model = SpectrumModel("dirichlet_cylinder", 2, 150,
-                              SpectralWeight(power=power, shift=0.0))
-        curve = SigmaCurve.from_spectrum(enumerate_spectrum(model))
+        curve = sigma_curve(
+            enumerate_spectrum(SpectrumModel("dirichlet_cylinder", 2, 150)),
+            SpectralWeight(power=power, shift=0.0))
         ns = np.unique(np.round(np.geomspace(2, curve.n_max, 4000))
                        .astype(np.int64))
         ratio = _log_ratio(curve, ns)
@@ -172,10 +174,9 @@ def test_norm_1inf_growth_flag():
 
 
 def test_sigma_curve_matches_direct_sum():
-    m = SpectrumModel("torus_lattice", 2, 20, INV)
-    sp = enumerate_spectrum(m)
-    expanded = np.repeat(sp.weights, sp.counts)
-    curve = SigmaCurve.from_spectrum(sp)
+    sp = enumerate_spectrum(SpectrumModel("torus_lattice", 2, 20))
+    expanded = np.repeat(INV(sp.values), sp.counts)
+    curve = sigma_curve(sp, INV)
     for N in (1, 2, 5, 17, expanded.size):
         assert curve.sigma(N) == pytest.approx(expanded[:N].sum(), rel=1e-13)
 
@@ -217,22 +218,21 @@ def test_cesaro_window_too_small():
 # Dixmier estimation
 
 
-def estimate(model):
-    return dixmier_estimate(enumerate_spectrum(model))
+def estimate(model, weight):
+    return dixmier_estimate(enumerate_spectrum(model), weight)
 
 
 def test_dixmier_estimate_torus_modest_cutoff():
-    est = estimate(SpectrumModel("torus_lattice", 2, 500, INV))
+    est = estimate(SpectrumModel("torus_lattice", 2, 500), INV)
     assert est.slope == pytest.approx(PI, rel=5e-3)
     assert est.fit_residual < 0.05
     assert est.omega_consistent
 
 
 def test_dixmier_estimate_requires_monotone_weight():
-    bad = SpectrumModel("torus_lattice", 2, 100,
-                        SpectralWeight(power=1.0, shift=1.0))
     with pytest.raises(GradingError):
-        estimate(bad)
+        estimate(SpectrumModel("torus_lattice", 2, 100),
+                 SpectralWeight(power=1.0, shift=1.0))
 
 
 @pytest.mark.parametrize("weight", [
@@ -242,7 +242,7 @@ def test_dixmier_estimate_requires_monotone_weight():
     SpectralWeight(power=-1.0, shift=1.0, scale=-1.0)])
 def test_dixmier_estimate_rejects_weight_outside_domain(weight):
     with pytest.raises(GradingError):
-        estimate(SpectrumModel("torus_lattice", 2, 300, weight))
+        estimate(SpectrumModel("torus_lattice", 2, 300), weight)
 
 
 @pytest.mark.parametrize("shift", [1e-300, 1e-150, 1e-30])
@@ -251,19 +251,41 @@ def test_dixmier_slope_below_rounding_floor_raises(shift):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(IllConditionedFitError):
-            estimate(SpectrumModel("torus_lattice", 2, 300,
-                                   SpectralWeight(power=-1.0, shift=shift)))
+            estimate(SpectrumModel("torus_lattice", 2, 300),
+                     SpectralWeight(power=-1.0, shift=shift))
+
+
+@pytest.mark.parametrize("decades", [math.nan, 0.0, -1.0, 1e-17])
+def test_dixmier_window_outside_domain_rejected(decades):
+    # NaN, no decade, a negative one, or one so thin that 10^decades
+    # rounds to 1 and the window holds a single N
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(WindowError):
+            dixmier_estimate(
+                enumerate_spectrum(SpectrumModel("torus_lattice", 2, 100)),
+                INV, window_decades=decades)
+
+
+def test_dixmier_window_wider_than_the_spectrum_starts_at_two():
+    spec = enumerate_spectrum(SpectrumModel("torus_lattice", 2, 100))
+    n_max = int(spec.counts.sum())
+    for decades in (400, 400.5, math.inf):
+        est = dixmier_estimate(spec, INV, window_decades=decades)
+        assert est.window == (2, n_max)
+    narrow = dixmier_estimate(spec, INV, window_decades=0.3)
+    assert narrow.window == (int(n_max / 10 ** 0.3), n_max)
 
 
 def test_sigma_ratio_near_pi_at_top():
     # the raw sigma_N / ln N functional sits within 10% at this cutoff
-    est = estimate(SpectrumModel("torus_lattice", 2, 2000, INV))
+    est = estimate(SpectrumModel("torus_lattice", 2, 2000), INV)
     assert est.ratio_values[-1] == pytest.approx(PI, rel=0.10)
 
 
 def test_trace_class_estimate_zero():
     w = SpectralWeight(power=-3.0, shift=1.0)   # order -6 on a 2-d lattice
-    est = estimate(SpectrumModel("torus_lattice", 2, 300, w))
+    est = estimate(SpectrumModel("torus_lattice", 2, 300), w)
     assert abs(est.slope) < 1e-3
     # the Cesaro corroboration decays only like ln ln N / ln N
     mid = est.cesaro_values[est.cesaro_values.size // 4]
@@ -352,8 +374,8 @@ def test_dixmier_formula_requires_transmission():
 
 
 def test_estimate_matches_formula_cylinder():
-    est = estimate(SpectrumModel(
-        "dirichlet_cylinder", 2, 700, SpectralWeight(power=-1.0, shift=0.0)))
+    est = estimate(SpectrumModel("dirichlet_cylinder", 2, 700),
+                   SpectralWeight(power=-1.0, shift=0.0))
     A = BdMSymbol(Cylinder(2), p=classical_symbol([radial_term(-2.0, 2)], 2))
     formula = dixmier_formula(A).real
     assert est.slope == pytest.approx(formula, rel=0.03)
