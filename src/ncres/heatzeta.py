@@ -119,10 +119,9 @@ def heat_samples(p_weight, a_weight, spec, t_grid, tail_tol=None):
     sample carries its certified tail bound, and :class:`TailBoundError` is
     raised when one exceeds ``tail_tol``.  It bounds truncation, not rounding:
     at cutoff 300 on T^2 it is 6.7e-41, yet samples differ from the exact
-    theta-inversion value by up to 3.6e-15.  The sum runs from the top
-    eigenvalue down, so a decaying sum adds its smallest terms first.
-    Exponentials that underflow to 0.0 are not evaluated; the sums are the
-    same as if they were.
+    theta-inversion value by up to 3.6e-15.  Terms are summed from the top
+    eigenvalue down; exponentials that underflow to 0.0 are not evaluated,
+    and the sums are the same as if they were.
     """
     if a_weight.power != 1.0 or a_weight.rate != 0.0 \
             or not a_weight.scale > 0.0:
