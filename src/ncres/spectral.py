@@ -2,11 +2,11 @@
 
 Model spectra (torus lattices, Dirichlet cylinders, boundary lattices) are
 enumerated exhaustively up to a cutoff and aggregated by eigenvalue (dim 2
-and 3: one int32 table, the plane counted over an octant, the cylinder as
-half the lattice points off the j = 0 hyperplane) into arrays (values,
-multiplicities) ordered by ascending eigenvalue.  Partial sums sigma_N,
-logarithmic Cesaro means and the Dixmier trace estimator operate on those
-arrays and a weight passed with them.
+and 3: one int32 table, the plane's octant counted one cache-sized block of
+eigenvalues at a time, the cylinder as half the lattice points off the
+j = 0 hyperplane) into arrays (values, multiplicities) ordered by ascending
+eigenvalue.  Partial sums sigma_N, logarithmic Cesaro means and the Dixmier
+trace estimator operate on those arrays and a weight passed with them.
 
 The estimator reports the least-squares slope of sigma_N against ln N over
 the top decades of N.  Because sigma_N = C ln N + const + o(1) for the
@@ -45,9 +45,13 @@ class SpectralWeight:
 
     def __call__(self, lam):
         lam = np.asarray(lam, dtype=float)
-        out = self.scale * (self.shift + lam) ** self.power
+        # in place: temporaries of the spectrum's size would land in the
+        # malloc heap and stay resident after the caller frees them
+        out = self.shift + lam
+        out **= self.power
+        out *= self.scale
         if self.rate:
-            out = out * np.exp(-self.rate * lam)
+            out *= np.exp(-self.rate * lam)
         return out
 
     def describe(self):
@@ -88,7 +92,8 @@ class SpectrumModel:
       'torus_lattice'      lam = |k|^2, k in Z^dim
       'dirichlet_cylinder' lam = j^2 + |k|^2, j >= 1, k in Z^(dim-1)
       'boundary_lattice'   lam = |k|^2, k in Z^dim
-    cutoff: modes with base eigenvalue <= cutoff^2 are enumerated.
+    cutoff: modes with base eigenvalue <= floor(cutoff)^2 are enumerated
+    (cutoff 7.5 stops at 49).
     copies: every multiplicity is multiplied by it (for example, two
     boundary circles carry each mode twice).
     """
@@ -119,24 +124,57 @@ def _estimate_modes(model):
     raise ValueError(f"unknown model kind {model.kind!r}")
 
 
-def _ball_counts(dim, R2, sq):
-    """counts[m] = #{k in Z^dim : |k|^2 = m} for m <= R2; sq[j] = j^2."""
+# eigenvalues per block of the plane count: the block's int64 bincount
+# (1 MB) and its slice of the table stay in a core's 2 MB L2 cache
+_PLANE_BLOCK = 1 << 17
+
+
+def _isqrt(n):
+    """floor(sqrt(n)) of a non-negative int64 array, exact."""
+    r = np.sqrt(n).astype(np.int64)
+    r -= r * r > n
+    r += (r + 1) * (r + 1) <= n
+    return r
+
+
+def _plane_counts(R2, sq):
+    """counts[m] = #{k in Z^2 : |k|^2 = m} for m <= R2; sq[j] = j^2."""
     # every count is at most r_3(m) with m <= 4e8, far below 2^31
-    cnt = np.zeros(R2 + 1, dtype=np.int32)
-    if dim == 2:
-        # the octant 0 <= i <= j: 8 points, 4 on an axis or the diagonal
-        cnt[0] = 1
-        cnt[sq[1:]] += 4
-        for i in range(1, math.isqrt(R2 // 2) + 1):
-            row = cnt[i * i:]
-            row[i * i] += 4
-            row[sq[i + 1:math.isqrt(R2 - i * i) + 1]] += 8
-    elif dim == 3:
-        sub = _ball_counts(2, R2, sq)
-        for k in range(sq.size):
-            cnt[sq[k]:] += (2 if k else 1) * sub[:R2 + 1 - sq[k]]
-    else:
-        raise ValueError("lattice counting implemented for dim <= 3")
+    cnt = np.empty(R2 + 1, dtype=np.int32)
+    # the interior of the octant, 0 < i < j, carries 8 points per (i, j);
+    # each block of m gets the row segments i^2 + j^2 in it, so the table is
+    # written in order instead of one cache miss per point
+    i = np.arange(1, math.isqrt(R2 // 2) + 1, dtype=np.int64)
+    ii = i * i
+    first = ii + (i + 1) ** 2   # the smallest interior m of row i
+    nxt = i + 1                 # the first j of row i not yet counted
+    for a in range(0, R2 + 1, _PLANE_BLOCK):
+        b = min(a + _PLANE_BLOCK, R2 + 1)
+        rows = int(np.searchsorted(first, b))
+        lo = nxt[:rows]
+        hi = _isqrt(b - 1 - ii[:rows])
+        n = hi - lo + 1
+        # j = lo..hi of each row, row after row, then m - a = i^2 + j^2 - a
+        m = np.repeat(lo - np.cumsum(n) + n, n)
+        m += np.arange(m.size)
+        m *= m
+        m += np.repeat(ii[:rows] - a, n)
+        lo[:] = hi + 1
+        blk = cnt[a:b]
+        blk[:] = np.bincount(m, minlength=b - a)
+        blk <<= 3
+    # the origin is 1 point, each axis and diagonal m carries 4
+    cnt[0] = 1
+    cnt[sq[1:]] += 4
+    cnt[2 * ii] += 4
+    return cnt
+
+
+def _space_counts(plane, sq):
+    """The Z^3 counts from the plane's, one plane per third coordinate."""
+    cnt = np.zeros_like(plane)
+    for k in range(sq.size):
+        cnt[sq[k]:] += (2 if k else 1) * plane[:plane.size - sq[k]]
     return cnt
 
 
@@ -171,16 +209,20 @@ def enumerate_spectrum(model):
         if R2 > 400_000_000:
             raise ResourceCapError(
                 f"dense eigenvalue table of length {R2:.2e} over the cap")
+        if model.dim not in (2, 3):
+            raise ValueError("lattice counting implemented for dim <= 3")
         sq = np.arange(R + 1, dtype=np.int64) ** 2
-        cnt = _ball_counts(model.dim, R2, sq)
+        plane = _plane_counts(R2, sq)
+        cnt = plane if model.dim == 2 else _space_counts(plane, sq)
         if model.kind == "dirichlet_cylinder":
             # j >= 1: half the points off the j = 0 hyperplane
             if model.dim == 2:
                 cnt[0] -= 1
                 cnt[sq[1:]] -= 2
             else:
-                cnt -= _ball_counts(2, R2, sq)
+                cnt -= plane
             cnt >>= 1
+        del plane
         ms = np.flatnonzero(cnt != 0)   # the boolean path is the fast one
         values = ms.astype(float)
         # counts overwrite the indices: freeing an array this size would raise

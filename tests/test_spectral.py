@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 import warnings
 from collections import Counter
 
@@ -13,6 +14,7 @@ from ncres.errors import (DimensionMismatchError, GradingError,
                           TransmissionError, WindowError)
 from ncres.halfline import boundary_term, compose_kt, sg_symbol, simple_pole
 from ncres.residue import BdMSymbol, Cylinder, Torus, dixmier_formula
+from ncres import spectral
 from ncres.spectral import (SigmaCurve, SpectralWeight, SpectrumModel,
                             StepFunction, cesaro_mean, dixmier_estimate,
                             enumerate_spectrum)
@@ -117,6 +119,85 @@ def test_boundary_copies_must_be_positive():
     for kind in ("torus_lattice", "dirichlet_cylinder", "boundary_lattice"):
         with pytest.raises(ValueError):
             enumerate_spectrum(SpectrumModel(kind, 2, 5, copies=0))
+
+
+# the plane is counted one block of eigenvalues at a time: cutoffs whose
+# squares sit on either side of the first block edges
+_BLOCK_EDGE_RADII = sorted(
+    {511, 512, 513, 724, 725}
+    | {math.isqrt(k * spectral._PLANE_BLOCK) + d
+       for k in (1, 2, 3) for d in (0, 1)})
+
+
+@pytest.mark.parametrize("kind", ["torus_lattice", "dirichlet_cylinder"])
+@pytest.mark.parametrize("R", _BLOCK_EDGE_RADII)
+def test_enumeration_matches_lattice_oracle_across_blocks(kind, R):
+    # every point of the box in one bincount; the first coordinate plays j,
+    # which is >= 1 on the cylinder
+    first = range(1 if kind == "dirichlet_cylinder" else -R, R + 1)
+    i, j = np.meshgrid(np.array(first), np.arange(-R, R + 1), indexing="ij",
+                       sparse=True)
+    lam = (i * i + j * j).ravel()
+    oracle = np.bincount(lam[lam <= R * R], minlength=R * R + 1)
+    sp = enumerate_spectrum(SpectrumModel(kind, 2, R))
+    assert np.array_equal(sp.values, np.flatnonzero(oracle))
+    assert np.array_equal(sp.counts, oracle[oracle != 0])
+    # Gauss's circle count, one column of the disc per first coordinate
+    assert int(sp.counts.sum()) == sum(
+        2 * math.isqrt(R * R - i * i) + 1 for i in first)
+
+
+def test_dense_table_cap_raises_before_allocation(monkeypatch):
+    # (2 * 20001 + 1)^2 modes pass this cap, the table of 20001^2 entries not
+    def fail(*args):
+        raise AssertionError("the table was built past its cap")
+    monkeypatch.setattr(spectral, "_plane_counts", fail)
+    model = SpectrumModel("torus_lattice", 2, 20_001, mode_cap=10 ** 10)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCapError, match="dense eigenvalue table"):
+            enumerate_spectrum(model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20_001 * 8   # not even the row of squares
+
+
+# ---------------------------------------------------------------------------
+# weights
+
+
+@pytest.mark.parametrize("weight", [
+    SpectralWeight(),
+    SpectralWeight(power=-1.0, shift=1.0),
+    SpectralWeight(power=-0.5, shift=0.0, scale=3.0),
+    SpectralWeight(power=-1.0, shift=1e-300),
+    SpectralWeight(power=2.5, shift=-2.0, rate=0.1, scale=0.7),
+    SpectralWeight(power=400.0, shift=1.0, rate=-3.0),
+    SpectralWeight(power=-1.0, shift=0.0, rate=1e-3, scale=-2.0)])
+def test_weight_matches_its_formula_bitwise(weight):
+    def formula(lam):
+        lam = np.asarray(lam, dtype=float)
+        out = weight.scale * (weight.shift + lam) ** weight.power
+        if weight.rate:
+            out = out * np.exp(-weight.rate * lam)
+        return out
+
+    def evaluate(f, lam):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = f(lam)
+        return out, [(w.category, str(w.message)) for w in caught]
+
+    lams = [np.array([0.0, 0.5, 1.0, 2.0, 7.0, 1e3, 1e300, np.inf]),
+            np.array(0.0), np.array(2.0), 1e3, 1e300]
+    for lam in lams:
+        got, got_warned = evaluate(weight, lam)
+        want, want_warned = evaluate(formula, lam)
+        assert type(got) is type(want)
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        assert got_warned == want_warned
 
 
 def sigma_curve(spec, weight):
