@@ -16,8 +16,7 @@ from .residue import (BdMSymbol, Cylinder, ResidueBreakdown, Torus,
                       boundary_residue, dixmier_formula, residue_density,
                       wodzicki_residue)
 from .spectral import (DixmierEstimate, SpectralWeight, SpectrumModel,
-                       StepFunction, cesaro_mean, dixmier_estimate,
-                       enumerate_spectrum)
+                       cesaro_mean, dixmier_estimate, enumerate_spectrum)
 from .symbols import (ClassicalSymbol, HomTerm, classical_symbol, commutator,
                       hom_term, identity_symbol, laplace_shift_power,
                       leibniz_component, leibniz_compose, radial_term,
@@ -33,7 +32,7 @@ __all__ = [
     "resolvent_log_coefficient", "resolvent_log_coefficient_closed",
     "BdMSymbol", "Cylinder", "ResidueBreakdown", "Torus",
     "boundary_residue", "residue_density", "wodzicki_residue",
-    "DixmierEstimate", "SpectralWeight", "SpectrumModel", "StepFunction",
+    "DixmierEstimate", "SpectralWeight", "SpectrumModel",
     "cesaro_mean", "dixmier_estimate", "dixmier_formula", "enumerate_spectrum",
     "ClassicalSymbol", "HomTerm", "classical_symbol", "commutator",
     "hom_term", "identity_symbol", "laplace_shift_power", "leibniz_component",

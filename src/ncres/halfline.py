@@ -254,6 +254,8 @@ def from_ratio(num, den):
 
 
 def _poly_divmod(num, den):
+    # the remainder's rounding is relative to the numerator's size
+    floor = 1e-13 * max(map(abs, num), default=0.0)
     num = list(num)
     q = [0j] * max(len(num) - len(den) + 1, 0)
     for i in range(len(q) - 1, -1, -1):
@@ -262,7 +264,7 @@ def _poly_divmod(num, den):
         for j, dj in enumerate(den):
             num[i + j] -= c * dj
     r = num[:len(den) - 1]
-    while r and abs(r[-1]) < 1e-13:
+    while r and abs(r[-1]) < floor:
         r.pop()
     return tuple(q), tuple(r)
 

@@ -108,7 +108,7 @@ class HeatSamples:
             raise ValueError("t grid must be strictly decreasing")
 
 
-def heat_samples(p_weight, a_weight, spec, t_grid, tail_tol=None):
+def heat_samples(p_weight, a_weight, spec, t_grid):
     """trace(P exp(-t A)) = sum_modes P(lam) exp(-t A(lam)) on a t grid.
 
     P and A are weight functions of the eigenvalues of the enumerated
@@ -116,8 +116,8 @@ def heat_samples(p_weight, a_weight, spec, t_grid, tail_tol=None):
     A must be affine, scale * (shift + lam) with scale > 0, and P finite on
     the spectrum, or :class:`ConfigError` is raised.  The grid is sorted
     descending and must hold finite t > 0 (else :class:`ValueError`); each
-    sample carries its certified tail bound, and :class:`TailBoundError` is
-    raised when one exceeds ``tail_tol``.  It bounds truncation, not rounding:
+    sample carries its certified tail bound, which :func:`fit_expansion`
+    requires to be negligible.  It bounds truncation, not rounding:
     at cutoff 300 on T^2 it is 6.7e-41, yet samples differ from the exact
     theta-inversion value by up to 3.6e-15.  Terms are summed from the top
     eigenvalue down; exponentials that underflow to 0.0 are not evaluated,
@@ -148,9 +148,6 @@ def heat_samples(p_weight, a_weight, spec, t_grid, tail_tol=None):
     values = chunked_sum(part, lam.size)
     bounds = np.array([heat_tail_bound(spec.model, p_weight, a_weight, t)
                        for t in t_grid])
-    if tail_tol is not None and bounds.max() > tail_tol:
-        raise TailBoundError(
-            f"tail {bounds.max():.3e} above {tail_tol:.3e}; raise the cutoff")
     return HeatSamples(t_grid, np.asarray(values, dtype=float), bounds)
 
 
@@ -232,14 +229,13 @@ def fit_expansion(samples, exponents, log_exponents=()):
                          coeffs, resid, cond, cross)
 
 
-def default_exponents(p_weight, a_weight, dim, levels=5, logs=2):
-    """Prescribed exponent ladder (j - n - ord P)/ord A, j = 0..levels,
-    with log slots at the nonnegative integers."""
+def default_exponents(p_weight, a_weight, dim):
+    """Prescribed exponent ladder (j - n - ord P)/ord A, j = 0..5, with
+    log slots at 0 and 1."""
     ord_p = 2.0 * p_weight.power
     ord_a = 2.0 * a_weight.power
-    exps = sorted({(j - dim - ord_p) / ord_a for j in range(levels + 1)})
-    logexps = [float(l) for l in range(logs)]
-    return exps, logexps
+    exps = sorted({(j - dim - ord_p) / ord_a for j in range(6)})
+    return exps, [0.0, 1.0]
 
 
 # ---------------------------------------------------------------------------
@@ -315,63 +311,52 @@ class BoundaryHeatResult:
     samples: HeatSamples
 
 
-def halfspace_heat_samples(t_grid, shift=1.0, p_shift=1.0, m_cutoff=4000,
-                           identity_p=False):
+def halfspace_heat_samples(t_grid, shift=1.0, m_cutoff=4000):
     """trace(P_+ exp(-t A)) on the cylinder [0, pi] x circle.
 
     A = Dirichlet Laplacian + ``shift`` with eigenbasis sin(j x) e^{i k y};
-    P is the inverse shifted Laplacian of the *full* torus, truncated to
-    the cylinder, so each mode contributes
+    P = (1 - Laplacian)^-1 of the *full* torus, truncated to the cylinder,
+    so each mode contributes
 
-        (2/pi) (1/2pi) sum_m |I_jm|^2 / (p_shift + m^2 + k^2)
+        (2/pi) (1/2pi) sum_m |I_jm|^2 / (1 + m^2 + k^2)
 
     with the exact sine-extension integrals I_jm.  The j,k cutoffs are
     chosen from the smallest t; the m truncation error is added to the
-    certified tail bound.  With ``identity_p`` the bracket is exactly 1
-    and the trace factorizes into the Dirichlet/full theta product (the
-    sanity route for the mode sums).  Every t must be finite and positive,
-    or :class:`ValueError` is raised.
+    certified tail bound.  Every t must be finite and positive, or
+    :class:`ValueError` is raised.
     """
     t_grid = _descending_grid(t_grid)
     tmin = float(t_grid[-1])
     jmax = int(math.ceil(9.0 / math.sqrt(tmin)))
-    kmax = jmax
     if m_cutoff < 2 * jmax:  # the m tail bound below needs M >= 2 jmax
         raise TailBoundError(
             f"m cutoff {m_cutoff} below twice the mode cutoff {jmax}")
-    ks = np.arange(0, kmax + 1)
-
-    if identity_p:
-        G = np.ones((jmax, kmax + 1))
-    else:
-        # G[j, k] = (1/pi^2) sum_m |I_jm|^2 / (p_shift + m^2 + k^2)
-        W = _sine_weight_matrix(jmax, m_cutoff) / math.pi ** 2
-        ms = np.arange(-m_cutoff, m_cutoff + 1).astype(float)
-        D = (p_shift + ms ** 2)[:, None] + ks.astype(float) ** 2
-        np.divide(1.0, D, out=D)
-        G = W @ D
     js = np.arange(1, jmax + 1).astype(float)
+    ks = np.arange(0, jmax + 1).astype(float)
     kw = np.where(ks == 0, 1.0, 2.0)
-    values = []
-    for t in t_grid:
-        ej = np.exp(-t * js ** 2)
-        ek = np.exp(-t * ks.astype(float) ** 2) * kw
-        values.append(math.exp(-t * shift) * float(ej @ G @ ek))
-    values = np.asarray(values)
 
-    # certified tails: dropped (j, k) modes (bracket <= 1/p_shift) plus the
-    # m truncation of the bracket sum; for m > M >= 2 jmax one has
+    # G[j, k] = (1/pi^2) sum_m |I_jm|^2 / (1 + m^2 + k^2)
+    W = _sine_weight_matrix(jmax, m_cutoff) / math.pi ** 2
+    ms = np.arange(-m_cutoff, m_cutoff + 1).astype(float)
+    D = (1.0 + ms ** 2)[:, None] + ks ** 2
+    np.divide(1.0, D, out=D)
+    G = W @ D
+
+    # certified tails: dropped (j, k) modes (bracket <= 1) plus the m
+    # truncation of the bracket sum; for m > M >= 2 jmax one has
     # m^2 - j^2 >= (3/4) m^2, so the per-mode m tail is bounded by
-    # (128/27) j^2 M^-3 / (p_shift + M^2 + k^2).
-    jk_tail = np.array([
-        _lattice_tail(2, jmax, t) * math.exp(-t * shift) / p_shift
-        for t in t_grid])
+    # (128/27) j^2 M^-3 / (1 + M^2 + k^2).
     m_tail = (128.0 / 27.0) * jmax ** 2 / m_cutoff ** 3 \
-        / (p_shift + m_cutoff ** 2) / math.pi ** 2
-    sum_jk = np.array([
-        float(np.exp(-t * js ** 2).sum() * (np.exp(-t * ks ** 2) * kw).sum())
-        for t in t_grid])
-    bounds = jk_tail + m_tail * sum_jk
+        / (1.0 + m_cutoff ** 2) / math.pi ** 2
+    values = np.empty(t_grid.size)
+    bounds = np.empty(t_grid.size)
+    for i, t in enumerate(t_grid):
+        ej = np.exp(-t * js ** 2)
+        ek = np.exp(-t * ks ** 2) * kw
+        damp = math.exp(-t * shift)
+        values[i] = damp * float(ej @ G @ ek)
+        bounds[i] = _lattice_tail(2, jmax, t) * damp \
+            + m_tail * float(ej.sum() * ek.sum())
     return HeatSamples(t_grid, values, bounds)
 
 

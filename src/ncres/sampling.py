@@ -6,8 +6,8 @@ from .halfline import rational, sg_symbol
 from .symbols import classical_symbol, hom_term
 
 
-def _random_coeff(rng, scale=1.0):
-    return complex(rng.normal(0, scale), rng.normal(0, scale))
+def _random_coeff(rng):
+    return complex(rng.normal(), rng.normal())
 
 
 def random_symbol(rng, n=2, max_order=2, depth=5, atoms_per_term=2,
@@ -31,9 +31,9 @@ def random_symbol(rng, n=2, max_order=2, depth=5, atoms_per_term=2,
     return classical_symbol(terms, n, order=order)
 
 
-def random_plus_fn(rng, max_poles=2):
-    """Random member of the plus space: proper, poles above the axis."""
-    npoles = int(rng.integers(1, max_poles + 1))
+def random_plus_fn(rng):
+    """Random member of the plus space: proper, 1-2 poles above the axis."""
+    npoles = int(rng.integers(1, 3))
     terms = []
     for _ in range(npoles):
         pole = complex(rng.uniform(-2, 2), rng.uniform(0.5, 2.5))
@@ -41,9 +41,9 @@ def random_plus_fn(rng, max_poles=2):
     return rational((), terms)
 
 
-def random_minus_fn(rng, type_d=0, max_poles=2):
-    """Random member of the minus space of the given type."""
-    npoles = int(rng.integers(1, max_poles + 1))
+def random_minus_fn(rng, type_d=0):
+    """Random member of the minus space of type d, with 1-2 lower poles."""
+    npoles = int(rng.integers(1, 3))
     terms = []
     for _ in range(npoles):
         pole = complex(rng.uniform(-2, 2), -rng.uniform(0.5, 2.5))

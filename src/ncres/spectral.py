@@ -265,48 +265,24 @@ class SigmaCurve:
 # logarithmic Cesaro mean
 
 
-@dataclass(frozen=True, eq=False)
-class StepFunction:
-    """Right-open step function: value[i] on [knots[i], knots[i+1])."""
+def cesaro_mean(knots, values):
+    """Logarithmic Cesaro mean  (Mf)(t) = (1/ln t) * int_1^t f(s) ds/s of
+    the right-open step function f = values[i] on [knots[i], knots[i+1]).
 
-    knots: np.ndarray   # length m+1, strictly increasing, knots[0] >= 1
-    values: np.ndarray  # length m
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        i = np.clip(np.searchsorted(self.knots, t, side="right") - 1,
-                    0, self.values.size - 1)
-        return self.values[i]
-
-    @property
-    def end(self):
-        return float(self.knots[-1])
-
-
-def cesaro_mean(f, points=None):
-    """Logarithmic Cesaro mean  (Mf)(t) = (1/ln t) * int_1^t f(s) ds/s.
-
-    The step integral is exact.  When the data starts right of 1, f is
-    extended by its first value on [1, knots[0]) (this is the embedding
-    convention for sequences indexed from N >= 2).  Requires end > e.
+    Returns (knots[1:], Mf at those knots); the step integral is exact.
+    When the data starts right of 1, f is extended by its first value on
+    [1, knots[0]) (this is the embedding convention for sequences indexed
+    from N >= 2).  Requires knots[-1] > e.
     """
-    if f.end <= math.e:
+    knots = np.asarray(knots, dtype=float)
+    vals = np.asarray(values, dtype=float)
+    if knots[-1] <= math.e:
         raise WindowError("Cesaro mean needs data beyond t = e")
-    knots = np.asarray(f.knots, dtype=float)
-    vals = np.asarray(f.values, dtype=float)
     if knots[0] > 1.0:
         knots = np.concatenate([[1.0], knots])
         vals = np.concatenate([[vals[0]], vals])
     lnk = np.log(knots)
-    seg = vals * np.diff(lnk)
-    cum = np.concatenate([[0.0], np.cumsum(seg)])
-    if points is None:
-        points = knots[1:]
-    points = np.asarray(points, dtype=float)
-    i = np.clip(np.searchsorted(knots, points, side="right") - 1,
-                0, vals.size - 1)
-    integral = cum[i] + vals[i] * (np.log(points) - lnk[i])
-    return points, integral / np.log(points)
+    return knots[1:], np.cumsum(vals * np.diff(lnk)) / lnk[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -388,8 +364,7 @@ def dixmier_estimate(spec, weight, window_decades=2.0):
                                              3000)).astype(np.int64))
         sig = curve.sigma(cn)
         ratio = sig / np.log(cn)
-        f = StepFunction(cn.astype(float), ratio[:-1])
-        pts, mf = cesaro_mean(f)
+        pts, mf = cesaro_mean(cn, ratio[:-1])
     tail = float(mf[-1])
     # sigma_N carries a rounding error of eps * |sigma_N|, which moves the
     # slope by that much over the ln N span of the window

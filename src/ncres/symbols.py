@@ -624,17 +624,17 @@ class TransmissionReport:
         return self.ok
 
 
-def transmission_check(p, depth=2, tol=1e-8):
+def transmission_check(p):
     """Parity check at the boundary fiber.
 
     For every stored component of integer degree j and every derivative
-    budget k + |alpha'| <= depth, compares
+    budget k + |alpha'| <= 2, compares
 
         d_{x_n}^k d_{xi'}^alpha' p_j(x', 0, 0, +1)
         against  (-1)^(j - |alpha'|) * (same at xi_n = -1)
 
-    as trigonometric polynomials in x'.  Returns a report with the first
-    violating (j, alpha', k) if any.
+    as trigonometric polynomials in x', to 1e-8 times 1 + the symbol's
+    norm.  Returns a report with the first violating (j, alpha', k) if any.
     """
     n = p.n
     if n < 2:
@@ -650,10 +650,10 @@ def transmission_check(p, depth=2, tol=1e-8):
             continue
         j = int(round(term.degree))
         base = term
-        for k in range(depth + 1):
+        for k in range(3):
             if k:
                 base = base.dx(n - 1)
-            for atot in range(depth - k + 1):
+            for atot in range(3 - k):
                 for alpha_p in multi_indices(n - 1, atot):
                     q = base
                     for axis, reps in enumerate(alpha_p):
@@ -666,7 +666,7 @@ def transmission_check(p, depth=2, tol=1e-8):
                                   (tp - tm.scaled(sign)).atoms), default=0.0)
                     if defect > worst:
                         worst = defect
-                    if defect > tol * scale and violation is None:
+                    if defect > 1e-8 * scale and violation is None:
                         violation = (j, alpha_p, k)
     return TransmissionReport(violation is None, violation, worst)
 

@@ -69,12 +69,12 @@ def check_residue_closed_form():
 # --- 2 -----------------------------------------------------------------
 
 
-def check_trace_property(seed=0, pairs=100):
+def check_trace_property(seed=0):
     rng = np.random.default_rng(seed)
     geo = Torus(2)
     worst = 0.0
     empty = 0
-    for _ in range(pairs):
+    for _ in range(100):
         a = random_symbol(rng, n=2, max_order=2, depth=5)
         b = random_symbol(rng, n=2, max_order=2, depth=5)
         ab = leibniz_component(a, b, -2)
@@ -85,7 +85,7 @@ def check_trace_property(seed=0, pairs=100):
         worst = max(worst, abs(r) / (1.0 + a.norm1() * b.norm1()))
     return CheckResult(
         "trace_property", worst <= 1e-8 and not empty, worst, 0.0,
-        f"<= 1e-8 * scale over {pairs} seeded pairs, no empty product",
+        "<= 1e-8 * scale over 100 seeded pairs, no empty product",
         f"worst scaled commutator residue {worst:.2e}, "
         f"empty products {empty}")
 
@@ -93,7 +93,7 @@ def check_trace_property(seed=0, pairs=100):
 # --- 3 -----------------------------------------------------------------
 
 
-def check_boundary_algebra(seed=0, pairs=50):
+def check_boundary_algebra(seed=0):
     h = rational((), [(1j, 1, 1 / 2j), (-1j, 1, -1 / 2j)])
     exact_half = pi_prime(h) == 0.5 + 0j
     killed = (pi_prime(rational((0, 1), [(-1j, 1, 1.0)])) == 0j)
@@ -101,7 +101,7 @@ def check_boundary_algebra(seed=0, pairs=50):
     rng = np.random.default_rng(seed)
     compat = 0.0
     cyc = 0.0
-    for _ in range(pairs):
+    for _ in range(50):
         k = random_plus_fn(rng)
         t = random_minus_fn(rng)
         lhs = sg_trace(compose_kt(k, t))
@@ -239,10 +239,10 @@ def check_zeta_residues():
 # --- 8 -----------------------------------------------------------------
 
 
-def check_parametric_routes(seed=0, triples=20):
+def check_parametric_routes(seed=0):
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(triples):
+    for _ in range(20):
         p = random_symbol(rng, n=2, max_order=0, depth=3)
         m = int(rng.integers(1, 3))
         k = int(rng.integers(1, 4))

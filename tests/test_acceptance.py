@@ -25,7 +25,7 @@ def test_criterion_01_residue_closed_form():
 
 
 def test_criterion_02_trace_property():
-    _report(verify.check_trace_property(seed=0, pairs=100))
+    _report(verify.check_trace_property(seed=0))
 
 
 def _full_route_log_coefficient(p, a, k):
@@ -76,7 +76,7 @@ def test_criteria_02_08_match_full_composition_bitwise(seed, monkeypatch):
 
 
 def test_criterion_03_boundary_algebra():
-    _report(verify.check_boundary_algebra(seed=0, pairs=50))
+    _report(verify.check_boundary_algebra(seed=0))
 
 
 def test_criterion_04_connes_identity():
@@ -96,7 +96,7 @@ def test_criterion_07_zeta_residues():
 
 
 def test_criterion_08_parametric_routes():
-    _report(verify.check_parametric_routes(seed=0, triples=20))
+    _report(verify.check_parametric_routes(seed=0))
 
 
 @pytest.mark.slow

@@ -58,6 +58,26 @@ def test_pm_decompose_ratio_example():
         assert abs(d.reconstruct()(tau) - direct) < 1e-12
 
 
+@pytest.mark.parametrize("scale", [1e-14, 1.0, 1e14])
+def test_from_ratio_scales_with_the_numerator(scale):
+    # the remainder is trimmed relative to the numerator, not at 1e-13
+    f = from_ratio([scale], [1, 0, 1])
+    assert f.poly == ()
+    for tau in (-2.0, 0.5, 3.0):
+        assert f(tau) == pytest.approx(scale / (tau ** 2 + 1), rel=1e-12,
+                                       abs=0)
+
+
+@pytest.mark.parametrize("scale", [1e-14, 1.0, 1e14])
+def test_from_ratio_exact_division_has_no_poles(scale):
+    # num = q * den up to rounding: the remainder is rounding only
+    q, den = [scale * (0.1 + 0.2j), scale * 0.3], [2, 1j, 1]
+    num = np.convolve(q, den)
+    f = from_ratio(num, den)
+    assert f.pole_terms == ()
+    assert f.poly == pytest.approx(q, rel=1e-14, abs=0)
+
+
 def test_reconstruction_random():
     rng = np.random.default_rng(2)
     for _ in range(20):

@@ -34,8 +34,8 @@ def theta_1d(t, K=60):
     return sum(math.exp(-t * k * k) for k in range(-K, K + 1))
 
 
-def heat_at(p_weight, a_weight, spec, t, **kw):
-    s = heat_samples(p_weight, a_weight, spec, [t], **kw)
+def heat_at(p_weight, a_weight, spec, t):
+    s = heat_samples(p_weight, a_weight, spec, [t])
     return s.values[0], s.tail_bounds[0]
 
 
@@ -160,8 +160,10 @@ def test_copies_double_heat_values_and_tails():
 
 
 def test_tail_bound_raises_when_unattainable():
+    # at cutoff 20 the dropped modes outweigh the fitted terms at t = 1e-3
+    samples = heat_samples(ONE, AW, torus(20), np.geomspace(1e-3, 5e-2, 12))
     with pytest.raises(TailBoundError):
-        heat_at(ONE, AW, torus(20), 1e-3, tail_tol=1e-12)
+        fit_expansion(samples, [-1.0, -0.5, 0.0])
 
 
 def test_tail_bound_rejects_growing_weight():
@@ -317,8 +319,8 @@ def test_heat_log_coefficient_matches_minus_pi():
 
 
 def test_default_exponent_ladder():
-    exps, logs = default_exponents(INV, AW, 2, levels=4)
-    assert exps == [0.0, 0.5, 1.0, 1.5, 2.0]
+    exps, logs = default_exponents(INV, AW, 2)
+    assert exps == [0.0, 0.5, 1.0, 1.5, 2.0, 2.5]
     assert logs == [0.0, 1.0]
 
 
@@ -434,15 +436,17 @@ def test_sine_weight_matrix_matches_pointwise_formula(jmax, mmax):
     assert _sine_weight_matrix(jmax, mmax).tobytes() == want.tobytes()
 
 
-def test_halfspace_identity_weight_factorizes():
-    # with P = identity the half-space trace is the Dirichlet theta product
+def test_halfspace_tail_bound_covers_a_larger_box():
+    # t_min 0.05 gives jmax 41 at the smallest m cutoff allowed, 82; the
+    # extra t = 0.002 gives jmax 202, and m runs to 4000
     ts = np.geomspace(5e-2, 5e-1, 8)
-    samples = halfspace_heat_samples(ts, identity_p=True, m_cutoff=800)
-    jmax = int(math.ceil(9.0 / math.sqrt(ts.min())))
-    for t, got in zip(samples.t, samples.values):
-        theta_d = sum(math.exp(-t * j * j) for j in range(1, jmax + 1))
-        want = math.exp(-t) * theta_d * theta_1d(t, jmax)
-        assert got == pytest.approx(want, rel=1e-12)
+    small = halfspace_heat_samples(ts, m_cutoff=82)
+    large = halfspace_heat_samples(np.append(ts, 2e-3), m_cutoff=4000)
+    assert np.array_equal(small.t, large.t[:-1])
+    diff = np.abs(small.values - large.values[:-1])
+    roundoff = 1e-14 * small.values
+    assert np.all(diff <= small.tail_bounds + large.tail_bounds[:-1]
+                  + roundoff)
 
 
 def test_halfspace_monotone_decay():
@@ -456,20 +460,33 @@ def test_halfspace_monotone_decay():
 def test_halfspace_bracket_against_triple_sum():
     # independent route: the (j, m, k) sum term by term, k over both signs
     ts = np.geomspace(0.3, 3.0, 6)
-    shift, p_shift, M = 0.5, 2.5, 200
-    got = halfspace_heat_samples(ts, shift=shift, p_shift=p_shift,
-                                 m_cutoff=M)
+    shift, M = 0.5, 200
+    got = halfspace_heat_samples(ts, shift=shift, m_cutoff=M)
     jmax = int(math.ceil(9.0 / math.sqrt(ts.min())))
     inner = {}
     for j in range(1, jmax + 1):
         for k in range(-jmax, jmax + 1):
             inner[j, k] = math.fsum(
-                sine_extension_sq(j, m) / (p_shift + m * m + k * k)
+                sine_extension_sq(j, m) / (1.0 + m * m + k * k)
                 for m in range(-M, M + 1)) / PI ** 2
     for t, value in zip(got.t, got.values):
         want = math.exp(-t * shift) * math.fsum(
             math.exp(-t * (j * j + k * k)) * g for (j, k), g in inner.items())
         assert value == pytest.approx(want, rel=1e-13)
+
+
+def test_dirichlet_resolvent_green_part_has_no_log_term():
+    # (1 + Delta_D)^-1 = P_+ + G_D with G_D of homogeneity -3, whose residue
+    # is 0: the ln t coefficient of the difference of the two heat traces
+    # vanishes, while a 0.1% scaling of either trace moves it by 1.5e-3
+    grid = np.geomspace(1.5e-3, 5e-2, 30)
+    plus = halfspace_heat_samples(grid)
+    dirichlet = heat_samples(INV, AW, enumerate_spectrum(
+        SpectrumModel("dirichlet_cylinder", 2, 300)), grid)
+    green = HeatSamples(plus.t, plus.values - dirichlet.values,
+                        plus.tail_bounds + dirichlet.tail_bounds)
+    fit = fit_expansion(green, [0.0, 0.5, 1.0, 1.5, 2.0], [0.0, 0.5, 1.0])
+    assert abs(fit.coefficient(0.0, log=True)) <= 1e-3
 
 
 def test_boundary_heat_threads_keyword_inert():

@@ -105,7 +105,7 @@ def test_public_names_resolve_and_expansion_family_gone():
         assert getattr(ncres, name) is not None, name
     assert len(set(ncres.__all__)) == len(ncres.__all__)
     for name in ("WPTermList", "expand_resolvent", "mu_derivative",
-                 "wp_log_coefficient"):
+                 "wp_log_coefficient", "StepFunction"):
         assert name not in ncres.__all__
         assert not hasattr(ncres, name)
         assert not hasattr(ncres.parametric, name)

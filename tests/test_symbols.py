@@ -271,7 +271,7 @@ def test_transmission_violated_by_radial_degree_one():
 
 def test_transmission_resolvent_expansion():
     p = laplace_shift_power(2, -1.0, 3)
-    assert transmission_check(p, depth=3).ok
+    assert transmission_check(p).ok
 
 
 # ---------------------------------------------------------------------------
