@@ -337,6 +337,10 @@ def build_bdm(spec):
 
 
 def build_t_grid(spec):
-    if spec["start"] >= spec["stop"]:
-        raise ConfigError("t grid needs start < stop")
-    return np.geomspace(spec["start"], spec["stop"], spec["points"])
+    grid = np.geomspace(spec["start"], spec["stop"], spec["points"])
+    if not np.all(np.diff(grid) > 0):
+        raise ConfigError(
+            f"t grid needs strictly increasing points: start {spec['start']}, "
+            f"stop {spec['stop']} and {spec['points']} points give "
+            f"{np.unique(grid).size} distinct")
+    return grid

@@ -6,7 +6,7 @@ class NcresError(Exception):
 
 
 class DimensionMismatchError(NcresError):
-    """Operands live on different tori or carry different matrix sizes."""
+    """Operands live on different tori, or an input has the wrong shape."""
 
 
 class TruncationFloorError(NcresError):

@@ -45,7 +45,7 @@ def resolvent_log_coefficient(p, a, k):
     if k < 1:
         raise ValueError("resolvent power k must be >= 1")
     n = p.n
-    group = identity_symbol(n, a.matrix_dim).scaled((-1.0) ** k)
+    group = identity_symbol(n).scaled((-1.0) ** k)
     composed = leibniz_component(p, group, -n)
     return TWO_PI ** (-n) * wodzicki_residue(composed, Torus(n)) / a.order
 

@@ -105,7 +105,7 @@ def _int_0_pi(k):
 
 
 def residue_density(a, x=None):
-    """Cosphere integral of the traced degree -n component (of ``a`` itself
+    """Cosphere integral of the degree -n component (of ``a`` itself
     when it is a :class:`HomTerm`, which must be of degree -n).
 
     Returns the trig polynomial in x as a degree-0 term (or its value when
@@ -114,7 +114,7 @@ def residue_density(a, x=None):
     term = a if isinstance(a, HomTerm) else a.component(-a.n)
     if term.degree != -a.n:
         raise ValueError(f"the residue reads degree {-a.n}, not {term.degree}")
-    density = sphere_integrate(term.trace_part(), a.n)
+    density = sphere_integrate(term, a.n)
     return density if x is None else _trig_value(density, x)
 
 
@@ -198,7 +198,8 @@ def boundary_residue(A):
         + 2 pi int_dX int_S' { tr (tr g_{-n}) + tr s_{1-n} } sigma' dx'
 
     and depends only on the components p_{-n}, g_{-n} and s_{1-n}; the
-    potential and trace entries never contribute.
+    potential and trace entries never contribute.  The outer fiber trace
+    ``tr`` is the identity on the scalar symbols here.
     """
     geo = A.geometry
     n = geo.dim
@@ -221,11 +222,11 @@ def boundary_residue(A):
 
     green_sum = zero_term(1.0 - n, n - 1)
     for term in A.green_component(-n):
-        green_sum = green_sum + tr_boundary_term(term).trace_part()
+        green_sum = green_sum + tr_boundary_term(term)
     green_val = on_boundary(green_sum)
     pdo_val = 0j
     if A.s is not None:
-        pdo_val = on_boundary(A.s.component(1 - n).trace_part())
+        pdo_val = on_boundary(A.s.component(1 - n))
     total = interior + green_val + pdo_val
     return ResidueBreakdown(interior, green_val, pdo_val, total)
 

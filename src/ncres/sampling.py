@@ -54,7 +54,8 @@ def random_minus_fn(rng, type_d=0):
     return rational(poly, terms)
 
 
-def random_sg(rng, rank=2, type_d=0):
-    pairs = [(random_plus_fn(rng), random_minus_fn(rng, type_d))
-             for _ in range(int(rng.integers(1, rank + 1)))]
-    return sg_symbol(pairs, type_d)
+def random_sg(rng):
+    """Random type-0 singular Green fiber symbol of rank 1 or 2."""
+    pairs = [(random_plus_fn(rng), random_minus_fn(rng))
+             for _ in range(int(rng.integers(1, 3)))]
+    return sg_symbol(pairs)

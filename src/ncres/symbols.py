@@ -13,21 +13,17 @@ A trigonometric polynomial in x (a term at fixed xi, or a sphere
 integral) is the degree-0 term whose atoms have ``alpha = 0`` and
 ``w = 0``, so one atom type serves both.
 
-Coefficients are complex scalars, or square complex matrices of a common
-size for systems; ``trace_part`` contracts the matrix index.
-
 Every :class:`HomTerm` keeps its atoms merged (one atom per key
 ``(k, alpha, w)``), sorted by key, with no zero coefficient, and
 degree-valid (``|alpha| + w == degree``), with canonical types: ``k`` and
-``alpha`` tuples of ints, ``w`` a float, coefficients complex or
-``(d, d)`` complex arrays.  Atoms from outside (literals, sampling, user
-code) are checked and converted once, at :func:`hom_term`.  Operations on
-terms build their atoms from canonical atoms, so they merge without
-re-checking: ``times``, ``dxi`` and ``+`` create keys and merge them,
-:func:`classical_symbol` and :func:`leibniz_compose` fold products and
-components into their degree slots with the same merge, and ``scaled``,
-``dx`` and ``trace_part`` keep every key and only drop coefficients that
-became zero.
+``alpha`` tuples of ints, ``w`` a float, and the coefficient a complex
+scalar.  Atoms from outside (literals, sampling, user code) are checked and
+converted once, at :func:`hom_term`.  Operations on terms build their atoms
+from canonical atoms, so they merge without re-checking: ``times``, ``dxi``
+and ``+`` create keys and merge them, :func:`classical_symbol` and
+:func:`leibniz_compose` fold products and components into their degree
+slots with the same merge, and ``scaled`` and ``dx`` keep every key and
+only drop coefficients that became zero.
 
 A :class:`ClassicalSymbol` is the finite family of homogeneous components
 ``order, order-1, ...`` together with an *exactness floor*: components at or
@@ -41,47 +37,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from math import lgamma
-from operator import add, mul
+from operator import add
 
 import numpy as np
 
 from .errors import DimensionMismatchError, TruncationFloorError
 
 _DEG_TOL = 1e-9
-
-# ---------------------------------------------------------------------------
-# coefficient helpers (complex scalar or square complex matrix)
-
-
-def _as_matrix(c, matrix_dim):
-    a = np.asarray(c, dtype=complex)
-    if a.shape != (matrix_dim, matrix_dim):
-        raise DimensionMismatchError(
-            f"coefficient shape {a.shape} != ({matrix_dim}, {matrix_dim})")
-    return a
-
-
-def _cabs(c):
-    if isinstance(c, np.ndarray):
-        return float(np.abs(c).sum())
-    return abs(c)
-
-
-def _ctrace(c):
-    if isinstance(c, np.ndarray):
-        return complex(np.trace(c))
-    return c
-
-
-def _czero(matrix_dim):
-    return 0j if matrix_dim == 1 else np.zeros((matrix_dim, matrix_dim), complex)
-
-
-def _is_zero_coeff(c):
-    if isinstance(c, np.ndarray):
-        return not np.any(c)
-    return c == 0
-
 
 # ---------------------------------------------------------------------------
 # homogeneous terms
@@ -94,7 +56,6 @@ class HomTerm:
     degree: float
     n: int
     atoms: tuple  # ((coeff, freq, alpha, w), ...)
-    matrix_dim: int = 1
 
     # -- evaluation ---------------------------------------------------------
 
@@ -120,7 +81,7 @@ class HomTerm:
                 if aj:
                     mono *= float(xj) ** aj
             atoms.append((c * (mono * r ** w), k, flat, 0.0))
-        return _merged(0.0, self.n, atoms, self.matrix_dim)
+        return _merged(0.0, self.n, atoms)
 
     # -- derivations --------------------------------------------------------
 
@@ -137,47 +98,36 @@ class HomTerm:
             if w:
                 raised = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:]
                 atoms.append((c * w, k, raised, w - 2.0))
-        return _merged(self.degree - 1.0, self.n, atoms, self.matrix_dim)
+        return _merged(self.degree - 1.0, self.n, atoms)
 
     # -- algebra -------------------------------------------------------------
 
     def __add__(self, other):
-        if (abs(self.degree - other.degree) > _DEG_TOL or self.n != other.n
-                or self.matrix_dim != other.matrix_dim):
+        if abs(self.degree - other.degree) > _DEG_TOL or self.n != other.n:
             raise DimensionMismatchError("terms of unequal degree or dimension")
-        return _merged(self.degree, self.n, self.atoms + other.atoms,
-                       self.matrix_dim)
+        return _merged(self.degree, self.n, self.atoms + other.atoms)
 
     def __sub__(self, other):
         return self + other.scaled(-1.0)
 
     def scaled(self, z):
-        if self.matrix_dim == 1:
-            return self._same_keys([(complex(c * z), k, a, w)
-                                    for c, k, a, w in self.atoms])
-        return self._same_keys([(c * z, k, a, w) for c, k, a, w in self.atoms])
+        return self._same_keys([(complex(c * z), k, a, w)
+                                for c, k, a, w in self.atoms])
 
     def _same_keys(self, atoms):
         """A term of this degree from ``atoms``, which carry a subsequence of
         this term's keys: merged, sorted and degree-valid already."""
-        return HomTerm(self.degree, self.n,
-                       _drop_zeros(atoms, self.matrix_dim), self.matrix_dim)
+        return HomTerm(self.degree, self.n, _drop_zeros(atoms))
 
     def times(self, other):
-        """Pointwise product; matrix coefficients multiply in this order."""
-        if self.n != other.n or self.matrix_dim != other.matrix_dim:
+        """Pointwise product."""
+        if self.n != other.n:
             raise DimensionMismatchError("incompatible term product")
         return HomTerm(self.degree + other.degree, self.n,
-                       _sorted_atoms(_product(self, other), self.matrix_dim),
-                       self.matrix_dim)
-
-    def trace_part(self):
-        return HomTerm(self.degree, self.n,
-                       _drop_zeros([(_ctrace(c), k, a, w)
-                                    for c, k, a, w in self.atoms], 1), 1)
+                       _sorted_atoms(_product(self, other)))
 
     def norm1(self):
-        return sum(_cabs(c) for c, *_ in self.atoms)
+        return sum(abs(c) for c, *_ in self.atoms)
 
     @property
     def is_zero(self):
@@ -196,15 +146,14 @@ class HomTerm:
         return max((sum(a) for _, _, a, _ in self.atoms), default=0)
 
 
-def hom_term(degree, n, atoms, matrix_dim=1):
+def hom_term(degree, n, atoms):
     """Build a :class:`HomTerm` from atoms ``(coeff, k, alpha, w)``.
 
     Each atom is converted to the canonical types and checked: ``k`` and
-    ``alpha`` of length ``n``, ``alpha >= 0``, ``|alpha| + w == degree`` and,
-    for systems, a ``(matrix_dim, matrix_dim)`` coefficient.  Duplicate keys
-    are then summed in input order.
+    ``alpha`` of length ``n``, ``alpha >= 0``, ``|alpha| + w == degree`` and
+    a complex scalar coefficient.  Duplicate keys are then summed in input
+    order.
     """
-    scalar = matrix_dim == 1
     checked = []
     for c, k, alpha, w in atoms:
         k = tuple(map(int, k))
@@ -217,9 +166,14 @@ def hom_term(degree, n, atoms, matrix_dim=1):
         if abs(sum(alpha) + w - degree) > _DEG_TOL:
             raise ValueError(
                 f"atom |alpha|+w = {sum(alpha) + w} != degree {degree}")
-        c = complex(c) if scalar else _as_matrix(c, matrix_dim)
+        try:
+            c = complex(c)
+        except TypeError:
+            raise DimensionMismatchError(
+                f"coefficients are complex scalars, not {type(c).__name__} "
+                f"of shape {np.shape(c)}") from None
         checked.append((c, k, alpha, w))
-    return _merged(float(degree), n, checked, matrix_dim)
+    return _merged(float(degree), n, checked)
 
 
 def _merge_into(merged, atoms, fold=False):
@@ -235,29 +189,26 @@ def _merge_into(merged, atoms, fold=False):
     for c, k, alpha, w in atoms:
         key = (k, alpha, w)
         prev = get(key)
-        if prev is None or (fold and _is_zero_coeff(prev)):
+        if prev is None or (fold and prev == 0):
             merged[key] = c
         else:
             merged[key] = prev + c
     return merged
 
 
-def _sorted_atoms(merged, matrix_dim):
+def _sorted_atoms(merged):
     """The atoms of a merged dict, sorted by key, zero coefficients dropped."""
-    return _drop_zeros([(c, k, a, w) for (k, a, w), c in sorted(merged.items())],
-                       matrix_dim)
+    return _drop_zeros([(c, k, a, w) for (k, a, w), c in sorted(merged.items())])
 
 
-def _merged(degree, n, atoms, matrix_dim):
+def _merged(degree, n, atoms):
     """A term from canonical, degree-valid atoms, merged without checks."""
-    return HomTerm(degree, n, _sorted_atoms(_merge_into({}, atoms), matrix_dim),
-                   matrix_dim)
+    return HomTerm(degree, n, _sorted_atoms(_merge_into({}, atoms)))
 
 
 def _product(t1, t2):
     """The merged dict of the atom products of ``t1`` and ``t2``."""
-    cmul = mul if t1.matrix_dim == 1 else np.matmul
-    return _merge_into({}, [(cmul(c1, c2), tuple(map(add, k1, k2)),
+    return _merge_into({}, [(c1 * c2, tuple(map(add, k1, k2)),
                              tuple(map(add, a1, a2)), w1 + w2)
                             for c1, k1, a1, w1 in t1.atoms
                             for c2, k2, a2, w2 in t2.atoms])
@@ -266,20 +217,16 @@ def _product(t1, t2):
 def _trig_value(trig, x):
     """Value at x of a trigonometric polynomial (alpha = 0, w = 0)."""
     x = np.asarray(x, dtype=float)
-    out = _czero(trig.matrix_dim)
-    for c, k, _, _ in trig.atoms:
-        out = out + c * np.exp(1j * float(np.dot(k, x)))
-    return out
+    return sum((c * np.exp(1j * float(np.dot(k, x)))
+                for c, k, _, _ in trig.atoms), 0j)
 
 
-def zero_term(degree, n, matrix_dim=1):
-    return HomTerm(float(degree), n, (), matrix_dim)
+def zero_term(degree, n):
+    return HomTerm(float(degree), n, ())
 
 
-def _drop_zeros(atoms, matrix_dim):
-    if matrix_dim == 1:
-        return tuple(atom for atom in atoms if atom[0] != 0)
-    return tuple(atom for atom in atoms if np.any(atom[0]))
+def _drop_zeros(atoms):
+    return tuple(atom for atom in atoms if atom[0] != 0)
 
 
 def radial_term(degree, n, coeff=1.0):
@@ -304,7 +251,6 @@ class ClassicalSymbol:
     order: int
     n: int
     terms: tuple  # HomTerm slots, degree order - j
-    matrix_dim: int = 1
     exact_floor: float | None = None
 
     @property
@@ -332,7 +278,7 @@ class ClassicalSymbol:
         j = self.order - degree
         jr = round(j)
         if abs(j - jr) > _DEG_TOL or jr < 0 or jr > self.truncation:
-            return zero_term(degree, self.n, self.matrix_dim)
+            return zero_term(degree, self.n)
         return self.terms[jr]
 
     def nonzero_terms(self):
@@ -341,7 +287,7 @@ class ClassicalSymbol:
     # -- algebra -------------------------------------------------------------
 
     def __add__(self, other):
-        if self.n != other.n or self.matrix_dim != other.matrix_dim:
+        if self.n != other.n:
             raise DimensionMismatchError("incompatible symbols")
         floor = max(self.floor_value, other.floor_value)
         # components below the joint floor are unreadable; drop them
@@ -349,7 +295,6 @@ class ClassicalSymbol:
                  if not t.is_zero and t.degree >= floor - _DEG_TOL]
         order = max(self.order, other.order)
         return classical_symbol(terms, self.n, order=order,
-                                matrix_dim=self.matrix_dim,
                                 exact_floor=None if floor == -math.inf else floor)
 
     def __sub__(self, other):
@@ -358,30 +303,21 @@ class ClassicalSymbol:
     def scaled(self, z):
         return ClassicalSymbol(self.order, self.n,
                                tuple(t.scaled(z) for t in self.terms),
-                               self.matrix_dim, self.exact_floor)
+                               self.exact_floor)
 
     def dx(self, i):
         return ClassicalSymbol(self.order, self.n,
                                tuple(t.dx(i) for t in self.terms),
-                               self.matrix_dim, self.exact_floor)
+                               self.exact_floor)
 
     def dxi(self, i):
         floor = None if self.exact_floor is None else self.exact_floor - 1
         return ClassicalSymbol(self.order - 1, self.n,
-                               tuple(t.dxi(i) for t in self.terms),
-                               self.matrix_dim, floor)
+                               tuple(t.dxi(i) for t in self.terms), floor)
 
     def eval(self, x, xi):
         """Sum of the stored components at (x, xi)."""
-        out = _czero(self.matrix_dim)
-        for t in self.nonzero_terms():
-            out = out + t(x, xi)
-        return out
-
-    def trace_part(self):
-        return ClassicalSymbol(self.order, self.n,
-                               tuple(t.trace_part() for t in self.terms), 1,
-                               self.exact_floor)
+        return sum((t(x, xi) for t in self.nonzero_terms()), 0j)
 
     def norm1(self):
         return sum(t.norm1() for t in self.terms)
@@ -399,7 +335,7 @@ class ClassicalSymbol:
         return max((t.max_alpha_total for t in self.terms), default=0)
 
 
-def classical_symbol(terms, n, order=None, matrix_dim=1, exact_floor=None):
+def classical_symbol(terms, n, order=None, exact_floor=None):
     """Arrange homogeneous terms into a :class:`ClassicalSymbol`.
 
     Degrees must sit on the integer ladder ``order - j``; duplicate degrees
@@ -418,7 +354,7 @@ def classical_symbol(terms, n, order=None, matrix_dim=1, exact_floor=None):
         if abs(j - round(j)) > _DEG_TOL or t.degree > order + _DEG_TOL:
             raise ValueError(
                 f"term degree {t.degree} not on the ladder below order {order}")
-        if t.n != n or t.matrix_dim != matrix_dim:
+        if t.n != n:
             raise DimensionMismatchError("term dimension mismatch")
     if exact_floor is not None and exact_floor > min(
             (int(round(t.degree)) for t in terms), default=order):
@@ -428,10 +364,10 @@ def classical_symbol(terms, n, order=None, matrix_dim=1, exact_floor=None):
     for t in terms:
         _merge_into(slots.setdefault(int(round(order - t.degree)), {}),
                     t.atoms, fold=True)
-    return _ladder_symbol(order, n, slots, matrix_dim, exact_floor)
+    return _ladder_symbol(order, n, slots, exact_floor)
 
 
-def _ladder_symbol(order, n, slots, matrix_dim, exact_floor):
+def _ladder_symbol(order, n, slots, exact_floor):
     """The symbol whose component of degree ``order - j`` is the merged
     dict ``slots[j]``; components run down to the lowest filled slot and to
     the exactness floor, and absent ones are zero."""
@@ -439,15 +375,12 @@ def _ladder_symbol(order, n, slots, matrix_dim, exact_floor):
     if exact_floor is not None:
         depth = max(depth, int(math.ceil(order - exact_floor - _DEG_TOL)))
     return ClassicalSymbol(order, n, tuple(
-        HomTerm(float(order - j), n,
-                _sorted_atoms(slots.get(j, {}), matrix_dim), matrix_dim)
-        for j in range(depth + 1)), matrix_dim, exact_floor)
+        HomTerm(float(order - j), n, _sorted_atoms(slots.get(j, {})))
+        for j in range(depth + 1)), exact_floor)
 
 
-def identity_symbol(n, matrix_dim=1):
-    c = 1.0 if matrix_dim == 1 else np.eye(matrix_dim)
-    return classical_symbol(
-        [hom_term(0.0, n, [(c, (0,) * n, (0,) * n, 0.0)], matrix_dim)], n)
+def identity_symbol(n):
+    return classical_symbol([radial_term(0.0, n)], n)
 
 
 def laplace_shift_power(n, exponent, depth):
@@ -546,7 +479,7 @@ def leibniz_component(a, b, degree):
 
 def _leibniz(a, b, depth, lowest=False):
     """:func:`leibniz_compose`; with ``lowest``, its slot ``depth`` only."""
-    if a.n != b.n or a.matrix_dim != b.matrix_dim:
+    if a.n != b.n:
         raise DimensionMismatchError("composition of incompatible symbols")
     n = a.n
     top = a.order + b.order
@@ -558,7 +491,7 @@ def _leibniz(a, b, depth, lowest=False):
     trunc = top - depth
     low_a, low_b = a.lowest_nonzero, b.lowest_nonzero
     if low_a is None or low_b is None:
-        return classical_symbol([], n, order=top, matrix_dim=a.matrix_dim)
+        return classical_symbol([], n, order=top)
     if a.exact_floor is None and b.exact_floor is None:
         if b.is_x_independent:
             max_alpha = 0
@@ -597,12 +530,11 @@ def _leibniz(a, b, depth, lowest=False):
                         continue
                     atoms = _drop_zeros(
                         [(c * pref, k, al, w)
-                         for (k, al, w), c in _product(ta, tb).items()],
-                        a.matrix_dim)
+                         for (k, al, w), c in _product(ta, tb).items()])
                     if atoms:
                         _merge_into(slots.setdefault(round(top - deg), {}),
                                     atoms, fold=True)
-    return _ladder_symbol(top, n, slots, a.matrix_dim, floor)
+    return _ladder_symbol(top, n, slots, floor)
 
 
 def commutator(a, b, depth):
@@ -662,7 +594,7 @@ def transmission_check(p):
                     tp = _at_boundary(q.evaluate_trig(plus))
                     tm = _at_boundary(q.evaluate_trig(minus))
                     sign = (-1.0) ** (j - atot)
-                    defect = max((_cabs(c) for c, *_ in
+                    defect = max((abs(c) for c, *_ in
                                   (tp - tm.scaled(sign)).atoms), default=0.0)
                     if defect > worst:
                         worst = defect
@@ -675,8 +607,7 @@ def _at_boundary(trig):
     """Set x_n = 0 in a trigonometric polynomial (every phase becomes 1)
     and drop the variable."""
     return _merged(0.0, trig.n - 1, [(c, k[:-1], a[:-1], w)
-                                     for c, k, a, w in trig.atoms],
-                   trig.matrix_dim)
+                                     for c, k, a, w in trig.atoms])
 
 
 # ---------------------------------------------------------------------------
@@ -710,4 +641,4 @@ def sphere_integrate(term, n):
         return term.evaluate_trig((1.0,)) + term.evaluate_trig((-1.0,))
     flat = (0,) * n
     return _merged(0.0, n, [(c * sphere_moment(a, n), k, flat, 0.0)
-                            for c, k, a, _ in term.atoms], term.matrix_dim)
+                            for c, k, a, _ in term.atoms])

@@ -31,7 +31,7 @@ def test_criterion_02_trace_property():
 def _full_route_log_coefficient(p, a, k):
     """resolvent_log_coefficient through the whole composition p # (-1)^k."""
     n = p.n
-    group = identity_symbol(n, a.matrix_dim).scaled((-1.0) ** k)
+    group = identity_symbol(n).scaled((-1.0) ** k)
     composed = leibniz_compose(p, group, max(p.order + n, 0))
     return TWO_PI ** (-n) * wodzicki_residue(composed, Torus(n)) / a.order
 

@@ -285,6 +285,20 @@ def test_non_affine_a_weight_exit_code(tmp_path, capsys, task, cfgfile,
     assert err.startswith("config error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("task, cfgfile, stop", [
+    ("heat", "heat_torus.json", 0.0010000000000000002),   # next float
+    ("zeta", "zeta_epstein.json", 1e-3),
+    ("zeta", "zeta_epstein.json", 1e-4)])
+def test_colliding_t_grid_exit_code(tmp_path, capsys, task, cfgfile, stop):
+    # start is 1e-3 in both files: 40 points up to its next float hold 2
+    # distinct values, and a stop at or below the start gives no increase
+    code = run([task, "--config", CONFIGS / cfgfile, "--out", tmp_path,
+                "--set", f"{task}.t_grid.stop={stop!r}"])
+    assert code == 2
+    assert "strictly increasing" in _one_config_error_line(capsys)
+    assert not (tmp_path / f"{task}.csv").exists()
+
+
 def test_overflowing_p_weight_exit_code(tmp_path, capsys):
     # P overflows at the zero mode: one config error line and no warning
     with warnings.catch_warnings():

@@ -31,7 +31,7 @@ def test_composition_top_mu_coefficient_independent_of_aux():
     k = 2
     for a in (aux(), aux(perturbed=True)):
         # the route's composition: p with the i = 0 term (-1)^k
-        group = identity_symbol(2, a.matrix_dim).scaled((-1.0) ** k)
+        group = identity_symbol(2).scaled((-1.0) ** k)
         comp = leibniz_compose(p, group, depth=2).component(-2)
         # (-1)^k p_{-2}: single radial atom of coefficient +1
         ((c, kk, alpha, w),) = comp.atoms

@@ -91,14 +91,6 @@ def test_truncation_floor_blocks_residue():
         wodzicki_residue(a, Torus(3))
 
 
-def test_matrix_symbol_residue_uses_trace():
-    m = np.array([[1.0, 5.0], [0.0, 3.0]])
-    a = classical_symbol([hom_term(-2.0, 2, [(m, (0, 0), (0, 0), -2.0)],
-                                   matrix_dim=2)], 2, matrix_dim=2)
-    want = np.trace(m) * 2 * PI * (2 * PI) ** 2
-    assert wodzicki_residue(a, Torus(2)) == pytest.approx(want)
-
-
 # ---------------------------------------------------------------------------
 # boundary residue
 

@@ -450,6 +450,22 @@ def test_dixmier_formula_requires_transmission():
     assert dixmier_formula(BdMSymbol(Torus(2), p=bad)) == pytest.approx(PI)
 
 
+def test_dixmier_formula_matches_spectrum_at_n3():
+    # at n = 2 the interior divisor n (2pi)^n equals 2^(n-1) (2pi)^n and the
+    # boundary divisor (n-1) (2pi)^n equals (n/2) (2pi)^n; n = 3 tells them
+    # apart.  Interior: |xi|^-3 on T^3 against (1+Delta)^(-3/2), 4pi/3.
+    # Boundary: |xi'|^-2 on the two T^2 ends of the cylinder, 2pi.
+    legs = [
+        (BdMSymbol(Torus(3), p=classical_symbol([radial_term(-3.0, 3)], 3)),
+         SpectrumModel("torus_lattice", 3, 200),
+         SpectralWeight(power=-1.5, shift=1.0)),
+        (BdMSymbol(Cylinder(3), s=classical_symbol([radial_term(-2.0, 2)], 2)),
+         SpectrumModel("boundary_lattice", 2, 1000, copies=2), INV)]
+    for A, model, weight in legs:
+        slope = estimate(model, weight).slope
+        assert slope == pytest.approx(dixmier_formula(A), rel=0.01)
+
+
 def test_estimate_matches_formula_cylinder():
     est = estimate(SpectrumModel("dirichlet_cylinder", 2, 700),
                    SpectralWeight(power=-1.0, shift=0.0))

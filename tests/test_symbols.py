@@ -308,41 +308,25 @@ def test_parse_errors():
 
 
 # ---------------------------------------------------------------------------
-# matrix coefficients
+# the checks at hom_term
 
 
-def test_matrix_symbol_trace_and_product():
-    m1 = np.array([[1.0, 2.0], [0.0, 1.0]])
-    m2 = np.array([[0.0, 1.0], [1.0, 0.0]])
-    t1 = hom_term(0.0, 2, [(m1, (0, 0), (0, 0), 0.0)], matrix_dim=2)
-    t2 = hom_term(0.0, 2, [(m2, (0, 0), (0, 0), 0.0)], matrix_dim=2)
-    prod = t1.times(t2)
-    val = prod((0, 0), (1.0, 0.0))
-    assert np.allclose(val, m1 @ m2)
-    assert prod.trace_part()((0, 0), (1.0, 0.0)) == pytest.approx(
-        np.trace(m1 @ m2))
-
-
-def test_matrix_dimension_must_match():
-    from ncres.errors import DimensionMismatchError
-    bad = np.eye(3)
-    with pytest.raises(DimensionMismatchError):
-        hom_term(0.0, 2, [(bad, (0, 0), (0, 0), 0.0)], matrix_dim=2)
-
-
-@pytest.mark.parametrize("atom, matrix_dim, error, match", [
+# ``at`` valid atoms stand before the bad one: the first atom is checked,
+# and so is a later one
+@pytest.mark.parametrize("atom, at, error, match", [
     ((1.0, (0,), (0, 0), 0.0), 1, DimensionMismatchError, "index length"),
     ((1.0, (0, 0), (0, 0, 0), 0.0), 1, DimensionMismatchError,
      "index length"),
     ((1.0, (0, 0), (-1, 1), 0.0), 1, ValueError, "negative"),
     ((1.0, (0, 0), (1, 0), -2.0), 1, ValueError, r"\|alpha\|\+w"),
-    ((1.0, (0, 0), (0, 0), 0.0), 2, DimensionMismatchError, "shape"),
+    ((np.eye(2), (0, 0), (0, 0), 0.0), 0, DimensionMismatchError,
+     "complex scalars"),
 ])
-def test_hom_term_boundary_checks(atom, matrix_dim, error, match):
-    valid = (np.eye(2) if matrix_dim == 2 else 1.0, (0, 0), (0, 0), 0.0)
-    hom_term(0.0, 2, [valid], matrix_dim)
+def test_hom_term_boundary_checks(atom, at, error, match):
+    valid = (1.0, (0, 0), (0, 0), 0.0)
+    hom_term(0.0, 2, [valid])
     with pytest.raises(error, match=match) as info:
-        hom_term(0.0, 2, [valid, atom], matrix_dim)
+        hom_term(0.0, 2, [valid] * at + [atom])
     assert info.type is error
 
 
@@ -367,16 +351,6 @@ def test_zero_term_component_lookup():
 
 # ---------------------------------------------------------------------------
 # HomTerm invariant: merged, sorted, nonzero, degree-valid
-
-
-def _matrix_symbol(sym, rng):
-    """``sym`` with each coefficient c replaced by c times a random 2x2."""
-    terms = [hom_term(t.degree, t.n,
-                      [(c * (rng.normal(size=(2, 2))
-                             + 1j * rng.normal(size=(2, 2))), k, a, w)
-                       for c, k, a, w in t.atoms], matrix_dim=2)
-             for t in sym.terms]
-    return classical_symbol(terms, sym.n, order=sym.order, matrix_dim=2)
 
 
 def _real_symbol(sym):
@@ -406,8 +380,6 @@ def _symbol_pair(seed, kind):
     b = random_symbol(rng, n=n, depth=3, atoms_per_term=atoms_per_term)
     if kind == "real":
         a, b = _real_symbol(a), _real_symbol(b)
-    elif kind == "matrix":
-        a, b = _matrix_symbol(a, rng), _matrix_symbol(b, rng)
     elif kind == "signs":
         a, b = _sign_symbol(a, rng), _sign_symbol(b, rng)
     return a, b
@@ -417,10 +389,7 @@ def _assert_invariant(term):
     keys = [(k, a, w) for _, k, a, w in term.atoms]
     assert all(k1 < k2 for k1, k2 in zip(keys, keys[1:]))
     for c, k, a, w in term.atoms:
-        if term.matrix_dim == 1:
-            assert type(c) is complex and c != 0
-        else:
-            assert c.shape == (2, 2) and np.any(c)
+        assert type(c) is complex and c != 0
         assert sum(a) + w == term.degree
 
 
@@ -433,7 +402,7 @@ def _assert_same_atoms(t1, t2):
 
 
 seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
-kinds = st.sampled_from(["complex", "real", "matrix"])
+kinds = st.sampled_from(["complex", "real"])
 
 
 @settings(max_examples=30, deadline=None)
@@ -458,7 +427,6 @@ def test_term_operations_keep_invariant(seed, kind):
 @given(seed=seeds, kind=kinds)
 def test_classical_symbol_matches_left_fold(seed, kind):
     a, b = _symbol_pair(seed, kind)
-    matrix_dim = a.matrix_dim
     # products share keys across and within degrees, so slots really merge;
     # the first negated copies cancel sums exactly and the second ones restart
     # them, which with real coefficients carries signed zeros
@@ -466,23 +434,22 @@ def test_classical_symbol_matches_left_fold(seed, kind):
     negated = [t.scaled(-1.0) for t in terms[::3]]
     terms += negated + negated
     order = a.order + b.order
-    sym = classical_symbol(terms, a.n, order=order, matrix_dim=matrix_dim)
+    sym = classical_symbol(terms, a.n, order=order)
     for j, slot in enumerate(sym.terms):
         _assert_invariant(slot)
-        fold = zero_term(order - j, a.n, matrix_dim)
+        fold = zero_term(order - j, a.n)
         for t in terms:
             if t.degree == order - j:
                 fold = fold + t
         _assert_same_atoms(slot, fold)
 
 
-@pytest.mark.parametrize("kind", ["complex", "matrix"])
+@pytest.mark.parametrize("kind", ["complex"])
 def test_scaled_by_zero_is_zero_term(kind):
     a, _ = _symbol_pair(4, kind)
     for t in a.nonzero_terms():
         z = t.scaled(0)
         assert z.is_zero and z.degree == t.degree
-        assert z.matrix_dim == t.matrix_dim
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +468,7 @@ def _reference_compose(a, b, depth):
         floors.append(b.exact_floor + a.order)
     trunc = top - depth
     if a.lowest_nonzero is None or b.lowest_nonzero is None:
-        return classical_symbol([], n, order=top, matrix_dim=a.matrix_dim)
+        return classical_symbol([], n, order=top)
     if a.exact_floor is None and b.exact_floor is None:
         if b.is_x_independent:
             max_alpha = 0
@@ -535,18 +502,17 @@ def _reference_compose(a, b, depth):
                             floor is not None and deg < floor):
                         continue
                     out.append(ta.times(tb).scaled(pref))
-    return classical_symbol(out, n, order=top, matrix_dim=a.matrix_dim,
-                            exact_floor=floor)
+    return classical_symbol(out, n, order=top, exact_floor=floor)
 
 
 def _assert_same_symbol(s1, s2):
-    assert (s1.order, s1.exact_floor, s1.matrix_dim, len(s1.terms)) == \
-        (s2.order, s2.exact_floor, s2.matrix_dim, len(s2.terms))
+    assert (s1.order, s1.exact_floor, len(s1.terms)) == \
+        (s2.order, s2.exact_floor, len(s2.terms))
     for t1, t2 in zip(s1.terms, s2.terms):
         _assert_same_atoms(t1, t2)
 
 
-@pytest.mark.parametrize("kind", ["complex", "real", "matrix", "signs"])
+@pytest.mark.parametrize("kind", ["complex", "real", "signs"])
 @settings(max_examples=5, deadline=None)
 @given(seed=seeds)
 def test_compose_matches_reference_bitwise(kind, seed):
@@ -583,7 +549,5 @@ def test_leibniz_component_typed_errors():
         assert above.is_zero and above.degree == degree and above.n == 2
     with pytest.raises(DimensionMismatchError):
         leibniz_component(a, laplace_shift_power(3, -1.0, 2), -5)
-    with pytest.raises(DimensionMismatchError):
-        leibniz_component(identity_symbol(2, matrix_dim=2), b, 0)
     with pytest.raises(DimensionMismatchError):
         leibniz_component(a, laplace_shift_power(3, -1.0, 2), 2)
