@@ -41,6 +41,10 @@ class ResourceCapError(NcresError):
     """A mode-count or memory budget would be exceeded; nothing was allocated."""
 
 
+class ModelError(NcresError):
+    """A spectrum comes from a model that the operation does not take."""
+
+
 class IllConditionedFitError(NcresError):
     """Least-squares design matrix too ill-conditioned to trust."""
 

@@ -3,10 +3,13 @@
 Model spectra (torus lattices, Dirichlet cylinders, boundary lattices) are
 enumerated exhaustively up to a cutoff and aggregated by eigenvalue (dim 2
 and 3: one int32 table, the plane's octant counted one cache-sized block of
-eigenvalues at a time, the cylinder as half the lattice points off the
-j = 0 hyperplane) into arrays (values, multiplicities) ordered by ascending
-eigenvalue.  Partial sums sigma_N, logarithmic Cesaro means and the Dixmier
-trace estimator operate on those arrays and a weight passed with them.
+eigenvalues at a time) into arrays (values, multiplicities) ordered by
+ascending eigenvalue.  The dim-2 Dirichlet cylinder is derived from the
+torus spectrum at the same cutoff (:func:`cylinder_from_torus`), so a run
+that needs both counts the lattice once; the dim-3 cylinder is half the
+lattice points off the j = 0 plane of its table.  Partial sums sigma_N,
+logarithmic Cesaro means and the Dixmier trace estimator operate on those
+arrays and a weight passed with them.
 
 The estimator reports the least-squares slope of sigma_N against ln N over
 the top decades of N.  Because sigma_N = C ln N + const + o(1) for the
@@ -20,12 +23,12 @@ ln ln N / ln N, and the consistency flag uses that scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (GradingError, IllConditionedFitError, ResourceCapError,
-                     WindowError)
+from .errors import (GradingError, IllConditionedFitError, ModelError,
+                     ResourceCapError, WindowError)
 
 MODE_CAP_DEFAULT = 300_000_000
 
@@ -178,6 +181,28 @@ def _space_counts(plane, sq):
     return cnt
 
 
+def cylinder_from_torus(torus):
+    """The dim-2 Dirichlet cylinder spectrum at the cutoff of ``torus``.
+
+    The points (j, k) with j >= 1 and j^2 + k^2 = m are half of the torus's
+    points of norm m off the axis j = 0, which holds two of them when m is
+    a square.  The cylinder's eigenvalues are the torus's without 0 (a view
+    of them), and no lattice is counted again.  ``torus`` must be a
+    one-copy dim-2 torus spectrum, or :class:`ModelError` is raised.
+    """
+    m = torus.model
+    if (m.kind, m.dim, m.copies) != ("torus_lattice", 2, 1):
+        raise ModelError(
+            f"the cylinder derives from a one-copy dim-2 torus, not "
+            f"{m.kind} dim {m.dim} with {m.copies} copies")
+    values = torus.values[1:]
+    counts = torus.counts[1:].copy()
+    j = np.arange(1, int(m.cutoff) + 1, dtype=float)
+    counts[np.searchsorted(values, j * j)] -= 2
+    counts >>= 1
+    return Spectrum(values, counts, replace(m, kind="dirichlet_cylinder"))
+
+
 def enumerate_spectrum(model):
     """Exhaustive (eigenvalue, multiplicity) enumeration below the cutoff.
 
@@ -214,13 +239,9 @@ def enumerate_spectrum(model):
         sq = np.arange(R + 1, dtype=np.int64) ** 2
         plane = _plane_counts(R2, sq)
         cnt = plane if model.dim == 2 else _space_counts(plane, sq)
-        if model.kind == "dirichlet_cylinder":
-            # j >= 1: half the points off the j = 0 hyperplane
-            if model.dim == 2:
-                cnt[0] -= 1
-                cnt[sq[1:]] -= 2
-            else:
-                cnt -= plane
+        if model.kind == "dirichlet_cylinder" and model.dim == 3:
+            # j >= 1: half the points off the j = 0 plane
+            cnt -= plane
             cnt >>= 1
         del plane
         ms = np.flatnonzero(cnt != 0)   # the boolean path is the fast one
@@ -230,6 +251,12 @@ def enumerate_spectrum(model):
         counts = ms
         counts[:] = cnt[ms]
         del cnt
+        if model.kind == "dirichlet_cylinder" and model.dim == 2:
+            # the table counted the torus; the cylinder's own estimate
+            # passed the cap
+            torus = replace(model, kind="torus_lattice", copies=1)
+            spec = cylinder_from_torus(Spectrum(values, counts, torus))
+            values, counts = spec.values, spec.counts
     counts *= model.copies
     return Spectrum(values, counts, model)
 

@@ -2,10 +2,14 @@
 
 Each check returns a :class:`CheckResult`; `run_all` executes the suite
 (the slow cylinder heat-trace check is skipped in fast mode) and is the
-backend of both ``tests/test_acceptance.py`` and the ``verify`` task of the
-command line.  Tolerances are fixed here, not configurable: they encode the
-convergence analysis (closed forms at 1e-10/1e-8, lattice estimators at a
-few percent reflecting their 1/ln N rate, fit extractions at 1-5%).
+backend of the ``verify`` task of the command line, while
+``tests/test_acceptance.py`` calls each check on its own.  Within one run
+every lattice is enumerated once: the checks that read a spectrum share
+the run's pool of them (``spectra``), and a check called on its own
+enumerates what it reads.  Tolerances are fixed here, not configurable:
+they encode the convergence analysis (closed forms at 1e-10/1e-8, lattice
+estimators at a few percent reflecting their 1/ln N rate, fit extractions
+at 1-5%).
 """
 
 from __future__ import annotations
@@ -22,11 +26,11 @@ from .heatzeta import boundary_heat_test, fit_expansion, heat_samples, \
     zeta_residue
 from .parametric import heat_log_coefficient_from_resolvent, \
     resolvent_log_coefficient, resolvent_log_coefficient_closed
-from .residue import TWO_PI, BdMSymbol, Cylinder, Torus, dixmier_formula, \
-    wodzicki_residue
+from .residue import TWO_PI, BdMSymbol, Cylinder, Torus, boundary_residue, \
+    dixmier_formula, wodzicki_residue
 from .sampling import random_minus_fn, random_plus_fn, random_sg, random_symbol
-from .spectral import SpectralWeight, SpectrumModel, dixmier_estimate, \
-    enumerate_spectrum
+from .spectral import SpectralWeight, SpectrumModel, cylinder_from_torus, \
+    dixmier_estimate, enumerate_spectrum
 from .symbols import classical_symbol, hom_term, laplace_shift_power, \
     leibniz_component, radial_term, sphere_moment
 from .writers import dixmier_csv, heat_csv
@@ -47,6 +51,22 @@ class CheckResult:
         return (f"[{status}] {self.name}: value={self.value:.10g} "
                 f"expected={self.expected:.10g} ({self.tolerance}) "
                 f"[{self.seconds:.1f}s] {self.detail}")
+
+
+def _spectrum(spectra, model, last=False):
+    """``model``'s spectrum from the run's pool, enumerated on first use;
+    its last reader takes it out of the pool.  Without a pool (a check
+    called on its own) it is enumerated afresh."""
+    spectra = {} if spectra is None else spectra
+    if model not in spectra:
+        spectra[model] = enumerate_spectrum(model)
+    return spectra.pop(model) if last else spectra[model]
+
+
+# the lattices of criteria 04-05 and 06-07, and their weight (1 + lam)^-1
+_CONNES_TORUS = SpectrumModel("torus_lattice", 2, 4000)
+_HEAT_TORUS = SpectrumModel("torus_lattice", 2, 300)
+_INV_SHIFTED = SpectralWeight(power=-1.0, shift=1.0)
 
 
 # --- 1 -----------------------------------------------------------------
@@ -121,14 +141,9 @@ def check_boundary_algebra(seed=0):
 # --- 4 -----------------------------------------------------------------
 
 
-def connes_estimate(cutoff=4000):
-    return dixmier_estimate(enumerate_spectrum(
-        SpectrumModel("torus_lattice", 2, cutoff)),
-        SpectralWeight(power=-1.0, shift=1.0))
-
-
-def check_connes_identity():
-    slope = connes_estimate().slope
+def check_connes_identity(spectra=None):
+    slope = dixmier_estimate(_spectrum(spectra, _CONNES_TORUS),
+                             _INV_SHIFTED).slope
     res = wodzicki_residue(laplace_shift_power(2, -1.0, 2), Torus(2)).real
     rel = max(abs(slope - math.pi) / math.pi,
               abs(TWO_PI ** 2 * 2 * slope - res) / res)
@@ -141,15 +156,12 @@ def check_connes_identity():
 # --- 5 -----------------------------------------------------------------
 
 
-def cylinder_estimate(cutoff=4000):
-    return dixmier_estimate(enumerate_spectrum(
-        SpectrumModel("dirichlet_cylinder", 2, cutoff)),
+def check_boundary_dixmier(spectra=None):
+    # one spectrum alive at a time: the cylinder is derived from criterion
+    # 04's torus, whose counts are freed before the estimate allocates
+    est_c = dixmier_estimate(
+        cylinder_from_torus(_spectrum(spectra, _CONNES_TORUS, last=True)),
         SpectralWeight(power=-1.0, shift=0.0))
-
-
-def check_boundary_dixmier():
-    # one spectrum alive at a time: the cylinder's is the large one
-    est_c = cylinder_estimate()
     est_b = dixmier_estimate(enumerate_spectrum(
         SpectrumModel("boundary_lattice", 1, 10 ** 6, copies=2)),
         SpectralWeight(power=-0.5, shift=1.0))
@@ -191,21 +203,16 @@ def check_boundary_dixmier():
 # --- 6 -----------------------------------------------------------------
 
 
-def heat_log_inputs(cutoff=300):
-    spec = enumerate_spectrum(SpectrumModel("torus_lattice", 2, cutoff))
-    pw = SpectralWeight(power=-1.0, shift=1.0)
-    return spec, pw
-
-
-def check_heat_log_coefficient():
-    spec, pw = heat_log_inputs()
+def check_heat_log_coefficient(spectra=None):
+    spec = _spectrum(spectra, _HEAT_TORUS)
     grid = np.geomspace(1e-3, 5e-2, 40)
     exps = [0.0, 0.5, 1.0, 1.5, 2.0]
     logs = [0.0, 1.0]
     coeffs = []
     for shift in (1.0, 2.0):
         aw = SpectralWeight(power=1.0, shift=shift)
-        fit = fit_expansion(heat_samples(pw, aw, spec, grid), exps, logs)
+        fit = fit_expansion(heat_samples(_INV_SHIFTED, aw, spec, grid),
+                            exps, logs)
         coeffs.append(fit.coefficient(0.0, log=True))
     rel = abs(coeffs[0] + math.pi) / math.pi
     shift_rel = abs(coeffs[1] - coeffs[0]) / abs(coeffs[0])
@@ -218,14 +225,14 @@ def check_heat_log_coefficient():
 # --- 7 -----------------------------------------------------------------
 
 
-def check_zeta_residues():
-    spec, pw = heat_log_inputs()
+def check_zeta_residues(spectra=None):
+    spec = _spectrum(spectra, _HEAT_TORUS, last=True)
     one = SpectralWeight(power=0.0)
     aw = SpectralWeight(power=1.0, shift=1.0)
     z1 = zeta_residue(one, aw, spec, 1.0,
                       exponents=[-1.0, 0.0, 1.0, 2.0, 3.0],
                       log_exponents=[])
-    z0 = zeta_residue(pw, aw, spec, 0.0,
+    z0 = zeta_residue(_INV_SHIFTED, aw, spec, 0.0,
                       exponents=[0.0, 0.5, 1.0, 1.5, 2.0],
                       log_exponents=[0.0, 1.0])
     rel_eps = abs(z1.residue - math.pi) / math.pi
@@ -276,29 +283,37 @@ def check_parametric_routes(seed=0):
 
 def check_boundary_heat():
     c = boundary_heat_test().log_coefficient
-    rel = abs(c + math.pi / 2) / (math.pi / 2)
+    # the ln t coefficient is -res P+ / (ord A * (2 pi)^2), here -pi/2
+    res = boundary_residue(BdMSymbol(
+        Cylinder(2), p=classical_symbol([radial_term(-2, 2)], 2))).total.real
+    want = -res / (2 * TWO_PI ** 2)
+    rel = abs(c - want) / abs(want)
     return CheckResult(
-        "boundary_heat_log", rel <= 0.05, c, -math.pi / 2, "5%",
-        f"rel {rel:.2e}")
+        "boundary_heat_log", rel <= 0.05, c, want, "5%", f"rel {rel:.2e}")
 
 
 # --- 10 ----------------------------------------------------------------
 
 
 def check_determinism():
-    # keeps the name that callers match on; compares two runs byte for byte
+    # keeps the name that callers match on; compares two runs byte for
+    # byte, each enumerating its own spectra: the run's pool would make the
+    # two passes read one input
     def run():
         parts = []
-        parts.append(dixmier_csv(connes_estimate(cutoff=800), {}))
-        spec, pw = heat_log_inputs(cutoff=200)
+        parts.append(dixmier_csv(dixmier_estimate(enumerate_spectrum(
+            SpectrumModel("torus_lattice", 2, 800)), _INV_SHIFTED), {}))
+        spec = enumerate_spectrum(SpectrumModel("torus_lattice", 2, 200))
         aw = SpectralWeight(power=1.0, shift=1.0)
-        s = heat_samples(pw, aw, spec, np.geomspace(1e-3, 5e-2, 25))
+        s = heat_samples(_INV_SHIFTED, aw, spec, np.geomspace(1e-3, 5e-2, 25))
         parts.append(heat_csv(s, {}))
-        z = zeta_residue(pw, aw, spec, 0.0,
+        z = zeta_residue(_INV_SHIFTED, aw, spec, 0.0,
                          exponents=[0.0, 0.5, 1.0, 1.5, 2.0],
                          log_exponents=[0.0, 1.0])
         parts.append(repr(z.residue).encode())
-        parts.append(dixmier_csv(cylinder_estimate(cutoff=500), {}))
+        parts.append(dixmier_csv(dixmier_estimate(enumerate_spectrum(
+            SpectrumModel("dirichlet_cylinder", 2, 500)),
+            SpectralWeight(power=-1.0, shift=0.0)), {}))
         return b"|".join(parts)
 
     same = run() == run()
@@ -325,10 +340,11 @@ ALL_CHECKS = [
 def run_all(fast=False, seed=0, progress=None):
     """Run the suite; returns (results, all_passed)."""
     results = []
+    spectra = {}   # SpectrumModel -> Spectrum, shared by this run's checks
     for fn in ALL_CHECKS:
-        kwargs = {}
-        if "seed" in fn.__code__.co_varnames[:fn.__code__.co_argcount]:
-            kwargs["seed"] = seed
+        params = fn.__code__.co_varnames[:fn.__code__.co_argcount]
+        kwargs = {k: v for k, v in (("seed", seed), ("spectra", spectra))
+                  if k in params}
         if fast and fn is check_boundary_heat:
             continue
         t0 = time.perf_counter()

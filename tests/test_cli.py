@@ -4,10 +4,12 @@ import csv
 import json
 import math
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from ncres import spectral
 from ncres.cli import main
 from ncres.config import build_model, build_weight, config_hash
 from ncres.spectral import SpectralWeight, SpectrumModel
@@ -404,7 +406,18 @@ def test_verify_csv_byte_reproducible(demo_outputs, tmp_path, capsys):
         demo_outputs["verify_fast"].read_bytes()
 
 
-def test_verify_fast_smoke(tmp_path, capsys):
+def test_verify_fast_smoke(tmp_path, capsys, monkeypatch):
+    # every lattice table is counted once per run: criteria 04-05 share
+    # torus 4000 and 06-07 torus 300; criterion 10 counts its three twice,
+    # once per pass
+    tables = Counter()
+    plane_counts = spectral._plane_counts
+
+    def counted(R2, sq):
+        tables[R2] += 1
+        return plane_counts(R2, sq)
+
+    monkeypatch.setattr(spectral, "_plane_counts", counted)
     code = run(["verify", "--config", CONFIGS / "verify_fast.json",
                 "--out", tmp_path,
                 "--set", "verify.fast=true"])
@@ -413,3 +426,5 @@ def test_verify_fast_smoke(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "residue_closed_form" in out
     assert "FAIL" not in out
+    assert tables == {4000 ** 2: 1, 300 ** 2: 1, 800 ** 2: 2, 200 ** 2: 2,
+                      500 ** 2: 2}

@@ -10,13 +10,14 @@ import numpy as np
 import pytest
 
 from ncres.errors import (DimensionMismatchError, GradingError,
-                          IllConditionedFitError, ResourceCapError,
-                          TransmissionError, WindowError)
+                          IllConditionedFitError, ModelError,
+                          ResourceCapError, TransmissionError, WindowError)
 from ncres.halfline import boundary_term, compose_kt, sg_symbol, simple_pole
 from ncres.residue import BdMSymbol, Cylinder, Torus, dixmier_formula
 from ncres import spectral
 from ncres.spectral import (SigmaCurve, SpectralWeight, SpectrumModel,
-                            cesaro_mean, dixmier_estimate, enumerate_spectrum)
+                            cesaro_mean, cylinder_from_torus,
+                            dixmier_estimate, enumerate_spectrum)
 from ncres.symbols import (classical_symbol, hom_term, laplace_shift_power,
                            radial_term)
 
@@ -146,12 +147,13 @@ def test_enumeration_matches_lattice_oracle_across_blocks(kind, R):
         2 * math.isqrt(R * R - i * i) + 1 for i in first)
 
 
-def test_dense_table_cap_raises_before_allocation(monkeypatch):
+@pytest.mark.parametrize("kind", ["torus_lattice", "dirichlet_cylinder"])
+def test_dense_table_cap_raises_before_allocation(monkeypatch, kind):
     # (2 * 20001 + 1)^2 modes pass this cap, the table of 20001^2 entries not
     def fail(*args):
         raise AssertionError("the table was built past its cap")
     monkeypatch.setattr(spectral, "_plane_counts", fail)
-    model = SpectrumModel("torus_lattice", 2, 20_001, mode_cap=10 ** 10)
+    model = SpectrumModel(kind, 2, 20_001, mode_cap=10 ** 10)
     tracemalloc.start()
     try:
         with pytest.raises(ResourceCapError, match="dense eigenvalue table"):
@@ -160,6 +162,38 @@ def test_dense_table_cap_raises_before_allocation(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 20_001 * 8   # not even the row of squares
+
+
+def test_derived_cylinder_keeps_its_own_mode_cap():
+    # the cylinder's estimate is 100 * 201 = 20100 modes, its torus's 201^2
+    sp = enumerate_spectrum(
+        SpectrumModel("dirichlet_cylinder", 2, 100, mode_cap=30_000))
+    assert int(sp.counts.sum()) == sum(
+        2 * math.isqrt(100 ** 2 - j * j) + 1 for j in range(1, 101))
+    with pytest.raises(ResourceCapError):
+        enumerate_spectrum(
+            SpectrumModel("dirichlet_cylinder", 2, 100, mode_cap=20_000))
+
+
+def test_cylinder_from_torus_leaves_the_torus():
+    torus = enumerate_spectrum(SpectrumModel("torus_lattice", 2, 60))
+    values, counts = torus.values.copy(), torus.counts.copy()
+    sp = cylinder_from_torus(torus)
+    assert sp.model == SpectrumModel("dirichlet_cylinder", 2, 60)
+    assert np.array_equal(torus.values, values)
+    assert np.array_equal(torus.counts, counts)
+
+
+@pytest.mark.parametrize("model", [
+    SpectrumModel("torus_lattice", 2, 20, copies=2),
+    SpectrumModel("torus_lattice", 1, 20),
+    SpectrumModel("torus_lattice", 3, 5),
+    SpectrumModel("boundary_lattice", 2, 20),
+    SpectrumModel("dirichlet_cylinder", 2, 20)],
+    ids=["copies", "dim1", "dim3", "boundary", "cylinder"])
+def test_cylinder_from_torus_needs_a_one_copy_plane_torus(model):
+    with pytest.raises(ModelError, match="one-copy dim-2 torus"):
+        cylinder_from_torus(enumerate_spectrum(model))
 
 
 # ---------------------------------------------------------------------------
