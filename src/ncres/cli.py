@@ -8,12 +8,13 @@ redirect output.  ``--config`` may be left out for ``verify`` only, and
 error.  Each run writes ``<task>.csv`` and ``<task>.txt`` into the output
 directory, both stamped with the library version and the sha256 of the
 effective configuration, and is bit-reproducible for a fixed document:
-reductions are serial and chunk-ordered.  ``--threads`` and the
+reductions are serial, over fixed blocks in order.  ``--threads`` and the
 ``threads`` field are accepted so that older commands and documents still
 run; they have no effect.
 
 Exit codes: 0 success, 2 configuration error, 3 tolerance/verification
-failure, 4 resource cap.
+failure, 4 resource cap, 1 any other library error (one ``error:`` line,
+no CSV or report written).
 """
 
 from __future__ import annotations

@@ -341,10 +341,6 @@ class SGSymbol:
     type_d: int = 0
 
     @property
-    def rank(self):
-        return len(self.pairs)
-
-    @property
     def is_zero(self):
         return not self.pairs
 

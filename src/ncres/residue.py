@@ -43,10 +43,6 @@ class Torus:
     def has_boundary(self):
         return False
 
-    @property
-    def volume(self):
-        return TWO_PI ** self.dim
-
     def interior_integral(self, trig):
         return _torus_integral(trig)
 
@@ -61,10 +57,6 @@ class Cylinder:
     @property
     def has_boundary(self):
         return True
-
-    @property
-    def volume(self):
-        return math.pi * TWO_PI ** (self.dim - 1)
 
     @property
     def boundary_components(self):

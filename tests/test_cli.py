@@ -232,6 +232,34 @@ def test_tolerance_failure_exit_code(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("scale", [1e-15, 1.0, 1e15])
+def test_tail_gate_exit_code_ignores_the_scale_of_p(tmp_path, scale):
+    # the tail scales with P as the samples do, so scaling P must not
+    # switch the certified-tail check off
+    code = run(["heat", "--config", CONFIGS / "heat_torus.json",
+                "--out", tmp_path, "--set", "heat.model.cutoff=20",
+                "--set", f"heat.p_weight.scale={scale!r}"])
+    assert code == 3
+
+
+@pytest.mark.parametrize("task, cfgfile, override, message", [
+    ("dixmier", "dixmier_torus.json", "dixmier.model.cutoff=3",
+     "too few modes"),
+    ("residue", "residue_cylinder_green.json",
+     'residue.p={"literal": "|xi|^-3", "order": -3}', "transmission")])
+def test_other_library_error_exit_code(tmp_path, capsys, task, cfgfile,
+                                       override, message):
+    # a library error that is neither a config, tolerance nor resource-cap
+    # error exits 1 with one "error:" line and writes nothing
+    code = run([task, "--config", CONFIGS / cfgfile, "--out", tmp_path,
+                "--set", override])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert message in err
+    assert not (tmp_path / f"{task}.csv").exists()
+
+
 def test_zeta_at_zero_without_log_slots(tmp_path):
     # the s = 0 residue is read off the t^0 ln t slot, which the fit adds
     # when the document lists none; the Epstein zeta is regular at 0

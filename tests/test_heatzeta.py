@@ -11,13 +11,12 @@ from scipy.special import exp1
 
 from ncres.errors import (ConfigError, IllConditionedFitError, TailBoundError,
                           WindowError)
-from ncres.heatzeta import (HeatSamples, _sine_weight_matrix,
+from ncres.heatzeta import (_BLOCK, HeatSamples, _sine_weight_matrix,
                             boundary_heat_test, default_exponents,
                             fit_expansion, halfspace_heat_samples,
                             heat_samples, zeta_residue)
 from ncres.spectral import (SpectralWeight, SpectrumModel, dixmier_estimate,
                             enumerate_spectrum)
-from ncres.summation import DEFAULT_CHUNK, chunked_sum
 
 PI = math.pi
 ONE = SpectralWeight(power=0.0)
@@ -219,12 +218,12 @@ def test_t_grid_outside_domain_rejected(grid):
 
 def _dense_heat(p_weight, a_weight, spec, t):
     # every exponential evaluated, underflowing or not, from the top
-    # eigenvalue down as heat_samples sums
+    # eigenvalue down and block by block as heat_samples sums
     lam = spec.values[::-1]
     pw = p_weight(lam) * spec.counts[::-1]
     aw = a_weight(lam)
-    return chunked_sum(
-        lambda lo, hi: np.exp(-np.outer(t, aw[lo:hi])) @ pw[lo:hi], aw.size)
+    return sum((np.exp(-np.outer(t, aw[lo:lo + _BLOCK])) @ pw[lo:lo + _BLOCK]
+                for lo in range(0, aw.size, _BLOCK)), np.zeros(t.size))
 
 
 MIXED = np.geomspace(1e-3, 5e-2, 40)
@@ -243,7 +242,7 @@ def test_heat_samples_match_dense_sum(weight, grid):
 
 def test_heat_samples_match_dense_sum_over_two_chunks():
     spec = torus(1150)
-    assert spec.values.size > DEFAULT_CHUNK
+    assert spec.values.size > _BLOCK
     for grid in (MIXED[::5], WIDE[::25]):
         s = heat_samples(INV, AW, spec, grid)
         assert s.values.tobytes() == _dense_heat(INV, AW, spec, s.t).tobytes()
@@ -316,6 +315,24 @@ def test_heat_log_coefficient_matches_minus_pi():
     fit = fit_expansion(heat_samples(INV, AW, torus(300), grid),
                         [0.0, 0.5, 1.0, 1.5, 2.0], [0.0, 1.0])
     assert fit.coefficient(0.0, log=True) == pytest.approx(-PI, rel=0.02)
+
+
+@pytest.mark.parametrize("scale", [1e-15, 1e-9, 1.0, 1e15])
+def test_tail_gate_verdict_ignores_the_scale_of_p(scale):
+    # P and c P give samples, coefficients and tails scaled alike, so the
+    # same verdict: the tail swamps the fit at cutoffs 20 and 100, not 300
+    p_weight = SpectralWeight(power=-1.0, shift=1.0, scale=scale)
+    exps, logs = [0.0, 0.5, 1.0, 1.5, 2.0], [0.0, 1.0]
+    for cutoff in (20, 100):
+        with pytest.raises(TailBoundError):
+            fit_expansion(heat_samples(p_weight, AW, torus(cutoff), MIXED),
+                          exps, logs)
+        with pytest.raises(TailBoundError):
+            zeta_residue(p_weight, AW, torus(cutoff), 0.0)
+    fit = fit_expansion(heat_samples(p_weight, AW, torus(300), MIXED),
+                        exps, logs)
+    assert fit.coefficient(0.0, log=True) / scale == pytest.approx(-PI,
+                                                                   rel=1e-4)
 
 
 def test_default_exponent_ladder():
