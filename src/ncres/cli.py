@@ -1,16 +1,16 @@
 """Command-line front end: ``ncres TASK [flags]``.
 
-One parser declares every flag once, and flags may stand before or after
-the task.  Every task is driven by a JSON configuration document (see
-:mod:`ncres.config`); flags only pick the file, override dotted paths and
-redirect output.  ``--config`` may be left out for ``verify`` only, and
-``--fast`` applies to ``verify`` only; either misuse is a configuration
-error.  Each run writes ``<task>.csv`` and ``<task>.txt`` into the output
-directory, both stamped with the library version and the sha256 of the
-effective configuration, and is bit-reproducible for a fixed document:
-reductions are serial, over fixed blocks in order.  ``--threads`` and the
-``threads`` field are accepted so that older commands and documents still
-run; they have no effect.
+One parser, built at import, declares every flag once, and flags may
+stand before or after the task.  Every task is driven by a JSON
+configuration document (see :mod:`ncres.config`); flags only pick the
+file, override dotted paths and redirect output.  ``--config`` may be
+left out for ``verify`` only, and ``--fast`` applies to ``verify`` only;
+either misuse is a configuration error.  Each run writes ``<task>.csv``
+and ``<task>.txt`` into the output directory, both stamped with the
+library version and the sha256 of the effective configuration, and is
+bit-reproducible for a fixed document: reductions are serial, over fixed
+blocks in order.  ``--threads`` and the ``threads`` field are accepted so
+that older commands and documents still run; they have no effect.
 
 Exit codes: 0 success, 2 configuration error, 3 tolerance/verification
 failure, 4 resource cap, 1 any other library error (one ``error:`` line,
@@ -39,27 +39,26 @@ from . import writers
 from .verify import run_all
 
 
+_PARSER = argparse.ArgumentParser(
+    prog="ncres", description="residue / Dixmier / heat-zeta cross-checks "
+                              "on model geometries")
+_PARSER.add_argument("--version", action="version",
+                     version=f"ncres {__version__}")
+_PARSER.add_argument("task", choices=TASKS)
+_PARSER.add_argument("--config",
+                     help="JSON job document (optional for verify only)")
+_PARSER.add_argument("--fast", action="store_true", help="verify only: skip "
+                     "the slow cylinder heat-trace check")
+_PARSER.add_argument("--set", action="append", default=[], metavar="PATH=JSON",
+                     help="override a config entry, e.g. --set seed=3")
+_PARSER.add_argument("--out", help="output directory (overrides output_dir)")
+_PARSER.add_argument("--seed", type=int, help="override the RNG seed")
+_PARSER.add_argument("--threads", type=int,
+                     help="accepted for older commands; no effect")
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(
-        prog="ncres",
-        description="residue / Dixmier / heat-zeta cross-checks on model "
-                    "geometries")
-    parser.add_argument("--version", action="version",
-                        version=f"ncres {__version__}")
-    parser.add_argument("task", choices=TASKS)
-    parser.add_argument("--config",
-                        help="JSON job document (optional for verify only)")
-    parser.add_argument("--fast", action="store_true",
-                        help="verify only: skip the slow cylinder heat-trace "
-                             "check")
-    parser.add_argument("--set", action="append", default=[],
-                        metavar="PATH=JSON",
-                        help="override a config entry, e.g. --set seed=3")
-    parser.add_argument("--out", help="output directory (overrides output_dir)")
-    parser.add_argument("--seed", type=int, help="override the RNG seed")
-    parser.add_argument("--threads", type=int,
-                        help="accepted for older commands; no effect")
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         cfg = _effective_config(args)
         return _dispatch(cfg)

@@ -7,17 +7,17 @@ coefficient ratios, spectrum models, t grids).  Runs are fully determined
 by the document plus the seed; reports embed the document's sha256.
 
 Validation is two-stage: JSON syntax errors carry the exact line/column
-from the decoder; schema violations carry the JSON path and a best-effort
-line number located by scanning the source for the offending key.
+from the decoder; schema violations carry the JSON path and the line that
+the path leads to when followed through the source text.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 
-import jsonschema
 import numpy as np
 
 from .errors import ConfigError
@@ -213,11 +213,92 @@ def config_hash(cfg):
         json.dumps(clean, sort_keys=True).encode()).hexdigest()[:16]
 
 
-def _find_line(text, key):
-    m = re.search(r'"%s"\s*:' % re.escape(str(key)), text)
-    if m:
-        return text.count("\n", 0, m.start()) + 1
-    return None
+# Draft 2020-12 types, finite only; float() of a long int would overflow
+_TYPES = {"object": lambda v: isinstance(v, dict),
+          "array": lambda v: isinstance(v, list),
+          "string": lambda v: isinstance(v, str),
+          "boolean": lambda v: isinstance(v, bool),
+          "number": lambda v: (type(v) is int  # a bool is no number
+                               or type(v) is float and math.isfinite(v)),
+          "integer": lambda v: _TYPES["number"](v) and v == int(v)}
+_KEYWORDS = {"type", "enum", "oneOf", "minimum", "maximum", "exclusiveMinimum",
+             "items", "minItems", "maxItems", "properties", "required",
+             "additionalProperties"}
+
+
+def _schema_errors(value, schema, path=()):
+    """Yield ``(path, message)`` for each way ``value`` breaks ``schema``, in
+    the schema's keyword order: Draft 2020-12 for exactly the keywords
+    ``SCHEMA`` uses, tested most frequent first; any other raises."""
+    for keyword, arg in schema.items():
+        if keyword not in _KEYWORDS or (keyword == "additionalProperties"
+                                        and arg is not False):
+            raise NotImplementedError(f"schema keyword {keyword}: {arg!r}")
+        if keyword == "properties" and isinstance(value, dict):
+            for key, sub in arg.items():
+                if key in value:
+                    yield from _schema_errors(value[key], sub, path + (key,))
+        elif keyword == "type":
+            if not _TYPES[arg](value):
+                yield path, f"{value!r} is not of type {arg!r}"
+        elif keyword == "items" and isinstance(value, list):
+            for i, item in enumerate(value):
+                yield from _schema_errors(item, arg, path + (i,))
+        elif keyword == "required" and isinstance(value, dict):
+            yield from ((path, f"{key!r} is a required property")
+                        for key in arg if key not in value)
+        elif keyword == "additionalProperties" and isinstance(value, dict):
+            extra = sorted(value.keys() - schema["properties"].keys())
+            if extra:
+                yield path, f"additional properties {extra} not allowed"
+        elif keyword == "oneOf" and sum(
+                not any(_schema_errors(value, sub)) for sub in arg) != 1:
+            yield path, f"{value!r} is not valid under exactly one schema"
+        elif keyword == "enum" and value not in arg:
+            yield path, f"{value!r} is not one of {arg!r}"
+        elif keyword == "minimum" and _TYPES["number"](value) and value < arg:
+            yield path, f"{value!r} is less than the minimum of {arg!r}"
+        elif keyword == "maximum" and _TYPES["number"](value) and value > arg:
+            yield path, f"{value!r} is greater than the maximum of {arg!r}"
+        elif (keyword == "exclusiveMinimum" and _TYPES["number"](value)
+              and value <= arg):
+            yield path, f"{value!r} is not above the minimum of {arg!r}"
+        elif (keyword == "minItems" and isinstance(value, list)
+              and len(value) < arg):
+            yield path, f"{value!r} is too short"
+        elif (keyword == "maxItems" and isinstance(value, list)
+              and len(value) > arg):
+            yield path, f"{value!r} is too long"
+
+
+_DECODE = json.JSONDecoder().raw_decode
+# between two tokens of valid JSON: white space and one "," or ":"
+_GAP = re.compile(r"[ \t\n\r,:]*")
+
+
+def _where(source, text, path):
+    """``source:line: `` of where ``path`` leads in the JSON ``text``, or
+    ``source: `` where the text lacks it (a key only an override added)."""
+    pos = start = 0
+    for step in path:
+        pos = _GAP.match(text, pos).end()
+        if text[pos:pos + 1] != ("[" if isinstance(step, int) else "{"):
+            return f"{source}: "
+        pos, index = pos + 1, 0
+        while True:
+            start = pos = _GAP.match(text, pos).end()
+            if text[pos:pos + 1] in "]}":
+                return f"{source}: "
+            key = index
+            if isinstance(step, str):
+                key, pos = _DECODE(text, pos)
+                pos = _GAP.match(text, pos).end()
+            if key == step:
+                break
+            _, pos = _DECODE(text, pos)
+            index += 1
+    line = text.count("\n", 0, start) + 1
+    return f"{source}:{line}: " if path else f"{source}: "
 
 
 def decode_config(text, source="<config>"):
@@ -231,21 +312,16 @@ def decode_config(text, source="<config>"):
 
 
 def validate_config(cfg, text="", source="<config>"):
-    validator = jsonschema.Draft202012Validator(SCHEMA)
-    errors = sorted(validator.iter_errors(cfg),
-                    key=lambda e: list(e.absolute_path))
+    # the first error by path; at one path, the first in keyword order
+    errors = sorted(_schema_errors(cfg, SCHEMA), key=lambda e: e[0])
     if errors:
-        e = errors[0]
-        path = "/".join(str(p) for p in e.absolute_path) or "<root>"
-        key = list(e.absolute_path)[-1] if e.absolute_path else ""
-        line = _find_line(text, key) if text else None
-        at = f"{source}:{line}: " if line else f"{source}: "
-        raise ConfigError(f"{at}at {path}: {e.message}")
+        path, message = errors[0]
+        at = "/".join(map(str, path)) or "<root>"
+        raise ConfigError(f"{_where(source, text, path)}at {at}: {message}")
     task = cfg["task"]
     if task != "verify" and task not in cfg:
-        line = _find_line(text, "task") if text else None
-        at = f"{source}:{line}: " if line else f"{source}: "
-        raise ConfigError(f"{at}missing section {task!r} for the chosen task")
+        raise ConfigError(f"{_where(source, text, ('task',))}missing section "
+                          f"{task!r} for the chosen task")
     return cfg
 
 

@@ -3,6 +3,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -163,6 +166,106 @@ def test_override_error_names_the_config_file(tmp_path, capsys):
     kind_line = 1 + (CONFIGS / "dixmier_torus.json").read_text().split(
         '"kind"')[0].count("\n")
     assert f"dixmier_torus.json:{kind_line}: at dixmier/model/kind" in line
+
+
+# the line of the offending key comes from following its path, not from
+# the first key of that name in the file
+PATH_DOCUMENTS = [
+    ("dixmier", ['{',
+                 '  "task": "dixmier",',
+                 '  "dixmier": {',
+                 '    "model": {"kind": "torus_lattice", "dim": 2, '
+                 '"cutoff": 800},',
+                 '    "weight": {"power": -1.0, "shift": 1.0},',
+                 '    "formula": {',
+                 '      "geometry": {"kind": "moebius", "dim": 2}',
+                 '    }',
+                 '  }',
+                 '}'], "7: at dixmier/formula/geometry/kind:"),
+    ("residue", ['{',
+                 '  "task": "residue",',
+                 '  "residue": {',
+                 '    "geometry": {"kind": "cylinder", "dim": 2},',
+                 '    "p": {"literal": "|xi|^-2", "order": -2},',
+                 '    "green": [',
+                 '      {"degree": -2, "b": "|xi|^-2", "pairs": [{"k": '
+                 '{"poles": [{"pole": [0, 1]}]}, "t": {"poles": [{"pole": '
+                 '[0, -1]}]}}]},',
+                 '      {"degree": -2, "b": "|xi|^-2", "pairs": [{"k": '
+                 '{"poles": [{"pole": "bad"}]}, "t": {}}]}',
+                 '    ]',
+                 '  }',
+                 '}'], "8: at residue/green/1/pairs/0/k/poles/0/pole:")]
+
+
+@pytest.mark.parametrize("task, lines, where", PATH_DOCUMENTS,
+                         ids=[d[0] for d in PATH_DOCUMENTS])
+def test_error_line_follows_the_path(tmp_path, capsys, task, lines, where):
+    doc = tmp_path / "doc.json"
+    doc.write_text("\n".join(lines) + "\n")
+    assert run([task, "--config", doc, "--out", tmp_path]) == 2
+    assert f"doc.json:{where}" in _one_config_error_line(capsys)
+
+
+def _dixmier_text(path, literal):
+    """dixmier_torus.json with the number at ``path`` written as ``literal``
+    in the JSON text."""
+    cfg = json.loads((CONFIGS / "dixmier_torus.json").read_text())
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = "@"
+    return json.dumps(cfg, indent=1).replace('"@"', literal)
+
+
+@pytest.mark.parametrize("route", ["file", "set"])
+@pytest.mark.parametrize("path, literal", [
+    (("dixmier", "model", "cutoff"), "NaN"),
+    (("dixmier", "model", "mode_cap"), "1e400"),
+    (("dixmier", "window_decades"), "Infinity"),
+    (("seed",), "-Infinity")])
+def test_non_finite_number_exit_code(tmp_path, capsys, route, path, literal):
+    # Python's json reads NaN, Infinity and 1e400; none is a JSON number
+    doc = CONFIGS / "dixmier_torus.json"
+    extra = ["--set", f"{'.'.join(path)}={literal}"]
+    if route == "file":
+        doc = tmp_path / "doc.json"
+        doc.write_text(_dixmier_text(path, literal))
+        extra = []
+    code = run(["dixmier", "--config", doc, "--out", tmp_path] + extra)
+    assert code == 2
+    assert f": at {'/'.join(path)}: " in _one_config_error_line(capsys)
+    assert not (tmp_path / "dixmier.csv").exists()
+
+
+def test_cli_runs_without_jsonschema(tmp_path):
+    # jsonschema is a test oracle only: no job imports it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(CONFIGS.parent.parent / "src"),
+                      env.get("PYTHONPATH")]))
+    argv = ["residue", "--config", str(CONFIGS / "residue_torus.json"),
+            "--out", str(tmp_path)]
+    script = ("import sys\n"
+              "from ncres.cli import main\n"
+              f"assert main({argv!r}) == 0\n"
+              "assert 'jsonschema' not in sys.modules, 'jsonschema loaded'\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_parser_keeps_no_state_between_runs(tmp_path):
+    # the parser is built once per process; argparse's append action copies
+    # its default, so a --set of one run must not reach the next
+    doc = CONFIGS / "residue_torus.json"
+    assert run(["residue", "--config", doc, "--out", tmp_path / "a",
+                "--set", "seed=3", "--seed", 5]) == 0
+    assert run(["residue", "--config", doc, "--out", tmp_path / "b"]) == 0
+    fresh = config_hash(json.loads(doc.read_text()))
+    stamps = [(tmp_path / d / "residue.csv").read_text() for d in "ab"]
+    assert f"config_sha256={fresh}" not in stamps[0]
+    assert f"config_sha256={fresh}" in stamps[1]
 
 
 def test_flags_before_the_task(tmp_path):
