@@ -4,13 +4,14 @@ One parser, built at import, declares every flag once, and flags may
 stand before or after the task.  Every task is driven by a JSON
 configuration document (see :mod:`ncres.config`); flags only pick the
 file, override dotted paths and redirect output.  ``--config`` may be
-left out for ``verify`` only, and ``--fast`` applies to ``verify`` only;
-either misuse is a configuration error.  Each run writes ``<task>.csv``
-and ``<task>.txt`` into the output directory, both stamped with the
-library version and the sha256 of the effective configuration, and is
-bit-reproducible for a fixed document: reductions are serial, over fixed
-blocks in order.  ``--threads`` and the ``threads`` field are accepted so
-that older commands and documents still run; they have no effect.
+left out for ``verify`` only, which runs every criterion and has no
+section of its own; leaving it out elsewhere is a configuration error.
+Each run writes ``<task>.csv`` and ``<task>.txt`` into the output
+directory, both stamped with the library version and the sha256 of the
+effective configuration, and is bit-reproducible for a fixed document:
+reductions are serial, over fixed blocks in order.  ``--threads`` and the
+``threads`` field are accepted so that older commands and documents still
+run; they have no effect.
 
 Exit codes: 0 success, 2 configuration error, 3 tolerance/verification
 failure, 4 resource cap, 1 any other library error (one ``error:`` line,
@@ -47,8 +48,6 @@ _PARSER.add_argument("--version", action="version",
 _PARSER.add_argument("task", choices=TASKS)
 _PARSER.add_argument("--config",
                      help="JSON job document (optional for verify only)")
-_PARSER.add_argument("--fast", action="store_true", help="verify only: skip "
-                     "the slow cylinder heat-trace check")
 _PARSER.add_argument("--set", action="append", default=[], metavar="PATH=JSON",
                      help="override a config entry, e.g. --set seed=3")
 _PARSER.add_argument("--out", help="output directory (overrides output_dir)")
@@ -79,11 +78,8 @@ def main(argv=None):
 def _effective_config(args):
     """The document with every override applied, validated once against
     the file's own text, so errors name the file and its lines."""
-    if args.task != "verify":
-        if not args.config:
-            raise ConfigError(f"{args.task} needs --config")
-        if args.fast:
-            raise ConfigError("--fast applies to verify only")
+    if args.task != "verify" and not args.config:
+        raise ConfigError(f"{args.task} needs --config")
     text, source = "", "<config>"
     if args.config:
         source = str(args.config)
@@ -101,6 +97,9 @@ def _effective_config(args):
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
+        except ValueError as exc:   # an integer past the int-string limit
+            raise ConfigError(
+                f"--set {path}: {str(exc).partition(';')[0]}") from exc
         node = cfg
         keys = path.split(".")
         for i, key in enumerate(keys[:-1]):
@@ -115,8 +114,6 @@ def _effective_config(args):
         cfg["seed"] = args.seed
     if args.threads is not None:
         cfg["threads"] = args.threads
-    if args.fast:
-        cfg.setdefault("verify", {})["fast"] = True
     validate_config(cfg, text, source)
     if cfg["task"] != args.task:
         raise ConfigError(
@@ -214,8 +211,7 @@ def _dispatch(cfg):
         return 0
 
     if task == "verify":
-        fast = cfg.get("verify", {}).get("fast", False)
-        results, ok = run_all(fast=fast, seed=cfg.get("seed", 0),
+        results, ok = run_all(seed=cfg.get("seed", 0),
                               progress=lambda r: print(r.line(), flush=True))
         (out_dir / "verify.csv").write_bytes(writers.verify_csv(results, meta))
         (out_dir / "verify.txt").write_text(

@@ -1,14 +1,17 @@
 """Job configuration: JSON schema, validation and object construction.
 
 A job is one JSON document.  Shared fields: ``task``, ``seed``, ``threads``,
-``output_dir``; one section per task carries the inputs (symbol literals in
-the grammar of :mod:`ncres.literals`, rational functions as pole lists or
-coefficient ratios, spectrum models, t grids).  Runs are fully determined
-by the document plus the seed; reports embed the document's sha256.
+``output_dir``; one section per task other than ``verify``, which has
+none, carries the inputs (symbol literals in the grammar of
+:mod:`ncres.literals`, rational functions as pole lists or coefficient
+ratios, spectrum models, t grids).  Runs are fully determined by the
+document plus the seed; reports embed the document's sha256.
 
 Validation is two-stage: JSON syntax errors carry the exact line/column
-from the decoder; schema violations carry the JSON path and the line that
-the path leads to when followed through the source text.
+from the decoder, and an integer literal longer than the interpreter's
+int-string limit (4300 digits) is an error of the document too; schema
+violations carry the JSON path and the line that the path leads to when
+followed through the source text.
 """
 
 from __future__ import annotations
@@ -186,11 +189,6 @@ SCHEMA = {
             "required": ["dim", "p", "a", "power"],
             "additionalProperties": False,
         },
-        "verify": {
-            "type": "object",
-            "properties": {"fast": {"type": "boolean"}},
-            "additionalProperties": False,
-        },
     },
     "required": ["task"],
     "additionalProperties": False,
@@ -309,6 +307,9 @@ def decode_config(text, source="<config>"):
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{source}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:   # an integer past the int-string limit
+        raise ConfigError(
+            f"{source}: {str(exc).partition(';')[0]}") from exc
 
 
 def validate_config(cfg, text="", source="<config>"):

@@ -295,21 +295,6 @@ def zeta_residue(p_weight, a_weight, spec, sigma, t_grid=None,
 # half-space (cylinder) heat trace for the truncated interior operator
 
 
-def _sine_weight_matrix(jmax, mmax):
-    """W[j - 1, m + mmax] = |integral_0^pi sin(j x) exp(-i m x) dx|^2:
-    (pi/2)^2 at m = +-j, (2j/(j^2 - m^2))^2 when j + m is odd, else 0."""
-    js = np.arange(1, jmax + 1)
-    ms = np.arange(-mmax, mmax + 1)
-    W = np.zeros((jmax, ms.size))
-    for r in (0, 1):
-        # rows j = r + 1, r + 3, ...; columns of the m of the other parity
-        c = (mmax + r) % 2
-        j2 = js[r::2, None] ** 2
-        W[r::2, c::2] = 4.0 * j2 / (j2 - ms[c::2] ** 2) ** 2
-    W[js - 1, mmax + js] = W[js - 1, mmax - js] = (math.pi / 2.0) ** 2
-    return W
-
-
 @dataclass(frozen=True)
 class BoundaryHeatResult:
     log_coefficient: float
@@ -317,43 +302,43 @@ class BoundaryHeatResult:
     samples: HeatSamples
 
 
-def halfspace_heat_samples(t_grid, shift=1.0, m_cutoff=4000):
+def halfspace_heat_samples(t_grid, shift=1.0):
     """trace(P_+ exp(-t A)) on the cylinder [0, pi] x circle.
 
     A = Dirichlet Laplacian + ``shift`` with eigenbasis sin(j x) e^{i k y};
     P = (1 - Laplacian)^-1 of the *full* torus, truncated to the cylinder,
-    so each mode contributes
+    so each mode contributes the bracket
 
-        (2/pi) (1/2pi) sum_m |I_jm|^2 / (1 + m^2 + k^2)
+        G[j, k] = (2/pi) (1/2pi) sum_m |I_jm|^2 / (1 + m^2 + k^2)
 
-    with the exact sine-extension integrals I_jm.  The j,k cutoffs are
-    chosen from the smallest t; the m truncation error is added to the
-    certified tail bound.  Every t must be finite and positive, or
-    :class:`ValueError` is raised.
+    with the exact sine-extension integrals I_jm.  With a^2 = 1 + k^2 the
+    m sum has the closed form
+
+        G[j, k] = 1/(a^2 + j^2) + (2/pi) j^2 c_j / (a (a^2 + j^2)^2),
+
+    the diagonal of the Dirichlet resolvent (a^2 + Delta_D)^-1 plus that of
+    the singular Green term P_+ - (a^2 + Delta_D)^-1, with c_j = coth(pi a/2)
+    for odd j and tanh(pi a/2) for even j (cosh and sinh of pi a would
+    overflow from a ~ 226 on, below the jmax of 233 at t = 1.5e-3).  The
+    j, k cutoffs are chosen from the smallest t.  Every t must be finite
+    and positive, or :class:`ValueError` is raised.
     """
     t_grid = _descending_grid(t_grid)
     tmin = float(t_grid[-1])
     jmax = int(math.ceil(9.0 / math.sqrt(tmin)))
-    if m_cutoff < 2 * jmax:  # the m tail bound below needs M >= 2 jmax
-        raise TailBoundError(
-            f"m cutoff {m_cutoff} below twice the mode cutoff {jmax}")
     js = np.arange(1, jmax + 1).astype(float)
     ks = np.arange(0, jmax + 1).astype(float)
     kw = np.where(ks == 0, 1.0, 2.0)
 
-    # G[j, k] = (1/pi^2) sum_m |I_jm|^2 / (1 + m^2 + k^2)
-    W = _sine_weight_matrix(jmax, m_cutoff) / math.pi ** 2
-    ms = np.arange(-m_cutoff, m_cutoff + 1).astype(float)
-    D = (1.0 + ms ** 2)[:, None] + ks ** 2
-    np.divide(1.0, D, out=D)
-    G = W @ D
+    a2 = 1.0 + ks ** 2
+    a = np.sqrt(a2)
+    th = np.tanh(0.5 * math.pi * a)
+    c = np.where(js[:, None] % 2 == 1, 1.0 / th, th)
+    j2 = (js ** 2)[:, None]
+    d = a2 + j2
+    G = 1.0 / d + (2.0 / math.pi) * j2 * c / (a * d * d)
 
-    # certified tails: dropped (j, k) modes (bracket <= 1) plus the m
-    # truncation of the bracket sum; for m > M >= 2 jmax one has
-    # m^2 - j^2 >= (3/4) m^2, so the per-mode m tail is bounded by
-    # (128/27) j^2 M^-3 / (1 + M^2 + k^2).
-    m_tail = (128.0 / 27.0) * jmax ** 2 / m_cutoff ** 3 \
-        / (1.0 + m_cutoff ** 2) / math.pi ** 2
+    # certified tail: the dropped (j, k) modes, each bracket <= ||P|| = 1
     values = np.empty(t_grid.size)
     bounds = np.empty(t_grid.size)
     for i, t in enumerate(t_grid):
@@ -361,20 +346,21 @@ def halfspace_heat_samples(t_grid, shift=1.0, m_cutoff=4000):
         ek = np.exp(-t * ks ** 2) * kw
         damp = math.exp(-t * shift)
         values[i] = damp * float(ej @ G @ ek)
-        bounds[i] = _lattice_tail(2, jmax, t) * damp \
-            + m_tail * float(ej.sum() * ek.sum())
+        bounds[i] = _lattice_tail(2, jmax, t) * damp
     return HeatSamples(t_grid, values, bounds)
 
 
-def boundary_heat_test(t_grid=None, shift=1.0, m_cutoff=4000, threads=1):
+def boundary_heat_test(t_grid=None, shift=1.0, m_cutoff=None,
+                       threads=None):
     """Fit the ln t coefficient of the cylinder half-space heat trace.
 
     Exponent ladder: half-integer powers with log slots at 0, 1/2 and 1.
-    ``threads`` is accepted for older callers and has no effect.
+    ``m_cutoff`` and ``threads`` are accepted for older callers and have no
+    effect: the bracket is summed over m in closed form.
     """
     if t_grid is None:
         t_grid = np.geomspace(1.5e-3, 5e-2, 30)
-    samples = halfspace_heat_samples(t_grid, shift=shift, m_cutoff=m_cutoff)
+    samples = halfspace_heat_samples(t_grid, shift=shift)
     fit = fit_expansion(samples, [0.0, 0.5, 1.0, 1.5, 2.0],
                         [0.0, 0.5, 1.0])
     return BoundaryHeatResult(fit.coefficient(0.0, log=True), fit, samples)

@@ -118,13 +118,22 @@ class Spectrum:
 
 
 def _estimate_modes(model):
-    r = float(model.cutoff)
+    """The modes of the box around the enumerated ball, an exact int for
+    any cutoff: from floor(cutoff), as enumeration counts."""
+    r = math.floor(model.cutoff)
     d = model.dim
     if model.kind in ("torus_lattice", "boundary_lattice"):
         return model.copies * (2 * r + 1) ** d
     if model.kind == "dirichlet_cylinder":
         return model.copies * r * (2 * r + 1) ** (d - 1)
     raise ValueError(f"unknown model kind {model.kind!r}")
+
+
+def _sci(n):
+    """``n`` as d.dde+x, exact for an int of any size, which a float cast
+    would overflow; decimal is imported only on this error path."""
+    from decimal import Decimal
+    return f"{Decimal(n):.2e}"
 
 
 # eigenvalues per block of the plane count: the block's int64 bincount
@@ -216,7 +225,7 @@ def enumerate_spectrum(model):
     est = _estimate_modes(model)
     if est > model.mode_cap:
         raise ResourceCapError(
-            f"~{est:.2e} modes exceed the cap {model.mode_cap:.2e}")
+            f"~{_sci(est)} modes exceed the cap {_sci(model.mode_cap)}")
     R = int(model.cutoff)
     R2 = R * R
     if model.dim == 1:
@@ -233,7 +242,7 @@ def enumerate_spectrum(model):
     else:
         if R2 > 400_000_000:
             raise ResourceCapError(
-                f"dense eigenvalue table of length {R2:.2e} over the cap")
+                f"dense eigenvalue table of length {_sci(R2)} over the cap")
         if model.dim not in (2, 3):
             raise ValueError("lattice counting implemented for dim <= 3")
         sq = np.arange(R + 1, dtype=np.int64) ** 2

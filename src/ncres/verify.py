@@ -1,8 +1,7 @@
 """Cross-check suite: every advertised identity at its pinned tolerance.
 
-Each check returns a :class:`CheckResult`; `run_all` executes the suite
-(the slow cylinder heat-trace check is skipped in fast mode) and is the
-backend of the ``verify`` task of the command line, while
+Each check returns a :class:`CheckResult`; `run_all` executes the whole
+suite and is the backend of the ``verify`` task of the command line, while
 ``tests/test_acceptance.py`` calls each check on its own.  Within one run
 every lattice is enumerated once: the checks that read a spectrum share
 the run's pool of them (``spectra``), and a check called on its own
@@ -337,7 +336,7 @@ ALL_CHECKS = [
 ]
 
 
-def run_all(fast=False, seed=0, progress=None):
+def run_all(seed=0, progress=None):
     """Run the suite; returns (results, all_passed)."""
     results = []
     spectra = {}   # SpectrumModel -> Spectrum, shared by this run's checks
@@ -345,8 +344,6 @@ def run_all(fast=False, seed=0, progress=None):
         params = fn.__code__.co_varnames[:fn.__code__.co_argcount]
         kwargs = {k: v for k, v in (("seed", seed), ("spectra", spectra))
                   if k in params}
-        if fast and fn is check_boundary_heat:
-            continue
         t0 = time.perf_counter()
         result = fn(**kwargs)
         result.seconds = time.perf_counter() - t0

@@ -1,9 +1,8 @@
 """Acceptance gate: one test per advertised criterion, pinned tolerances.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one pass/fail
-line per criterion; the same checks back the command line's verify task.
-The cylinder heat-trace criterion is marked slow but stays well inside its
-budget here.
+line per criterion; the same checks back the command line's verify task,
+which runs all ten.
 """
 
 import numpy as np
@@ -99,7 +98,6 @@ def test_criterion_08_parametric_routes():
     _report(verify.check_parametric_routes(seed=0))
 
 
-@pytest.mark.slow
 def test_criterion_09_boundary_heat():
     _report(verify.check_boundary_heat())
 

@@ -282,10 +282,10 @@ def test_flags_before_the_task(tmp_path):
 
 @pytest.mark.parametrize("argv", [
     ["residue"],
-    ["residue", "--config", CONFIGS / "residue_torus.json", "--fast"],
-    ["--fast", "heat", "--config", CONFIGS / "heat_torus.json"]])
+    ["heat"],
+    ["verify", "--set", 'verify={"fast": true}']])
 def test_flag_misuse_exit_code(tmp_path, capsys, argv):
-    # --config may be left out for verify only; --fast is for verify only
+    # --config may be left out for verify only, and verify has no section
     assert run(argv + ["--out", tmp_path]) == 2
     _one_config_error_line(capsys)
     assert not list(tmp_path.iterdir())
@@ -325,6 +325,45 @@ def test_resource_cap_exit_code(tmp_path):
                 "--out", tmp_path,
                 "--set", "dixmier.model.cutoff=100000"])
     assert code == 4
+
+
+@pytest.mark.parametrize("cutoff", ["1e300", "9" * 400],
+                         ids=["float", "long-int"])
+def test_huge_cutoff_resource_cap(tmp_path, capsys, cutoff):
+    # the mode estimate is an exact int: no float power or int-to-float
+    # conversion overflows before the cap is read
+    code = run(["dixmier", "--config", CONFIGS / "dixmier_torus.json",
+                "--out", tmp_path, "--set", f"dixmier.model.cutoff={cutoff}"])
+    assert code == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("resource cap:"), err
+    assert not (tmp_path / "dixmier.csv").exists()
+
+
+@pytest.mark.parametrize("route", ["file", "set"])
+def test_integer_past_the_digit_limit_exit_code(tmp_path, capsys, route):
+    # Python's json refuses an int of more than 4300 digits with a plain
+    # ValueError, not a JSONDecodeError
+    literal = "1" * 5000
+    doc = CONFIGS / "residue_torus.json"
+    extra = ["--set", f"seed={literal}"]
+    if route == "file":
+        doc = tmp_path / "doc.json"
+        doc.write_text((CONFIGS / "residue_torus.json").read_text()
+                       .replace('"seed": 0', f'"seed": {literal}'))
+        extra = []
+    code = run(["residue", "--config", doc, "--out", tmp_path] + extra)
+    assert code == 2
+    line = _one_config_error_line(capsys)
+    assert ("doc.json: " if route == "file" else "--set seed: ") in line
+    assert not (tmp_path / "residue.csv").exists()
+
+
+def test_set_text_that_is_not_json_stays_a_string(tmp_path, capsys):
+    code = run(["residue", "--config", CONFIGS / "residue_torus.json",
+                "--out", tmp_path, "--set", "seed=1x"])
+    assert code == 2
+    assert "'1x' is not of type 'integer'" in _one_config_error_line(capsys)
 
 
 def test_tolerance_failure_exit_code(tmp_path):
@@ -530,14 +569,14 @@ def test_demo_csvs_well_formed(demo_outputs):
 
 
 def test_verify_csv_byte_reproducible(demo_outputs, tmp_path, capsys):
-    code = run(["verify", "--config", CONFIGS / "verify_fast.json",
+    code = run(["verify", "--config", CONFIGS / "verify.json",
                 "--out", tmp_path])
     assert code == 0
     assert (tmp_path / "verify.csv").read_bytes() == \
-        demo_outputs["verify_fast"].read_bytes()
+        demo_outputs["verify"].read_bytes()
 
 
-def test_verify_fast_smoke(tmp_path, capsys, monkeypatch):
+def test_verify_smoke(tmp_path, capsys, monkeypatch):
     # every lattice table is counted once per run: criteria 04-05 share
     # torus 4000 and 06-07 torus 300; criterion 10 counts its three twice,
     # once per pass
@@ -549,10 +588,9 @@ def test_verify_fast_smoke(tmp_path, capsys, monkeypatch):
         return plane_counts(R2, sq)
 
     monkeypatch.setattr(spectral, "_plane_counts", counted)
-    code = run(["verify", "--config", CONFIGS / "verify_fast.json",
-                "--out", tmp_path,
-                "--set", "verify.fast=true"])
-    # full fast suite; asserts its own tolerances internally
+    code = run(["verify", "--config", CONFIGS / "verify.json",
+                "--out", tmp_path])
+    # the whole suite; asserts its own tolerances internally
     assert code == 0
     out = capsys.readouterr().out
     assert "residue_closed_form" in out

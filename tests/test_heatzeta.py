@@ -11,10 +11,10 @@ from scipy.special import exp1
 
 from ncres.errors import (ConfigError, IllConditionedFitError, TailBoundError,
                           WindowError)
-from ncres.heatzeta import (_BLOCK, HeatSamples, _sine_weight_matrix,
-                            boundary_heat_test, default_exponents,
-                            fit_expansion, halfspace_heat_samples,
-                            heat_samples, zeta_residue)
+from ncres.heatzeta import (_BLOCK, HeatSamples, boundary_heat_test,
+                            default_exponents, fit_expansion,
+                            halfspace_heat_samples, heat_samples,
+                            zeta_residue)
 from ncres.spectral import (SpectralWeight, SpectrumModel, dixmier_estimate,
                             enumerate_spectrum)
 
@@ -445,20 +445,11 @@ def test_sine_extension_against_quadrature():
             assert abs(sine_extension_sq(j, m) - abs(ig) ** 2) < 1e-10
 
 
-@pytest.mark.parametrize("jmax, mmax", [(1, 2), (7, 14), (8, 17)])
-def test_sine_weight_matrix_matches_pointwise_formula(jmax, mmax):
-    want = np.array([[sine_extension_sq(j, m)
-                      for m in range(-mmax, mmax + 1)]
-                     for j in range(1, jmax + 1)])
-    assert _sine_weight_matrix(jmax, mmax).tobytes() == want.tobytes()
-
-
 def test_halfspace_tail_bound_covers_a_larger_box():
-    # t_min 0.05 gives jmax 41 at the smallest m cutoff allowed, 82; the
-    # extra t = 0.002 gives jmax 202, and m runs to 4000
+    # t_min 0.05 gives jmax 41; the extra t = 0.002 gives jmax 202
     ts = np.geomspace(5e-2, 5e-1, 8)
-    small = halfspace_heat_samples(ts, m_cutoff=82)
-    large = halfspace_heat_samples(np.append(ts, 2e-3), m_cutoff=4000)
+    small = halfspace_heat_samples(ts)
+    large = halfspace_heat_samples(np.append(ts, 2e-3))
     assert np.array_equal(small.t, large.t[:-1])
     diff = np.abs(small.values - large.values[:-1])
     roundoff = 1e-14 * small.values
@@ -468,28 +459,37 @@ def test_halfspace_tail_bound_covers_a_larger_box():
 
 def test_halfspace_monotone_decay():
     ts = np.geomspace(1e-2, 1.0, 10)
-    samples = halfspace_heat_samples(ts, m_cutoff=800)
+    samples = halfspace_heat_samples(ts)
     vals = samples.values[::-1]   # ascending t
     assert np.all(np.diff(vals) < 0)
     assert vals[-1] < 1.0
 
 
 def test_halfspace_bracket_against_triple_sum():
-    # independent route: the (j, m, k) sum term by term, k over both signs
+    # independent route: the (j, m, k) sum term by term, k over both signs,
+    # m truncated at M.  For |m| > M >= 2 jmax one has m^2 - j^2 >= (3/4) m^2,
+    # so the m tail of mode (j, k) is below (128/27) j^2 M^-3 / (1 + M^2 + k^2)
+    # / pi^2, and the tolerance is 1e-13 relative plus that tail
     ts = np.geomspace(0.3, 3.0, 6)
     shift, M = 0.5, 200
-    got = halfspace_heat_samples(ts, shift=shift, m_cutoff=M)
+    got = halfspace_heat_samples(ts, shift=shift)
     jmax = int(math.ceil(9.0 / math.sqrt(ts.min())))
-    inner = {}
+    assert M >= 2 * jmax
+    inner, tail = {}, {}
     for j in range(1, jmax + 1):
         for k in range(-jmax, jmax + 1):
             inner[j, k] = math.fsum(
                 sine_extension_sq(j, m) / (1.0 + m * m + k * k)
                 for m in range(-M, M + 1)) / PI ** 2
+            tail[j, k] = (128.0 / 27.0) * j * j / M ** 3 \
+                / (1.0 + M * M + k * k) / PI ** 2
     for t, value in zip(got.t, got.values):
-        want = math.exp(-t * shift) * math.fsum(
-            math.exp(-t * (j * j + k * k)) * g for (j, k), g in inner.items())
-        assert value == pytest.approx(want, rel=1e-13)
+        damp = math.exp(-t * shift)
+        weight = {jk: math.exp(-t * (jk[0] ** 2 + jk[1] ** 2))
+                  for jk in inner}
+        want = damp * math.fsum(weight[jk] * g for jk, g in inner.items())
+        m_tail = damp * math.fsum(weight[jk] * tail[jk] for jk in tail)
+        assert abs(value - want) <= 1e-13 * abs(want) + m_tail
 
 
 def test_dirichlet_resolvent_green_part_has_no_log_term():
@@ -506,14 +506,15 @@ def test_dirichlet_resolvent_green_part_has_no_log_term():
     assert abs(fit.coefficient(0.0, log=True)) <= 1e-3
 
 
-def test_boundary_heat_threads_keyword_inert():
-    one = boundary_heat_test(threads=1)
-    two = boundary_heat_test(threads=2)
+@pytest.mark.parametrize("keyword, values", [("threads", (1, 2)),
+                                             ("m_cutoff", (82, 4000))],
+                         ids=["threads", "m_cutoff"])
+def test_boundary_heat_threads_keyword_inert(keyword, values):
+    one, two = (boundary_heat_test(**{keyword: v}) for v in values)
     assert one.log_coefficient == two.log_coefficient
     assert np.array_equal(one.samples.values, two.samples.values)
 
 
-@pytest.mark.slow
 def test_boundary_heat_log_coefficient():
     out = boundary_heat_test()
     assert out.log_coefficient == pytest.approx(-PI / 2, rel=0.05)
