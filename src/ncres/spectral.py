@@ -31,6 +31,8 @@ from .errors import (GradingError, IllConditionedFitError, ModelError,
                      ResourceCapError, WindowError)
 
 MODE_CAP_DEFAULT = 300_000_000
+# the longest array an enumeration may allocate (1.6 GB of int32 table)
+ARRAY_CAP = 400_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +218,8 @@ def enumerate_spectrum(model):
     """Exhaustive (eigenvalue, multiplicity) enumeration below the cutoff.
 
     Deterministic; raises :class:`ResourceCapError` before allocating when
-    the estimated mode count exceeds the model's cap.
+    the estimated mode count exceeds the model's cap or the longest array
+    of any branch exceeds ``ARRAY_CAP``.
     """
     if model.cutoff < 1:
         raise ValueError("cutoff must be >= 1")
@@ -228,6 +231,12 @@ def enumerate_spectrum(model):
             f"~{_sci(est)} modes exceed the cap {_sci(model.mode_cap)}")
     R = int(model.cutoff)
     R2 = R * R
+    # dim 1 indexes the modes, dims 2-3 a dense eigenvalue table
+    longest = R + 1 if model.dim == 1 else R2 + 1
+    if longest > ARRAY_CAP:
+        raise ResourceCapError(
+            f"{'mode array' if model.dim == 1 else 'dense eigenvalue table'}"
+            f" of length {_sci(longest)} over the cap")
     if model.dim == 1:
         # eigenvalues k^2 (or j^2, j >= 1) indexed directly; the dense
         # eigenvalue-indexed array would be quadratic in the cutoff
@@ -240,9 +249,6 @@ def enumerate_spectrum(model):
             values = (ks * ks).astype(float)
             counts = np.where(ks == 0, 1, 2).astype(np.int64)
     else:
-        if R2 > 400_000_000:
-            raise ResourceCapError(
-                f"dense eigenvalue table of length {_sci(R2)} over the cap")
         if model.dim not in (2, 3):
             raise ValueError("lattice counting implemented for dim <= 3")
         sq = np.arange(R + 1, dtype=np.int64) ** 2

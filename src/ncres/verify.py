@@ -1,6 +1,7 @@
 """Cross-check suite: every advertised identity at its pinned tolerance.
 
-Each check returns a :class:`CheckResult`; `run_all` executes the whole
+Each check returns a :class:`CheckResult`, whose verdict is that of its
+:class:`Leg` records, one per comparison.  `run_all` executes the whole
 suite and is the backend of the ``verify`` task of the command line, while
 ``tests/test_acceptance.py`` calls each check on its own.  Within one run
 every lattice is enumerated once: the checks that read a spectrum share
@@ -31,25 +32,56 @@ from .sampling import random_minus_fn, random_plus_fn, random_sg, random_symbol
 from .spectral import SpectralWeight, SpectrumModel, cylinder_from_torus, \
     dixmier_estimate, enumerate_spectrum
 from .symbols import classical_symbol, hom_term, laplace_shift_power, \
-    leibniz_component, radial_term, sphere_moment
+    leibniz_component, radial_term
 from .writers import dixmier_csv, heat_csv
+
+
+@dataclass(frozen=True)
+class Leg:
+    """One comparison of ``value`` with ``expected``.  Its error is
+    |value - expected| / |expected| for kind 'rel', |value - expected| for
+    'abs', and 0 if the two are equal else inf for 'exact'; the leg passes
+    when the error is at most ``tol``, so a NaN error fails."""
+
+    name: str
+    value: object
+    expected: object
+    kind: str
+    tol: float = 0.0
+
+    @property
+    def error(self):
+        if self.kind == "exact":
+            return 0.0 if self.value == self.expected else math.inf
+        err = abs(self.value - self.expected)
+        return err / abs(self.expected) if self.kind == "rel" else err
+
+    @property
+    def passed(self):
+        return self.error <= self.tol
 
 
 @dataclass
 class CheckResult:
     name: str
-    passed: bool
-    value: float
-    expected: float
     tolerance: str
-    detail: str
+    legs: list
     seconds: float = 0.0  # filled in by run_all
 
+    # the headline leg fills the CSV row
+    value = property(lambda self: self.legs[0].value)
+    expected = property(lambda self: self.legs[0].expected)
+
+    @property
+    def passed(self):
+        return all(leg.passed for leg in self.legs)
+
     def line(self):
-        status = "PASS" if self.passed else "FAIL"
-        return (f"[{status}] {self.name}: value={self.value:.10g} "
-                f"expected={self.expected:.10g} ({self.tolerance}) "
-                f"[{self.seconds:.1f}s] {self.detail}")
+        legs = "; ".join(f"{g.name} {g.kind} {g.error:.2e}/{g.tol:g}"
+                         for g in self.legs)
+        return (f"[{'PASS' if self.passed else 'FAIL'}] {self.name}: "
+                f"value={self.value:.10g} expected={self.expected:.10g} "
+                f"({self.tolerance}) [{self.seconds:.1f}s] {legs}")
 
 
 def _spectrum(spectra, model, last=False):
@@ -68,27 +100,18 @@ _HEAT_TORUS = SpectrumModel("torus_lattice", 2, 300)
 _INV_SHIFTED = SpectralWeight(power=-1.0, shift=1.0)
 
 
-# --- 1 -----------------------------------------------------------------
-
-
 def check_residue_closed_form():
-    worst = 0.0
-    vals = []
-    for n in (2, 3):
-        a = laplace_shift_power(n, -n / 2.0, depth=2)
-        got = wodzicki_residue(a, Torus(n)).real
-        want = sphere_moment((0,) * n, n) * TWO_PI ** n
-        worst = max(worst, abs(got - want) / want)
-        vals.append(got)
-    return CheckResult(
-        "residue_closed_form", worst <= 1e-10, vals[0], 8 * math.pi ** 3,
-        "rel 1e-10, n=2 and 3", f"worst rel err {worst:.2e}")
-
-
-# --- 2 -----------------------------------------------------------------
+    """01: res (1 + Delta)^(-n/2) on T^n is |S^(n-1)| (2 pi)^n, n = 2, 3."""
+    def res(n):
+        return wodzicki_residue(laplace_shift_power(n, -n / 2.0, depth=2),
+                                Torus(n)).real
+    return CheckResult("residue_closed_form", "rel 1e-10, n=2 and 3", [
+        Leg("n=2", res(2), 8 * math.pi ** 3, "rel", 1e-10),
+        Leg("n=3", res(3), 32 * math.pi ** 4, "rel", 1e-10)])
 
 
 def check_trace_property(seed=0):
+    """02: the residue vanishes on commutators."""
     rng = np.random.default_rng(seed)
     geo = Torus(2)
     worst = 0.0
@@ -103,20 +126,16 @@ def check_trace_property(seed=0):
         r = wodzicki_residue(ab - ba, geo)
         worst = max(worst, abs(r) / (1.0 + a.norm1() * b.norm1()))
     return CheckResult(
-        "trace_property", worst <= 1e-8 and not empty, worst, 0.0,
-        "<= 1e-8 * scale over 100 seeded pairs, no empty product",
-        f"worst scaled commutator residue {worst:.2e}, "
-        f"empty products {empty}")
-
-
-# --- 3 -----------------------------------------------------------------
+        "trace_property",
+        "<= 1e-8 * scale over 100 seeded pairs, no empty product", [
+            Leg("commutator", worst, 0.0, "abs", 1e-8),
+            Leg("empty products", empty, 0, "exact")])
 
 
 def check_boundary_algebra(seed=0):
+    """03: pi' is exact, tr(K T) = T K, and the singular Green trace is
+    cyclic."""
     h = rational((), [(1j, 1, 1 / 2j), (-1j, 1, -1 / 2j)])
-    exact_half = pi_prime(h) == 0.5 + 0j
-    killed = (pi_prime(rational((0, 1), [(-1j, 1, 1.0)])) == 0j)
-    exact = exact_half and killed
     rng = np.random.default_rng(seed)
     compat = 0.0
     cyc = 0.0
@@ -130,32 +149,32 @@ def check_boundary_algebra(seed=0):
         g2 = random_sg(rng)
         cyc = max(cyc, abs(sg_trace(compose_gg(g1, g2)) -
                            sg_trace(compose_gg(g2, g1))))
-    ok = exact and compat <= 1e-12 and cyc <= 1e-10
     return CheckResult(
-        "pi_prime_boundary_algebra", ok, compat, 0.0,
-        "exact projections; compat 1e-12; cyclicity 1e-10",
-        f"exact={exact} compat={compat:.2e} cyclicity={cyc:.2e}")
-
-
-# --- 4 -----------------------------------------------------------------
+        "pi_prime_boundary_algebra",
+        "exact projections; compat 1e-12; cyclicity 1e-10", [
+            Leg("compat", compat, 0.0, "abs", 1e-12),
+            Leg("cyclicity", cyc, 0.0, "abs", 1e-10),
+            Leg("half", pi_prime(h), 0.5 + 0j, "exact"),
+            Leg("killed", pi_prime(rational((0, 1), [(-1j, 1, 1.0)])), 0j,
+                "exact")])
 
 
 def check_connes_identity(spectra=None):
+    """04: the Dixmier trace of (1 + Delta)^-1 on T^2 is pi, its
+    residue over 2 (2 pi)^2."""
     slope = dixmier_estimate(_spectrum(spectra, _CONNES_TORUS),
                              _INV_SHIFTED).slope
     res = wodzicki_residue(laplace_shift_power(2, -1.0, 2), Torus(2)).real
-    rel = max(abs(slope - math.pi) / math.pi,
-              abs(TWO_PI ** 2 * 2 * slope - res) / res)
     return CheckResult(
-        "connes_identity_torus", rel <= 0.02, slope, math.pi,
-        "2% for the estimate and against the residue",
-        f"worst rel dev {rel:.2e}")
-
-
-# --- 5 -----------------------------------------------------------------
+        "connes_identity_torus",
+        "2% for the estimate and against the residue", [
+            Leg("estimate", slope, math.pi, "rel", 0.02),
+            Leg("residue", TWO_PI ** 2 * 2 * slope, res, "rel", 0.02)])
 
 
 def check_boundary_dixmier(spectra=None):
+    """05: Dixmier traces on the cylinder, its boundary circles and a
+    singular Green term, by the spectrum and by ``dixmier_formula``."""
     # one spectrum alive at a time: the cylinder is derived from criterion
     # 04's torus, whose counts are freed before the estimate allocates
     est_c = dixmier_estimate(
@@ -181,28 +200,24 @@ def check_boundary_dixmier(spectra=None):
     # K and T are off-diagonal: exactly inert
     A_pert = BdMSymbol(Cylinder(2), p=A_c.p, potential=(kterm,),
                        trace_terms=(tterm,))
-    invariant = dixmier_formula(A_pert) == dixmier_formula(A_c)
-    rels = [abs(est_c.slope - math.pi / 2) / (math.pi / 2),
-            abs(est_b.slope - 4.0) / 4.0,
-            abs(f_c - math.pi / 2) / (math.pi / 2),
-            abs(f_b - 4.0) / 4.0,
-            abs(est_c.slope - f_c) / f_c,
-            abs(est_b.slope - f_b) / f_b]
-    ok = rels[0] <= 0.03 and rels[1] <= 0.02 and rels[2] <= 1e-12 \
-        and rels[3] <= 1e-12 and rels[4] <= 0.03 and rels[5] <= 0.02 \
-        and abs(f_g - 2.0) <= 1e-12 and invariant
     return CheckResult(
-        "boundary_dixmier", ok, est_c.slope, math.pi / 2,
+        "boundary_dixmier",
         "cylinder 3%, boundary circles 2%, formula exact, green term 2 "
-        "at 1e-12, k/t inert",
-        f"cylinder={est_c.slope:.6f} circles={est_b.slope:.6f} "
-        f"green={f_g!r} kt_inert={invariant}")
-
-
-# --- 6 -----------------------------------------------------------------
+        "at 1e-12, k/t inert", [
+            Leg("cylinder", est_c.slope, math.pi / 2, "rel", 0.03),
+            Leg("circles", est_b.slope, 4.0, "rel", 0.02),
+            Leg("cylinder formula", f_c, math.pi / 2, "rel", 1e-12),
+            Leg("circles formula", f_b, 4.0, "rel", 1e-12),
+            Leg("cylinder vs formula", est_c.slope, f_c, "rel", 0.03),
+            Leg("circles vs formula", est_b.slope, f_b, "rel", 0.02),
+            Leg("green", f_g, 2.0, "abs", 1e-12),
+            Leg("k/t inert", dixmier_formula(A_pert), dixmier_formula(A_c),
+                "exact")])
 
 
 def check_heat_log_coefficient(spectra=None):
+    """06: the ln t coefficient of Tr P e^(-tA) on T^2 is -pi, for two
+    shifts of A."""
     spec = _spectrum(spectra, _HEAT_TORUS)
     grid = np.geomspace(1e-3, 5e-2, 40)
     exps = [0.0, 0.5, 1.0, 1.5, 2.0]
@@ -213,18 +228,13 @@ def check_heat_log_coefficient(spectra=None):
         fit = fit_expansion(heat_samples(_INV_SHIFTED, aw, spec, grid),
                             exps, logs)
         coeffs.append(fit.coefficient(0.0, log=True))
-    rel = abs(coeffs[0] + math.pi) / math.pi
-    shift_rel = abs(coeffs[1] - coeffs[0]) / abs(coeffs[0])
-    return CheckResult(
-        "heat_log_coefficient", rel <= 0.02 and shift_rel <= 0.005,
-        coeffs[0], -math.pi, "2%; shift invariance 0.5%",
-        f"rel {rel:.2e}, shift delta {shift_rel:.2e}")
-
-
-# --- 7 -----------------------------------------------------------------
+    return CheckResult("heat_log_coefficient", "2%; shift invariance 0.5%", [
+        Leg("ln t", coeffs[0], -math.pi, "rel", 0.02),
+        Leg("shift", coeffs[1], coeffs[0], "rel", 0.005)])
 
 
 def check_zeta_residues(spectra=None):
+    """07: the zeta residues at s = 1 and s = 0 on T^2 are pi."""
     spec = _spectrum(spectra, _HEAT_TORUS, last=True)
     one = SpectralWeight(power=0.0)
     aw = SpectralWeight(power=1.0, shift=1.0)
@@ -234,18 +244,14 @@ def check_zeta_residues(spectra=None):
     z0 = zeta_residue(_INV_SHIFTED, aw, spec, 0.0,
                       exponents=[0.0, 0.5, 1.0, 1.5, 2.0],
                       log_exponents=[0.0, 1.0])
-    rel_eps = abs(z1.residue - math.pi) / math.pi
-    rel_z0 = abs(z0.residue - math.pi) / math.pi
-    return CheckResult(
-        "zeta_residues", rel_eps <= 0.01 and rel_z0 <= 0.02, z1.residue,
-        math.pi, "s=1 1%; s=0 2%",
-        f"s=1 {rel_eps:.2e}, s=0 {rel_z0:.2e}")
-
-
-# --- 8 -----------------------------------------------------------------
+    return CheckResult("zeta_residues", "s=1 1%; s=0 2%", [
+        Leg("s=1", z1.residue, math.pi, "rel", 0.01),
+        Leg("s=0", z0.residue, math.pi, "rel", 0.02)])
 
 
 def check_parametric_routes(seed=0):
+    """08: the resolvent log coefficient by its closed form and by
+    composition, and back to the residue."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(20):
@@ -269,35 +275,28 @@ def check_parametric_routes(seed=0):
     c = heat_log_coefficient_from_resolvent(
         resolvent_log_coefficient(p1, a1, 2), 2)
     res = wodzicki_residue(p1, Torus(2)).real
-    loop = abs(-TWO_PI ** 2 * 2 * c - res) / res
-    ok = worst <= 1e-8 and loop <= 1e-8
     return CheckResult(
-        "parametric_routes", ok, worst, 0.0,
+        "parametric_routes",
         "route agreement and auxiliary independence 1e-8; residue loop 1e-8",
-        f"worst route dev {worst:.2e}, residue loop {loop:.2e}")
-
-
-# --- 9 -----------------------------------------------------------------
+        [Leg("routes", worst, 0.0, "abs", 1e-8),
+         Leg("residue loop", -TWO_PI ** 2 * 2 * c, res, "rel", 1e-8)])
 
 
 def check_boundary_heat():
+    """09: the ln t coefficient of Tr P+ e^(-tA) on [0, pi] x S^1 against
+    the boundary residue."""
     c = boundary_heat_test().log_coefficient
     # the ln t coefficient is -res P+ / (ord A * (2 pi)^2), here -pi/2
     res = boundary_residue(BdMSymbol(
         Cylinder(2), p=classical_symbol([radial_term(-2, 2)], 2))).total.real
-    want = -res / (2 * TWO_PI ** 2)
-    rel = abs(c - want) / abs(want)
-    return CheckResult(
-        "boundary_heat_log", rel <= 0.05, c, want, "5%", f"rel {rel:.2e}")
-
-
-# --- 10 ----------------------------------------------------------------
+    return CheckResult("boundary_heat_log", "5%", [
+        Leg("ln t", c, -res / (2 * TWO_PI ** 2), "rel", 0.05)])
 
 
 def check_determinism():
-    # keeps the name that callers match on; compares two runs byte for
-    # byte, each enumerating its own spectra: the run's pool would make the
-    # two passes read one input
+    """10: two passes over the lattice outputs are byte-identical.  Each
+    enumerates its own spectra: the run's pool would make the two passes
+    read one input.  The check keeps the name that callers match on."""
     def run():
         parts = []
         parts.append(dixmier_csv(dixmier_estimate(enumerate_spectrum(
@@ -315,11 +314,9 @@ def check_determinism():
             SpectralWeight(power=-1.0, shift=0.0)), {}))
         return b"|".join(parts)
 
-    same = run() == run()
     return CheckResult(
-        "determinism_across_threads", same, float(same), 1.0,
-        "byte-identical CSV over two runs",
-        "dixmier + heat + zeta + cylinder outputs compared")
+        "determinism_across_threads", "byte-identical CSV over two runs",
+        [Leg("two runs", float(run() == run()), 1.0, "exact")])
 
 
 ALL_CHECKS = [

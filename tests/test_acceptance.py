@@ -1,9 +1,15 @@
-"""Acceptance gate: one test per advertised criterion, pinned tolerances.
+"""Acceptance gate: every advertised criterion at its pinned tolerances.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one pass/fail
 line per criterion; the same checks back the command line's verify task,
-which runs all ten.
+which runs all ten.  Each criterion is a list of legs, one per comparison:
+a failure names the legs that failed, and each defect below must fail
+exactly the legs that it names.
 """
+
+import dataclasses
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -11,20 +17,95 @@ import pytest
 from ncres import verify
 from ncres.residue import TWO_PI, Torus, wodzicki_residue
 from ncres.sampling import random_symbol
-from ncres.symbols import commutator, identity_symbol, leibniz_compose
+from ncres.symbols import commutator, identity_symbol, leibniz_compose, \
+    zero_term
+from ncres.verify import CheckResult, Leg
 
 
-def _report(result):
+def _failed(result):
+    return {leg.name for leg in result.legs if not leg.passed}
+
+
+@pytest.mark.parametrize(
+    "check", verify.ALL_CHECKS,
+    ids=[f"{i:02d}_{fn.__name__[len('check_'):]}"
+         for i, fn in enumerate(verify.ALL_CHECKS, 1)])
+def test_criterion(check):
+    result = check()
     print(result.line())
-    assert result.passed, result.line()
+    assert not _failed(result), f"failed legs {sorted(_failed(result))}: " \
+        f"{result.line()}"
 
 
-def test_criterion_01_residue_closed_form():
-    _report(verify.check_residue_closed_form())
+def test_leg_verdicts():
+    for kind in ("rel", "abs", "exact"):
+        assert not Leg("nan value", math.nan, 1.0, kind, 1.0).passed
+        assert not Leg("nan expected", 1.0, math.nan, kind, 1.0).passed
+    # an error equal to the tolerance passes; 'rel' divides by |expected|
+    assert Leg("rel", 1.5, 1.0, "rel", 0.5).passed
+    assert Leg("rel", 1.5, -1.0, "rel", 2.5).passed
+    assert not Leg("rel", 1.5, -1.0, "rel", 2.4).passed
+    assert Leg("abs", 3.0, 1.0, "abs", 2.0).passed
+    assert not Leg("abs", 3.0, 1.0, "abs", 1.999).passed
+    assert Leg("exact", 0.5 + 0j, 0.5, "exact").passed
+    assert not Leg("exact", 0.5, 0.5 + 1e-16j, "exact", 1e300).passed
+    good, bad = Leg("a", 2.0, 2.0, "exact"), Leg("b", 1.0, 2.0, "exact")
+    for legs, passed in (([good, good], True), ([good, bad], False),
+                         ([bad, good], False)):
+        result = CheckResult("c", "t", legs)
+        assert result.passed is passed
+        assert result.line().startswith("[PASS]" if passed else "[FAIL]")
+    # the headline is the first leg
+    result = CheckResult("c", "t", [bad, good])
+    assert (result.value, result.expected) == (1.0, 2.0)
 
 
-def test_criterion_02_trace_property():
-    _report(verify.check_trace_property(seed=0))
+def _times(fn, z, field=None):
+    """``fn`` with its result, or that result's ``field``, times ``z``."""
+    def defect(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        if field is None:
+            return out * z
+        return dataclasses.replace(out, **{field: getattr(out, field) * z})
+    return defect
+
+
+def _counting(fn):
+    """``fn`` whose output ends in the number of its calls so far."""
+    calls = itertools.count()
+    return lambda *args: fn(*args) + str(next(calls)).encode()
+
+
+# (check, the callee it reads, the defect made of that callee, the legs
+# that must fail)
+DEFECTS = [
+    ("check_residue_closed_form", "wodzicki_residue",
+     lambda f: _times(f, 1.01), {"n=2", "n=3"}),
+    ("check_trace_property", "leibniz_component",
+     lambda f: lambda a, b, d: zero_term(d, a.n), {"empty products"}),
+    ("check_boundary_algebra", "pi_prime", lambda f: lambda h: -f(h),
+     {"half"}),
+    ("check_connes_identity", "wodzicki_residue",
+     lambda f: _times(f, 1.03), {"residue"}),
+    ("check_boundary_dixmier", "dixmier_formula", lambda f: _times(f, 1.01),
+     {"cylinder formula", "circles formula", "green"}),
+    ("check_heat_log_coefficient", "heat_samples",
+     lambda f: _times(f, 1.1, "values"), {"ln t"}),
+    ("check_zeta_residues", "zeta_residue",
+     lambda f: _times(f, 1.015, "residue"), {"s=1"}),
+    ("check_parametric_routes", "heat_log_coefficient_from_resolvent",
+     lambda f: _times(f, 1.01), {"residue loop"}),
+    ("check_boundary_heat", "boundary_heat_test",
+     lambda f: _times(f, 1.1, "log_coefficient"), {"ln t"}),
+    ("check_determinism", "heat_csv", _counting, {"two runs"}),
+]
+
+
+@pytest.mark.parametrize("check, callee, defect, failed", DEFECTS,
+                         ids=[d[0] for d in DEFECTS])
+def test_defect_fails_its_legs(monkeypatch, check, callee, defect, failed):
+    monkeypatch.setattr(verify, callee, defect(getattr(verify, callee)))
+    assert _failed(getattr(verify, check)()) == failed
 
 
 def _full_route_log_coefficient(p, a, k):
@@ -74,33 +155,9 @@ def test_criteria_02_08_match_full_composition_bitwise(seed, monkeypatch):
     assert np.float64(worst_08).tobytes() == np.float64(full_08).tobytes()
 
 
-def test_criterion_03_boundary_algebra():
-    _report(verify.check_boundary_algebra(seed=0))
 
 
-def test_criterion_04_connes_identity():
-    _report(verify.check_connes_identity())
 
 
-def test_criterion_05_boundary_dixmier():
-    _report(verify.check_boundary_dixmier())
 
 
-def test_criterion_06_heat_log_coefficient():
-    _report(verify.check_heat_log_coefficient())
-
-
-def test_criterion_07_zeta_residues():
-    _report(verify.check_zeta_residues())
-
-
-def test_criterion_08_parametric_routes():
-    _report(verify.check_parametric_routes(seed=0))
-
-
-def test_criterion_09_boundary_heat():
-    _report(verify.check_boundary_heat())
-
-
-def test_criterion_10_determinism():
-    _report(verify.check_determinism())

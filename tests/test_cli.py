@@ -340,6 +340,21 @@ def test_huge_cutoff_resource_cap(tmp_path, capsys, cutoff):
     assert not (tmp_path / "dixmier.csv").exists()
 
 
+def test_dim1_array_cap_with_huge_mode_cap(tmp_path, capsys):
+    # the mode cap lets 1e300 modes pass; the dim-1 mode array, not
+    # np.arange, must refuse them
+    code = run(["dixmier", "--config", CONFIGS / "dixmier_torus.json",
+                "--out", tmp_path,
+                "--set", "dixmier.model.dim=1",
+                "--set", "dixmier.model.kind=boundary_lattice",
+                "--set", "dixmier.model.cutoff=1e300",
+                "--set", "dixmier.model.mode_cap=1" + "0" * 700])
+    assert code == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("resource cap:"), err
+    assert not (tmp_path / "dixmier.csv").exists()
+
+
 @pytest.mark.parametrize("route", ["file", "set"])
 def test_integer_past_the_digit_limit_exit_code(tmp_path, capsys, route):
     # Python's json refuses an int of more than 4300 digits with a plain
