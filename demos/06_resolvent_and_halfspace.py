@@ -4,9 +4,9 @@ Only the i = 0 term (-1)^k of the expansion of (a - mu^m)^-k carries the
 leading log coefficient of the traced resolvent power, so the coefficient is
 (2 pi)^-n res(p # (-1)^k) / m, manifestly independent of the auxiliary
 symbol beyond its order.  On the cylinder, the heat trace of the truncated
-interior operator against the Dirichlet semigroup is an exact triple
-lattice sum whose fitted ln t coefficient reproduces minus the residue over
-2 (2 pi)^n.
+interior operator against the Dirichlet semigroup sums a closed-form bracket
+per Dirichlet mode; its fitted ln t coefficient reproduces minus the residue
+over 2 (2 pi)^n.
 """
 
 import math
@@ -38,7 +38,7 @@ c_heat = heat_log_coefficient_from_resolvent(r1, 2)
 print(f"  -(2 pi)^2 * 2 * c = {(-(2 * PI) ** 2 * 2 * c_heat).real:.6f}"
       f"   (8 pi^3 = {8 * PI ** 3:.6f})")
 
-print("\n== half-space heat trace on the cylinder (takes a few seconds) ==")
+print("\n== half-space heat trace on the cylinder ==")
 out = boundary_heat_test()
 print(f"  fitted ln t coefficient: {out.log_coefficient:.8f}"
       f"   (-pi/2 = {-PI / 2:.8f})")

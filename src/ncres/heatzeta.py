@@ -17,12 +17,13 @@ ln t coefficient.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import (ConfigError, IllConditionedFitError, TailBoundError,
                      WindowError)
+from .spectral import SpectralWeight, SpectrumModel, enumerate_spectrum
 
 COND_LIMIT = 1e8
 
@@ -116,22 +117,23 @@ def heat_samples(p_weight, a_weight, spec, t_grid):
 
     P and A are weight functions of the eigenvalues of the enumerated
     spectrum ``spec`` (simultaneous diagonalization is assumed throughout);
-    A must be affine, scale * (shift + lam) with scale > 0, and P finite on
-    the spectrum, or :class:`ConfigError` is raised.  The grid is sorted
-    descending and must hold finite t > 0 (else :class:`ValueError`); each
-    sample carries its certified tail bound, which :func:`fit_expansion`
-    requires to be negligible.  It bounds truncation, not rounding:
-    at cutoff 300 on T^2 it is 6.7e-41, yet samples differ from the exact
-    theta-inversion value by up to 3.6e-15.  Terms are summed from the top
-    eigenvalue down, in fixed blocks of 2^18 eigenvalues added in order;
-    exponentials that underflow to 0.0 are not evaluated, and the sums are
-    the same as if they were.
+    A must be affine, scale * (shift + lam) with finite shift and finite
+    scale > 0, and P finite on the spectrum, or :class:`ConfigError` is
+    raised; P multiplies ``spec.counts``, multiplicities or per-eigenvalue
+    masses.  The grid is sorted descending and must hold finite t > 0 (else
+    :class:`ValueError`); each sample carries its certified tail bound,
+    which :func:`fit_expansion` requires to be negligible.  It bounds
+    truncation, not rounding: at cutoff 300 on T^2 it is 6.7e-41, yet
+    samples differ from the exact theta-inversion value by up to 3.6e-15.
+    Terms are summed from the top eigenvalue down, in fixed blocks of 2^18
+    eigenvalues added in order; exponentials that underflow to 0.0 are not
+    evaluated, and the sums are the same as if they were.
     """
-    if a_weight.power != 1.0 or a_weight.rate != 0.0 \
-            or not a_weight.scale > 0.0:
+    finite = 0.0 < a_weight.scale < math.inf and math.isfinite(a_weight.shift)
+    if a_weight.power != 1.0 or a_weight.rate != 0.0 or not finite:
         raise ConfigError(
-            f"A weight {a_weight.describe()} is not affine in the "
-            f"eigenvalue: need power 1, rate 0 and scale > 0")
+            f"A weight {a_weight.describe()} is not affine in the eigenvalue"
+            f": need power 1, rate 0, finite shift and 0 < scale < inf")
     t_grid = _descending_grid(t_grid)
     lam = spec.values[::-1]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -267,8 +269,8 @@ def zeta_residue(p_weight, a_weight, spec, sigma, t_grid=None,
     t^0 ln t that holds the residue); the piece beyond t = 1 is entire and
     only reported as a diagnostic.
     """
-    if sigma < 0:
-        raise ValueError("only sigma >= 0 residues are implemented")
+    if not 0 <= sigma < math.inf:
+        raise ValueError("only finite sigma >= 0 residues are implemented")
     if t_grid is None:
         t_grid = np.geomspace(1e-3, 5e-2, 40)
     samples = heat_samples(p_weight, a_weight, spec, t_grid)
@@ -320,34 +322,29 @@ def halfspace_heat_samples(t_grid, shift=1.0):
     the singular Green term P_+ - (a^2 + Delta_D)^-1, with c_j = coth(pi a/2)
     for odd j and tanh(pi a/2) for even j (cosh and sinh of pi a would
     overflow from a ~ 226 on, below the jmax of 233 at t = 1.5e-3).  The
-    j, k cutoffs are chosen from the smallest t.  Every t must be finite
-    and positive, or :class:`ValueError` is raised.
+    brackets of the modes j^2 + k^2 <= jmax^2, jmax = ceil(9/sqrt(t_min)),
+    are binned onto the Dirichlet cylinder spectrum at cutoff jmax (past its
+    cap, :class:`ResourceCapError`) and summed by :func:`heat_samples`, whose
+    tail bounds each bracket by ||P|| = 1.  Every t must be finite and
+    positive, or :class:`ValueError` is raised.
     """
     t_grid = _descending_grid(t_grid)
-    tmin = float(t_grid[-1])
-    jmax = int(math.ceil(9.0 / math.sqrt(tmin)))
-    js = np.arange(1, jmax + 1).astype(float)
-    ks = np.arange(0, jmax + 1).astype(float)
-    kw = np.where(ks == 0, 1.0, 2.0)
-
-    a2 = 1.0 + ks ** 2
+    jmax = int(math.ceil(9.0 / math.sqrt(t_grid[-1])))
+    spec = enumerate_spectrum(SpectrumModel("dirichlet_cylinder", 2, jmax))
+    j2 = np.arange(1, jmax + 1, dtype=float)[:, None] ** 2
+    a2 = 1.0 + np.arange(0, jmax + 1, dtype=float) ** 2
     a = np.sqrt(a2)
     th = np.tanh(0.5 * math.pi * a)
-    c = np.where(js[:, None] % 2 == 1, 1.0 / th, th)
-    j2 = (js ** 2)[:, None]
+    c = np.where(j2 % 2 == 1, 1.0 / th, th)   # j^2 is odd iff j is
     d = a2 + j2
     G = 1.0 / d + (2.0 / math.pi) * j2 * c / (a * d * d)
-
-    # certified tail: the dropped (j, k) modes, each bracket <= ||P|| = 1
-    values = np.empty(t_grid.size)
-    bounds = np.empty(t_grid.size)
-    for i, t in enumerate(t_grid):
-        ej = np.exp(-t * js ** 2)
-        ek = np.exp(-t * ks ** 2) * kw
-        damp = math.exp(-t * shift)
-        values[i] = damp * float(ej @ G @ ek)
-        bounds[i] = _lattice_tail(2, jmax, t) * damp
-    return HeatSamples(t_grid, values, bounds)
+    G[:, 1:] *= 2.0   # k and -k
+    lam = (d - 1.0).astype(np.int64)   # j^2 + k^2
+    ball = lam <= jmax * jmax
+    masses = np.bincount(lam[ball], weights=G[ball])
+    spec = replace(spec, counts=masses[spec.values.astype(int)])
+    return heat_samples(SpectralWeight(power=0.0),
+                        SpectralWeight(power=1.0, shift=shift), spec, t_grid)
 
 
 def boundary_heat_test(t_grid=None, shift=1.0, m_cutoff=None,

@@ -115,7 +115,9 @@ class Spectrum:
     """Aggregated model spectrum, sorted by ascending eigenvalue."""
 
     values: np.ndarray   # base eigenvalues, strictly increasing
-    counts: np.ndarray   # multiplicities
+    # multiplicities, or non-negative per-eigenvalue masses of an
+    # operator's diagonal
+    counts: np.ndarray
     model: SpectrumModel
 
 

@@ -593,8 +593,9 @@ def test_verify_csv_byte_reproducible(demo_outputs, tmp_path, capsys):
 
 def test_verify_smoke(tmp_path, capsys, monkeypatch):
     # every lattice table is counted once per run: criteria 04-05 share
-    # torus 4000 and 06-07 torus 300; criterion 10 counts its three twice,
-    # once per pass
+    # torus 4000 and 06-07 torus 300, criterion 09's half-space bracket
+    # bins onto the cylinder at jmax 233; criterion 10 counts its three
+    # twice, once per pass
     tables = Counter()
     plane_counts = spectral._plane_counts
 
@@ -610,5 +611,5 @@ def test_verify_smoke(tmp_path, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "residue_closed_form" in out
     assert "FAIL" not in out
-    assert tables == {4000 ** 2: 1, 300 ** 2: 1, 800 ** 2: 2, 200 ** 2: 2,
-                      500 ** 2: 2}
+    assert tables == {4000 ** 2: 1, 300 ** 2: 1, 233 ** 2: 1, 800 ** 2: 2,
+                      200 ** 2: 2, 500 ** 2: 2}

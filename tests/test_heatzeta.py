@@ -9,14 +9,14 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import exp1
 
-from ncres.errors import (ConfigError, IllConditionedFitError, TailBoundError,
-                          WindowError)
+from ncres.errors import (ConfigError, IllConditionedFitError,
+                          ResourceCapError, TailBoundError, WindowError)
 from ncres.heatzeta import (_BLOCK, HeatSamples, boundary_heat_test,
                             default_exponents, fit_expansion,
                             halfspace_heat_samples, heat_samples,
                             zeta_residue)
-from ncres.spectral import (SpectralWeight, SpectrumModel, dixmier_estimate,
-                            enumerate_spectrum)
+from ncres.spectral import (Spectrum, SpectralWeight, SpectrumModel,
+                            dixmier_estimate, enumerate_spectrum)
 
 PI = math.pi
 ONE = SpectralWeight(power=0.0)
@@ -190,10 +190,19 @@ def test_tail_bound_holds_or_raises(power, shift, rate, scale, cutoff, t):
     SpectralWeight(power=2.0, shift=1.0),
     SpectralWeight(power=1.0, shift=1.0, rate=0.5),
     SpectralWeight(power=1.0, shift=1.0, scale=-1.0),
-    SpectralWeight(power=1.0, shift=1.0, scale=0.0)])
+    SpectralWeight(power=1.0, shift=1.0, scale=0.0),
+    SpectralWeight(power=1.0, shift=math.nan),
+    SpectralWeight(power=1.0, shift=math.inf),
+    SpectralWeight(power=1.0, shift=-math.inf),
+    SpectralWeight(power=1.0, shift=1.0, scale=math.inf)])
 def test_non_affine_a_weight_rejected(a_weight):
     with pytest.raises(ConfigError):
         heat_at(INV, a_weight, torus(20), 0.1)
+
+
+def test_boundary_heat_rejects_a_non_finite_shift():
+    with pytest.raises(ConfigError):
+        boundary_heat_test(shift=math.nan)
 
 
 def test_p_weight_singular_on_spectrum_rejected():
@@ -216,6 +225,13 @@ def test_t_grid_outside_domain_rejected(grid):
         halfspace_heat_samples(grid)
 
 
+def test_halfspace_box_behind_the_enumeration_cap():
+    # t_min 1e-12 asks for jmax 9e6: the cylinder's ~1.6e14 modes are
+    # refused before any jmax^2-sized bracket array exists
+    with pytest.raises(ResourceCapError):
+        halfspace_heat_samples([1e-2, 1e-12])
+
+
 def _dense_heat(p_weight, a_weight, spec, t):
     # every exponential evaluated, underflowing or not, from the top
     # eigenvalue down and block by block as heat_samples sums
@@ -231,11 +247,18 @@ NO_UNDERFLOW = np.geomspace(1e-4, 1e-2, 12)   # t A <= 289 at cutoff 120
 WIDE = np.geomspace(1.0, 40.0, 200)           # almost every term underflows
 
 
-@pytest.mark.parametrize("weight", [
-    ONE, INV, SpectralWeight(power=-2.0, shift=0.5, rate=0.01)])
+@pytest.mark.parametrize("weight, masses", [
+    (ONE, False), (INV, False),
+    (SpectralWeight(power=-2.0, shift=0.5, rate=0.01), False),
+    # non-integer masses in place of multiplicities, as a bracket builder
+    # passes them
+    (INV, True)], ids=["weight0", "weight1", "weight2", "masses"])
 @pytest.mark.parametrize("grid", [MIXED, NO_UNDERFLOW, WIDE])
-def test_heat_samples_match_dense_sum(weight, grid):
+def test_heat_samples_match_dense_sum(weight, masses, grid):
     spec = torus(120)
+    if masses:
+        spec = Spectrum(spec.values, spec.counts / np.sqrt(1.0 + spec.values),
+                        spec.model)
     s = heat_samples(weight, AW, spec, grid)
     assert s.values.tobytes() == _dense_heat(weight, AW, spec, s.t).tobytes()
 
@@ -373,6 +396,13 @@ def test_zeta_residue_at_zero_adds_its_log_slot(p_weight, exponents,
     same = zeta_residue(p_weight, AW, spec, 0.0, exponents=exponents,
                         log_exponents=[0.0])
     assert same.residue == z.residue
+
+
+@pytest.mark.parametrize("sigma", [-1.0, math.nan, math.inf, -math.inf])
+def test_zeta_residue_rejects_sigma_outside_domain(sigma):
+    # by the guard, not by a LinAlgError (a ValueError) from the fit
+    with pytest.raises(ValueError, match="sigma >= 0"):
+        zeta_residue(ONE, AW, torus(20), sigma)
 
 
 def test_zeta_regular_point_residue_zero():
