@@ -32,8 +32,10 @@ COND_LIMIT = 1e8
 # t * A(lam) > 746: they are the exact zeros a full evaluation would write.
 EXP_UNDERFLOW = 746.0
 
-# eigenvalues per heat-sum block: bounds the exponential matrix at
-# 8 B * len(t_grid) * 2^18 (84 MB at 40 t)
+# eigenvalues per heat-sum block.  A block's exponential matrix holds the
+# columns that its smallest t keeps, at most 8 B * len(t_grid) * 2^18:
+# 84 MB at 40 t, 419 MB at zeta's 200-t grid, whose t >= 1 keep only the
+# eigenvalues with A <= 746, a few hundred columns on a 2-torus
 _BLOCK = 1 << 18
 
 
@@ -99,6 +101,13 @@ def _descending_grid(t_grid):
     return t
 
 
+def _live_starts(aw, t_grid):
+    """For each t, the first index k of a non-increasing ``aw`` with
+    aw[k:] the terms that do not underflow, t * aw <= EXP_UNDERFLOW."""
+    return aw.size - np.searchsorted(aw[::-1], EXP_UNDERFLOW / t_grid,
+                                     side="right")
+
+
 @dataclass(frozen=True, eq=False)
 class HeatSamples:
     """(t, value) samples on a decreasing grid with per-sample tail bounds."""
@@ -126,8 +135,13 @@ def heat_samples(p_weight, a_weight, spec, t_grid):
     truncation, not rounding: at cutoff 300 on T^2 it is 6.7e-41, yet
     samples differ from the exact theta-inversion value by up to 3.6e-15.
     Terms are summed from the top eigenvalue down, in fixed blocks of 2^18
-    eigenvalues added in order; exponentials that underflow to 0.0 are not
-    evaluated, and the sums are the same as if they were.
+    eigenvalues added in order.  Exponentials that underflow to 0.0
+    (t A > 746) are not evaluated: A does not increase along the sum, so
+    each t keeps a suffix of the block, and the block's matrix holds only
+    the columns that its smallest t keeps.  Where that t keeps the whole
+    block, the sums are bit for bit those of a full evaluation; where it
+    drops columns, the same terms are added in another partition and a
+    sample can move in its last ulps.
     """
     finite = 0.0 < a_weight.scale < math.inf and math.isfinite(a_weight.shift)
     if a_weight.power != 1.0 or a_weight.rate != 0.0 or not finite:
@@ -142,14 +156,18 @@ def heat_samples(p_weight, a_weight, spec, t_grid):
         raise ConfigError(
             f"P weight {p_weight.describe()} is not finite on the spectrum")
     aw = a_weight(lam)
+    starts = _live_starts(aw, t_grid)
     values = np.zeros(t_grid.size)
     for lo in range(0, lam.size, _BLOCK):
-        a = aw[lo:lo + _BLOCK]
-        e = np.zeros((t_grid.size, a.size))
-        for row, t in zip(e, t_grid):
-            live = a <= EXP_UNDERFLOW / t
-            row[live] = np.exp(-(t * a[live]))
-        values += e @ pw[lo:lo + _BLOCK]
+        hi = min(lo + _BLOCK, lam.size)
+        first = max(lo, starts[-1])
+        if first >= hi:
+            continue
+        e = np.zeros((t_grid.size, hi - first))
+        for row, t, k in zip(e, t_grid, starts):
+            k = max(k, first)
+            np.exp(-(t * aw[k:hi]), out=row[k - first:])
+        values += e @ pw[first:hi]
     bounds = np.array([heat_tail_bound(spec.model, p_weight, a_weight, t)
                        for t in t_grid])
     return HeatSamples(t_grid, values, bounds)

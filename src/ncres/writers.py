@@ -2,38 +2,46 @@
 
 CSV files start with comment lines ``# key=value`` (library version and the
 config hash among them), then a header row, then data rows; a field holding
-a comma is quoted.  Floats, numpy scalars included, are rendered with the
-``repr`` of a Python float (shortest round-trip form), so identical
-computations produce identical bytes; nothing time- or machine-dependent is
-written.
+a comma, a quote or a line break is quoted as the ``csv`` module quotes it.
+Floats, numpy scalars included, are rendered with the ``repr`` of a Python
+float (shortest round-trip form), so identical computations produce
+identical bytes; nothing time- or machine-dependent is written.  Tables are
+passed by column; a numpy column is rendered in one pass over its
+``tolist()``, with no numpy scalar made per value.
 """
 
 from __future__ import annotations
 
-import csv
-import io
+import numpy as np
 
 from ._version import __version__
 
 
 def _fmt(v):
-    if isinstance(v, complex):
-        real, imag = float(v.real), float(v.imag)
-        return f"{real!r}{'+' if imag >= 0 else '-'}{abs(imag)!r}j"
-    if isinstance(v, float):
-        return repr(float(v))
-    return str(v)
+    return repr(float(v)) if isinstance(v, float) else str(v)
 
 
-def csv_bytes(meta, columns, rows):
-    buf = io.StringIO()
-    buf.write(f"# ncres {__version__}\n")
-    for k in sorted(meta):
-        buf.write(f"# {k}={meta[k]}\n")
-    out = csv.writer(buf, lineterminator="\n")
-    out.writerow(columns)
-    out.writerows([_fmt(v) for v in row] for row in rows)
-    return buf.getvalue().encode()
+def _quote(cell):
+    if any(c in cell for c in ',"\r\n'):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
+def _cells(column):
+    """A column's CSV cells: a float array through ``float.__repr__``, any
+    other array through ``str``, a sequence value by value."""
+    if isinstance(column, np.ndarray):
+        fmt = float.__repr__ if column.dtype.kind == "f" else str
+        return map(fmt, column.tolist())
+    return map(_quote, map(_fmt, column))
+
+
+def csv_bytes(meta, header, columns):
+    lines = [f"# ncres {__version__}"]
+    lines += [f"# {k}={meta[k]}" for k in sorted(meta)]
+    lines.append(",".join(map(_quote, header)))
+    lines += map(",".join, zip(*map(_cells, columns)))
+    return ("\n".join(lines) + "\n").encode()
 
 
 def residue_csv(breakdown, meta):
@@ -42,7 +50,7 @@ def residue_csv(breakdown, meta):
             ("boundary_pdo", breakdown.boundary_pdo.real,
              breakdown.boundary_pdo.imag),
             ("total", breakdown.total.real, breakdown.total.imag)]
-    return csv_bytes(meta, ["block", "value_re", "value_im"], rows)
+    return csv_bytes(meta, ["block", "value_re", "value_im"], zip(*rows))
 
 
 def residue_report(breakdown, meta):
@@ -55,9 +63,6 @@ def residue_report(breakdown, meta):
 
 
 def dixmier_csv(est, meta):
-    rows = [(int(p), float(s), float(r), float(v))
-            for p, s, r, v in zip(est.cesaro_points, est.sigma_values,
-                                  est.ratio_values, est.cesaro_values)]
     header_meta = dict(meta)
     header_meta.update({
         "slope": repr(est.slope),
@@ -67,8 +72,11 @@ def dixmier_csv(est, meta):
         "cesaro_drift": repr(est.cesaro_drift),
         "omega_consistent": est.omega_consistent,
     })
+    # N holds integral floats, written as integers
     return csv_bytes(header_meta,
-                     ["N", "sigma_N", "sigma_over_lnN", "cesaro_mean"], rows)
+                     ["N", "sigma_N", "sigma_over_lnN", "cesaro_mean"],
+                     [est.cesaro_points.astype(np.int64), est.sigma_values,
+                      est.ratio_values, est.cesaro_values])
 
 
 def dixmier_report(est, meta, expected=None):
@@ -86,9 +94,8 @@ def dixmier_report(est, meta, expected=None):
 
 
 def heat_csv(samples, meta):
-    rows = [(t, v, b) for t, v, b in
-            zip(samples.t, samples.values, samples.tail_bounds)]
-    return csv_bytes(meta, ["t", "value", "tail_bound"], rows)
+    return csv_bytes(meta, ["t", "value", "tail_bound"],
+                     [samples.t, samples.values, samples.tail_bounds])
 
 
 def fit_report(fit, meta, title="fit"):
@@ -112,21 +119,22 @@ def zeta_csv(result, meta):
                         "fit_halving_delta": repr(result.fit.cross_delta)})
     rows = [(e, int(lg), c)
             for (e, lg), c in sorted(result.fit.coefficients.items())]
-    return csv_bytes(header_meta, ["exponent", "is_log", "coefficient"], rows)
+    return csv_bytes(header_meta, ["exponent", "is_log", "coefficient"],
+                     zip(*rows))
 
 
 def parametric_csv(closed, route, meta):
     rows = [("closed_form", closed.real, closed.imag),
             ("expansion_route", route.real, route.imag),
             ("difference", (route - closed).real, (route - closed).imag)]
-    return csv_bytes(meta, ["route", "value_re", "value_im"], rows)
+    return csv_bytes(meta, ["route", "value_re", "value_im"], zip(*rows))
 
 
 def verify_csv(results, meta):
     rows = [(r.name, int(r.passed), r.value, r.expected, r.tolerance)
             for r in results]
     return csv_bytes(meta, ["check", "passed", "value", "expected",
-                            "tolerance"], rows)
+                            "tolerance"], zip(*rows))
 
 
 def _report_head(title, meta):

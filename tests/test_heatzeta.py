@@ -2,6 +2,7 @@
 
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from scipy.special import exp1
 
 from ncres.errors import (ConfigError, IllConditionedFitError,
                           ResourceCapError, TailBoundError, WindowError)
-from ncres.heatzeta import (_BLOCK, HeatSamples, boundary_heat_test,
+from ncres.heatzeta import (_BLOCK, EXP_UNDERFLOW, HeatSamples,
+                            _live_starts, boundary_heat_test,
                             default_exponents, fit_expansion,
                             halfspace_heat_samples, heat_samples,
                             zeta_residue)
@@ -242,6 +244,22 @@ def _dense_heat(p_weight, a_weight, spec, t):
                 for lo in range(0, aw.size, _BLOCK)), np.zeros(t.size))
 
 
+def _assert_matches_dense(p_weight, a_weight, spec, s):
+    """Bit for bit where the smallest t keeps every term; elsewhere the
+    matrix drops the columns that underflow at every t, and the same terms
+    are added in another partition: two sums of the n terms e * pw, in any
+    order, differ by at most n * eps * sum |e * pw| per sample."""
+    dense = _dense_heat(p_weight, a_weight, spec, s.t)
+    aw = a_weight(spec.values)
+    if s.t.min() * aw.max() <= EXP_UNDERFLOW:
+        assert s.values.tobytes() == dense.tobytes()
+        return
+    pw = p_weight(spec.values) * spec.counts
+    bound = aw.size * np.finfo(float).eps * \
+        (np.exp(-np.outer(s.t, aw)) @ np.abs(pw))
+    assert np.all(np.abs(s.values - dense) <= bound)
+
+
 MIXED = np.geomspace(1e-3, 5e-2, 40)
 NO_UNDERFLOW = np.geomspace(1e-4, 1e-2, 12)   # t A <= 289 at cutoff 120
 WIDE = np.geomspace(1.0, 40.0, 200)           # almost every term underflows
@@ -255,20 +273,52 @@ WIDE = np.geomspace(1.0, 40.0, 200)           # almost every term underflows
     (INV, True)], ids=["weight0", "weight1", "weight2", "masses"])
 @pytest.mark.parametrize("grid", [MIXED, NO_UNDERFLOW, WIDE])
 def test_heat_samples_match_dense_sum(weight, masses, grid):
+    # MIXED and NO_UNDERFLOW keep every term at their smallest t and match
+    # bit for bit; WIDE keeps the eigenvalues up to 745 only
     spec = torus(120)
     if masses:
         spec = Spectrum(spec.values, spec.counts / np.sqrt(1.0 + spec.values),
                         spec.model)
-    s = heat_samples(weight, AW, spec, grid)
-    assert s.values.tobytes() == _dense_heat(weight, AW, spec, s.t).tobytes()
+    _assert_matches_dense(weight, AW, spec,
+                          heat_samples(weight, AW, spec, grid))
 
 
 def test_heat_samples_match_dense_sum_over_two_chunks():
+    # the first grid keeps both blocks whole (bit for bit), MIXED cuts the
+    # top block, and at WIDE the top block underflows whole and the bottom
+    # one is cut
     spec = torus(1150)
     assert spec.values.size > _BLOCK
-    for grid in (MIXED[::5], WIDE[::25]):
-        s = heat_samples(INV, AW, spec, grid)
-        assert s.values.tobytes() == _dense_heat(INV, AW, spec, s.t).tobytes()
+    for grid in (np.geomspace(1e-4, 5e-4, 3), MIXED[::5], WIDE[::25]):
+        _assert_matches_dense(INV, AW, spec,
+                              heat_samples(INV, AW, spec, grid))
+
+
+def test_live_starts_match_the_underflow_mask():
+    rng = np.random.default_rng(7)
+    t_grid = np.sort(rng.uniform(0.5, 40.0, 30))[::-1]
+    # ties, and for every t a term exactly at 746 / t, which is kept
+    aw = np.concatenate([rng.uniform(0.0, 2000.0, 300).round(),
+                         EXP_UNDERFLOW / t_grid, EXP_UNDERFLOW / t_grid[:5]])
+    aw = np.sort(aw)[::-1]
+    for t, k in zip(t_grid, _live_starts(aw, t_grid)):
+        live = aw <= EXP_UNDERFLOW / t
+        assert live[k:].all() and not live[:k].any()
+        assert aw[k] == EXP_UNDERFLOW / t
+
+
+def test_heat_samples_matrix_holds_only_live_columns():
+    # zeta's wide grid at cutoff 512: the full 200 x 60,109 exponential
+    # matrix peaked at 92.8 MiB; the columns with A <= 746 leave 1.3 MiB,
+    # most of it the weight arrays
+    spec = torus(512)
+    tracemalloc.start()
+    try:
+        heat_samples(INV, AW, spec, WIDE)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 def test_heat_samples_keep_subnormal_terms():
