@@ -139,7 +139,7 @@ def _dispatch(cfg):
     out_dir, meta = _outputs(cfg)
 
     if task == "residue":
-        A = build_bdm(cfg["residue"])
+        A = build_bdm(cfg["residue"], ("residue",))
         breakdown = boundary_residue(A)
         _write(out_dir, task, writers.residue_csv(breakdown, meta),
                writers.residue_report(breakdown, meta))
@@ -149,16 +149,15 @@ def _dispatch(cfg):
         section = cfg["dixmier"]
         spec = enumerate_spectrum(build_model(section["model"]))
         try:
-            est = dixmier_estimate(
-                spec, build_weight(section["weight"]),
-                window_decades=section.get("window_decades", 2.0))
+            est = dixmier_estimate(spec, build_weight(section["weight"]))
         except GradingError as exc:
             # a growing or non-positive weight is outside the estimator's
             # domain: an input error, not a failed computation
             raise ConfigError(f"dixmier.weight: {exc}") from exc
         report = writers.dixmier_report(est, meta)
         if "formula" in section:
-            ref = dixmier_formula(build_bdm(section["formula"])).real
+            ref = dixmier_formula(
+                build_bdm(section["formula"], ("dixmier", "formula"))).real
             report += writers.dixmier_report(est, meta, expected=ref)
         _write(out_dir, task, writers.dixmier_csv(est, meta), report)
         return 0
@@ -197,8 +196,8 @@ def _dispatch(cfg):
     if task == "parametric":
         section = cfg["parametric"]
         n = section["dim"]
-        p = build_symbol(section["p"], n)
-        a = build_symbol(section["a"], n)
+        p = build_symbol(section["p"], n, ("parametric", "p"))
+        a = build_symbol(section["a"], n, ("parametric", "a"))
         k = section["power"]
         closed = resolvent_log_coefficient_closed(p, a.order, k)
         route = resolvent_log_coefficient(p, a, k)

@@ -40,8 +40,8 @@ _RATIONAL = {
     "properties": {
         "poles": {"type": "array", "items": {
             "type": "object",
-            "properties": {"pole": _COMPLEX, "order": {"type": "integer"},
-                           "coeff": _COMPLEX},
+            "properties": {"pole": _COMPLEX, "coeff": _COMPLEX,
+                           "order": {"type": "integer", "minimum": 1}},
             "required": ["pole"], "additionalProperties": False}},
         "poly": {"type": "array", "items": _COMPLEX},
         "num": {"type": "array", "items": _COMPLEX},
@@ -77,7 +77,6 @@ _MODEL = {
         "dim": {"type": "integer", "minimum": 1, "maximum": 3},
         "cutoff": {"type": "number", "minimum": 1},
         "copies": {"type": "integer", "minimum": 1},
-        "mode_cap": {"type": "number", "minimum": 1},
     },
     "required": ["kind", "dim", "cutoff"],
     "additionalProperties": False,
@@ -89,21 +88,26 @@ _GEOMETRY = {
     "required": ["kind", "dim"],
     "additionalProperties": False,
 }
-_BOUNDARY_TERM = {
-    "type": "object",
-    "properties": {
-        "degree": {"type": "number"},
-        "b": {"type": "string"},
-        "pairs": {"type": "array", "items": {
-            "type": "object",
-            "properties": {"k": _RATIONAL, "t": _RATIONAL},
-            "required": ["k", "t"], "additionalProperties": False}},
-        "fiber": _RATIONAL,
-        "type": {"type": "integer", "minimum": 0},
-    },
-    "required": ["degree", "b"],
-    "additionalProperties": False,
-}
+
+
+def _term(part, schema):
+    """A boundary term: a boundary symbol ``b`` at ``degree`` times the
+    fiber ``part`` its kind reads."""
+    return {"type": "object",
+            "properties": {"degree": {"type": "number"},
+                           "b": {"type": "string"}, part: schema,
+                           "type": {"type": "integer", "minimum": 0}},
+            "required": ["degree", "b", part],
+            "additionalProperties": False}
+
+
+# a green term carries rank-one pairs k(xi_n) t(eta_n), a potential or
+# trace term one fiber function
+_GREEN_TERM = _term("pairs", {"type": "array", "items": {
+    "type": "object", "properties": {"k": _RATIONAL, "t": _RATIONAL},
+    "required": ["k", "t"], "additionalProperties": False}})
+_FIBER_TERM = _term("fiber", _RATIONAL)
+
 _TGRID = {
     "type": "object",
     "properties": {"start": {"type": "number", "exclusiveMinimum": 0},
@@ -119,9 +123,9 @@ _RESIDUE = {
         "geometry": _GEOMETRY,
         "p": _SYMBOL,
         "s": _SYMBOL,
-        "green": {"type": "array", "items": _BOUNDARY_TERM},
-        "potential": {"type": "array", "items": _BOUNDARY_TERM},
-        "trace": {"type": "array", "items": _BOUNDARY_TERM},
+        "green": {"type": "array", "items": _GREEN_TERM},
+        "potential": {"type": "array", "items": _FIBER_TERM},
+        "trace": {"type": "array", "items": _FIBER_TERM},
         "order": {"type": "integer"},
         "type": {"type": "integer", "minimum": 0},
     },
@@ -142,7 +146,6 @@ SCHEMA = {
             "properties": {
                 "model": _MODEL,
                 "weight": _WEIGHT,
-                "window_decades": {"type": "number", "minimum": 0.5},
                 "formula": _RESIDUE,
             },
             "required": ["model", "weight"],
@@ -336,10 +339,18 @@ def _complex(v):
     return complex(v[0], v[1])
 
 
-def build_rational(spec):
+def _at(path):
+    """The error prefix naming the JSON path of a section."""
+    return f"at {'/'.join(map(str, path))}: "
+
+
+def build_rational(spec, path):
+    """One of the two forms: ``poles``/``poly`` or ``num``/``den``."""
     if "num" in spec or "den" in spec:
         if not ("num" in spec and "den" in spec):
-            raise ConfigError("rational ratio form needs both num and den")
+            raise ConfigError(f"{_at(path)}num and den come together")
+        if "poles" in spec or "poly" in spec:
+            raise ConfigError(f"{_at(path)}num/den or poles/poly, not both")
         return from_ratio([_complex(c) for c in spec["num"]],
                           [_complex(c) for c in spec["den"]])
     terms = []
@@ -350,15 +361,19 @@ def build_rational(spec):
     return rational(poly, terms)
 
 
-def build_symbol(spec, n):
-    order = spec.get("order")
-    floor = spec.get("exact_floor")
+def build_symbol(spec, n, path):
     if "shifted_laplacian_power" in spec:
+        extra = sorted(spec.keys() - {"shifted_laplacian_power"})
+        if extra:
+            raise ConfigError(f"{_at(path)}shifted_laplacian_power takes no "
+                              f"{extra}")
         pw = spec["shifted_laplacian_power"]
         return laplace_shift_power(n, pw["exponent"], pw["depth"])
     if "literal" not in spec:
-        raise ConfigError("symbol needs 'literal' or 'shifted_laplacian_power'")
-    return parse_symbol(spec["literal"], n, order=order, exact_floor=floor)
+        raise ConfigError(
+            f"{_at(path)}need literal or shifted_laplacian_power")
+    return parse_symbol(spec["literal"], n, order=spec.get("order"),
+                        exact_floor=spec.get("exact_floor"))
 
 
 def build_geometry(spec):
@@ -374,41 +389,36 @@ def build_weight(spec):
 def build_model(spec):
     """A validated model section; an absent field takes the dataclass
     default."""
-    fields = dict(spec)
-    if "mode_cap" in fields:
-        fields["mode_cap"] = int(fields["mode_cap"])
-    return SpectrumModel(**fields)
+    return SpectrumModel(**spec)
 
 
-def build_boundary_term(spec, n, kind):
+def build_boundary_term(spec, n, kind, path):
     b = parse_symbol(spec["b"], n - 1)
     degree = float(spec["degree"])
     comp = b.component(degree)
     if comp.is_zero:
-        raise ConfigError(
-            f"boundary literal has no component at degree {degree}")
+        raise ConfigError(f"{_at(path)}b has no component at degree {degree}")
     type_d = int(spec.get("type", 0))
     if kind == "green":
-        pairs = [(build_rational(p["k"]), build_rational(p["t"]))
-                 for p in spec.get("pairs", [])]
+        pairs = [(build_rational(p["k"], path + ("pairs", i, "k")),
+                  build_rational(p["t"], path + ("pairs", i, "t")))
+                 for i, p in enumerate(spec["pairs"])]
         fiber = sg_symbol(pairs, type_d)
     else:
-        fiber = build_rational(spec["fiber"])
+        fiber = build_rational(spec["fiber"], path + ("fiber",))
     return boundary_term(comp, fiber, kind=kind, type_d=type_d)
 
 
-def build_bdm(spec):
+def build_bdm(spec, path):
     geo = build_geometry(spec["geometry"])
     n = geo.dim
-    p = build_symbol(spec["p"], n) if "p" in spec else None
-    s = build_symbol(spec["s"], n - 1) if "s" in spec else None
-    green = tuple(build_boundary_term(g, n, "green")
-                  for g in spec.get("green", []))
-    pot = tuple(build_boundary_term(g, n, "potential")
-                for g in spec.get("potential", []))
-    tr = tuple(build_boundary_term(g, n, "trace")
-               for g in spec.get("trace", []))
-    return BdMSymbol(geo, p=p, green=green, potential=pot, trace_terms=tr,
+    p = build_symbol(spec["p"], n, path + ("p",)) if "p" in spec else None
+    s = build_symbol(spec["s"], n - 1, path + ("s",)) if "s" in spec else None
+    terms = {kind: tuple(build_boundary_term(g, n, kind, path + (kind, i))
+                         for i, g in enumerate(spec.get(kind, [])))
+             for kind in ("green", "potential", "trace")}
+    return BdMSymbol(geo, p=p, green=terms["green"],
+                     potential=terms["potential"], trace_terms=terms["trace"],
                      s=s, order=spec.get("order"),
                      type_d=int(spec.get("type", 0)))
 

@@ -30,10 +30,6 @@ from .symbols import HomTerm, radial_term
 MIN_IMAG = 1e-9
 
 
-def _binom(a, b):
-    return math.comb(a, b)
-
-
 @dataclass(frozen=True, eq=False)
 class RationalFn:
     """poly(tau) + sum coeff / (tau - pole)^order, no real poles."""
@@ -147,7 +143,6 @@ def polynomial(coeffs):
 
 
 ZERO = RationalFn((), ())
-ONE = RationalFn((1 + 0j,), ())
 
 
 def _poly_add(a, b):
@@ -176,13 +171,13 @@ def _poly_times_terms(poly, pole_terms):
                 continue
             # tau^i = sum_j binom(i,j) p^(i-j) (tau-p)^j
             for j in range(i + 1):
-                coeff = c * ci * _binom(i, j) * p ** (i - j)
+                coeff = c * ci * math.comb(i, j) * p ** (i - j)
                 if j < r:
                     out_terms.append((p, r - j, coeff))
                 else:
                     # (tau-p)^(j-r) re-expanded in tau
                     m = j - r
-                    shifted = [coeff * _binom(m, l) * (-p) ** (m - l)
+                    shifted = [coeff * math.comb(m, l) * (-p) ** (m - l)
                                for l in range(m + 1)]
                     out_poly = _poly_add(out_poly, tuple(shifted))
     return out_poly, out_terms
@@ -192,11 +187,11 @@ def _cross_split(p, r, q, s, c):
     """Partial fractions of c / ((tau-p)^r (tau-q)^s), p != q."""
     out = []
     for i in range(1, r + 1):
-        a = _binom(s + r - i - 1, r - i) * (-1.0) ** (r - i) \
+        a = math.comb(s + r - i - 1, r - i) * (-1.0) ** (r - i) \
             * (p - q) ** (-(s + r - i))
         out.append((p, i, c * a))
     for j in range(1, s + 1):
-        b = _binom(s + r - j - 1, s - j) * (-1.0) ** (s - j) \
+        b = math.comb(s + r - j - 1, s - j) * (-1.0) ** (s - j) \
             * (q - p) ** (-(s + r - j))
         out.append((q, j, c * b))
     return out
@@ -274,7 +269,7 @@ def _poly_shift(coeffs, p):
     out = [0j] * max(len(coeffs), 1)
     for i, ci in enumerate(coeffs):
         for j in range(i + 1):
-            out[j] += ci * _binom(i, j) * p ** (i - j)
+            out[j] += ci * math.comb(i, j) * p ** (i - j)
     return out
 
 

@@ -17,13 +17,13 @@ ln t coefficient.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (ConfigError, IllConditionedFitError, TailBoundError,
                      WindowError)
-from .spectral import SpectralWeight, SpectrumModel, enumerate_spectrum
+from .spectral import Spectrum, SpectralWeight, SpectrumModel, check_mode_cap
 
 COND_LIMIT = 1e8
 
@@ -341,14 +341,16 @@ def halfspace_heat_samples(t_grid, shift=1.0):
     for odd j and tanh(pi a/2) for even j (cosh and sinh of pi a would
     overflow from a ~ 226 on, below the jmax of 233 at t = 1.5e-3).  The
     brackets of the modes j^2 + k^2 <= jmax^2, jmax = ceil(9/sqrt(t_min)),
-    are binned onto the Dirichlet cylinder spectrum at cutoff jmax (past its
-    cap, :class:`ResourceCapError`) and summed by :func:`heat_samples`, whose
-    tail bounds each bracket by ||P|| = 1.  Every t must be finite and
+    are binned by eigenvalue.  As G > 0, the occupied bins are the Dirichlet
+    cylinder spectrum at cutoff jmax (past its cap, :class:`ResourceCapError`
+    before any bracket is built), and :func:`heat_samples` sums them with a
+    tail that bounds each bracket by ||P|| = 1.  Every t must be finite and
     positive, or :class:`ValueError` is raised.
     """
     t_grid = _descending_grid(t_grid)
     jmax = int(math.ceil(9.0 / math.sqrt(t_grid[-1])))
-    spec = enumerate_spectrum(SpectrumModel("dirichlet_cylinder", 2, jmax))
+    model = SpectrumModel("dirichlet_cylinder", 2, jmax)
+    check_mode_cap(model)
     j2 = np.arange(1, jmax + 1, dtype=float)[:, None] ** 2
     a2 = 1.0 + np.arange(0, jmax + 1, dtype=float) ** 2
     a = np.sqrt(a2)
@@ -360,7 +362,8 @@ def halfspace_heat_samples(t_grid, shift=1.0):
     lam = (d - 1.0).astype(np.int64)   # j^2 + k^2
     ball = lam <= jmax * jmax
     masses = np.bincount(lam[ball], weights=G[ball])
-    spec = replace(spec, counts=masses[spec.values.astype(int)])
+    m = np.flatnonzero(masses)
+    spec = Spectrum(m.astype(float), masses[m], model)
     return heat_samples(SpectralWeight(power=0.0),
                         SpectralWeight(power=1.0, shift=shift), spec, t_grid)
 

@@ -4,15 +4,15 @@ Model spectra (torus lattices, Dirichlet cylinders, boundary lattices) are
 enumerated exhaustively up to a cutoff and aggregated by eigenvalue (dim 2
 and 3: one int32 table, the plane's octant counted one cache-sized block of
 eigenvalues at a time) into arrays (values, multiplicities) ordered by
-ascending eigenvalue.  The dim-2 Dirichlet cylinder is derived from the
-torus spectrum at the same cutoff (:func:`cylinder_from_torus`), so a run
-that needs both counts the lattice once; the dim-3 cylinder is half the
-lattice points off the j = 0 plane of its table.  Partial sums sigma_N,
-logarithmic Cesaro means and the Dixmier trace estimator operate on those
-arrays and a weight passed with them.
+ascending eigenvalue.  A dim-2 or dim-3 Dirichlet cylinder is half the
+points of its table off the j = 0 line or plane; :func:`cylinder_from_torus`
+derives the dim-2 cylinder from a torus spectrum already at hand.  Every enumeration is bounded by one constant,
+``MODE_CAP`` modes, checked before anything is allocated.  Partial sums
+sigma_N, logarithmic Cesaro means and the Dixmier trace estimator operate
+on those arrays and a weight passed with them.
 
 The estimator reports the least-squares slope of sigma_N against ln N over
-the top decades of N.  Because sigma_N = C ln N + const + o(1) for the
+the top two decades of N.  Because sigma_N = C ln N + const + o(1) for the
 operators treated here, the slope converges like 1/ln N *after* the
 constant has been eliminated, i.e. orders of magnitude faster than
 sigma_N / ln N itself.  The Cesaro mean of sigma_N / ln N is reported as a
@@ -30,9 +30,10 @@ import numpy as np
 from .errors import (GradingError, IllConditionedFitError, ModelError,
                      ResourceCapError, WindowError)
 
-MODE_CAP_DEFAULT = 300_000_000
-# the longest array an enumeration may allocate (1.6 GB of int32 table)
-ARRAY_CAP = 400_000_000
+# the most modes an enumeration may hold.  Its longest array then has at
+# most MODE_CAP + 1 entries: the dim-1 cylinder's R modes, or a dims 2-3
+# table of R^2 + 1 <= 1.5e8 (the dim-2 cylinder at R = 12247)
+MODE_CAP = 300_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +108,6 @@ class SpectrumModel:
     dim: int
     cutoff: float
     copies: int = 1
-    mode_cap: int = MODE_CAP_DEFAULT
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,16 +121,21 @@ class Spectrum:
     model: SpectrumModel
 
 
-def _estimate_modes(model):
-    """The modes of the box around the enumerated ball, an exact int for
-    any cutoff: from floor(cutoff), as enumeration counts."""
+def check_mode_cap(model):
+    """Raise :class:`ResourceCapError` when the modes of the box around the
+    enumerated ball exceed ``MODE_CAP``; the estimate is an exact int for
+    any cutoff, from floor(cutoff) as enumeration counts."""
     r = math.floor(model.cutoff)
     d = model.dim
     if model.kind in ("torus_lattice", "boundary_lattice"):
-        return model.copies * (2 * r + 1) ** d
-    if model.kind == "dirichlet_cylinder":
-        return model.copies * r * (2 * r + 1) ** (d - 1)
-    raise ValueError(f"unknown model kind {model.kind!r}")
+        est = model.copies * (2 * r + 1) ** d
+    elif model.kind == "dirichlet_cylinder":
+        est = model.copies * r * (2 * r + 1) ** (d - 1)
+    else:
+        raise ValueError(f"unknown model kind {model.kind!r}")
+    if est > MODE_CAP:
+        raise ResourceCapError(
+            f"~{_sci(est)} modes exceed the cap {_sci(MODE_CAP)}")
 
 
 def _sci(n):
@@ -220,25 +225,15 @@ def enumerate_spectrum(model):
     """Exhaustive (eigenvalue, multiplicity) enumeration below the cutoff.
 
     Deterministic; raises :class:`ResourceCapError` before allocating when
-    the estimated mode count exceeds the model's cap or the longest array
-    of any branch exceeds ``ARRAY_CAP``.
+    the estimated mode count exceeds ``MODE_CAP``
+    (:func:`check_mode_cap`).
     """
     if model.cutoff < 1:
         raise ValueError("cutoff must be >= 1")
     if model.copies < 1:
         raise ValueError("copies must be >= 1")
-    est = _estimate_modes(model)
-    if est > model.mode_cap:
-        raise ResourceCapError(
-            f"~{_sci(est)} modes exceed the cap {_sci(model.mode_cap)}")
+    check_mode_cap(model)
     R = int(model.cutoff)
-    R2 = R * R
-    # dim 1 indexes the modes, dims 2-3 a dense eigenvalue table
-    longest = R + 1 if model.dim == 1 else R2 + 1
-    if longest > ARRAY_CAP:
-        raise ResourceCapError(
-            f"{'mode array' if model.dim == 1 else 'dense eigenvalue table'}"
-            f" of length {_sci(longest)} over the cap")
     if model.dim == 1:
         # eigenvalues k^2 (or j^2, j >= 1) indexed directly; the dense
         # eigenvalue-indexed array would be quadratic in the cutoff
@@ -254,11 +249,15 @@ def enumerate_spectrum(model):
         if model.dim not in (2, 3):
             raise ValueError("lattice counting implemented for dim <= 3")
         sq = np.arange(R + 1, dtype=np.int64) ** 2
-        plane = _plane_counts(R2, sq)
+        plane = _plane_counts(R * R, sq)
         cnt = plane if model.dim == 2 else _space_counts(plane, sq)
-        if model.kind == "dirichlet_cylinder" and model.dim == 3:
-            # j >= 1: half the points off the j = 0 plane
-            cnt -= plane
+        if model.kind == "dirichlet_cylinder":
+            # j >= 1: half the points off the j = 0 line or plane
+            if model.dim == 2:
+                cnt[0] -= 1
+                cnt[sq[1:]] -= 2
+            else:
+                cnt -= plane
             cnt >>= 1
         del plane
         ms = np.flatnonzero(cnt != 0)   # the boolean path is the fast one
@@ -268,12 +267,6 @@ def enumerate_spectrum(model):
         counts = ms
         counts[:] = cnt[ms]
         del cnt
-        if model.kind == "dirichlet_cylinder" and model.dim == 2:
-            # the table counted the torus; the cylinder's own estimate
-            # passed the cap
-            torus = replace(model, kind="torus_lattice", copies=1)
-            spec = cylinder_from_torus(Spectrum(values, counts, torus))
-            values, counts = spec.values, spec.counts
     counts *= model.copies
     return Spectrum(values, counts, model)
 
@@ -354,11 +347,11 @@ class DixmierEstimate:
     omega_consistent: bool
 
 
-def dixmier_estimate(spec, weight, window_decades=2.0):
+def dixmier_estimate(spec, weight):
     """Estimate the Dixmier trace of ``weight`` on the spectrum ``spec``.
 
     Primary estimator: least-squares slope of sigma_N versus ln N over the
-    top ``window_decades`` decades of N, at 400 geometric samples.
+    top two decades of N, a fixed window, at 400 geometric samples.
     Corroboration: the Cesaro mean of sigma_N / ln N (subsampled on a
     geometric grid of 3000 points; the step integral over that grid is
     exact).  ``omega_consistent`` is cleared when the Cesaro tail sits
@@ -369,13 +362,11 @@ def dixmier_estimate(spec, weight, window_decades=2.0):
     The weight must be positive and non-increasing from the bottom
     eigenvalue on, or :class:`GradingError` is raised; on the ascending
     eigenvalues it then lists the singular values in non-increasing order.
-    ``window_decades`` must be positive and the window must hold two N, or
-    :class:`WindowError` is raised.  A slope, residual or Cesaro tail that
-    is not finite, or a slope below the rounding floor of the partial sums,
-    raises :class:`IllConditionedFitError`.
+    The window is (max(2, n_max / 100), n_max); fewer than 100 modes hold
+    no two decades and raise :class:`WindowError`.  A slope, residual or
+    Cesaro tail that is not finite, or a slope below the rounding floor of
+    the partial sums, raises :class:`IllConditionedFitError`.
     """
-    if not window_decades > 0:
-        raise WindowError(f"window of {window_decades} decades; need > 0")
     if not (weight.scale > 0.0
             and weight.non_increasing(float(spec.values[0]))):
         raise GradingError(
@@ -390,10 +381,7 @@ def dixmier_estimate(spec, weight, window_decades=2.0):
     n_max = curve.n_max
     if n_max < 100:
         raise WindowError("too few modes for a slope window")
-    # a window wider than every N >= 2 starts at 2
-    n_lo = max(2, int(n_max / 10 ** min(window_decades, math.log10(n_max))))
-    if n_lo >= n_max:
-        raise WindowError(f"{window_decades} decades hold a single N")
+    n_lo = max(2, int(n_max / 10 ** 2.0))
     ns = np.unique(np.round(np.geomspace(n_lo, n_max,
                                          400)).astype(np.int64))
     x = np.log(ns.astype(float))

@@ -153,11 +153,3 @@ def test_criteria_02_08_match_full_composition_bitwise(seed, monkeypatch):
     monkeypatch.setattr(verify, "resolvent_log_coefficient", both_routes)
     full_08 = verify.check_parametric_routes(seed=seed).value
     assert np.float64(worst_08).tobytes() == np.float64(full_08).tobytes()
-
-
-
-
-
-
-
-

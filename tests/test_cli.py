@@ -147,6 +147,88 @@ def test_bad_radial_exponent_exit_code(tmp_path, capsys):
     assert not (tmp_path / "residue.csv").exists()
 
 
+def _edited(tmp_path, name, path, value):
+    """The demo document ``name`` with ``value`` at ``path`` (keys and list
+    indices), written to a file."""
+    cfg = json.loads((CONFIGS / name).read_text())
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    doc = tmp_path / name
+    doc.write_text(json.dumps(cfg, indent=1))
+    return doc
+
+
+_SLP = {"exponent": -1.0, "depth": 2}
+_UPPER = {"poles": [{"pole": [0, 1]}]}
+FORM_ERRORS = [
+    ("residue_cylinder_green.json", ("residue", "potential"),
+     [{"degree": -1, "b": "|xi|^-1"}], "residue/potential/0"),
+    ("residue_cylinder_green.json", ("residue", "trace"),
+     [{"degree": -1, "b": "|xi|^-1"}], "residue/trace/0"),
+    ("residue_cylinder_green.json", ("residue", "green", 0),
+     {"degree": -2, "b": "|xi|^-2", "fiber": _UPPER}, "residue/green/0"),
+    ("residue_torus.json", ("residue", "p"),
+     {"shifted_laplacian_power": _SLP, "literal": "|xi|^-2"}, "residue/p"),
+    ("residue_torus.json", ("residue", "p"),
+     {"shifted_laplacian_power": _SLP, "order": 7, "exact_floor": 3},
+     "residue/p"),
+    ("parametric_resolvent.json", ("parametric", "p"),
+     {"shifted_laplacian_power": _SLP, "exact_floor": 3}, "parametric/p"),
+    ("residue_cylinder_green.json", ("residue", "green", 0, "pairs", 0, "k"),
+     {"num": [1], "den": [[0, -1], 1], **_UPPER},
+     "residue/green/0/pairs/0/k"),
+    ("residue_cylinder_green.json", ("residue", "green", 0, "pairs", 0, "t"),
+     {"poly": [1], "num": [1], "den": [[0, 1], 1]},
+     "residue/green/0/pairs/0/t")]
+
+
+@pytest.mark.parametrize("name, path, value, where", FORM_ERRORS,
+                         ids=["potential-no-fiber", "trace-no-fiber",
+                              "green-fiber-no-pairs", "power-and-literal",
+                              "power-and-order", "parametric-power-and-floor",
+                              "num-den-and-poles", "num-den-and-poly"])
+def test_two_forms_or_a_missing_part_exit_code(tmp_path, capsys, name, path,
+                                               value, where):
+    # a term or function with two forms, or without the part its kind
+    # reads, is refused; no form is silently ignored
+    task = name.partition("_")[0]
+    doc = _edited(tmp_path, name, path, value)
+    assert run([task, "--config", doc, "--out", tmp_path]) == 2
+    assert f"at {where}: " in _one_config_error_line(capsys)
+    assert not (tmp_path / f"{task}.csv").exists()
+
+
+def test_pole_order_below_one_exit_code(tmp_path, capsys):
+    k = {"poles": [{"pole": [0, 1], "order": 0}]}
+    doc = _edited(tmp_path, "residue_cylinder_green.json",
+                  ("residue", "green", 0, "pairs", 0, "k"), k)
+    assert run(["residue", "--config", doc, "--out", tmp_path]) == 2
+    assert ": at residue/green/0/pairs/0/k/poles/0/order: 0 is less than " \
+        "the minimum of 1" in _one_config_error_line(capsys)
+
+
+def test_ratio_form_matches_the_pole_form(tmp_path):
+    # 1/(tau - i) as num/den, complex numbers written [re, im]
+    blocks = []
+    for k in (None, {"num": [1], "den": [[0, -1], 1]}):
+        out = tmp_path / ("ratio" if k else "poles")
+        doc = CONFIGS / "residue_cylinder_green.json"
+        if k:
+            doc = _edited(tmp_path, doc.name,
+                          ("residue", "green", 0, "pairs", 0, "k"), k)
+        assert run(["residue", "--config", doc, "--out", out]) == 0
+        rows = csv.reader(l for l in (out / "residue.csv").read_text()
+                          .splitlines() if not l.startswith("#"))
+        next(rows)
+        blocks.append({name: complex(float(re), float(im))
+                       for name, re, im in rows})
+    assert blocks[0].keys() == blocks[1].keys()
+    for name, value in blocks[0].items():
+        assert abs(blocks[1][name] - value) <= 1e-12 * max(1.0, abs(value))
+
+
 @pytest.mark.parametrize("item", ["seed.x=1", "seed.x.y=1",
                                   "residue.geometry.dim.x=1"])
 def test_set_through_non_object_exit_code(tmp_path, capsys, item):
@@ -221,8 +303,8 @@ def _dixmier_text(path, literal):
 @pytest.mark.parametrize("route", ["file", "set"])
 @pytest.mark.parametrize("path, literal", [
     (("dixmier", "model", "cutoff"), "NaN"),
-    (("dixmier", "model", "mode_cap"), "1e400"),
-    (("dixmier", "window_decades"), "Infinity"),
+    (("dixmier", "weight", "power"), "1e400"),
+    (("dixmier", "weight", "scale"), "Infinity"),
     (("seed",), "-Infinity")])
 def test_non_finite_number_exit_code(tmp_path, capsys, route, path, literal):
     # Python's json reads NaN, Infinity and 1e400; none is a JSON number
@@ -311,9 +393,8 @@ def test_builders_leave_defaults_to_the_dataclasses():
     assert plain == SpectrumModel("torus_lattice", 2, 50)
     assert repr(plain) == repr(SpectrumModel("torus_lattice", 2, 50))
     full = build_model({"kind": "dirichlet_cylinder", "dim": 2, "cutoff": 9,
-                        "copies": 2, "mode_cap": 1e6})
-    assert full == SpectrumModel("dirichlet_cylinder", 2, 9, 2, 1_000_000)
-    assert type(full.mode_cap) is int
+                        "copies": 2})
+    assert full == SpectrumModel("dirichlet_cylinder", 2, 9, 2)
 
 
 def test_task_mismatch_rejected(tmp_path):
@@ -341,17 +422,32 @@ def test_huge_cutoff_resource_cap(tmp_path, capsys, cutoff):
 
 
 def test_dim1_array_cap_with_huge_mode_cap(tmp_path, capsys):
-    # the mode cap lets 1e300 modes pass; the dim-1 mode array, not
-    # np.arange, must refuse them
+    # MODE_CAP bounds the dim-1 mode array too: 2e300 modes are refused
+    # before np.arange, which could not build them, is reached
     code = run(["dixmier", "--config", CONFIGS / "dixmier_torus.json",
                 "--out", tmp_path,
                 "--set", "dixmier.model.dim=1",
                 "--set", "dixmier.model.kind=boundary_lattice",
-                "--set", "dixmier.model.cutoff=1e300",
-                "--set", "dixmier.model.mode_cap=1" + "0" * 700])
+                "--set", "dixmier.model.cutoff=1e300"])
     assert code == 4
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("resource cap:"), err
+    assert err == ["resource cap: ~2.00e+300 modes exceed the cap 3.00e+8"]
+    assert not (tmp_path / "dixmier.csv").exists()
+
+
+@pytest.mark.parametrize("path", [("dixmier", "window_decades"),
+                                  ("dixmier", "model", "mode_cap")])
+def test_removed_knob_exit_code(tmp_path, capsys, path):
+    # the window is two decades and the mode cap a constant; a document or
+    # override that sets either is refused at the path of the knob
+    doc = _edited(tmp_path, "dixmier_torus.json", path, 2)
+    for source in (["--config", doc],
+                   ["--config", CONFIGS / "dixmier_torus.json",
+                    "--set", f"{'.'.join(path)}=2"]):
+        assert run(["dixmier", "--out", tmp_path] + source) == 2
+        line = _one_config_error_line(capsys)
+        assert (f"at {'/'.join(path[:-1])}: additional properties "
+                f"['{path[-1]}'] not allowed") in line
     assert not (tmp_path / "dixmier.csv").exists()
 
 
@@ -594,8 +690,7 @@ def test_verify_csv_byte_reproducible(demo_outputs, tmp_path, capsys):
 def test_verify_smoke(tmp_path, capsys, monkeypatch):
     # every lattice table is counted once per run: criteria 04-05 share
     # torus 4000 and 06-07 torus 300, criterion 09's half-space bracket
-    # bins onto the cylinder at jmax 233; criterion 10 counts its three
-    # twice, once per pass
+    # counts none; criterion 10 counts its three twice, once per pass
     tables = Counter()
     plane_counts = spectral._plane_counts
 
@@ -611,5 +706,5 @@ def test_verify_smoke(tmp_path, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "residue_closed_form" in out
     assert "FAIL" not in out
-    assert tables == {4000 ** 2: 1, 300 ** 2: 1, 233 ** 2: 1, 800 ** 2: 2,
-                      200 ** 2: 2, 500 ** 2: 2}
+    assert tables == {4000 ** 2: 1, 300 ** 2: 1, 800 ** 2: 2, 200 ** 2: 2,
+                      500 ** 2: 2}

@@ -147,32 +147,84 @@ def test_enumeration_matches_lattice_oracle_across_blocks(kind, R):
         2 * math.isqrt(R * R - i * i) + 1 for i in first)
 
 
+def _admitted(model):
+    try:
+        spectral.check_mode_cap(model)
+    except ResourceCapError:
+        return False
+    return True
+
+
+def _largest_admitted(kind, dim):
+    """The largest integer cutoff whose model passes the mode cap."""
+    lo, hi = 1, 2
+    while _admitted(SpectrumModel(kind, dim, hi)):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = ((mid, hi) if _admitted(SpectrumModel(kind, dim, mid))
+                  else (lo, mid))
+    return lo
+
+
+def _longest_array(kind, dim, R):
+    """The longest array an enumeration at integer cutoff R allocates: the
+    dim-1 mode array, or the dense eigenvalue table of dims 2-3."""
+    if dim == 1:
+        return R if kind == "dirichlet_cylinder" else R + 1
+    return R * R + 1
+
+
+@pytest.mark.parametrize("kind", ["torus_lattice", "dirichlet_cylinder",
+                                  "boundary_lattice"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_mode_cap_bounds_every_array(monkeypatch, kind, dim):
+    R = _largest_admitted(kind, dim)
+    assert _longest_array(kind, dim, R) <= spectral.MODE_CAP + 1
+    # the length formula is the code's: enumerate at the largest cutoff a
+    # small cap admits and measure
+    monkeypatch.setattr(spectral, "MODE_CAP", 3_000)
+    R = _largest_admitted(kind, dim)
+    tables = []
+    plane_counts = spectral._plane_counts
+
+    def measured(R2, sq):
+        table = plane_counts(R2, sq)
+        tables.append(table.size)
+        return table
+
+    monkeypatch.setattr(spectral, "_plane_counts", measured)
+    sp = enumerate_spectrum(SpectrumModel(kind, dim, R))
+    longest = max(tables + [sp.values.size])
+    assert longest == _longest_array(kind, dim, R) <= 3_001
+
+
 @pytest.mark.parametrize("kind", ["torus_lattice", "dirichlet_cylinder"])
 def test_dense_table_cap_raises_before_allocation(monkeypatch, kind):
-    # (2 * 20001 + 1)^2 modes pass this cap, the table of 20001^2 entries not
+    # the first cutoff past the cap: no table, not even the row of squares
     def fail(*args):
         raise AssertionError("the table was built past its cap")
     monkeypatch.setattr(spectral, "_plane_counts", fail)
-    model = SpectrumModel(kind, 2, 20_001, mode_cap=10 ** 10)
+    R = _largest_admitted(kind, 2) + 1
     tracemalloc.start()
     try:
-        with pytest.raises(ResourceCapError, match="dense eigenvalue table"):
-            enumerate_spectrum(model)
+        with pytest.raises(ResourceCapError, match="modes exceed the cap"):
+            enumerate_spectrum(SpectrumModel(kind, 2, R))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 20_001 * 8   # not even the row of squares
+    assert peak < R * 8
 
 
-def test_derived_cylinder_keeps_its_own_mode_cap():
+def test_derived_cylinder_keeps_its_own_mode_cap(monkeypatch):
     # the cylinder's estimate is 100 * 201 = 20100 modes, its torus's 201^2
-    sp = enumerate_spectrum(
-        SpectrumModel("dirichlet_cylinder", 2, 100, mode_cap=30_000))
+    monkeypatch.setattr(spectral, "MODE_CAP", 30_000)
+    sp = enumerate_spectrum(SpectrumModel("dirichlet_cylinder", 2, 100))
     assert int(sp.counts.sum()) == sum(
         2 * math.isqrt(100 ** 2 - j * j) + 1 for j in range(1, 101))
+    monkeypatch.setattr(spectral, "MODE_CAP", 20_000)
     with pytest.raises(ResourceCapError):
-        enumerate_spectrum(
-            SpectrumModel("dirichlet_cylinder", 2, 100, mode_cap=20_000))
+        enumerate_spectrum(SpectrumModel("dirichlet_cylinder", 2, 100))
 
 
 def test_cylinder_from_torus_leaves_the_torus():
@@ -366,26 +418,14 @@ def test_dixmier_slope_below_rounding_floor_raises(shift):
                      SpectralWeight(power=-1.0, shift=shift))
 
 
-@pytest.mark.parametrize("decades", [math.nan, 0.0, -1.0, 1e-17])
-def test_dixmier_window_outside_domain_rejected(decades):
-    # NaN, no decade, a negative one, or one so thin that 10^decades
-    # rounds to 1 and the window holds a single N
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(WindowError):
-            dixmier_estimate(
-                enumerate_spectrum(SpectrumModel("torus_lattice", 2, 100)),
-                INV, window_decades=decades)
-
-
-def test_dixmier_window_wider_than_the_spectrum_starts_at_two():
+def test_dixmier_window_is_the_top_two_decades():
+    # torus cutoff 6 holds 113 modes: two decades below them reach past 2
+    small = enumerate_spectrum(SpectrumModel("torus_lattice", 2, 6))
+    assert int(small.counts.sum()) == 113
+    assert dixmier_estimate(small, INV).window == (2, 113)
     spec = enumerate_spectrum(SpectrumModel("torus_lattice", 2, 100))
     n_max = int(spec.counts.sum())
-    for decades in (400, 400.5, math.inf):
-        est = dixmier_estimate(spec, INV, window_decades=decades)
-        assert est.window == (2, n_max)
-    narrow = dixmier_estimate(spec, INV, window_decades=0.3)
-    assert narrow.window == (int(n_max / 10 ** 0.3), n_max)
+    assert dixmier_estimate(spec, INV).window == (int(n_max / 100), n_max)
 
 
 def test_sigma_ratio_near_pi_at_top():
