@@ -10,22 +10,24 @@ composition satisfies trace cyclicity.
 
 import numpy as np
 
-from ncres import (compose_gg, compose_kt, compose_tk, from_ratio, pi_prime,
-                   pm_decompose, polynomial, sg_trace, simple_pole)
+from ncres import (compose_gg, compose_kt, compose_tk, pi_prime, pm_decompose,
+                   polynomial, rational, sg_trace, simple_pole)
 from ncres.sampling import random_minus_fn, random_plus_fn, random_sg
 
 print("== plus/minus/polynomial split ==")
-f = from_ratio([2, 0, 1], [2, 1j, 1])   # (tau^2+2) / ((tau-i)(tau+2i))
+# (tau^2+2) / ((tau-i)(tau+2i)) = 1 - (i/3)/(tau-i) - (2i/3)/(tau+2i)
+f = rational([1], [(1j, 1, -1j / 3), (-2j, 1, -2j / 3)])
 d = pm_decompose(f)
 print("  poles of the plus part :", [p for p, _ in d.plus.poles()])
 print("  poles of the minus part:", [p for p, _ in d.minus.poles()])
 print("  polynomial part        :", d.poly.poly)
 taus = np.linspace(-3, 3, 7)
-err = max(abs(d.reconstruct()(t) - f(t)) for t in taus)
+err = max(abs(d.reconstruct()(t) - (t ** 2 + 2) / ((t - 1j) * (t + 2j)))
+          for t in taus)
 print(f"  reconstruction error on the real line: {err:.2e}")
 
 print("\n== pi_prime: i times the sum of upper residues ==")
-lorentz = from_ratio([1], [1, 0, 1])    # 1/(1 + tau^2)
+lorentz = rational((), [(1j, 1, -0.5j), (-1j, 1, 0.5j)])   # 1/(1 + tau^2)
 print("  pi_prime 1/(1+tau^2) =", pi_prime(lorentz), " (integral/2pi = 1/2)")
 print("  pi_prime 1/(tau+i)   =", pi_prime(simple_pole(-1j)), " (minus part)")
 print("  pi_prime 1/(tau-i)   =", pi_prime(simple_pole(1j)))

@@ -5,9 +5,9 @@ together."""
 
 from ._version import __version__
 from .halfline import (PlusMinusDecomp, RationalFn, SGSymbol, boundary_term,
-                       compose_gg, compose_kt, compose_tk, from_ratio,
-                       pi_prime, pm_decompose, polynomial, rational,
-                       sg_symbol, sg_trace, simple_pole, tr_boundary_term)
+                       compose_gg, compose_kt, compose_tk, pi_prime,
+                       pm_decompose, polynomial, rational, sg_symbol,
+                       sg_trace, simple_pole, tr_boundary_term)
 from .heatzeta import (AsymptoticFit, HeatSamples, boundary_heat_test,
                        fit_expansion, heat_samples, zeta_residue)
 from .parametric import (resolvent_log_coefficient,
@@ -25,7 +25,7 @@ from .literals import format_symbol, parse_symbol
 
 __all__ = [
     "PlusMinusDecomp", "RationalFn", "SGSymbol", "boundary_term", "compose_gg",
-    "compose_kt", "compose_tk", "from_ratio", "pi_prime", "pm_decompose",
+    "compose_kt", "compose_tk", "pi_prime", "pm_decompose",
     "polynomial", "rational", "sg_symbol", "sg_trace", "simple_pole",
     "tr_boundary_term", "AsymptoticFit", "HeatSamples", "boundary_heat_test",
     "fit_expansion", "heat_samples", "zeta_residue",

@@ -11,7 +11,8 @@ directory, both stamped with the library version and the sha256 of the
 effective configuration, and is bit-reproducible for a fixed document:
 reductions are serial, over fixed blocks in order.  ``--threads`` and the
 ``threads`` field are accepted so that older commands and documents still
-run; they have no effect.
+run; they have no effect, and the flag is parsed and dropped, never
+validated or copied into the document.
 
 Exit codes: 0 success, 2 configuration error, 3 tolerance/verification
 failure, 4 resource cap, 1 any other library error (one ``error:`` line,
@@ -112,8 +113,6 @@ def _effective_config(args):
         cfg["output_dir"] = args.out
     if args.seed is not None:
         cfg["seed"] = args.seed
-    if args.threads is not None:
-        cfg["threads"] = args.threads
     validate_config(cfg, text, source)
     if cfg["task"] != args.task:
         raise ConfigError(
@@ -154,12 +153,12 @@ def _dispatch(cfg):
             # a growing or non-positive weight is outside the estimator's
             # domain: an input error, not a failed computation
             raise ConfigError(f"dixmier.weight: {exc}") from exc
-        report = writers.dixmier_report(est, meta)
+        ref = None
         if "formula" in section:
             ref = dixmier_formula(
                 build_bdm(section["formula"], ("dixmier", "formula"))).real
-            report += writers.dixmier_report(est, meta, expected=ref)
-        _write(out_dir, task, writers.dixmier_csv(est, meta), report)
+        _write(out_dir, task, writers.dixmier_csv(est, meta),
+               writers.dixmier_report(est, meta, expected=ref))
         return 0
 
     if task == "heat":

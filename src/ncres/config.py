@@ -3,8 +3,8 @@
 A job is one JSON document.  Shared fields: ``task``, ``seed``, ``threads``,
 ``output_dir``; one section per task other than ``verify``, which has
 none, carries the inputs (symbol literals in the grammar of
-:mod:`ncres.literals`, rational functions as pole lists or coefficient
-ratios, spectrum models, t grids).  Runs are fully determined by the
+:mod:`ncres.literals`, rational functions as pole lists plus a
+polynomial part, spectrum models, t grids).  Runs are fully determined by the
 document plus the seed; reports embed the document's sha256.
 
 Validation is two-stage: JSON syntax errors carry the exact line/column
@@ -24,7 +24,7 @@ import re
 import numpy as np
 
 from .errors import ConfigError
-from .halfline import boundary_term, from_ratio, rational, sg_symbol
+from .halfline import boundary_term, rational, sg_symbol
 from .literals import parse_symbol
 from .residue import BdMSymbol, Cylinder, Torus
 from .spectral import SpectralWeight, SpectrumModel
@@ -44,8 +44,6 @@ _RATIONAL = {
                            "order": {"type": "integer", "minimum": 1}},
             "required": ["pole"], "additionalProperties": False}},
         "poly": {"type": "array", "items": _COMPLEX},
-        "num": {"type": "array", "items": _COMPLEX},
-        "den": {"type": "array", "items": _COMPLEX},
     },
     "additionalProperties": False,
 }
@@ -66,7 +64,7 @@ _SYMBOL = {
 _WEIGHT = {
     "type": "object",
     "properties": {"power": {"type": "number"}, "shift": {"type": "number"},
-                   "rate": {"type": "number"}, "scale": {"type": "number"}},
+                   "scale": {"type": "number"}},
     "additionalProperties": False,
 }
 _MODEL = {
@@ -344,15 +342,8 @@ def _at(path):
     return f"at {'/'.join(map(str, path))}: "
 
 
-def build_rational(spec, path):
-    """One of the two forms: ``poles``/``poly`` or ``num``/``den``."""
-    if "num" in spec or "den" in spec:
-        if not ("num" in spec and "den" in spec):
-            raise ConfigError(f"{_at(path)}num and den come together")
-        if "poles" in spec or "poly" in spec:
-            raise ConfigError(f"{_at(path)}num/den or poles/poly, not both")
-        return from_ratio([_complex(c) for c in spec["num"]],
-                          [_complex(c) for c in spec["den"]])
+def build_rational(spec):
+    """The split form: a ``poles`` list plus a ``poly`` part."""
     terms = []
     for item in spec.get("poles", []):
         terms.append((_complex(item["pole"]), int(item.get("order", 1)),
@@ -400,12 +391,11 @@ def build_boundary_term(spec, n, kind, path):
         raise ConfigError(f"{_at(path)}b has no component at degree {degree}")
     type_d = int(spec.get("type", 0))
     if kind == "green":
-        pairs = [(build_rational(p["k"], path + ("pairs", i, "k")),
-                  build_rational(p["t"], path + ("pairs", i, "t")))
-                 for i, p in enumerate(spec["pairs"])]
+        pairs = [(build_rational(p["k"]), build_rational(p["t"]))
+                 for p in spec["pairs"]]
         fiber = sg_symbol(pairs, type_d)
     else:
-        fiber = build_rational(spec["fiber"], path + ("fiber",))
+        fiber = build_rational(spec["fiber"])
     return boundary_term(comp, fiber, kind=kind, type_d=type_d)
 
 

@@ -8,9 +8,12 @@ the half-line functional to a residue sum:
 
     pi_prime(h) = i * sum of residues of the upper-half-plane part.
 
-Poles on the real axis are rejected at construction.  The plus space is the
-proper rational functions with all poles above the axis; the minus space of
-type d allows lower poles and a polynomial part of degree < d.
+Every rational function enters in that split form, through
+:func:`rational`; nothing is recovered from numeric roots, so poles of any
+multiplicity stay exact.  Poles on the real axis are rejected at
+construction.  The plus space is the proper rational functions with all
+poles above the axis; the minus space of type d allows lower poles and a
+polynomial part of degree < d.
 
 Finite-rank singular Green symbols are sums k_i(xi_n) t_i(eta_n) with
 k_i plus-type and t_i minus-type; their diagonal trace, the two boundary
@@ -194,94 +197,6 @@ def _cross_split(p, r, q, s, c):
         b = math.comb(s + r - j - 1, s - j) * (-1.0) ** (s - j) \
             * (q - p) ** (-(s + r - j))
         out.append((q, j, c * b))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# construction from numerator / denominator coefficients
-
-
-def from_ratio(num, den):
-    """Build a rational function from ascending coefficient lists.
-
-    Denominator roots are found numerically and clustered into multiple
-    poles within a relative 1e-6; a root on the real axis raises
-    :class:`RealPoleError`.  Intended for configuration input -- library
-    internals construct split forms directly and stay exact.
-    """
-    num = [complex(c) for c in num]
-    den = [complex(c) for c in den]
-    while num and num[-1] == 0:
-        num.pop()
-    while den and den[-1] == 0:
-        den.pop()
-    if not den:
-        raise ValueError("denominator is identically zero")
-    lead = den[-1]
-    num = [c / lead for c in num]
-    den = [c / lead for c in den]
-    if len(den) == 1:
-        return rational(num, ())
-    roots = np.roots(den[::-1])
-    clusters = []
-    for root in sorted(roots, key=lambda z: (z.real, z.imag)):
-        for cl in clusters:
-            if abs(root - cl[0][-1]) < 1e-6 * max(1.0, abs(root)):
-                cl[0].append(root)
-                break
-        else:
-            clusters.append(([root],))
-    poles = [(complex(np.mean(c[0])), len(c[0])) for c in clusters]
-    # polynomial part by long division
-    q, r = _poly_divmod(num, den)
-    # principal part at each pole from the Taylor series of r / (den/(tau-p)^m)
-    terms = []
-    for p, m in poles:
-        co = _poly_shift(den, p)           # den in powers of (tau - p)
-        qq = co[m:m + m]                   # den/(tau-p)^m series at p, m terms
-        rr = _poly_shift(r, p)[:m]
-        g = _series_div(rr, qq, m)
-        for l in range(m):
-            c = g[l]
-            if c != 0:
-                terms.append((p, m - l, c))
-    return rational(q, terms)
-
-
-def _poly_divmod(num, den):
-    # the remainder's rounding is relative to the numerator's size
-    floor = 1e-13 * max(map(abs, num), default=0.0)
-    num = list(num)
-    q = [0j] * max(len(num) - len(den) + 1, 0)
-    for i in range(len(q) - 1, -1, -1):
-        c = num[i + len(den) - 1] / den[-1]
-        q[i] = c
-        for j, dj in enumerate(den):
-            num[i + j] -= c * dj
-    r = num[:len(den) - 1]
-    while r and abs(r[-1]) < floor:
-        r.pop()
-    return tuple(q), tuple(r)
-
-
-def _poly_shift(coeffs, p):
-    """Re-expand sum c_i tau^i in powers of (tau - p)."""
-    out = [0j] * max(len(coeffs), 1)
-    for i, ci in enumerate(coeffs):
-        for j in range(i + 1):
-            out[j] += ci * math.comb(i, j) * p ** (i - j)
-    return out
-
-
-def _series_div(a, b, k):
-    """First k coefficients of the power-series quotient a / b (b[0] != 0)."""
-    a = list(a) + [0j] * k
-    out = []
-    for i in range(k):
-        c = a[i] / b[0]
-        out.append(c)
-        for j in range(1, min(len(b), k - i)):
-            a[i + j] -= c * b[j]
     return out
 
 

@@ -144,10 +144,10 @@ def heat_samples(p_weight, a_weight, spec, t_grid):
     sample can move in its last ulps.
     """
     finite = 0.0 < a_weight.scale < math.inf and math.isfinite(a_weight.shift)
-    if a_weight.power != 1.0 or a_weight.rate != 0.0 or not finite:
+    if a_weight.power != 1.0 or not finite:
         raise ConfigError(
             f"A weight {a_weight.describe()} is not affine in the eigenvalue"
-            f": need power 1, rate 0, finite shift and 0 < scale < inf")
+            f": need power 1, finite shift and 0 < scale < inf")
     t_grid = _descending_grid(t_grid)
     lam = spec.values[::-1]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

@@ -42,11 +42,10 @@ MODE_CAP = 300_000_000
 
 @dataclass(frozen=True)
 class SpectralWeight:
-    """scale * (shift + lam)^power * exp(-rate * lam)."""
+    """scale * (shift + lam)^power."""
 
     power: float = 1.0
     shift: float = 0.0
-    rate: float = 0.0
     scale: float = 1.0
 
     def __call__(self, lam):
@@ -56,34 +55,20 @@ class SpectralWeight:
         out = self.shift + lam
         out **= self.power
         out *= self.scale
-        if self.rate:
-            out *= np.exp(-self.rate * lam)
         return out
 
     def describe(self):
-        parts = []
-        if self.scale != 1.0:
-            parts.append(f"{self.scale:g}*")
-        parts.append(f"({self.shift:g}+lam)^{self.power:g}")
-        if self.rate:
-            parts.append(f"*exp(-{self.rate:g}*lam)")
-        return "".join(parts)
+        scale = f"{self.scale:g}*" if self.scale != 1.0 else ""
+        return f"{scale}({self.shift:g}+lam)^{self.power:g}"
 
     def non_increasing(self, lam_min):
         """Whether |weight| is non-increasing on [lam_min, inf).
 
-        With u = shift + lam, d/dlam ln|weight| = power/u - rate, so the weight
-        decays iff rate >= 0 and power <= rate * u at u = shift + lam_min > 0;
-        a zero scale or power needs only rate >= 0.
+        With u = shift + lam, d/dlam ln|weight| = power/u, so a weight with
+        nonzero scale and power decays iff power < 0 and u > 0 at lam_min.
         """
-        if self.scale == 0.0:
-            return True
-        if self.rate < 0.0:
-            return False
-        if self.power == 0.0:
-            return True
-        u0 = self.shift + lam_min
-        return u0 > 0.0 and self.power <= self.rate * u0
+        return (self.scale == 0.0 or self.power == 0.0
+                or (self.power < 0.0 and self.shift + lam_min > 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -188,7 +188,8 @@ FORM_ERRORS = [
                          ids=["potential-no-fiber", "trace-no-fiber",
                               "green-fiber-no-pairs", "power-and-literal",
                               "power-and-order", "parametric-power-and-floor",
-                              "num-den-and-poles", "num-den-and-poly"])
+                              "num-den-refused-beside-poles",
+                              "num-den-refused-beside-poly"])
 def test_two_forms_or_a_missing_part_exit_code(tmp_path, capsys, name, path,
                                                value, where):
     # a term or function with two forms, or without the part its kind
@@ -209,24 +210,33 @@ def test_pole_order_below_one_exit_code(tmp_path, capsys):
         "the minimum of 1" in _one_config_error_line(capsys)
 
 
-def test_ratio_form_matches_the_pole_form(tmp_path):
-    # 1/(tau - i) as num/den, complex numbers written [re, im]
-    blocks = []
-    for k in (None, {"num": [1], "den": [[0, -1], 1]}):
-        out = tmp_path / ("ratio" if k else "poles")
-        doc = CONFIGS / "residue_cylinder_green.json"
-        if k:
-            doc = _edited(tmp_path, doc.name,
-                          ("residue", "green", 0, "pairs", 0, "k"), k)
-        assert run(["residue", "--config", doc, "--out", out]) == 0
-        rows = csv.reader(l for l in (out / "residue.csv").read_text()
-                          .splitlines() if not l.startswith("#"))
-        next(rows)
-        blocks.append({name: complex(float(re), float(im))
-                       for name, re, im in rows})
-    assert blocks[0].keys() == blocks[1].keys()
-    for name, value in blocks[0].items():
-        assert abs(blocks[1][name] - value) <= 1e-12 * max(1.0, abs(value))
+@pytest.mark.parametrize("k", [{"num": [1], "den": [[0, -1], 1]},
+                               {"num": [1], "den": [0]}],
+                         ids=["simple-pole", "zero-den"])
+def test_ratio_form_exit_code(tmp_path, capsys, k):
+    # a rational enters as poles and a polynomial part only
+    doc = _edited(tmp_path, "residue_cylinder_green.json",
+                  ("residue", "green", 0, "pairs", 0, "k"), k)
+    assert run(["residue", "--config", doc, "--out", tmp_path]) == 2
+    assert _one_config_error_line(capsys).endswith(
+        "at residue/green/0/pairs/0/k: additional properties ['den', 'num'] "
+        "not allowed")
+    assert not (tmp_path / "residue.csv").exists()
+
+
+def test_triple_pole_green_block(tmp_path):
+    # k = 1/(tau - i)^3 against t = 1/(tau + i) on the cylinder: the green
+    # block is -2 pi^2; a triple pole is where poles recovered from numeric
+    # roots go wrong
+    k = {"poles": [{"pole": [0, 1], "order": 3}]}
+    doc = _edited(tmp_path, "residue_cylinder_green.json",
+                  ("residue", "green", 0, "pairs", 0, "k"), k)
+    assert run(["residue", "--config", doc, "--out", tmp_path]) == 0
+    lines = [l for l in (tmp_path / "residue.csv").read_text().splitlines()
+             if not l.startswith("#")]
+    blocks = {name: complex(float(re), float(im))
+              for name, re, im in csv.reader(lines[1:])}
+    assert abs(blocks["green"] + 2 * math.pi ** 2) <= 1e-12
 
 
 @pytest.mark.parametrize("item", ["seed.x=1", "seed.x.y=1",
@@ -385,10 +395,24 @@ def test_dixmier_formula_validated_as_residue(tmp_path, capsys, formula):
     assert not (tmp_path / "dixmier.csv").exists()
 
 
+def test_dixmier_report_with_formula_is_written_once(tmp_path, capsys):
+    formula = '{"geometry": {"kind": "torus", "dim": 2}, ' \
+              '"p": {"literal": "|xi|^-2"}}'
+    code = run(["dixmier", "--config", CONFIGS / "dixmier_torus.json",
+                "--out", tmp_path, "--set", "dixmier.model.cutoff=300",
+                "--set", f"dixmier.formula={formula}"])
+    assert code == 0
+    for report in (capsys.readouterr().out,
+                   (tmp_path / "dixmier.txt").read_text()):
+        lines = report.splitlines()
+        assert sum(l.lstrip().startswith("slope estimate") for l in lines) == 1
+        assert sum(l.lstrip().startswith("reference") for l in lines) == 1
+
+
 def test_builders_leave_defaults_to_the_dataclasses():
     assert build_weight({}) == SpectralWeight()
     assert build_weight({"power": -1, "shift": 2.0}) == \
-        SpectralWeight(-1, 2.0, 0.0, 1.0)
+        SpectralWeight(-1, 2.0, 1.0)
     plain = build_model({"kind": "torus_lattice", "dim": 2, "cutoff": 50})
     assert plain == SpectrumModel("torus_lattice", 2, 50)
     assert repr(plain) == repr(SpectrumModel("torus_lattice", 2, 50))
@@ -436,10 +460,12 @@ def test_dim1_array_cap_with_huge_mode_cap(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("path", [("dixmier", "window_decades"),
-                                  ("dixmier", "model", "mode_cap")])
+                                  ("dixmier", "model", "mode_cap"),
+                                  ("dixmier", "weight", "rate")])
 def test_removed_knob_exit_code(tmp_path, capsys, path):
-    # the window is two decades and the mode cap a constant; a document or
-    # override that sets either is refused at the path of the knob
+    # the window is two decades, the mode cap a constant and a weight a
+    # plain power; a document or override that sets a removed knob is
+    # refused at its path
     doc = _edited(tmp_path, "dixmier_torus.json", path, 2)
     for source in (["--config", doc],
                    ["--config", CONFIGS / "dixmier_torus.json",
@@ -540,9 +566,10 @@ def test_set_override_and_hash_changes(tmp_path):
 
 
 def test_byte_identical_across_threads(tmp_path):
-    # --threads is accepted for older commands and changes nothing
-    blobs = {}
-    for threads in (1, 4, 8):
+    # --threads is accepted for older commands and changes nothing; it is
+    # never validated, so no value of it can fail a run
+    blobs, counts = {}, (0, 1, 4, 8, 65)
+    for threads in counts:
         out = tmp_path / f"t{threads}"
         for task, cfgfile in [("dixmier", "dixmier_torus.json"),
                               ("heat", "heat_torus.json"),
@@ -552,7 +579,7 @@ def test_byte_identical_across_threads(tmp_path):
             assert code == 0
             blobs[(task, threads)] = (out / f"{task}.csv").read_bytes()
     for task in ("dixmier", "heat", "zeta"):
-        assert blobs[(task, 1)] == blobs[(task, 4)] == blobs[(task, 8)]
+        assert len({blobs[(task, n)] for n in counts}) == 1
 
 
 @pytest.mark.parametrize("task, cfgfile, override", [
@@ -612,7 +639,7 @@ def test_growing_dixmier_weight_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("override", ["dixmier.weight.shift=0",
-                                      "dixmier.weight.rate=-1e-6"])
+                                      "dixmier.weight.power=0.5"])
 def test_dixmier_weight_outside_domain_exit_code(tmp_path, capsys, override):
     # infinite at the zero mode, or growing far out: no quiet wrong slope
     with warnings.catch_warnings():

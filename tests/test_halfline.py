@@ -8,8 +8,8 @@ from scipy.integrate import quad
 
 from ncres.errors import MembershipError, RealPoleError
 from ncres.halfline import (boundary_term, compose_gg, compose_kt, compose_tk,
-                            from_ratio, pi_prime, pm_decompose, polynomial,
-                            rational, sg_symbol, sg_trace, simple_pole,
+                            pi_prime, pm_decompose, polynomial, rational,
+                            sg_symbol, sg_trace, simple_pole,
                             tr_boundary_term)
 from ncres.sampling import random_minus_fn, random_plus_fn, random_sg
 from ncres.symbols import hom_term
@@ -24,7 +24,7 @@ def test_real_pole_rejected():
     with pytest.raises(RealPoleError):
         simple_pole(2.0)
     with pytest.raises(RealPoleError):
-        from_ratio([1], [0, 1])   # 1/tau
+        rational((), [(0.0, 2, 1.0)])   # 1/tau^2
 
 
 def test_pm_decompose_simple():
@@ -44,38 +44,16 @@ def test_pm_decompose_poly_plus_minus():
 
 def test_pm_decompose_ratio_example():
     # (tau^2+2)/((tau-i)(tau+2i)): poly 1, plus pole at i, minus pole at -2i
-    f = from_ratio([2, 0, 1], [2, 1j, 1])
+    f = rational([1], [(1j, 1, -1j / 3), (-2j, 1, -2j / 3)])
     d = pm_decompose(f)
-    assert d.poly.poly == pytest.approx((1 + 0j,))
-    (p_plus, _, _), = d.plus.pole_terms
-    (p_minus, _, _), = d.minus.pole_terms
-    assert p_plus == pytest.approx(1j)
-    assert p_minus == pytest.approx(-2j)
+    assert d.poly.poly == (1 + 0j,)
+    assert d.plus.pole_terms == ((1j, 1, -1j / 3),)
+    assert d.minus.pole_terms == ((-2j, 1, -2j / 3),)
     rng = np.random.default_rng(1)
     for tau in rng.uniform(-5, 5, 10):
         direct = (tau ** 2 + 2) / ((tau - 1j) * (tau + 2j))
         assert abs(f(tau) - direct) < 1e-12
         assert abs(d.reconstruct()(tau) - direct) < 1e-12
-
-
-@pytest.mark.parametrize("scale", [1e-14, 1.0, 1e14])
-def test_from_ratio_scales_with_the_numerator(scale):
-    # the remainder is trimmed relative to the numerator, not at 1e-13
-    f = from_ratio([scale], [1, 0, 1])
-    assert f.poly == ()
-    for tau in (-2.0, 0.5, 3.0):
-        assert f(tau) == pytest.approx(scale / (tau ** 2 + 1), rel=1e-12,
-                                       abs=0)
-
-
-@pytest.mark.parametrize("scale", [1e-14, 1.0, 1e14])
-def test_from_ratio_exact_division_has_no_poles(scale):
-    # num = q * den up to rounding: the remainder is rounding only
-    q, den = [scale * (0.1 + 0.2j), scale * 0.3], [2, 1j, 1]
-    num = np.convolve(q, den)
-    f = from_ratio(num, den)
-    assert f.pole_terms == ()
-    assert f.poly == pytest.approx(q, rel=1e-14, abs=0)
 
 
 def test_reconstruction_random():
