@@ -23,8 +23,8 @@ import re
 
 import numpy as np
 
-from .errors import ConfigError
-from .halfline import boundary_term, rational, sg_symbol
+from .errors import ConfigError, MembershipError, RealPoleError
+from .halfline import boundary_term, rational
 from .literals import parse_symbol
 from .residue import BdMSymbol, Cylinder, Torus
 from .spectral import SpectralWeight, SpectrumModel
@@ -342,14 +342,17 @@ def _at(path):
     return f"at {'/'.join(map(str, path))}: "
 
 
-def build_rational(spec):
+def build_rational(spec, path):
     """The split form: a ``poles`` list plus a ``poly`` part."""
     terms = []
     for item in spec.get("poles", []):
         terms.append((_complex(item["pole"]), int(item.get("order", 1)),
                       _complex(item.get("coeff", 1.0))))
     poly = [_complex(c) for c in spec.get("poly", [])]
-    return rational(poly, terms)
+    try:
+        return rational(poly, terms)
+    except RealPoleError as exc:
+        raise ConfigError(f"{_at(path)}{exc}") from exc
 
 
 def build_symbol(spec, n, path):
@@ -391,12 +394,20 @@ def build_boundary_term(spec, n, kind, path):
         raise ConfigError(f"{_at(path)}b has no component at degree {degree}")
     type_d = int(spec.get("type", 0))
     if kind == "green":
-        pairs = [(build_rational(p["k"]), build_rational(p["t"]))
-                 for p in spec["pairs"]]
-        fiber = sg_symbol(pairs, type_d)
+        fiber = [(build_rational(p["k"], path + ("pairs", i, "k")),
+                  build_rational(p["t"], path + ("pairs", i, "t")))
+                 for i, p in enumerate(spec["pairs"])]
     else:
-        fiber = build_rational(spec["fiber"])
-    return boundary_term(comp, fiber, kind=kind, type_d=type_d)
+        fiber = build_rational(spec["fiber"], path + ("fiber",))
+    try:
+        return boundary_term(comp, fiber, kind=kind, type_d=type_d)
+    except MembershipError as exc:
+        where = ("fiber",)
+        if kind == "green":   # the first pair out of its spaces, at its factor
+            i = next(i for i, (k, t) in enumerate(fiber)
+                     if not (k.is_plus and t.is_minus(type_d)))
+            where = ("pairs", i, "t" if fiber[i][0].is_plus else "k")
+        raise ConfigError(f"{_at(path + where)}{exc}") from exc
 
 
 def build_bdm(spec, path):

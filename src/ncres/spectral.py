@@ -1,15 +1,17 @@
 """Explicit spectra, singular-value sums and Dixmier trace estimation.
 
 Model spectra (torus lattices, Dirichlet cylinders, boundary lattices) are
-enumerated exhaustively up to a cutoff and aggregated by eigenvalue (dim 2
-and 3: one int32 table, the plane's octant counted one cache-sized block of
-eigenvalues at a time) into arrays (values, multiplicities) ordered by
-ascending eigenvalue.  A dim-2 or dim-3 Dirichlet cylinder is half the
-points of its table off the j = 0 line or plane; :func:`cylinder_from_torus`
-derives the dim-2 cylinder from a torus spectrum already at hand.  Every enumeration is bounded by one constant,
-``MODE_CAP`` modes, checked before anything is allocated.  Partial sums
-sigma_N, logarithmic Cesaro means and the Dixmier trace estimator operate
-on those arrays and a weight passed with them.
+enumerated exhaustively up to a cutoff and aggregated by eigenvalue (dim 2:
+one int16 table, dim 3: int32; the plane's octant counted and the nonzero
+entries gathered one cache-sized block of eigenvalues at a time) into
+arrays (values, multiplicities) ordered by ascending eigenvalue.  A dim-2
+or dim-3 Dirichlet cylinder is half the points of its table off the j = 0
+line or plane; :func:`cylinder_from_torus` derives the dim-2 cylinder from
+a torus spectrum already at hand.  Every enumeration is bounded by one
+constant, ``MODE_CAP`` modes, checked before anything is allocated.
+Partial sums sigma_N (one pass over the same blocks), logarithmic Cesaro
+means and the Dixmier trace estimator operate on those arrays and a weight
+passed with them.
 
 The estimator reports the least-squares slope of sigma_N against ln N over
 the top two decades of N.  Because sigma_N = C ln N + const + o(1) for the
@@ -130,8 +132,8 @@ def _sci(n):
     return f"{Decimal(n):.2e}"
 
 
-# eigenvalues per block of the plane count: the block's int64 bincount
-# (1 MB) and its slice of the table stay in a core's 2 MB L2 cache
+# eigenvalues per block of the plane count, the gather and the partial
+# sums: a block's int64 bincount or float64 sums (1 MB) stay in L2 cache
 _PLANE_BLOCK = 1 << 17
 
 
@@ -145,8 +147,9 @@ def _isqrt(n):
 
 def _plane_counts(R2, sq):
     """counts[m] = #{k in Z^2 : |k|^2 = m} for m <= R2; sq[j] = j^2."""
-    # every count is at most r_3(m) with m <= 4e8, far below 2^31
-    cnt = np.empty(R2 + 1, dtype=np.int32)
+    # int16: r_2(m) <= 4 d(m) <= 4 * 896 = 3584 for m <= 1.5e8 (MODE_CAP),
+    # where the most divisors, 896, are those of 147,026,880
+    cnt = np.empty(R2 + 1, dtype=np.int16)
     # the interior of the octant, 0 < i < j, carries 8 points per (i, j);
     # each block of m gets the row segments i^2 + j^2 in it, so the table is
     # written in order instead of one cache miss per point
@@ -178,7 +181,7 @@ def _plane_counts(R2, sq):
 
 def _space_counts(plane, sq):
     """The Z^3 counts from the plane's, one plane per third coordinate."""
-    cnt = np.zeros_like(plane)
+    cnt = np.zeros(plane.size, dtype=np.int32)   # r_3 passes int16's range
     for k in range(sq.size):
         cnt[sq[k]:] += (2 if k else 1) * plane[:plane.size - sq[k]]
     return cnt
@@ -245,12 +248,17 @@ def enumerate_spectrum(model):
                 cnt -= plane
             cnt >>= 1
         del plane
-        ms = np.flatnonzero(cnt != 0)   # the boolean path is the fast one
-        values = ms.astype(float)
-        # counts overwrite the indices: freeing an array this size would raise
-        # malloc's mmap threshold and keep the consumers' arrays in the heap
-        counts = ms
-        counts[:] = cnt[ms]
+        # the nonzero entries, one block at a time: no temporary the size
+        # of the table (flatnonzero is slower on int16 than a boolean)
+        values = np.empty(np.count_nonzero(cnt))
+        counts = np.empty(values.size, dtype=np.int64)
+        k = 0
+        for a in range(0, cnt.size, _PLANE_BLOCK):
+            blk = cnt[a:a + _PLANE_BLOCK]
+            ms = np.flatnonzero(blk != 0)
+            values[k:k + ms.size] = ms + a
+            counts[k:k + ms.size] = blk[ms]
+            k += ms.size
         del cnt
     counts *= model.copies
     return Spectrum(values, counts, model)
@@ -260,27 +268,35 @@ def enumerate_spectrum(model):
 # partial sums
 
 
-@dataclass(frozen=True, eq=False)
-class SigmaCurve:
-    """Exact sigma_N at arbitrary N for a block (value, count) spectrum."""
-
-    cum_counts: np.ndarray
-    cum_sums: np.ndarray
-    block_weights: np.ndarray
-
-    @property
-    def n_max(self):
-        return int(self.cum_counts[-1])
-
-    def sigma(self, N):
-        """sigma_N for integer N (vectorized); exact block interpolation."""
-        N = np.asarray(N, dtype=np.int64)
-        if np.any(N < 1) or np.any(N > self.n_max):
-            raise ValueError("N outside the enumerated range")
-        b = np.searchsorted(self.cum_counts, N, side="left")
-        n_prev = np.where(b > 0, self.cum_counts[np.maximum(b - 1, 0)], 0)
-        s_prev = np.where(b > 0, self.cum_sums[np.maximum(b - 1, 0)], 0.0)
-        return s_prev + (N - n_prev) * self.block_weights[b]
+def partial_sums(spec, weight, ns):
+    """sigma_N, the sum of the first N singular values ``weight`` gives on
+    the ascending eigenvalues of ``spec`` repeated by their counts, at the
+    integers ``ns`` (any order).  One pass over ``_PLANE_BLOCK`` eigenvalues
+    at a time carries the running sums from block to block, so it adds in
+    the order of one cumsum over the whole spectrum and gives its bits."""
+    ns = np.asarray(ns, dtype=np.int64)
+    if np.any(ns < 1) or np.any(ns > int(spec.counts.sum())):
+        raise ValueError("N outside the enumerated range")
+    order = np.argsort(ns)
+    out = np.empty(ns.size)
+    s_prev, n_prev, i = 0.0, 0, 0
+    for a in range(0, spec.values.size, _PLANE_BLOCK):
+        # an overflowing weight passes the grading; the fit's checks reject it
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            w = weight(spec.values[a:a + _PLANE_BLOCK])
+        counts = spec.counts[a:a + _PLANE_BLOCK]
+        cs = counts * w
+        cs[0] += s_prev
+        np.cumsum(cs, out=cs)
+        cc = np.cumsum(counts)
+        cc += n_prev
+        at = order[i:np.searchsorted(ns, cc[-1], "right", sorter=order)]
+        b = np.searchsorted(cc, ns[at])
+        k = np.maximum(b - 1, 0)
+        out[at] = (np.where(b > 0, cs[k], s_prev)
+                   + (ns[at] - np.where(b > 0, cc[k], n_prev)) * w[b])
+        s_prev, n_prev, i = cs[-1], cc[-1], i + at.size
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -356,30 +372,23 @@ def dixmier_estimate(spec, weight):
             and weight.non_increasing(float(spec.values[0]))):
         raise GradingError(
             "Dixmier estimation needs positive non-increasing weights")
-    # a weight that overflows on the spectrum passes the grading; the
-    # checks after the fit reject the partial sums it leaves
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        w = weight(spec.values)
-    # weights first: cumsum(counts) first raised verify's peak RSS by 8%
-    cum_sums = np.cumsum(spec.counts * w)
-    curve = SigmaCurve(np.cumsum(spec.counts), cum_sums, w)
-    n_max = curve.n_max
+    n_max = int(spec.counts.sum())
     if n_max < 100:
         raise WindowError("too few modes for a slope window")
     n_lo = max(2, int(n_max / 10 ** 2.0))
     ns = np.unique(np.round(np.geomspace(n_lo, n_max,
                                          400)).astype(np.int64))
+    cn = np.unique(np.round(np.geomspace(2, n_max, 3000)).astype(np.int64))
+    # both grids from one pass over the spectrum
+    y, sig = np.split(partial_sums(spec, weight, np.concatenate([ns, cn])),
+                      [ns.size])
     x = np.log(ns.astype(float))
-    y = curve.sigma(ns)
     design = np.vstack([x, np.ones_like(x)]).T
     # a dominant weight can overflow the squared residuals; the checks
     # after the block reject what that leaves
     with np.errstate(over="ignore", invalid="ignore"):
         (slope, intercept), *_ = np.linalg.lstsq(design, y, rcond=None)
         resid = float(np.sqrt(np.mean((design @ [slope, intercept] - y) ** 2)))
-        cn = np.unique(np.round(np.geomspace(2, n_max,
-                                             3000)).astype(np.int64))
-        sig = curve.sigma(cn)
         ratio = sig / np.log(cn)
         pts, mf = cesaro_mean(cn, ratio[:-1])
     tail = float(mf[-1])

@@ -14,7 +14,10 @@ import pytest
 
 from ncres import spectral
 from ncres.cli import main
-from ncres.config import build_model, build_weight, config_hash
+from ncres.config import (build_model, build_rational, build_weight,
+                          config_hash)
+from ncres.errors import ConfigError, RealPoleError
+from ncres.halfline import rational
 from ncres.spectral import SpectralWeight, SpectrumModel
 
 CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
@@ -208,6 +211,64 @@ def test_pole_order_below_one_exit_code(tmp_path, capsys):
     assert run(["residue", "--config", doc, "--out", tmp_path]) == 2
     assert ": at residue/green/0/pairs/0/k/poles/0/order: 0 is less than " \
         "the minimum of 1" in _one_config_error_line(capsys)
+
+
+_LOWER = {"poles": [{"pole": [0, -1]}]}
+_GREEN = ("residue", "green", 0)
+FIBER_ERRORS = [
+    ("pairs", 0, "k", {"poles": [{"pole": 0}]},
+     "pole at 0j lies on or too close to the real axis"),
+    ("pairs", 0, "t", {"poles": [{"pole": [1, 1e-300]}]},
+     "lies on or too close to the real axis"),
+    ("pairs", 0, "k", _LOWER, "left factor not in the plus space"),
+    ("pairs", 0, "k", {"poly": [1]}, "left factor not in the plus space"),
+    ("pairs", 0, "t", _UPPER, "right factor not in the minus space"),
+    ("pairs", 1, "t", _UPPER, "right factor not in the minus space")]
+
+
+@pytest.mark.parametrize("pair, i, factor, value, message", FIBER_ERRORS,
+                         ids=["pole-at-0", "pole-at-1e-300i", "lower-k",
+                              "polynomial-k", "upper-t", "second-pair-t"])
+def test_fiber_outside_its_space_exit_code(tmp_path, capsys, pair, i,
+                                           factor, value, message):
+    # a rational with a real pole, or a factor outside its half-plane
+    # space, is a fault of the document at its path, not of the program
+    green = json.loads((CONFIGS / "residue_cylinder_green.json").read_text())[
+        "residue"]["green"][0]
+    green["pairs"] = [dict(green["pairs"][0]) for _ in range(i + 1)]
+    green["pairs"][i][factor] = value
+    code = run(["residue", "--config", CONFIGS / "residue_cylinder_green.json",
+                "--out", tmp_path, "--set",
+                f"residue.green={json.dumps([green])}"])
+    assert code == 2
+    line = _one_config_error_line(capsys)
+    assert f"at residue/green/0/{pair}/{i}/{factor}: " in line
+    assert message in line
+    assert not (tmp_path / "residue.csv").exists()
+
+
+@pytest.mark.parametrize("kind, value, message", [
+    ("potential", _LOWER, "potential fiber not in the plus space"),
+    ("trace", _UPPER, "trace fiber not in the minus space"),
+    ("potential", {"poles": [{"pole": 0}]}, "too close to the real axis")],
+    ids=["lower-potential", "upper-trace", "real-pole-potential"])
+def test_boundary_fiber_outside_its_space_exit_code(tmp_path, capsys, kind,
+                                                    value, message):
+    term = {"degree": -1, "b": "|xi|^-1", "fiber": value}
+    doc = _edited(tmp_path, "residue_cylinder_green.json", ("residue", kind),
+                  [term])
+    assert run(["residue", "--config", doc, "--out", tmp_path]) == 2
+    line = _one_config_error_line(capsys)
+    assert f"at residue/{kind}/0/fiber: " in line and message in line
+
+
+def test_fiber_fault_keeps_its_type_for_library_callers():
+    # the builder names the path; the typed error stays its cause
+    with pytest.raises(ConfigError, match="at a/k: pole at 0j") as info:
+        build_rational({"poles": [{"pole": 0}]}, ("a", "k"))
+    assert isinstance(info.value.__cause__, RealPoleError)
+    with pytest.raises(RealPoleError):
+        rational((), [(0j, 1, 1.0)])
 
 
 @pytest.mark.parametrize("k", [{"num": [1], "den": [[0, -1], 1]},

@@ -15,9 +15,10 @@ from ncres.errors import (DimensionMismatchError, GradingError,
 from ncres.halfline import boundary_term, compose_kt, sg_symbol, simple_pole
 from ncres.residue import BdMSymbol, Cylinder, Torus, dixmier_formula
 from ncres import spectral
-from ncres.spectral import (SigmaCurve, SpectralWeight, SpectrumModel,
+from ncres.spectral import (Spectrum, SpectralWeight, SpectrumModel,
                             cesaro_mean, cylinder_from_torus,
-                            dixmier_estimate, enumerate_spectrum)
+                            dixmier_estimate, enumerate_spectrum,
+                            partial_sums)
 from ncres.symbols import (classical_symbol, hom_term, laplace_shift_power,
                            radial_term)
 
@@ -282,32 +283,25 @@ def test_weight_matches_its_formula_bitwise(weight):
         assert got_warned == want_warned
 
 
-def sigma_curve(spec, weight):
-    """The partial sums of ``weight`` over ``spec``, as the estimator
-    builds them."""
-    w = weight(spec.values)
-    return SigmaCurve(np.cumsum(spec.counts), np.cumsum(spec.counts * w), w)
+def _harmonic(n):
+    """Eigenvalues 0..n-1, one mode each: INV gives sigma_N = H_N."""
+    return Spectrum(np.arange(float(n)), np.ones(n, dtype=np.int64),
+                    SpectrumModel("torus_lattice", 1, n))
 
 
 def test_sigma_n_harmonic():
-    # one mode per block: sigma_N is the N-th harmonic number
-    w = 1.0 / np.arange(1.0, 101.0)
-    curve = SigmaCurve(np.arange(1, 101), np.cumsum(w), w)
-    assert curve.sigma(5) == pytest.approx(sum(1 / k for k in range(1, 6)))
-    with pytest.raises(ValueError):
-        curve.sigma(200)
-
-
-def _log_ratio(curve, ns):
-    """sigma_N / ln N on the integers ``ns`` (the Dixmier-norm ratio)."""
-    return curve.sigma(ns) / np.log(ns)
+    # one mode per eigenvalue: sigma_N is the N-th harmonic number
+    spec = _harmonic(100)
+    assert partial_sums(spec, INV, [5])[0] == pytest.approx(
+        sum(1 / k for k in range(1, 6)))
+    for ns in ([200], [0], [5, 101]):
+        with pytest.raises(ValueError):
+            partial_sums(spec, INV, ns)
 
 
 def test_norm_1inf_harmonic_sup_near_small_n():
-    w = 1.0 / np.arange(1.0, 2001.0)
-    curve = SigmaCurve(np.arange(1, 2001), np.cumsum(w), w)
     ns = np.arange(2, 2001)
-    ratio = _log_ratio(curve, ns)
+    ratio = partial_sums(_harmonic(2000), INV, ns) / np.log(ns)
     i = int(np.argmax(ratio))
     assert ns[i] == 2
     assert ratio[i] == pytest.approx((1 + 0.5) / math.log(2))
@@ -324,13 +318,13 @@ def test_trace_class_ratio_vanishes():
 def test_norm_1inf_growth_flag():
     # lam^(-n/4) on a 2-d lattice: sigma_N ~ sqrt(N), ratio grows; the sup
     # over a geometric N grid sits at the last point only then
+    spec = enumerate_spectrum(SpectrumModel("dirichlet_cylinder", 2, 150))
+
     def sup_at_tail(power):
-        curve = sigma_curve(
-            enumerate_spectrum(SpectrumModel("dirichlet_cylinder", 2, 150)),
-            SpectralWeight(power=power, shift=0.0))
-        ns = np.unique(np.round(np.geomspace(2, curve.n_max, 4000))
+        ns = np.unique(np.round(np.geomspace(2, int(spec.counts.sum()), 4000))
                        .astype(np.int64))
-        ratio = _log_ratio(curve, ns)
+        ratio = partial_sums(spec, SpectralWeight(power=power), ns) \
+            / np.log(ns)
         return int(np.argmax(ratio)) == ratio.size - 1
     assert sup_at_tail(-0.5)
     assert not sup_at_tail(-1.0)
@@ -339,9 +333,129 @@ def test_norm_1inf_growth_flag():
 def test_sigma_curve_matches_direct_sum():
     sp = enumerate_spectrum(SpectrumModel("torus_lattice", 2, 20))
     expanded = np.repeat(INV(sp.values), sp.counts)
-    curve = sigma_curve(sp, INV)
-    for N in (1, 2, 5, 17, expanded.size):
-        assert curve.sigma(N) == pytest.approx(expanded[:N].sum(), rel=1e-13)
+    ns = [expanded.size, 1, 17, 2, 5]   # in any order
+    got = partial_sums(sp, INV, ns)
+    for N, sigma in zip(ns, got):
+        assert sigma == pytest.approx(expanded[:N].sum(), rel=1e-13)
+
+
+def _reference_estimate(spec, weight):
+    """The estimator as one cumsum over the whole spectrum builds it: the
+    partial sums whose bits the blocked pass must give."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        w = weight(spec.values)
+    cum_counts, cum_sums = np.cumsum(spec.counts), np.cumsum(spec.counts * w)
+
+    def sigma(N):
+        b = np.searchsorted(cum_counts, N, side="left")
+        n_prev = np.where(b > 0, cum_counts[np.maximum(b - 1, 0)], 0)
+        s_prev = np.where(b > 0, cum_sums[np.maximum(b - 1, 0)], 0.0)
+        return s_prev + (N - n_prev) * w[b]
+
+    n_max = int(cum_counts[-1])
+    n_lo = max(2, int(n_max / 10 ** 2.0))
+    ns = np.unique(np.round(np.geomspace(n_lo, n_max, 400)).astype(np.int64))
+    x = np.log(ns.astype(float))
+    y = sigma(ns)
+    design = np.vstack([x, np.ones_like(x)]).T
+    with np.errstate(over="ignore", invalid="ignore"):
+        (slope, intercept), *_ = np.linalg.lstsq(design, y, rcond=None)
+        resid = float(np.sqrt(np.mean((design @ [slope, intercept] - y) ** 2)))
+        cn = np.unique(np.round(np.geomspace(2, n_max, 3000)).astype(np.int64))
+        sig = sigma(cn)
+        ratio = sig / np.log(cn)
+        pts, mf = cesaro_mean(cn, ratio[:-1])
+    tail = float(mf[-1])
+    tenth = np.searchsorted(pts, n_max / 10)
+    drift = abs(tail - float(mf[min(tenth, mf.size - 1)]))
+    scale = math.log(math.log(n_max)) / math.log(n_max)
+    tol = (1.0 + float(np.max(np.abs(ratio)))) * max(0.05, 2.0 * scale)
+    return dict(slope=float(slope), intercept=float(intercept),
+                window=(n_lo, n_max), fit_residual=resid, cesaro_points=pts,
+                sigma_values=sig, ratio_values=ratio, cesaro_values=mf,
+                cesaro_tail=tail, cesaro_drift=drift,
+                omega_consistent=abs(tail - slope) <= tol)
+
+
+def _truncated(spec, size):
+    """The first ``size`` eigenvalues of ``spec``."""
+    return Spectrum(spec.values[:size], spec.counts[:size], spec.model)
+
+
+_B = spectral._PLANE_BLOCK
+_BLOCK_SIZES = [m * _B + d for m in (1, 2, 3) for d in (-1, 0, 1)]
+
+
+@pytest.mark.parametrize("model", [
+    SpectrumModel("torus_lattice", 2, 1400),
+    SpectrumModel("dirichlet_cylinder", 2, 1400, copies=2),
+    SpectrumModel("dirichlet_cylinder", 3, 420)],
+    ids=["torus", "cylinder-2-copies", "cylinder-dim3"])
+@pytest.mark.parametrize("weight", [INV, SpectralWeight(-0.5, 2.0, 3.0)],
+                         ids=["inv", "sqrt"])
+def test_blocked_estimate_matches_one_cumsum_bitwise(model, weight):
+    # spectra ending just below, at and just above 1, 2 and 3 blocks; the
+    # dim-3 table under the mode cap holds just over one
+    full = enumerate_spectrum(model)
+    sizes = [n for n in _BLOCK_SIZES if n <= full.values.size]
+    assert len(sizes) >= 3
+    for size in sizes:
+        spec = _truncated(full, size)
+        got = dixmier_estimate(spec, weight)
+        for field, want in _reference_estimate(spec, weight).items():
+            value = getattr(got, field)
+            assert type(value) is type(want), (size, field)
+            assert np.asarray(value).tobytes() == \
+                np.asarray(want).tobytes(), (size, field)
+
+
+def test_partial_sums_at_block_edges_bitwise():
+    # N on the first and last mode of each block, and on the modes around
+    # them: the carried sums against one cumsum over the whole spectrum
+    spec = enumerate_spectrum(
+        SpectrumModel("dirichlet_cylinder", 2, 1400, copies=2))
+    w = INV(spec.values)
+    cum_counts, cum_sums = np.cumsum(spec.counts), np.cumsum(spec.counts * w)
+    edges = np.array([e + d for e in (_B, 2 * _B, 3 * _B) for d in (-1, 0)])
+    ns = np.unique(np.concatenate([cum_counts[edges - 1] + d
+                                   for d in (-1, 0, 1, 2)]))
+    b = np.searchsorted(cum_counts, ns)
+    assert set(edges) <= set(b.tolist())   # some N land on a block's start
+    want = (cum_sums[b - 1] + (ns - cum_counts[b - 1]) * w[b])
+    assert partial_sums(spec, INV, ns).tobytes() == want.tobytes()
+
+
+def _traced_peak(f, *args):
+    """(result, peak bytes that ``f`` allocates above what is held)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = f(*args)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+@pytest.mark.parametrize("kind", ["torus_lattice", "dirichlet_cylinder"])
+def test_enumeration_holds_the_plane_table_and_its_spectrum(kind):
+    # the int16 table, the returned values and counts, and one block
+    # buffer of 8 B per eigenvalue: no temporary the size of the table
+    R = 1000
+    spec, peak = _traced_peak(enumerate_spectrum, SpectrumModel(kind, 2, R))
+    assert peak <= 2 * (R * R + 1) + 16 * spec.values.size + 8 * _B
+
+
+@pytest.mark.parametrize("kind", ["torus_lattice", "dirichlet_cylinder"])
+def test_dixmier_estimate_holds_a_few_blocks(kind):
+    # above its input, four block buffers of 8 B per eigenvalue plus the
+    # grids and the fit, however many blocks the spectrum spans; a small
+    # first call takes the one-off imports and caches of the fit
+    dixmier_estimate(enumerate_spectrum(SpectrumModel(kind, 2, 50)), INV)
+    for R in (1000, 1400):
+        spec = enumerate_spectrum(SpectrumModel(kind, 2, R))
+        _, peak = _traced_peak(dixmier_estimate, spec, INV)
+        assert peak <= 4 * 8 * _B + (1 << 19), (R, spec.values.size)
 
 
 # ---------------------------------------------------------------------------
