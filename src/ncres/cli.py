@@ -31,7 +31,8 @@ from .config import (TASKS, build_bdm, build_model, build_symbol,
                      build_t_grid, build_weight, config_hash, decode_config,
                      validate_config)
 from .errors import (ConfigError, GradingError, IllConditionedFitError,
-                     NcresError, ResourceCapError, TailBoundError)
+                     NcresError, ResourceCapError, TailBoundError,
+                     TransmissionError)
 from .heatzeta import fit_expansion, heat_samples, zeta_residue
 from .parametric import (resolvent_log_coefficient,
                          resolvent_log_coefficient_closed)
@@ -133,13 +134,24 @@ def _write(out_dir, task, csv_data, report):
     sys.stdout.write(report)
 
 
+def _of_document(f, section, path):
+    """``f`` of the section's operator matrix.  On a geometry with boundary
+    an interior symbol without the transmission property has no truncation
+    P_+ in the calculus: a fault of the document at its ``p``."""
+    A = build_bdm(section, path)
+    try:
+        return f(A)
+    except TransmissionError as exc:
+        raise ConfigError(f"at {'/'.join(path)}/p: {exc}") from exc
+
+
 def _dispatch(cfg):
     task = cfg["task"]
     out_dir, meta = _outputs(cfg)
 
     if task == "residue":
-        A = build_bdm(cfg["residue"], ("residue",))
-        breakdown = boundary_residue(A)
+        breakdown = _of_document(boundary_residue, cfg["residue"],
+                                 ("residue",))
         _write(out_dir, task, writers.residue_csv(breakdown, meta),
                writers.residue_report(breakdown, meta))
         return 0
@@ -155,8 +167,8 @@ def _dispatch(cfg):
             raise ConfigError(f"dixmier.weight: {exc}") from exc
         ref = None
         if "formula" in section:
-            ref = dixmier_formula(
-                build_bdm(section["formula"], ("dixmier", "formula"))).real
+            ref = _of_document(dixmier_formula, section["formula"],
+                               ("dixmier", "formula")).real
         _write(out_dir, task, writers.dixmier_csv(est, meta),
                writers.dixmier_report(est, meta, expected=ref))
         return 0

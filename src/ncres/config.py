@@ -23,7 +23,8 @@ import re
 
 import numpy as np
 
-from .errors import ConfigError, MembershipError, RealPoleError
+from .errors import (ConfigError, GradingError, MembershipError,
+                     RealPoleError)
 from .halfline import boundary_term, rational
 from .literals import parse_symbol
 from .residue import BdMSymbol, Cylinder, Torus
@@ -418,10 +419,17 @@ def build_bdm(spec, path):
     terms = {kind: tuple(build_boundary_term(g, n, kind, path + (kind, i))
                          for i, g in enumerate(spec.get(kind, [])))
              for kind in ("green", "potential", "trace")}
-    return BdMSymbol(geo, p=p, green=terms["green"],
-                     potential=terms["potential"], trace_terms=terms["trace"],
-                     s=s, order=spec.get("order"),
-                     type_d=int(spec.get("type", 0)))
+    try:
+        return BdMSymbol(geo, p=p, green=terms["green"],
+                         potential=terms["potential"],
+                         trace_terms=terms["trace"], s=s,
+                         order=spec.get("order"),
+                         type_d=int(spec.get("type", 0)))
+    except GradingError as exc:
+        # boundary entries on a torus are checked first, then the order
+        where = next((k for k in ("s", "green", "potential", "trace")
+                      if spec.get(k) and not geo.has_boundary), "order")
+        raise ConfigError(f"{_at(path + (where,))}{exc}") from exc
 
 
 def build_t_grid(spec):

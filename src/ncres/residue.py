@@ -149,6 +149,11 @@ class BdMSymbol:
             raise GradingError("type must be nonnegative")
         if self.p is not None and self.p.n != n:
             raise DimensionMismatchError("interior symbol dimension mismatch")
+        if not self.geometry.has_boundary and (
+                self.green or self.potential or self.trace_terms
+                or self.s is not None):
+            raise GradingError(
+                "boundary entries on a geometry without boundary")
         if self.order is not None:
             if self.p is not None and self.p.order != self.order:
                 raise GradingError(
@@ -156,11 +161,6 @@ class BdMSymbol:
             for term in self.green + self.potential:
                 if term.degree > self.order + 1e-9:
                     raise GradingError("boundary term above the declared order")
-        if not self.geometry.has_boundary:
-            if self.green or self.potential or self.trace_terms or self.s is not None:
-                raise GradingError(
-                    "boundary entries on a geometry without boundary")
-            return
         for term in self.green + self.potential + self.trace_terms:
             if term.n != n:
                 raise DimensionMismatchError(

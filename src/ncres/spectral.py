@@ -1,14 +1,16 @@
 """Explicit spectra, singular-value sums and Dixmier trace estimation.
 
 Model spectra (torus lattices, Dirichlet cylinders, boundary lattices) are
-enumerated exhaustively up to a cutoff and aggregated by eigenvalue (dim 2:
-one int16 table, dim 3: int32; the plane's octant counted and the nonzero
-entries gathered one cache-sized block of eigenvalues at a time) into
-arrays (values, multiplicities) ordered by ascending eigenvalue.  A dim-2
-or dim-3 Dirichlet cylinder is half the points of its table off the j = 0
-line or plane; :func:`cylinder_from_torus` derives the dim-2 cylinder from
-a torus spectrum already at hand.  Every enumeration is bounded by one
-constant, ``MODE_CAP`` modes, checked before anything is allocated.
+enumerated exhaustively up to a cutoff and aggregated by eigenvalue into
+arrays (values, multiplicities) ordered by ascending eigenvalue, float64
+and int32.  The plane is counted one cache-sized block of eigenvalues at a
+time, its octant with the axes and diagonals, and in dim 2 each block's
+nonzero entries are gathered before the next is counted, so no table is
+held beside the spectrum; dim 3 sums the plane into one int32 table of
+space.  A dim-2 or dim-3 Dirichlet cylinder is half the points off the
+j = 0 line or plane; :func:`cylinder_from_torus` derives the dim-2 cylinder
+from a torus spectrum already at hand.  Every enumeration is bounded by
+one constant, ``MODE_CAP`` modes, checked before anything is allocated.
 Partial sums sigma_N (one pass over the same blocks), logarithmic Cesaro
 means and the Dixmier trace estimator operate on those arrays and a weight
 passed with them.
@@ -33,8 +35,10 @@ from .errors import (GradingError, IllConditionedFitError, ModelError,
                      ResourceCapError, WindowError)
 
 # the most modes an enumeration may hold.  Its longest array then has at
-# most MODE_CAP + 1 entries: the dim-1 cylinder's R modes, or a dims 2-3
-# table of R^2 + 1 <= 1.5e8 (the dim-2 cylinder at R = 12247)
+# most MODE_CAP + 1 entries: the dim-1 cylinder's R modes, or the dim-2
+# outputs, at most R^2 + 1 <= 1.5e8 long (the cylinder at R = 12247).  And
+# MODE_CAP < 2^31, so no multiplicity, times its copies, overflows the
+# int32 counts
 MODE_CAP = 300_000_000
 
 
@@ -111,7 +115,8 @@ class Spectrum:
 def check_mode_cap(model):
     """Raise :class:`ResourceCapError` when the modes of the box around the
     enumerated ball exceed ``MODE_CAP``; the estimate is an exact int for
-    any cutoff, from floor(cutoff) as enumeration counts."""
+    any cutoff, from floor(cutoff) as enumeration counts.  Under the cap
+    every multiplicity fits the int32 counts."""
     r = math.floor(model.cutoff)
     d = model.dim
     if model.kind in ("torus_lattice", "boundary_lattice"):
@@ -145,20 +150,32 @@ def _isqrt(n):
     return r
 
 
-def _plane_counts(R2, sq):
-    """counts[m] = #{k in Z^2 : |k|^2 = m} for m <= R2; sq[j] = j^2."""
+def _plane_capacity(R2):
+    """Room for the distinct m <= R2 that are sums of two squares, at most
+    the R2 + 1 candidates: the Landau-Ramanujan count 0.7642 x / sqrt(ln x)
+    (1 + 1/ln x), above the true one at every R checked up to the cap's
+    12247, plus one block.  A short estimate costs the outputs a growth."""
+    log = math.log(max(R2, 3))
+    est = 0.7642 * R2 / math.sqrt(log) * (1.0 + 1.0 / log)
+    return min(R2 + 1, int(est) + _PLANE_BLOCK)
+
+
+def _plane_blocks(R2, sq):
+    """(a, blk) for a = 0, _PLANE_BLOCK, ... <= R2: blk[m - a] = #{k in Z^2 :
+    |k|^2 = m}, an int16 array, for a <= m < a + _PLANE_BLOCK, m <= R2;
+    sq[j] = j^2."""
     # int16: r_2(m) <= 4 d(m) <= 4 * 896 = 3584 for m <= 1.5e8 (MODE_CAP),
     # where the most divisors, 896, are those of 147,026,880
-    cnt = np.empty(R2 + 1, dtype=np.int16)
-    # the interior of the octant, 0 < i < j, carries 8 points per (i, j);
-    # each block of m gets the row segments i^2 + j^2 in it, so the table is
-    # written in order instead of one cache miss per point
     i = np.arange(1, math.isqrt(R2 // 2) + 1, dtype=np.int64)
     ii = i * i
     first = ii + (i + 1) ** 2   # the smallest interior m of row i
     nxt = i + 1                 # the first j of row i not yet counted
+    edges = (sq[1:], 2 * ii)    # the axis and diagonal m
     for a in range(0, R2 + 1, _PLANE_BLOCK):
         b = min(a + _PLANE_BLOCK, R2 + 1)
+        # the interior of the octant, 0 < i < j, carries 8 points per (i, j);
+        # the block gets the row segments i^2 + j^2 in it, so it is written
+        # in order instead of one cache miss per point
         rows = int(np.searchsorted(first, b))
         lo = nxt[:rows]
         hi = _isqrt(b - 1 - ii[:rows])
@@ -169,14 +186,16 @@ def _plane_counts(R2, sq):
         m *= m
         m += np.repeat(ii[:rows] - a, n)
         lo[:] = hi + 1
-        blk = cnt[a:b]
-        blk[:] = np.bincount(m, minlength=b - a)
+        blk = np.bincount(m, minlength=b - a)
+        del m   # not held beside the int16 copy
+        blk = blk.astype(np.int16)
         blk <<= 3
-    # the origin is 1 point, each axis and diagonal m carries 4
-    cnt[0] = 1
-    cnt[sq[1:]] += 4
-    cnt[2 * ii] += 4
-    return cnt
+        # the origin is 1 point, each axis and diagonal m carries 4
+        if a == 0:
+            blk[0] = 1
+        for ms in edges:
+            blk[ms[np.searchsorted(ms, a):np.searchsorted(ms, b)] - a] += 4
+        yield a, blk
 
 
 def _space_counts(plane, sq):
@@ -228,38 +247,56 @@ def enumerate_spectrum(model):
         if model.kind == "dirichlet_cylinder":
             ks = np.arange(1, R + 1)
             values = (ks * ks).astype(float)
-            counts = np.ones(ks.size, dtype=np.int64)
+            counts = np.ones(ks.size, dtype=np.int32)
         else:
             ks = np.arange(0, R + 1)
             values = (ks * ks).astype(float)
-            counts = np.where(ks == 0, 1, 2).astype(np.int64)
+            counts = np.where(ks == 0, 1, 2).astype(np.int32)
     else:
         if model.dim not in (2, 3):
             raise ValueError("lattice counting implemented for dim <= 3")
+        cylinder = model.kind == "dirichlet_cylinder"
+        R2 = R * R
         sq = np.arange(R + 1, dtype=np.int64) ** 2
-        plane = _plane_counts(R * R, sq)
-        cnt = plane if model.dim == 2 else _space_counts(plane, sq)
-        if model.kind == "dirichlet_cylinder":
-            # j >= 1: half the points off the j = 0 line or plane
-            if model.dim == 2:
-                cnt[0] -= 1
-                cnt[sq[1:]] -= 2
-            else:
+        blocks = _plane_blocks(R2, sq)
+        if model.dim == 2:
+            size = _plane_capacity(R2)
+        else:
+            # the space table: under the cap R <= 334, so it is one block
+            plane = np.concatenate([blk for _, blk in blocks])
+            cnt = _space_counts(plane, sq)
+            if cylinder:
+                # j >= 1: half the points off the j = 0 plane
                 cnt -= plane
-            cnt >>= 1
-        del plane
-        # the nonzero entries, one block at a time: no temporary the size
-        # of the table (flatnonzero is slower on int16 than a boolean)
-        values = np.empty(np.count_nonzero(cnt))
-        counts = np.empty(values.size, dtype=np.int64)
+                cnt >>= 1
+            size = np.count_nonzero(cnt)
+            blocks = [(0, cnt)]
+        # the nonzero entries of each block while it is in cache; the
+        # outputs grow in place past an estimate that falls short (realloc
+        # remaps a large block without copying its pages) and end exact
+        values = np.empty(size)
+        counts = np.empty(size, dtype=np.int32)
         k = 0
-        for a in range(0, cnt.size, _PLANE_BLOCK):
-            blk = cnt[a:a + _PLANE_BLOCK]
+        for a, blk in blocks:
+            if cylinder and model.dim == 2:
+                # j >= 1: half the points off the j = 0 line.  The count
+                # is even but at the origin (1 >> 1 = 0), and the line
+                # holds 2 of it at each square m > 0
+                blk >>= 1
+                ax = sq[np.searchsorted(sq, max(a, 1)):
+                        np.searchsorted(sq, a + blk.size)]
+                blk[ax - a] -= 1
+            # flatnonzero is slower on int16 than a boolean
             ms = np.flatnonzero(blk != 0)
+            if k + ms.size > values.size:
+                size = max(k + ms.size, 2 * values.size)
+                values.resize(size, refcheck=False)
+                counts.resize(size, refcheck=False)
             values[k:k + ms.size] = ms + a
             counts[k:k + ms.size] = blk[ms]
             k += ms.size
-        del cnt
+        values.resize(k, refcheck=False)
+        counts.resize(k, refcheck=False)
     counts *= model.copies
     return Spectrum(values, counts, model)
 
@@ -288,7 +325,10 @@ def partial_sums(spec, weight, ns):
         cs = counts * w
         cs[0] += s_prev
         np.cumsum(cs, out=cs)
-        cc = np.cumsum(counts)
+        # the running count in int64, in place: a cumsum that casts the
+        # int32 counts would hold a second block buffer
+        cc = counts.astype(np.int64)
+        np.cumsum(cc, out=cc)
         cc += n_prev
         at = order[i:np.searchsorted(ns, cc[-1], "right", sorter=order)]
         b = np.searchsorted(cc, ns[at])
@@ -363,6 +403,9 @@ def dixmier_estimate(spec, weight):
     The weight must be positive and non-increasing from the bottom
     eigenvalue on, or :class:`GradingError` is raised; on the ascending
     eigenvalues it then lists the singular values in non-increasing order.
+    Its order 2 * power must be at most -dim, inside the Dixmier ideal, or
+    :class:`GradingError` is raised: above it sigma_N grows like a power
+    of N, not like ln N, and the slope means nothing.
     The window is (max(2, n_max / 100), n_max); fewer than 100 modes hold
     no two decades and raise :class:`WindowError`.  A slope, residual or
     Cesaro tail that is not finite, or a slope below the rounding floor of
@@ -372,6 +415,10 @@ def dixmier_estimate(spec, weight):
             and weight.non_increasing(float(spec.values[0]))):
         raise GradingError(
             "Dixmier estimation needs positive non-increasing weights")
+    if 2.0 * weight.power > -spec.model.dim:
+        raise GradingError(
+            f"weight of order {2.0 * weight.power:g} above -{spec.model.dim}"
+            f" is outside the Dixmier ideal: sigma_N grows like a power of N")
     n_max = int(spec.counts.sum())
     if n_max < 100:
         raise WindowError("too few modes for a slope window")

@@ -16,8 +16,11 @@ from ncres import spectral
 from ncres.cli import main
 from ncres.config import (build_model, build_rational, build_weight,
                           config_hash)
-from ncres.errors import ConfigError, RealPoleError
+from ncres.errors import (ConfigError, GradingError, RealPoleError,
+                          TransmissionError)
 from ncres.halfline import rational
+from ncres.literals import parse_symbol
+from ncres.residue import BdMSymbol, Cylinder, boundary_residue
 from ncres.spectral import SpectralWeight, SpectrumModel
 
 CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
@@ -584,9 +587,7 @@ def test_tail_gate_exit_code_ignores_the_scale_of_p(tmp_path, scale):
 
 @pytest.mark.parametrize("task, cfgfile, override, message", [
     ("dixmier", "dixmier_torus.json", "dixmier.model.cutoff=3",
-     "too few modes"),
-    ("residue", "residue_cylinder_green.json",
-     'residue.p={"literal": "|xi|^-3", "order": -3}', "transmission")])
+     "too few modes")])
 def test_other_library_error_exit_code(tmp_path, capsys, task, cfgfile,
                                        override, message):
     # a library error that is neither a config, tolerance nor resource-cap
@@ -598,6 +599,43 @@ def test_other_library_error_exit_code(tmp_path, capsys, task, cfgfile,
     assert err.startswith("error:") and err.count("\n") == 1
     assert message in err
     assert not (tmp_path / f"{task}.csv").exists()
+
+
+@pytest.mark.parametrize("task, cfgfile, override, where, message", [
+    ("residue", "residue_cylinder_green.json",
+     'residue.p={"literal": "|xi|^-3", "order": -3}', "residue/p",
+     "interior symbol violates transmission"),
+    ("dixmier", "dixmier_torus.json",
+     'dixmier.formula={"geometry": {"kind": "cylinder", "dim": 2}, '
+     '"p": {"literal": "|xi|^-2 + |xi|^-3"}}', "dixmier/formula/p",
+     "interior symbol violates transmission"),
+    ("residue", "residue_cylinder_green.json", "residue.order=7",
+     "residue/order", "interior order -2 != declared 7"),
+    ("residue", "residue_torus.json", "residue.order=7", "residue/order",
+     "interior order -2 != declared 7"),
+    ("residue", "residue_torus.json", 'residue.s={"literal": "|xi|^-1"}',
+     "residue/s", "boundary entries on a geometry without boundary")],
+    ids=["transmission", "formula-transmission", "order", "order-torus",
+         "boundary-on-torus"])
+def test_operator_grading_fault_exit_code(tmp_path, capsys, task, cfgfile,
+                                          override, where, message):
+    # a p without the transmission property on a cylinder, a declared order
+    # the symbols do not have, or boundary entries on a torus: faults of the
+    # document at their path, not of the program
+    code = run([task, "--config", CONFIGS / cfgfile, "--out", tmp_path,
+                "--set", override])
+    assert code == 2
+    line = _one_config_error_line(capsys)
+    assert f"at {where}: {message}" in line
+    assert not (tmp_path / f"{task}.csv").exists()
+
+
+def test_operator_grading_fault_keeps_its_type_for_library_callers():
+    bad = parse_symbol("|xi|^-3", 2)
+    with pytest.raises(TransmissionError):
+        boundary_residue(BdMSymbol(Cylinder(2), p=bad))
+    with pytest.raises(GradingError, match="declared 7"):
+        BdMSymbol(Cylinder(2), p=bad, order=7)
 
 
 def test_zeta_at_zero_without_log_slots(tmp_path):
@@ -712,6 +750,21 @@ def test_dixmier_weight_outside_domain_exit_code(tmp_path, capsys, override):
     assert err.startswith("config error:") and err.count("\n") == 1
 
 
+def test_dixmier_weight_outside_the_ideal_exit_code(tmp_path, capsys):
+    # (1 + Delta)^-1 on T^3 has order -2 > -3: sigma_N grows like N^(1/3)
+    # and its slope is no Dixmier trace; (1 + Delta)^(-3/2) is T^3's own
+    argv = ["dixmier", "--config", CONFIGS / "dixmier_torus.json",
+            "--set", "dixmier.model.dim=3", "--set",
+            "dixmier.model.cutoff=120"]
+    assert run(argv + ["--out", tmp_path / "inv"]) == 2
+    assert "dixmier.weight: weight of order -2 above -3 is outside the " \
+        "Dixmier ideal" in _one_config_error_line(capsys)
+    assert not (tmp_path / "inv" / "dixmier.csv").exists()
+    assert run(argv + ["--out", tmp_path / "edge", "--set",
+                       "dixmier.weight.power=-1.5"]) == 0
+    assert (tmp_path / "edge" / "dixmier.csv").exists()
+
+
 @pytest.mark.parametrize("shift", ["1e-300", "1e-150", "1e-30", "1e-320"])
 def test_degenerate_dixmier_fit_exit_code(tmp_path, capsys, shift):
     # one weight dwarfs the log growth of the partial sums; at 1e-320 it
@@ -776,17 +829,17 @@ def test_verify_csv_byte_reproducible(demo_outputs, tmp_path, capsys):
 
 
 def test_verify_smoke(tmp_path, capsys, monkeypatch):
-    # every lattice table is counted once per run: criteria 04-05 share
+    # every lattice plane is counted once per run: criteria 04-05 share
     # torus 4000 and 06-07 torus 300, criterion 09's half-space bracket
     # counts none; criterion 10 counts its three twice, once per pass
     tables = Counter()
-    plane_counts = spectral._plane_counts
+    plane_blocks = spectral._plane_blocks
 
     def counted(R2, sq):
         tables[R2] += 1
-        return plane_counts(R2, sq)
+        return plane_blocks(R2, sq)
 
-    monkeypatch.setattr(spectral, "_plane_counts", counted)
+    monkeypatch.setattr(spectral, "_plane_blocks", counted)
     code = run(["verify", "--config", CONFIGS / "verify.json",
                 "--out", tmp_path])
     # the whole suite; asserts its own tolerances internally

@@ -5,6 +5,7 @@ import math
 import tracemalloc
 import warnings
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -110,7 +111,10 @@ def test_torus_counts_match_jacobi_two_squares():
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_enumeration_dtypes_and_order(kind, dim):
     sp = enumerate_spectrum(SpectrumModel(kind, dim, 9, copies=2))
-    assert sp.counts.dtype == np.int64
+    # int32: the mode cap admits at most MODE_CAP = 3e8 < 2^31 modes, so no
+    # multiplicity times its copies overflows; sums of counts take int64
+    assert spectral.MODE_CAP < 2 ** 31
+    assert sp.counts.dtype == np.int32
     assert sp.values.dtype == np.float64
     assert np.all(np.diff(sp.values) > 0)
     assert np.all(sp.counts >= 2)
@@ -130,11 +134,9 @@ _BLOCK_EDGE_RADII = sorted(
        for k in (1, 2, 3) for d in (0, 1)})
 
 
-@pytest.mark.parametrize("kind", ["torus_lattice", "dirichlet_cylinder"])
-@pytest.mark.parametrize("R", _BLOCK_EDGE_RADII)
-def test_enumeration_matches_lattice_oracle_across_blocks(kind, R):
-    # every point of the box in one bincount; the first coordinate plays j,
-    # which is >= 1 on the cylinder
+def _matches_lattice_oracle(kind, R):
+    """The dim-2 spectrum at cutoff R against every point of the box in one
+    bincount; the first coordinate plays j, which is >= 1 on the cylinder."""
     first = range(1 if kind == "dirichlet_cylinder" else -R, R + 1)
     i, j = np.meshgrid(np.array(first), np.arange(-R, R + 1), indexing="ij",
                        sparse=True)
@@ -146,6 +148,23 @@ def test_enumeration_matches_lattice_oracle_across_blocks(kind, R):
     # Gauss's circle count, one column of the disc per first coordinate
     assert int(sp.counts.sum()) == sum(
         2 * math.isqrt(R * R - i * i) + 1 for i in first)
+    return sp
+
+
+@pytest.mark.parametrize("kind", ["torus_lattice", "dirichlet_cylinder"])
+@pytest.mark.parametrize("R", _BLOCK_EDGE_RADII)
+def test_enumeration_matches_lattice_oracle_across_blocks(kind, R):
+    _matches_lattice_oracle(kind, R)
+
+
+@pytest.mark.parametrize("kind", ["torus_lattice", "dirichlet_cylinder"])
+@pytest.mark.parametrize("R", _BLOCK_EDGE_RADII)
+def test_outputs_grow_past_a_short_capacity(monkeypatch, kind, R):
+    # room for one entry: every block grows the outputs, which still end
+    # exact, each owning its data
+    monkeypatch.setattr(spectral, "_plane_capacity", lambda R2: 1)
+    sp = _matches_lattice_oracle(kind, R)
+    assert sp.values.flags.owndata and sp.counts.flags.owndata
 
 
 def _admitted(model):
@@ -170,9 +189,15 @@ def _largest_admitted(kind, dim):
 
 def _longest_array(kind, dim, R):
     """The longest array an enumeration at integer cutoff R allocates: the
-    dim-1 mode array, or the dense eigenvalue table of dims 2-3."""
+    dim-1 mode array, the dim-2 outputs at their Landau-Ramanujan capacity
+    (never more than the R^2 + 1 candidates), or the dim-3 tables."""
     if dim == 1:
         return R if kind == "dirichlet_cylinder" else R + 1
+    if dim == 2:
+        x = R * R
+        log = math.log(max(x, 3))
+        return min(x + 1, int(0.7642 * x / math.sqrt(log) * (1 + 1 / log))
+                   + spectral._PLANE_BLOCK)
     return R * R + 1
 
 
@@ -187,14 +212,19 @@ def test_mode_cap_bounds_every_array(monkeypatch, kind, dim):
     monkeypatch.setattr(spectral, "MODE_CAP", 3_000)
     R = _largest_admitted(kind, dim)
     tables = []
-    plane_counts = spectral._plane_counts
+    plane_blocks, capacity = spectral._plane_blocks, spectral._plane_capacity
 
     def measured(R2, sq):
-        table = plane_counts(R2, sq)
-        tables.append(table.size)
-        return table
+        for a, blk in plane_blocks(R2, sq):
+            tables.append(blk.size)
+            yield a, blk
 
-    monkeypatch.setattr(spectral, "_plane_counts", measured)
+    def measured_capacity(R2):
+        tables.append(capacity(R2))
+        return tables[-1]
+
+    monkeypatch.setattr(spectral, "_plane_blocks", measured)
+    monkeypatch.setattr(spectral, "_plane_capacity", measured_capacity)
     sp = enumerate_spectrum(SpectrumModel(kind, dim, R))
     longest = max(tables + [sp.values.size])
     assert longest == _longest_array(kind, dim, R) <= 3_001
@@ -202,10 +232,11 @@ def test_mode_cap_bounds_every_array(monkeypatch, kind, dim):
 
 @pytest.mark.parametrize("kind", ["torus_lattice", "dirichlet_cylinder"])
 def test_dense_table_cap_raises_before_allocation(monkeypatch, kind):
-    # the first cutoff past the cap: no table, not even the row of squares
+    # the first cutoff past the cap: no block, not even the row of squares
     def fail(*args):
-        raise AssertionError("the table was built past its cap")
-    monkeypatch.setattr(spectral, "_plane_counts", fail)
+        raise AssertionError("the plane was counted past its cap")
+    monkeypatch.setattr(spectral, "_plane_blocks", fail)
+    monkeypatch.setattr(spectral, "_plane_capacity", fail)
     R = _largest_admitted(kind, 2) + 1
     tracemalloc.start()
     try:
@@ -391,11 +422,15 @@ _BLOCK_SIZES = [m * _B + d for m in (1, 2, 3) for d in (-1, 0, 1)]
     SpectrumModel("dirichlet_cylinder", 2, 1400, copies=2),
     SpectrumModel("dirichlet_cylinder", 3, 420)],
     ids=["torus", "cylinder-2-copies", "cylinder-dim3"])
-@pytest.mark.parametrize("weight", [INV, SpectralWeight(-0.5, 2.0, 3.0)],
-                         ids=["inv", "sqrt"])
+@pytest.mark.parametrize("weight", [
+    lambda dim: SpectralWeight(power=-dim / 2, shift=1.0),
+    lambda dim: SpectralWeight(-1.5, 2.0, 3.0)], ids=["inv", "sqrt"])
 def test_blocked_estimate_matches_one_cumsum_bitwise(model, weight):
     # spectra ending just below, at and just above 1, 2 and 3 blocks; the
-    # dim-3 table under the mode cap holds just over one
+    # dim-3 table under the mode cap holds just over one.  Both weights lie
+    # in the Dixmier ideal, of order at most -dim: (1 + lam)^(-dim/2), which
+    # is INV on the plane, and 3 (2 + lam)^(-3/2)
+    weight = weight(model.dim)
     full = enumerate_spectrum(model)
     sizes = [n for n in _BLOCK_SIZES if n <= full.values.size]
     assert len(sizes) >= 3
@@ -444,6 +479,19 @@ def test_enumeration_holds_the_plane_table_and_its_spectrum(kind):
     R = 1000
     spec, peak = _traced_peak(enumerate_spectrum, SpectrumModel(kind, 2, R))
     assert peak <= 2 * (R * R + 1) + 16 * spec.values.size + 8 * _B
+
+
+@pytest.mark.parametrize("kind", ["torus_lattice", "dirichlet_cylinder"])
+def test_enumeration_holds_only_its_spectrum(kind):
+    # no table: the outputs at 12 B per eigenvalue, within 10% of their
+    # final length, plus four buffers of 8 B per block eigenvalue (the
+    # spare block of capacity at 12 B, and the count's bincount, index
+    # array and last block).  An int16 table of R^2 + 1 beside int64
+    # counts reads 21.8 MB here, against this bound's 15.0 MB; at R = 1000
+    # the table is smaller than these buffers and no bound tells them apart
+    R = 2000
+    spec, peak = _traced_peak(enumerate_spectrum, SpectrumModel(kind, 2, R))
+    assert peak <= 12 * spec.values.size * 1.1 + 4 * 8 * _B
 
 
 @pytest.mark.parametrize("kind", ["torus_lattice", "dirichlet_cylinder"])
@@ -517,6 +565,20 @@ def test_dixmier_estimate_requires_monotone_weight():
 def test_dixmier_estimate_rejects_weight_outside_domain(weight):
     with pytest.raises(GradingError):
         estimate(SpectrumModel("torus_lattice", 2, 300), weight)
+
+
+@pytest.mark.parametrize("model", [
+    SpectrumModel("torus_lattice", 3, 40),
+    SpectrumModel("dirichlet_cylinder", 2, 100),
+    SpectrumModel("boundary_lattice", 1, 1000, copies=2)],
+    ids=["torus-dim3", "cylinder-dim2", "circles-dim1"])
+def test_dixmier_estimate_rejects_weight_outside_the_ideal(model):
+    # order above -dim: sigma_N grows like a power of N, and its ln N slope
+    # is no Dixmier trace; order -dim is the ideal's edge and estimates
+    edge = SpectralWeight(power=-model.dim / 2, shift=1.0)
+    with pytest.raises(GradingError, match="outside the Dixmier ideal"):
+        estimate(model, replace(edge, power=edge.power + 0.25))
+    assert estimate(model, edge).slope > 0
 
 
 @pytest.mark.parametrize("shift", [1e-300, 1e-150, 1e-30])
