@@ -9,8 +9,8 @@ cosphere integrals: interior weight (2 pi)^-n / n, boundary weight
 (2 pi)^(1-n) / (n-1).  The boundary weight also applies to the normal trace
 of a singular Green entry, which acts on the boundary with order 1-n; only
 the off-diagonal potential and trace entries contribute nothing.
-The Dirichlet cylinder's spectrum is derived from the torus's, so the
-lattice is counted once.
+The Dirichlet cylinder's spectrum is derived from the torus's in place, so
+the lattice is counted once; the torus is not read after that.
 """
 
 import math

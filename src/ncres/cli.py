@@ -27,7 +27,7 @@ import sys
 from pathlib import Path
 
 from ._version import __version__
-from .config import (TASKS, build_bdm, build_model, build_symbol,
+from .config import (TASKS, _at, build_bdm, build_model, build_symbol,
                      build_t_grid, build_weight, config_hash, decode_config,
                      validate_config)
 from .errors import (ConfigError, GradingError, IllConditionedFitError,
@@ -137,12 +137,15 @@ def _write(out_dir, task, csv_data, report):
 def _of_document(f, section, path):
     """``f`` of the section's operator matrix.  On a geometry with boundary
     an interior symbol without the transmission property has no truncation
-    P_+ in the calculus: a fault of the document at its ``p``."""
+    P_+ in the calculus, and Dixmier's formula takes no entry off the
+    grading of order -n: faults of the document at the entry's key."""
     A = build_bdm(section, path)
     try:
         return f(A)
     except TransmissionError as exc:
-        raise ConfigError(f"at {'/'.join(path)}/p: {exc}") from exc
+        raise ConfigError(f"{_at(path + ('p',))}{exc}") from exc
+    except GradingError as exc:
+        raise ConfigError(f"{_at(path + exc.entry)}{exc}") from exc
 
 
 def _dispatch(cfg):
@@ -164,7 +167,7 @@ def _dispatch(cfg):
         except GradingError as exc:
             # a growing or non-positive weight is outside the estimator's
             # domain: an input error, not a failed computation
-            raise ConfigError(f"dixmier.weight: {exc}") from exc
+            raise ConfigError(f"{_at(('dixmier', 'weight'))}{exc}") from exc
         ref = None
         if "formula" in section:
             ref = _of_document(dixmier_formula, section["formula"],

@@ -414,6 +414,11 @@ def build_boundary_term(spec, n, kind, path):
 def build_bdm(spec, path):
     geo = build_geometry(spec["geometry"])
     n = geo.dim
+    if geo.has_boundary and n < 2:
+        # [0, pi] alone: a boundary of points, with no cosphere and no
+        # transmission condition to check
+        raise ConfigError(f"{_at(path + ('geometry', 'dim'))}a cylinder "
+                          f"needs dim >= 2")
     p = build_symbol(spec["p"], n, path + ("p",)) if "p" in spec else None
     s = build_symbol(spec["s"], n - 1, path + ("s",)) if "s" in spec else None
     terms = {kind: tuple(build_boundary_term(g, n, kind, path + (kind, i))

@@ -30,7 +30,13 @@ class TransmissionError(NcresError):
 
 
 class GradingError(NcresError):
-    """Operator-matrix entries violate the declared order/type grading."""
+    """Operator-matrix entries violate the declared order/type grading;
+    ``entry`` is the key of the entry at fault, such as ``("green", 0)``,
+    where one is named."""
+
+    def __init__(self, message, entry=None):
+        super().__init__(message)
+        self.entry = entry
 
 
 class TailBoundError(NcresError):

@@ -242,21 +242,27 @@ def dixmier_formula(A):
 
 
 def _validate_dixmier_grading(A, n):
+    """Raise :class:`GradingError` at the first entry of ``A`` off the
+    grading of an operator of order -n, naming it by its key."""
     m = -n
     if A.p is not None and A.p.order != m:
-        raise GradingError(f"interior symbol order {A.p.order} != {m}")
+        raise GradingError(f"interior symbol order {A.p.order} != {m}", ("p",))
     if A.type_d != 0:
-        raise GradingError("Dixmier trace needs type 0")
-    for t in A.green:
+        raise GradingError("Dixmier trace needs type 0", ("type",))
+    for i, t in enumerate(A.green):
         if t.degree > m + 1e-9:
-            raise GradingError("singular Green term above order -n")
+            raise GradingError("singular Green term above order -n",
+                               ("green", i))
         if getattr(t.fiber, "type_d", 0) != 0:
-            raise GradingError("singular Green term must have type 0")
-    for t in A.potential:
+            raise GradingError("singular Green term must have type 0",
+                               ("green", i))
+    for i, t in enumerate(A.potential):
         if t.degree > m + 1e-9:
-            raise GradingError("potential term above order -n")
-    for t in A.trace_terms:
+            raise GradingError("potential term above order -n",
+                               ("potential", i))
+    for i, t in enumerate(A.trace_terms):
         if t.degree > m + 1 + 1e-9:
-            raise GradingError("trace term above order -n+1")
+            raise GradingError("trace term above order -n+1", ("trace", i))
     if A.s is not None and A.s.order != m + 1:
-        raise GradingError(f"boundary symbol order {A.s.order} != {m + 1}")
+        raise GradingError(f"boundary symbol order {A.s.order} != {m + 1}",
+                           ("s",))

@@ -7,10 +7,10 @@ and int32.  The plane is counted one cache-sized block of eigenvalues at a
 time, its octant with the axes and diagonals, and in dim 2 each block's
 nonzero entries are gathered before the next is counted, so no table is
 held beside the spectrum; dim 3 sums the plane into one int32 table of
-space.  A dim-2 or dim-3 Dirichlet cylinder is half the points off the
-j = 0 line or plane; :func:`cylinder_from_torus` derives the dim-2 cylinder
-from a torus spectrum already at hand.  Every enumeration is bounded by
-one constant, ``MODE_CAP`` modes, checked before anything is allocated.
+space.  Only tori are counted: :func:`cylinder_from_torus` derives the
+Dirichlet cylinder of dim 1-3 from its torus in place, as half the points
+off the hyperplane j = 0.  Every enumeration is bounded by one constant,
+``MODE_CAP`` modes, checked on the model before anything is allocated.
 Partial sums sigma_N (one pass over the same blocks), logarithmic Cesaro
 means and the Dixmier trace estimator operate on those arrays and a weight
 passed with them.
@@ -35,10 +35,10 @@ from .errors import (GradingError, IllConditionedFitError, ModelError,
                      ResourceCapError, WindowError)
 
 # the most modes an enumeration may hold.  Its longest array then has at
-# most MODE_CAP + 1 entries: the dim-1 cylinder's R modes, or the dim-2
-# outputs, at most R^2 + 1 <= 1.5e8 long (the cylinder at R = 12247).  And
-# MODE_CAP < 2^31, so no multiplicity, times its copies, overflows the
-# int32 counts
+# most MODE_CAP + 1 entries: the R + 1 modes of a dim-1 cylinder's torus,
+# or the dim-2 outputs, at most R^2 + 1 <= 1.5e8 long (the cylinder at
+# R = 12247).  And MODE_CAP < 2^31, so no multiplicity, times its copies,
+# overflows the int32 counts
 MODE_CAP = 300_000_000
 
 
@@ -206,99 +206,96 @@ def _space_counts(plane, sq):
     return cnt
 
 
-def cylinder_from_torus(torus):
-    """The dim-2 Dirichlet cylinder spectrum at the cutoff of ``torus``.
+def _lattice(dim, cutoff):
+    """The torus Z^dim below the cutoff as (values, counts): the eigenvalues
+    |k|^2 <= floor(cutoff)^2, ascending float64, and their int32
+    multiplicities.  It checks no cap."""
+    R = int(cutoff)
+    if dim == 1:
+        # eigenvalues k^2 indexed directly; the dense eigenvalue-indexed
+        # array would be quadratic in the cutoff
+        ks = np.arange(0, R + 1)
+        values = (ks * ks).astype(float)
+        return values, np.where(ks == 0, 1, 2).astype(np.int32)
+    if dim not in (2, 3):
+        raise ValueError("lattice counting implemented for dim <= 3")
+    R2 = R * R
+    sq = np.arange(R + 1, dtype=np.int64) ** 2
+    blocks = _plane_blocks(R2, sq)
+    if dim == 2:
+        size = _plane_capacity(R2)
+    else:
+        # the space table: under the cap R <= 421 (the cylinder's), whose
+        # plane spans two blocks
+        cnt = _space_counts(np.concatenate([blk for _, blk in blocks]), sq)
+        size = np.count_nonzero(cnt)
+        blocks = [(0, cnt)]
+    # the nonzero entries of each block while it is in cache; the outputs
+    # grow in place past an estimate that falls short (realloc remaps a
+    # large block without copying its pages) and end exact
+    values = np.empty(size)
+    counts = np.empty(size, dtype=np.int32)
+    k = 0
+    for a, blk in blocks:
+        # flatnonzero is slower on int16 than a boolean
+        ms = np.flatnonzero(blk != 0)
+        if k + ms.size > values.size:
+            size = max(k + ms.size, 2 * values.size)
+            values.resize(size, refcheck=False)
+            counts.resize(size, refcheck=False)
+        values[k:k + ms.size] = ms + a
+        counts[k:k + ms.size] = blk[ms]
+        k += ms.size
+    values.resize(k, refcheck=False)
+    counts.resize(k, refcheck=False)
+    return values, counts
 
-    The points (j, k) with j >= 1 and j^2 + k^2 = m are half of the torus's
-    points of norm m off the axis j = 0, which holds two of them when m is
-    a square.  The cylinder's eigenvalues are the torus's without 0 (a view
-    of them), and no lattice is counted again.  ``torus`` must be a
-    one-copy dim-2 torus spectrum, or :class:`ModelError` is raised.
+
+def cylinder_from_torus(torus):
+    """The Dirichlet cylinder at the cutoff of ``torus``, derived in place.
+
+    The points (j, k) with j >= 1 and norm m are half of the torus's points
+    of norm m off the hyperplane j = 0, which holds the torus one dimension
+    down (in dim 1, the origin alone).  Every m > 0 keeps points off it, so
+    the outputs are views of the torus's arrays without 0, the counts
+    halved in place.  ``torus`` must be a one-copy torus not derived from
+    before, or :class:`ModelError` is raised.
     """
     m = torus.model
-    if (m.kind, m.dim, m.copies) != ("torus_lattice", 2, 1):
-        raise ModelError(
-            f"the cylinder derives from a one-copy dim-2 torus, not "
-            f"{m.kind} dim {m.dim} with {m.copies} copies")
-    values = torus.values[1:]
-    counts = torus.counts[1:].copy()
-    j = np.arange(1, int(m.cutoff) + 1, dtype=float)
-    counts[np.searchsorted(values, j * j)] -= 2
+    if (m.kind, m.copies) != ("torus_lattice", 1):
+        raise ModelError(f"the cylinder derives from a one-copy torus, not "
+                         f"{m.kind} with {m.copies} copies")
+    values, counts = torus.values, torus.counts
+    if counts[0] != 1:
+        raise ModelError("the torus was already halved into a cylinder")
+    if m.dim == 1:
+        counts[0] -= 1
+    else:
+        plane, cnt = _lattice(m.dim - 1, m.cutoff)
+        counts[np.searchsorted(values, plane)] -= cnt
     counts >>= 1
-    return Spectrum(values, counts, replace(m, kind="dirichlet_cylinder"))
+    return Spectrum(values[1:], counts[1:],
+                    replace(m, kind="dirichlet_cylinder"))
 
 
 def enumerate_spectrum(model):
-    """Exhaustive (eigenvalue, multiplicity) enumeration below the cutoff.
+    """Exhaustive (eigenvalue, multiplicity) enumeration below the cutoff;
+    a Dirichlet cylinder is derived from its torus.
 
     Deterministic; raises :class:`ResourceCapError` before allocating when
-    the estimated mode count exceeds ``MODE_CAP``
-    (:func:`check_mode_cap`).
+    the estimated mode count of ``model`` exceeds ``MODE_CAP``.
     """
     if model.cutoff < 1:
         raise ValueError("cutoff must be >= 1")
     if model.copies < 1:
         raise ValueError("copies must be >= 1")
     check_mode_cap(model)
-    R = int(model.cutoff)
-    if model.dim == 1:
-        # eigenvalues k^2 (or j^2, j >= 1) indexed directly; the dense
-        # eigenvalue-indexed array would be quadratic in the cutoff
-        if model.kind == "dirichlet_cylinder":
-            ks = np.arange(1, R + 1)
-            values = (ks * ks).astype(float)
-            counts = np.ones(ks.size, dtype=np.int32)
-        else:
-            ks = np.arange(0, R + 1)
-            values = (ks * ks).astype(float)
-            counts = np.where(ks == 0, 1, 2).astype(np.int32)
-    else:
-        if model.dim not in (2, 3):
-            raise ValueError("lattice counting implemented for dim <= 3")
-        cylinder = model.kind == "dirichlet_cylinder"
-        R2 = R * R
-        sq = np.arange(R + 1, dtype=np.int64) ** 2
-        blocks = _plane_blocks(R2, sq)
-        if model.dim == 2:
-            size = _plane_capacity(R2)
-        else:
-            # the space table: under the cap R <= 334, so it is one block
-            plane = np.concatenate([blk for _, blk in blocks])
-            cnt = _space_counts(plane, sq)
-            if cylinder:
-                # j >= 1: half the points off the j = 0 plane
-                cnt -= plane
-                cnt >>= 1
-            size = np.count_nonzero(cnt)
-            blocks = [(0, cnt)]
-        # the nonzero entries of each block while it is in cache; the
-        # outputs grow in place past an estimate that falls short (realloc
-        # remaps a large block without copying its pages) and end exact
-        values = np.empty(size)
-        counts = np.empty(size, dtype=np.int32)
-        k = 0
-        for a, blk in blocks:
-            if cylinder and model.dim == 2:
-                # j >= 1: half the points off the j = 0 line.  The count
-                # is even but at the origin (1 >> 1 = 0), and the line
-                # holds 2 of it at each square m > 0
-                blk >>= 1
-                ax = sq[np.searchsorted(sq, max(a, 1)):
-                        np.searchsorted(sq, a + blk.size)]
-                blk[ax - a] -= 1
-            # flatnonzero is slower on int16 than a boolean
-            ms = np.flatnonzero(blk != 0)
-            if k + ms.size > values.size:
-                size = max(k + ms.size, 2 * values.size)
-                values.resize(size, refcheck=False)
-                counts.resize(size, refcheck=False)
-            values[k:k + ms.size] = ms + a
-            counts[k:k + ms.size] = blk[ms]
-            k += ms.size
-        values.resize(k, refcheck=False)
-        counts.resize(k, refcheck=False)
-    counts *= model.copies
-    return Spectrum(values, counts, model)
+    spec = Spectrum(*_lattice(model.dim, model.cutoff),
+                    SpectrumModel("torus_lattice", model.dim, model.cutoff))
+    if model.kind == "dirichlet_cylinder":
+        spec = cylinder_from_torus(spec)
+    np.multiply(spec.counts, model.copies, out=spec.counts)
+    return replace(spec, model=model)
 
 
 # ---------------------------------------------------------------------------

@@ -175,8 +175,8 @@ def check_connes_identity(spectra=None):
 def check_boundary_dixmier(spectra=None):
     """05: Dixmier traces on the cylinder, its boundary circles and a
     singular Green term, by the spectrum and by ``dixmier_formula``."""
-    # one spectrum alive at a time: the cylinder is derived from criterion
-    # 04's torus, whose counts are freed before the estimate allocates
+    # one spectrum alive at a time: the cylinder is derived in place from
+    # criterion 04's torus, whose arrays it takes over without a copy
     est_c = dixmier_estimate(
         cylinder_from_torus(_spectrum(spectra, _CONNES_TORUS, last=True)),
         SpectralWeight(power=-1.0, shift=0.0))

@@ -16,11 +16,12 @@ from ncres import spectral
 from ncres.cli import main
 from ncres.config import (build_model, build_rational, build_weight,
                           config_hash)
-from ncres.errors import (ConfigError, GradingError, RealPoleError,
-                          TransmissionError)
+from ncres.errors import (ConfigError, DimensionMismatchError,
+                          GradingError, RealPoleError, TransmissionError)
 from ncres.halfline import rational
 from ncres.literals import parse_symbol
-from ncres.residue import BdMSymbol, Cylinder, boundary_residue
+from ncres.residue import (BdMSymbol, Cylinder, boundary_residue,
+                           dixmier_formula)
 from ncres.spectral import SpectralWeight, SpectrumModel
 
 CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
@@ -601,6 +602,20 @@ def test_other_library_error_exit_code(tmp_path, capsys, task, cfgfile,
     assert not (tmp_path / f"{task}.csv").exists()
 
 
+def _formula(dim=2, **entries):
+    """A --set of dixmier.formula: these entries on the cylinder."""
+    return "dixmier.formula=" + json.dumps(
+        {"geometry": {"kind": "cylinder", "dim": dim}, **entries})
+
+
+def _boundary_term(degree, part, **extra):
+    """A boundary term of ``degree`` with its fiber ``part``."""
+    return {"degree": degree, "b": f"|xi|^{degree}", **part, **extra}
+
+
+_PAIR = {"pairs": [{"k": _UPPER, "t": _LOWER}]}
+
+
 @pytest.mark.parametrize("task, cfgfile, override, where, message", [
     ("residue", "residue_cylinder_green.json",
      'residue.p={"literal": "|xi|^-3", "order": -3}', "residue/p",
@@ -614,14 +629,44 @@ def test_other_library_error_exit_code(tmp_path, capsys, task, cfgfile,
     ("residue", "residue_torus.json", "residue.order=7", "residue/order",
      "interior order -2 != declared 7"),
     ("residue", "residue_torus.json", 'residue.s={"literal": "|xi|^-1"}',
-     "residue/s", "boundary entries on a geometry without boundary")],
+     "residue/s", "boundary entries on a geometry without boundary"),
+    ("dixmier", "dixmier_torus.json", _formula(p={"literal": "|xi|^-3"}),
+     "dixmier/formula/p", "interior symbol order -3 != -2"),
+    ("dixmier", "dixmier_torus.json", _formula(s={"literal": "|xi|^-2"}),
+     "dixmier/formula/s", "boundary symbol order -2 != -1"),
+    ("dixmier", "dixmier_torus.json", _formula(type=1),
+     "dixmier/formula/type", "Dixmier trace needs type 0"),
+    ("dixmier", "dixmier_torus.json",
+     _formula(green=[_boundary_term(-2, _PAIR), _boundary_term(-1, _PAIR)]),
+     "dixmier/formula/green/1", "singular Green term above order -n"),
+    ("dixmier", "dixmier_torus.json",
+     _formula(green=[_boundary_term(-2, _PAIR, type=1)]),
+     "dixmier/formula/green/0", "singular Green term must have type 0"),
+    ("dixmier", "dixmier_torus.json",
+     _formula(potential=[_boundary_term(-2, {"fiber": _UPPER}),
+                         _boundary_term(-1, {"fiber": _UPPER})]),
+     "dixmier/formula/potential/1", "potential term above order -n"),
+    ("dixmier", "dixmier_torus.json",
+     _formula(trace=[_boundary_term(0, {"fiber": _LOWER})]),
+     "dixmier/formula/trace/0", "trace term above order -n+1"),
+    ("dixmier", "dixmier_torus.json",
+     _formula(dim=1, p={"literal": "|xi|^-1"}),
+     "dixmier/formula/geometry/dim", "a cylinder needs dim >= 2"),
+    ("residue", "residue_torus.json",
+     'residue.geometry={"kind": "cylinder", "dim": 1}',
+     "residue/geometry/dim", "a cylinder needs dim >= 2")],
     ids=["transmission", "formula-transmission", "order", "order-torus",
-         "boundary-on-torus"])
+         "boundary-on-torus", "formula-p-order", "formula-s-order",
+         "formula-type", "formula-green-order", "formula-green-type",
+         "formula-potential-order", "formula-trace-order",
+         "formula-cylinder-dim1", "cylinder-dim1"])
 def test_operator_grading_fault_exit_code(tmp_path, capsys, task, cfgfile,
                                           override, where, message):
     # a p without the transmission property on a cylinder, a declared order
-    # the symbols do not have, or boundary entries on a torus: faults of the
-    # document at their path, not of the program
+    # the symbols do not have, boundary entries on a torus, an entry of
+    # Dixmier's formula off the grading of order -n, or a cylinder with no
+    # boundary torus: faults of the document at their path, not of the
+    # program
     code = run([task, "--config", CONFIGS / cfgfile, "--out", tmp_path,
                 "--set", override])
     assert code == 2
@@ -636,6 +681,13 @@ def test_operator_grading_fault_keeps_its_type_for_library_callers():
         boundary_residue(BdMSymbol(Cylinder(2), p=bad))
     with pytest.raises(GradingError, match="declared 7"):
         BdMSymbol(Cylinder(2), p=bad, order=7)
+    # Dixmier's grading names the entry at fault; a cylinder of dim 1 has
+    # no boundary torus
+    with pytest.raises(GradingError, match="order -3 != -2") as info:
+        dixmier_formula(BdMSymbol(Cylinder(2), p=bad))
+    assert info.value.entry == ("p",)
+    with pytest.raises(DimensionMismatchError, match="dim >= 2"):
+        boundary_residue(BdMSymbol(Cylinder(1)))
 
 
 def test_zeta_at_zero_without_log_slots(tmp_path):
@@ -757,7 +809,7 @@ def test_dixmier_weight_outside_the_ideal_exit_code(tmp_path, capsys):
             "--set", "dixmier.model.dim=3", "--set",
             "dixmier.model.cutoff=120"]
     assert run(argv + ["--out", tmp_path / "inv"]) == 2
-    assert "dixmier.weight: weight of order -2 above -3 is outside the " \
+    assert "at dixmier/weight: weight of order -2 above -3 is outside the " \
         "Dixmier ideal" in _one_config_error_line(capsys)
     assert not (tmp_path / "inv" / "dixmier.csv").exists()
     assert run(argv + ["--out", tmp_path / "edge", "--set",

@@ -164,7 +164,13 @@ def test_outputs_grow_past_a_short_capacity(monkeypatch, kind, R):
     # exact, each owning its data
     monkeypatch.setattr(spectral, "_plane_capacity", lambda R2: 1)
     sp = _matches_lattice_oracle(kind, R)
-    assert sp.values.flags.owndata and sp.counts.flags.owndata
+    for arr in (sp.values, sp.counts):
+        if kind == "dirichlet_cylinder":
+            # a view one entry into its torus's array
+            assert arr.base.size == arr.size + 1
+            assert arr.ctypes.data == arr.base.ctypes.data + arr.itemsize
+            arr = arr.base
+        assert arr.flags.owndata
 
 
 def _admitted(model):
@@ -189,10 +195,11 @@ def _largest_admitted(kind, dim):
 
 def _longest_array(kind, dim, R):
     """The longest array an enumeration at integer cutoff R allocates: the
-    dim-1 mode array, the dim-2 outputs at their Landau-Ramanujan capacity
-    (never more than the R^2 + 1 candidates), or the dim-3 tables."""
+    dim-1 mode array (a cylinder's torus's too), the dim-2 outputs at their
+    Landau-Ramanujan capacity (never more than the R^2 + 1 candidates), or
+    the dim-3 tables."""
     if dim == 1:
-        return R if kind == "dirichlet_cylinder" else R + 1
+        return R + 1
     if dim == 2:
         x = R * R
         log = math.log(max(x, 3))
@@ -226,7 +233,9 @@ def test_mode_cap_bounds_every_array(monkeypatch, kind, dim):
     monkeypatch.setattr(spectral, "_plane_blocks", measured)
     monkeypatch.setattr(spectral, "_plane_capacity", measured_capacity)
     sp = enumerate_spectrum(SpectrumModel(kind, dim, R))
-    longest = max(tables + [sp.values.size])
+    # a cylinder's arrays are views into its torus's
+    values = sp.values if sp.values.base is None else sp.values.base
+    longest = max(tables + [values.size])
     assert longest == _longest_array(kind, dim, R) <= 3_001
 
 
@@ -259,13 +268,52 @@ def test_derived_cylinder_keeps_its_own_mode_cap(monkeypatch):
         enumerate_spectrum(SpectrumModel("dirichlet_cylinder", 2, 100))
 
 
-def test_cylinder_from_torus_leaves_the_torus():
+def _torus(dim, R):
+    """The one-copy torus at cutoff R, past the torus's own mode cap too:
+    a cylinder's cap admits radii its torus's does not."""
+    return Spectrum(*spectral._lattice(dim, R),
+                    SpectrumModel("torus_lattice", dim, R))
+
+
+@pytest.mark.parametrize("dim, radii", [
+    (1, list(range(1, 14)) + _BLOCK_EDGE_RADII),
+    (2, list(range(1, 14)) + _BLOCK_EDGE_RADII),
+    (3, list(range(1, 14)) + [362, 363])], ids=["dim1", "dim2", "dim3"])
+def test_cylinder_from_torus_is_the_cylinder_in_place(dim, radii):
+    # the derived cylinder is the enumerated one, bit for bit, and holds
+    # its torus's arrays; dim 3 at 362 and 363 puts the plane in one and
+    # in two blocks, past the torus's cap of 334 but under the cylinder's
+    for R in radii:
+        torus = (enumerate_spectrum(SpectrumModel("torus_lattice", dim, R))
+                 if dim < 3 or R <= 334 else _torus(dim, R))
+        got = cylinder_from_torus(torus)
+        want = enumerate_spectrum(SpectrumModel("dirichlet_cylinder", dim, R))
+        assert got.model == want.model
+        for a, b in ((got.values, want.values), (got.counts, want.counts)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), R
+        assert np.shares_memory(got.values, torus.values)
+        assert np.shares_memory(got.counts, torus.counts)
+
+
+def test_cylinder_from_torus_holds_no_counts_copy():
+    # the hyperplane's spectrum (R + 1 entries), its positions and the
+    # gathered counts at up to 24 B per entry, and no copy of the torus's
+    # 12.5 MB of counts (3.33 MB when the counts were copied)
+    R = 2000
+    torus = enumerate_spectrum(SpectrumModel("torus_lattice", 2, R))
+    _, peak = _traced_peak(cylinder_from_torus, torus)
+    assert peak <= 24 * (R + 1) + (64 << 10)
+
+
+def test_cylinder_from_torus_derives_once():
+    # the counts are halved in place: a second derivation from the same
+    # torus would halve them again
     torus = enumerate_spectrum(SpectrumModel("torus_lattice", 2, 60))
-    values, counts = torus.values.copy(), torus.counts.copy()
-    sp = cylinder_from_torus(torus)
-    assert sp.model == SpectrumModel("dirichlet_cylinder", 2, 60)
-    assert np.array_equal(torus.values, values)
-    assert np.array_equal(torus.counts, counts)
+    counts = cylinder_from_torus(torus).counts.copy()
+    assert torus.counts[0] == 0
+    with pytest.raises(ModelError, match="already halved"):
+        cylinder_from_torus(torus)
+    assert np.array_equal(torus.counts[1:], counts)
 
 
 @pytest.mark.parametrize("model", [
@@ -276,8 +324,15 @@ def test_cylinder_from_torus_leaves_the_torus():
     SpectrumModel("dirichlet_cylinder", 2, 20)],
     ids=["copies", "dim1", "dim3", "boundary", "cylinder"])
 def test_cylinder_from_torus_needs_a_one_copy_plane_torus(model):
-    with pytest.raises(ModelError, match="one-copy dim-2 torus"):
-        cylinder_from_torus(enumerate_spectrum(model))
+    # a one-copy torus of any dim derives its cylinder; more copies,
+    # boundary circles or a cylinder do not
+    torus = enumerate_spectrum(model)
+    if model.kind == "torus_lattice" and model.copies == 1:
+        assert cylinder_from_torus(torus).model == \
+            replace(model, kind="dirichlet_cylinder")
+        return
+    with pytest.raises(ModelError, match="derives from a one-copy torus"):
+        cylinder_from_torus(torus)
 
 
 # ---------------------------------------------------------------------------
@@ -473,25 +528,16 @@ def _traced_peak(f, *args):
 
 
 @pytest.mark.parametrize("kind", ["torus_lattice", "dirichlet_cylinder"])
-def test_enumeration_holds_the_plane_table_and_its_spectrum(kind):
-    # the int16 table, the returned values and counts, and one block
-    # buffer of 8 B per eigenvalue: no temporary the size of the table
-    R = 1000
-    spec, peak = _traced_peak(enumerate_spectrum, SpectrumModel(kind, 2, R))
-    assert peak <= 2 * (R * R + 1) + 16 * spec.values.size + 8 * _B
-
-
-@pytest.mark.parametrize("kind", ["torus_lattice", "dirichlet_cylinder"])
 def test_enumeration_holds_only_its_spectrum(kind):
     # no table: the outputs at 12 B per eigenvalue, within 10% of their
     # final length, plus four buffers of 8 B per block eigenvalue (the
     # spare block of capacity at 12 B, and the count's bincount, index
-    # array and last block).  An int16 table of R^2 + 1 beside int64
-    # counts reads 21.8 MB here, against this bound's 15.0 MB; at R = 1000
-    # the table is smaller than these buffers and no bound tells them apart
-    R = 2000
-    spec, peak = _traced_peak(enumerate_spectrum, SpectrumModel(kind, 2, R))
-    assert peak <= 12 * spec.values.size * 1.1 + 4 * 8 * _B
+    # array and last block).  At R = 2000 an int16 table of R^2 + 1 beside
+    # int64 counts reads 21.8 MB, against this bound's 15.0 MB
+    for R in (1000, 2000):
+        spec, peak = _traced_peak(enumerate_spectrum,
+                                  SpectrumModel(kind, 2, R))
+        assert peak <= 12 * spec.values.size * 1.1 + 4 * 8 * _B, R
 
 
 @pytest.mark.parametrize("kind", ["torus_lattice", "dirichlet_cylinder"])
