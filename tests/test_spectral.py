@@ -528,6 +528,16 @@ def _traced_peak(f, *args):
 
 
 @pytest.mark.parametrize("kind", ["torus_lattice", "dirichlet_cylinder"])
+def test_enumeration_holds_the_plane_table_and_its_spectrum(kind):
+    # the bound an int16 plane table set: the table, the returned values
+    # and counts, and one block buffer of 8 B per eigenvalue.  The count
+    # holds no table now and must stay within what the table allowed
+    R = 1000
+    spec, peak = _traced_peak(enumerate_spectrum, SpectrumModel(kind, 2, R))
+    assert peak <= 2 * (R * R + 1) + 16 * spec.values.size + 8 * _B
+
+
+@pytest.mark.parametrize("kind", ["torus_lattice", "dirichlet_cylinder"])
 def test_enumeration_holds_only_its_spectrum(kind):
     # no table: the outputs at 12 B per eigenvalue, within 10% of their
     # final length, plus four buffers of 8 B per block eigenvalue (the
