@@ -17,6 +17,11 @@ validated or copied into the document.
 Exit codes: 0 success, 2 configuration error, 3 tolerance/verification
 failure, 4 resource cap, 1 any other library error (one ``error:`` line,
 no CSV or report written).
+
+The numeric layers (:mod:`ncres.spectral`, :mod:`ncres.heatzeta`,
+:mod:`ncres.verify`) and numpy are imported by the ``dixmier``, ``heat``,
+``zeta`` and ``verify`` branches that use them, so ``residue`` and
+``parametric`` runs, and ``--version``, start without numpy.
 """
 
 from __future__ import annotations
@@ -33,13 +38,10 @@ from .config import (TASKS, _at, build_bdm, build_model, build_symbol,
 from .errors import (ConfigError, GradingError, IllConditionedFitError,
                      NcresError, ResourceCapError, TailBoundError,
                      TransmissionError)
-from .heatzeta import fit_expansion, heat_samples, zeta_residue
 from .parametric import (resolvent_log_coefficient,
                          resolvent_log_coefficient_closed)
 from .residue import boundary_residue, dixmier_formula
-from .spectral import dixmier_estimate, enumerate_spectrum
 from . import writers
-from .verify import run_all
 
 
 _PARSER = argparse.ArgumentParser(
@@ -160,6 +162,7 @@ def _dispatch(cfg):
         return 0
 
     if task == "dixmier":
+        from .spectral import dixmier_estimate, enumerate_spectrum
         section = cfg["dixmier"]
         spec = enumerate_spectrum(build_model(section["model"]))
         try:
@@ -177,6 +180,8 @@ def _dispatch(cfg):
         return 0
 
     if task == "heat":
+        from .heatzeta import fit_expansion, heat_samples
+        from .spectral import enumerate_spectrum
         section = cfg["heat"]
         spec = enumerate_spectrum(build_model(section["model"]))
         samples = heat_samples(build_weight(section["p_weight"]),
@@ -191,6 +196,8 @@ def _dispatch(cfg):
         return 0
 
     if task == "zeta":
+        from .heatzeta import zeta_residue
+        from .spectral import enumerate_spectrum
         section = cfg["zeta"]
         spec = enumerate_spectrum(build_model(section["model"]))
         result = zeta_residue(build_weight(section["p_weight"]),
@@ -213,8 +220,12 @@ def _dispatch(cfg):
         p = build_symbol(section["p"], n, ("parametric", "p"))
         a = build_symbol(section["a"], n, ("parametric", "a"))
         k = section["power"]
-        closed = resolvent_log_coefficient_closed(p, a.order, k)
-        route = resolvent_log_coefficient(p, a, k)
+        try:
+            closed = resolvent_log_coefficient_closed(p, a.order, k)
+            route = resolvent_log_coefficient(p, a, k)
+        except GradingError as exc:   # an auxiliary order <= 0, at "a"
+            raise ConfigError(
+                f"{_at(('parametric',) + exc.entry)}{exc}") from exc
         report = writers._report_head("parametric", meta) + "\n"
         report += (f"  closed form      {closed:.12g}\n"
                    f"  expansion route  {route:.12g}\n"
@@ -224,6 +235,7 @@ def _dispatch(cfg):
         return 0
 
     if task == "verify":
+        from .verify import run_all
         results, ok = run_all(seed=cfg.get("seed", 0),
                               progress=lambda r: print(r.line(), flush=True))
         (out_dir / "verify.csv").write_bytes(writers.verify_csv(results, meta))

@@ -21,14 +21,11 @@ import json
 import math
 import re
 
-import numpy as np
-
 from .errors import (ConfigError, GradingError, MembershipError,
                      RealPoleError)
 from .halfline import boundary_term, rational
 from .literals import parse_symbol
 from .residue import BdMSymbol, Cylinder, Torus
-from .spectral import SpectralWeight, SpectrumModel
 from .symbols import laplace_shift_power
 
 TASKS = ("residue", "dixmier", "heat", "zeta", "parametric", "verify")
@@ -363,7 +360,12 @@ def build_symbol(spec, n, path):
             raise ConfigError(f"{_at(path)}shifted_laplacian_power takes no "
                               f"{extra}")
         pw = spec["shifted_laplacian_power"]
-        return laplace_shift_power(n, pw["exponent"], pw["depth"])
+        try:
+            return laplace_shift_power(n, pw["exponent"], pw["depth"])
+        except ValueError as exc:   # 2*exponent off the integers
+            raise ConfigError(
+                f"{_at(path + ('shifted_laplacian_power', 'exponent'))}"
+                f"{exc}") from exc
     if "literal" not in spec:
         raise ConfigError(
             f"{_at(path)}need literal or shifted_laplacian_power")
@@ -378,12 +380,14 @@ def build_geometry(spec):
 
 
 def build_weight(spec):
+    from .spectral import SpectralWeight
     return SpectralWeight(**spec)
 
 
 def build_model(spec):
     """A validated model section; an absent field takes the dataclass
     default."""
+    from .spectral import SpectrumModel
     return SpectrumModel(**spec)
 
 
@@ -438,6 +442,7 @@ def build_bdm(spec, path):
 
 
 def build_t_grid(spec):
+    import numpy as np
     grid = np.geomspace(spec["start"], spec["stop"], spec["points"])
     if not np.all(np.diff(grid) > 0):
         raise ConfigError(

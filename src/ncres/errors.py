@@ -30,7 +30,8 @@ class TransmissionError(NcresError):
 
 
 class GradingError(NcresError):
-    """Operator-matrix entries violate the declared order/type grading;
+    """An order or type outside what an operation takes: operator-matrix
+    entries off the declared grading, or an auxiliary symbol of order <= 0;
     ``entry`` is the key of the entry at fault, such as ``("green", 0)``,
     where one is named."""
 

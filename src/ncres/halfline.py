@@ -25,8 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import MembershipError, RealPoleError
 from .symbols import HomTerm, radial_term
 
@@ -43,6 +41,7 @@ class RationalFn:
     # -- evaluation -----------------------------------------------------------
 
     def __call__(self, tau):
+        import numpy as np
         tau = np.asarray(tau, dtype=complex)
         out = np.zeros_like(tau)
         for i, c in enumerate(self.poly):
@@ -346,6 +345,7 @@ class HomBoundaryTerm:
         return self.b.n + 1
 
     def __call__(self, xp, xip, xin, etan=None):
+        import numpy as np
         # b checks the length of xi' and rejects xi' = 0
         bval = self.b(xp, xip)
         s = float(np.linalg.norm(xip))

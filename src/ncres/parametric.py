@@ -21,15 +21,25 @@ which is manifestly independent of the auxiliary symbol.
 
 from __future__ import annotations
 
+from .errors import GradingError
 from .residue import TWO_PI, Torus, wodzicki_residue
 from .symbols import identity_symbol, leibniz_component
+
+
+def _check_auxiliary_order(ord_a):
+    # the expansion in powers of a / mu^m needs an elliptic a of order m > 0
+    if ord_a <= 0:
+        raise GradingError(f"auxiliary symbol order {ord_a} is not positive",
+                           ("a",))
 
 
 def resolvent_log_coefficient_closed(p, ord_a, k):
     """Closed form for the ln lambda coefficient of the traced k-th
     resolvent power:  (2pi)^(-n) (-1)^k / ord_a * int int p_{-n} sigma dx.
 
-    Depends on the auxiliary operator only through its order."""
+    Depends on the auxiliary operator only through its order, which must
+    be positive (:class:`GradingError` otherwise)."""
+    _check_auxiliary_order(ord_a)
     n = p.n
     res = wodzicki_residue(p, Torus(n))
     return TWO_PI ** (-n) * ((-1.0) ** k / ord_a) * res
@@ -40,10 +50,12 @@ def resolvent_log_coefficient(p, a, k):
 
     Composes ``p`` with the i = 0 term (-1)^k of the resolvent power of
     ``a``, keeping only the degree -n slot that the residue reads, and
-    returns (2pi)^(-n) res(p # (-1)^k) / ord a.
+    returns (2pi)^(-n) res(p # (-1)^k) / ord a; an ``a`` of order <= 0
+    raises :class:`GradingError`.
     """
     if k < 1:
         raise ValueError("resolvent power k must be >= 1")
+    _check_auxiliary_order(a.order)
     n = p.n
     group = identity_symbol(n).scaled((-1.0) ** k)
     composed = leibniz_component(p, group, -n)

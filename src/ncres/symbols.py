@@ -39,8 +39,6 @@ from dataclasses import dataclass
 from math import lgamma
 from operator import add
 
-import numpy as np
-
 from .errors import DimensionMismatchError, TruncationFloorError
 
 _DEG_TOL = 1e-9
@@ -66,11 +64,14 @@ class HomTerm:
     def evaluate_trig(self, xi):
         """Freeze xi != 0; return the remaining trigonometric polynomial in
         x, a degree-0 term whose atoms have alpha = 0 and w = 0."""
-        xi = np.asarray(xi, dtype=float)
-        if xi.shape != (self.n,):
+        try:
+            xi = tuple(map(float, xi))
+        except TypeError:
+            xi = None
+        if xi is None or len(xi) != self.n:
             raise DimensionMismatchError(
-                f"xi of shape {xi.shape} for a term in n = {self.n}")
-        r = float(np.linalg.norm(xi))
+                f"xi is not a vector of length n = {self.n}")
+        r = math.hypot(*xi)
         if r == 0.0:
             raise ValueError("xi must be nonzero")
         flat = (0,) * self.n
@@ -79,7 +80,7 @@ class HomTerm:
             mono = 1.0
             for xj, aj in zip(xi, alpha):
                 if aj:
-                    mono *= float(xj) ** aj
+                    mono *= xj ** aj
             atoms.append((c * (mono * r ** w), k, flat, 0.0))
         return _merged(0.0, self.n, atoms)
 
@@ -169,9 +170,11 @@ def hom_term(degree, n, atoms):
         try:
             c = complex(c)
         except TypeError:
+            kind = type(c).__name__
+            if hasattr(c, "shape"):
+                kind += f" of shape {c.shape}"
             raise DimensionMismatchError(
-                f"coefficients are complex scalars, not {type(c).__name__} "
-                f"of shape {np.shape(c)}") from None
+                f"coefficients are complex scalars, not {kind}") from None
         checked.append((c, k, alpha, w))
     return _merged(float(degree), n, checked)
 
@@ -216,6 +219,7 @@ def _product(t1, t2):
 
 def _trig_value(trig, x):
     """Value at x of a trigonometric polynomial (alpha = 0, w = 0)."""
+    import numpy as np
     x = np.asarray(x, dtype=float)
     return sum((c * np.exp(1j * float(np.dot(k, x)))
                 for c, k, _, _ in trig.atoms), 0j)
@@ -387,12 +391,13 @@ def laplace_shift_power(n, exponent, depth):
     """Symbol of (1 - Delta)^exponent on the n-torus: the binomial expansion
     of (1 + |xi|^2)^exponent into degrees 2*exponent - 2j, j <= depth.
 
-    2*exponent must be an integer.  The result's exactness floor is the
+    2*exponent must be an integer (a finite one: an exponent past half the
+    largest float is refused too).  The result's exactness floor is the
     lowest expanded degree (the series continues below it), except for
     nonnegative integer exponents where the expansion terminates.
     """
     order = 2.0 * exponent
-    if abs(order - round(order)) > _DEG_TOL:
+    if not math.isfinite(order) or abs(order - round(order)) > _DEG_TOL:
         raise ValueError("2*exponent must be an integer")
     terminates = exponent >= 0 and abs(exponent - round(exponent)) < _DEG_TOL
     if terminates:
@@ -571,9 +576,8 @@ def transmission_check(p):
     n = p.n
     if n < 2:
         raise DimensionMismatchError("transmission check needs n >= 2")
-    plus = np.zeros(n)
-    plus[-1] = 1.0
-    minus = -plus
+    plus = (0.0,) * (n - 1) + (1.0,)
+    minus = tuple(-v for v in plus)
     worst = 0.0
     violation = None
     scale = 1.0 + p.norm1()

@@ -6,13 +6,13 @@ a comma, a quote or a line break is quoted as the ``csv`` module quotes it.
 Floats, numpy scalars included, are rendered with the ``repr`` of a Python
 float (shortest round-trip form), so identical computations produce
 identical bytes; nothing time- or machine-dependent is written.  Tables are
-passed by column; a numpy column is rendered in one pass over its
-``tolist()``, with no numpy scalar made per value.
+passed by column; an array column (anything with a ``dtype``) is rendered
+in one pass over its ``tolist()``, with no numpy scalar made per value.
+The module imports no numpy itself, so the symbolic tasks write their
+tables without it.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from ._version import __version__
 
@@ -30,7 +30,7 @@ def _quote(cell):
 def _cells(column):
     """A column's CSV cells: a float array through ``float.__repr__``, any
     other array through ``str``, a sequence value by value."""
-    if isinstance(column, np.ndarray):
+    if hasattr(column, "dtype"):
         fmt = float.__repr__ if column.dtype.kind == "f" else str
         return map(fmt, column.tolist())
     return map(_quote, map(_fmt, column))
@@ -75,7 +75,7 @@ def dixmier_csv(est, meta):
     # N holds integral floats, written as integers
     return csv_bytes(header_meta,
                      ["N", "sigma_N", "sigma_over_lnN", "cesaro_mean"],
-                     [est.cesaro_points.astype(np.int64), est.sigma_values,
+                     [est.cesaro_points.astype("int64"), est.sigma_values,
                       est.ratio_values, est.cesaro_values])
 
 

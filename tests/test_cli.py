@@ -20,9 +20,12 @@ from ncres.errors import (ConfigError, DimensionMismatchError,
                           GradingError, RealPoleError, TransmissionError)
 from ncres.halfline import rational
 from ncres.literals import parse_symbol
+from ncres.parametric import (resolvent_log_coefficient,
+                              resolvent_log_coefficient_closed)
 from ncres.residue import (BdMSymbol, Cylinder, boundary_residue,
                            dixmier_formula)
 from ncres.spectral import SpectralWeight, SpectrumModel
+from ncres.symbols import laplace_shift_power
 
 CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
@@ -152,6 +155,57 @@ def test_bad_radial_exponent_exit_code(tmp_path, capsys):
     assert code == 2
     assert "|xi|^-1.2.3" in _one_config_error_line(capsys)
     assert not (tmp_path / "residue.csv").exists()
+
+
+@pytest.mark.parametrize("task, cfgfile, key", [
+    ("residue", "residue_torus.json", "residue.p"),
+    ("parametric", "parametric_resolvent.json", "parametric.p"),
+    ("parametric", "parametric_resolvent.json", "parametric.a")])
+@pytest.mark.parametrize("exponent", [0.25, 1e308])
+def test_shifted_laplacian_exponent_exit_code(tmp_path, capsys, task, cfgfile,
+                                              key, exponent):
+    # 2*exponent off the integers (1e308 doubles to inf) is a fault of the
+    # document at the exponent's key
+    power = {"exponent": exponent, "depth": 2}
+    code = run([task, "--config", CONFIGS / cfgfile, "--out", tmp_path,
+                "--set", f"{key}=" + json.dumps(
+                    {"shifted_laplacian_power": power})])
+    assert code == 2
+    where = key.replace(".", "/") + "/shifted_laplacian_power/exponent"
+    assert (f"at {where}: 2*exponent must be an integer"
+            in _one_config_error_line(capsys))
+    assert not (tmp_path / f"{task}.csv").exists()
+
+
+def test_shifted_laplacian_exponent_keeps_its_type_for_library_callers():
+    for exponent in (0.25, 1e308):
+        with pytest.raises(ValueError, match="2\\*exponent"):
+            laplace_shift_power(2, exponent, 2)
+
+
+@pytest.mark.parametrize("literal", ["|xi|^0", "|xi|^-2"])
+def test_auxiliary_order_not_positive_exit_code(tmp_path, capsys, literal):
+    # the resolvent expansion needs an auxiliary symbol of positive order;
+    # order 0 divided by zero, order -2 gave a quiet -pi
+    code = run(["parametric", "--config",
+                CONFIGS / "parametric_resolvent.json", "--out", tmp_path,
+                "--set", "parametric.a=" + json.dumps({"literal": literal})])
+    assert code == 2
+    order = literal.partition("^")[2]
+    assert (f"at parametric/a: auxiliary symbol order {order} is not "
+            f"positive" in _one_config_error_line(capsys))
+    assert not (tmp_path / "parametric.csv").exists()
+
+
+def test_auxiliary_order_keeps_its_type_for_library_callers():
+    p = laplace_shift_power(2, -1.0, 2)
+    for literal in ("|xi|^0", "|xi|^-2"):
+        a = parse_symbol(literal, 2)
+        with pytest.raises(GradingError, match="not positive") as info:
+            resolvent_log_coefficient(p, a, 2)
+        assert info.value.entry == ("a",)
+        with pytest.raises(GradingError, match="not positive"):
+            resolvent_log_coefficient_closed(p, a.order, 2)
 
 
 def _edited(tmp_path, name, path, value):
@@ -395,21 +449,88 @@ def test_non_finite_number_exit_code(tmp_path, capsys, route, path, literal):
     assert not (tmp_path / "dixmier.csv").exists()
 
 
-def test_cli_runs_without_jsonschema(tmp_path):
-    # jsonschema is a test oracle only: no job imports it
+def _run_script(script):
+    """Run ``script`` in a fresh interpreter on this checkout's ``src``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(CONFIGS.parent.parent / "src"),
                       env.get("PYTHONPATH")]))
-    argv = ["residue", "--config", str(CONFIGS / "residue_torus.json"),
-            "--out", str(tmp_path)]
-    script = ("import sys\n"
-              "from ncres.cli import main\n"
-              f"assert main({argv!r}) == 0\n"
-              "assert 'jsonschema' not in sys.modules, 'jsonschema loaded'\n")
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_runs_without_jsonschema(tmp_path):
+    # jsonschema is a test oracle only: no job imports it
+    argv = ["residue", "--config", str(CONFIGS / "residue_torus.json"),
+            "--out", str(tmp_path)]
+    _run_script("import sys\n"
+                "from ncres.cli import main\n"
+                f"assert main({argv!r}) == 0\n"
+                "assert 'jsonschema' not in sys.modules, 'jsonschema loaded'\n")
+
+
+def test_symbolic_tasks_load_no_numeric_layer(tmp_path):
+    # the package, the CLI, --version and the residue and parametric tasks
+    # (a cylinder's transmission check included) run without numpy or the
+    # numeric layers; a dixmier run in the same process then loads them and
+    # writes the bytes of a process that had them from the start
+    jobs = [["residue", "--config", str(CONFIGS / "residue_torus.json")],
+            ["residue", "--config",
+             str(CONFIGS / "residue_cylinder_green.json")],
+            ["parametric", "--config",
+             str(CONFIGS / "parametric_resolvent.json")]]
+    dixmier = ["dixmier", "--config", str(CONFIGS / "dixmier_torus.json")]
+    _run_script(
+        "import contextlib, io, sys\n"
+        "numeric = ('numpy', 'ncres.spectral', 'ncres.heatzeta', "
+        "'ncres.verify')\n"
+        "def loaded():\n"
+        "    return [m for m in numeric if m in sys.modules]\n"
+        "import ncres\n"
+        "assert not loaded(), loaded()\n"
+        "from ncres.cli import main\n"
+        "assert not loaded(), loaded()\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "    try:\n"
+        "        main(['--version'])\n"
+        "    except SystemExit as exc:\n"
+        "        assert exc.code == 0, exc.code\n"
+        "assert out.getvalue().startswith('ncres '), out.getvalue()\n"
+        "assert not loaded(), loaded()\n"
+        f"for i, argv in enumerate({jobs!r}):\n"
+        f"    assert main(argv + ['--out', {str(tmp_path)!r} + f'/{{i}}'])"
+        " == 0\n"
+        "    assert not loaded(), (argv, loaded())\n"
+        f"assert main({dixmier!r} + ['--out', {str(tmp_path / 'lazy')!r}])"
+        " == 0\n"
+        "assert loaded() == ['numpy', 'ncres.spectral'], loaded()\n")
+    # this process imported every layer before its first job
+    assert run(dixmier + ["--out", tmp_path / "eager"]) == 0
+    assert ((tmp_path / "lazy" / "dixmier.csv").read_bytes()
+            == (tmp_path / "eager" / "dixmier.csv").read_bytes())
+    assert ((tmp_path / "lazy" / "dixmier.txt").read_bytes()
+            == (tmp_path / "eager" / "dixmier.txt").read_bytes())
+
+
+def test_package_names_resolve_to_their_modules():
+    # the numeric names of ncres are resolved on first access, and every
+    # name in __all__ is the object its defining module holds
+    import importlib
+    import ncres
+    for name in ncres.__all__:
+        obj = getattr(ncres, name)
+        assert obj is getattr(importlib.import_module(obj.__module__), name)
+    namespace = {}
+    exec("from ncres import *", namespace)
+    assert namespace.keys() - {"__builtins__"} == set(ncres.__all__)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        ncres.no_such_name
+    assert not hasattr(ncres, "spectrum_model")
+    _run_script("from ncres import SpectrumModel, dixmier_estimate\n"
+                "import ncres, ncres.spectral as s\n"
+                "assert SpectrumModel is s.SpectrumModel\n"
+                "assert dixmier_estimate is ncres.dixmier_estimate\n")
 
 
 def test_parser_keeps_no_state_between_runs(tmp_path):
