@@ -66,9 +66,9 @@ class HomTerm:
         x, a degree-0 term whose atoms have alpha = 0 and w = 0."""
         try:
             xi = tuple(map(float, xi))
-        except TypeError:
-            xi = None
-        if xi is None or len(xi) != self.n:
+        except TypeError:   # not a sequence of numbers
+            xi = ()
+        if len(xi) != self.n:
             raise DimensionMismatchError(
                 f"xi is not a vector of length n = {self.n}")
         r = math.hypot(*xi)
