@@ -14,9 +14,9 @@ reductions are serial, over fixed blocks in order.  ``--threads`` and the
 run; they have no effect, and the flag is parsed and dropped, never
 validated or copied into the document.
 
-Exit codes: 0 success, 2 configuration error, 3 tolerance/verification
-failure, 4 resource cap, 1 any other library error (one ``error:`` line,
-no CSV or report written).
+Exit codes: 0 success, 2 a fault of the document at its JSON path (each
+task runs in :class:`ncres.config.faults_at` at its section), 3 tolerance
+failure, 4 resource cap, 1 a program defect; one error line, no output.
 
 The numeric layers (:mod:`ncres.spectral`, :mod:`ncres.heatzeta`,
 :mod:`ncres.verify`) and numpy are imported by the ``dixmier``, ``heat``,
@@ -32,12 +32,11 @@ import sys
 from pathlib import Path
 
 from ._version import __version__
-from .config import (TASKS, _at, build_bdm, build_model, build_symbol,
+from .config import (TASKS, build_bdm, build_model, build_symbol,
                      build_t_grid, build_weight, config_hash, decode_config,
-                     validate_config)
-from .errors import (ConfigError, GradingError, IllConditionedFitError,
-                     NcresError, ResourceCapError, TailBoundError,
-                     TransmissionError)
+                     faults_at, validate_config)
+from .errors import (ConfigError, IllConditionedFitError, NcresError,
+                     ResourceCapError, TailBoundError)
 from .parametric import (resolvent_log_coefficient,
                          resolvent_log_coefficient_closed)
 from .residue import boundary_residue, dixmier_formula
@@ -118,8 +117,8 @@ def _effective_config(args):
         cfg["seed"] = args.seed
     validate_config(cfg, text, source)
     if cfg["task"] != args.task:
-        raise ConfigError(
-            f"config task {cfg['task']!r} != task argument {args.task!r}")
+        raise ConfigError(f"at task: config task {cfg['task']!r} != task "
+                          f"argument {args.task!r}")
     return cfg
 
 
@@ -136,27 +135,14 @@ def _write(out_dir, task, csv_data, report):
     sys.stdout.write(report)
 
 
-def _of_document(f, section, path):
-    """``f`` of the section's operator matrix.  On a geometry with boundary
-    an interior symbol without the transmission property has no truncation
-    P_+ in the calculus, and Dixmier's formula takes no entry off the
-    grading of order -n: faults of the document at the entry's key."""
-    A = build_bdm(section, path)
-    try:
-        return f(A)
-    except TransmissionError as exc:
-        raise ConfigError(f"{_at(path + ('p',))}{exc}") from exc
-    except GradingError as exc:
-        raise ConfigError(f"{_at(path + exc.entry)}{exc}") from exc
-
-
 def _dispatch(cfg):
     task = cfg["task"]
     out_dir, meta = _outputs(cfg)
 
     if task == "residue":
-        breakdown = _of_document(boundary_residue, cfg["residue"],
-                                 ("residue",))
+        with faults_at(("residue",)):
+            breakdown = boundary_residue(build_bdm(cfg["residue"],
+                                                   ("residue",)))
         _write(out_dir, task, writers.residue_csv(breakdown, meta),
                writers.residue_report(breakdown, meta))
         return 0
@@ -164,17 +150,15 @@ def _dispatch(cfg):
     if task == "dixmier":
         from .spectral import dixmier_estimate, enumerate_spectrum
         section = cfg["dixmier"]
-        spec = enumerate_spectrum(build_model(section["model"]))
-        try:
+        with faults_at(("dixmier",)):
+            spec = enumerate_spectrum(build_model(section["model"]))
             est = dixmier_estimate(spec, build_weight(section["weight"]))
-        except GradingError as exc:
-            # a growing or non-positive weight is outside the estimator's
-            # domain: an input error, not a failed computation
-            raise ConfigError(f"{_at(('dixmier', 'weight'))}{exc}") from exc
         ref = None
         if "formula" in section:
-            ref = _of_document(dixmier_formula, section["formula"],
-                               ("dixmier", "formula")).real
+            path = ("dixmier", "formula")
+            with faults_at(path):
+                ref = dixmier_formula(build_bdm(section["formula"],
+                                                path)).real
         _write(out_dir, task, writers.dixmier_csv(est, meta),
                writers.dixmier_report(est, meta, expected=ref))
         return 0
@@ -183,15 +167,17 @@ def _dispatch(cfg):
         from .heatzeta import fit_expansion, heat_samples
         from .spectral import enumerate_spectrum
         section = cfg["heat"]
-        spec = enumerate_spectrum(build_model(section["model"]))
-        samples = heat_samples(build_weight(section["p_weight"]),
-                               build_weight(section["a_weight"]),
-                               spec, build_t_grid(section["t_grid"]))
-        report = writers._report_head("heat", meta) + "\n"
-        if "exponents" in section:
-            fit = fit_expansion(samples, section["exponents"],
-                                section.get("log_exponents", []))
-            report += writers.fit_report(fit, meta, title="heat fit")
+        with faults_at(("heat",)):
+            spec = enumerate_spectrum(build_model(section["model"]))
+            samples = heat_samples(build_weight(section["p_weight"]),
+                                   build_weight(section["a_weight"]), spec,
+                                   build_t_grid(section["t_grid"],
+                                                ("heat", "t_grid")))
+            report = writers._report_head("heat", meta) + "\n"
+            if "exponents" in section:
+                fit = fit_expansion(samples, section["exponents"],
+                                    section.get("log_exponents", []))
+                report += writers.fit_report(fit, meta, title="heat fit")
         _write(out_dir, task, writers.heat_csv(samples, meta), report)
         return 0
 
@@ -199,14 +185,15 @@ def _dispatch(cfg):
         from .heatzeta import zeta_residue
         from .spectral import enumerate_spectrum
         section = cfg["zeta"]
-        spec = enumerate_spectrum(build_model(section["model"]))
-        result = zeta_residue(build_weight(section["p_weight"]),
-                              build_weight(section["a_weight"]),
-                              spec, section["sigma"],
-                              t_grid=build_t_grid(section["t_grid"])
-                              if "t_grid" in section else None,
-                              exponents=section.get("exponents"),
-                              log_exponents=section.get("log_exponents"))
+        with faults_at(("zeta",)):
+            spec = enumerate_spectrum(build_model(section["model"]))
+            result = zeta_residue(
+                build_weight(section["p_weight"]),
+                build_weight(section["a_weight"]), spec, section["sigma"],
+                t_grid=build_t_grid(section["t_grid"], ("zeta", "t_grid"))
+                if "t_grid" in section else None,
+                exponents=section.get("exponents"),
+                log_exponents=section.get("log_exponents"))
         report = writers._report_head("zeta", meta) + "\n"
         report += (f"  residue at s={result.sigma:g}: {result.residue!r}\n"
                    f"  entire part (diagnostic): {result.entire_part!r}\n")
@@ -217,15 +204,12 @@ def _dispatch(cfg):
     if task == "parametric":
         section = cfg["parametric"]
         n = section["dim"]
-        p = build_symbol(section["p"], n, ("parametric", "p"))
-        a = build_symbol(section["a"], n, ("parametric", "a"))
-        k = section["power"]
-        try:
+        with faults_at(("parametric",)):
+            p = build_symbol(section["p"], n, ("parametric", "p"))
+            a = build_symbol(section["a"], n, ("parametric", "a"))
+            k = section["power"]
             closed = resolvent_log_coefficient_closed(p, a.order, k)
             route = resolvent_log_coefficient(p, a, k)
-        except GradingError as exc:   # an auxiliary order <= 0, at "a"
-            raise ConfigError(
-                f"{_at(('parametric',) + exc.entry)}{exc}") from exc
         report = writers._report_head("parametric", meta) + "\n"
         report += (f"  closed form      {closed:.12g}\n"
                    f"  expansion route  {route:.12g}\n"
@@ -234,17 +218,14 @@ def _dispatch(cfg):
                writers.parametric_csv(closed, route, meta), report)
         return 0
 
-    if task == "verify":
-        from .verify import run_all
-        results, ok = run_all(seed=cfg.get("seed", 0),
-                              progress=lambda r: print(r.line(), flush=True))
-        (out_dir / "verify.csv").write_bytes(writers.verify_csv(results, meta))
-        (out_dir / "verify.txt").write_text(
-            "\n".join(r.line() for r in results) + "\n")
-        print("all checks passed" if ok else "FAILURES above", flush=True)
-        return 0 if ok else 3
-
-    raise ConfigError(f"unknown task {task!r}")
+    from .verify import run_all   # the task is verify
+    results, ok = run_all(seed=cfg.get("seed", 0),
+                          progress=lambda r: print(r.line(), flush=True))
+    (out_dir / "verify.csv").write_bytes(writers.verify_csv(results, meta))
+    (out_dir / "verify.txt").write_text(
+        "\n".join(r.line() for r in results) + "\n")
+    print("all checks passed" if ok else "FAILURES above", flush=True)
+    return 0 if ok else 3
 
 
 if __name__ == "__main__":

@@ -21,8 +21,8 @@ import json
 import math
 import re
 
-from .errors import (ConfigError, GradingError, MembershipError,
-                     RealPoleError)
+from .errors import (ConfigError, IllConditionedFitError, NcresError,
+                     ResourceCapError, TailBoundError)
 from .halfline import boundary_term, rational
 from .literals import parse_symbol
 from .residue import BdMSymbol, Cylinder, Torus
@@ -320,8 +320,8 @@ def validate_config(cfg, text="", source="<config>"):
         raise ConfigError(f"{_where(source, text, path)}at {at}: {message}")
     task = cfg["task"]
     if task != "verify" and task not in cfg:
-        raise ConfigError(f"{_where(source, text, ('task',))}missing section "
-                          f"{task!r} for the chosen task")
+        raise ConfigError(f"{_where(source, text, ('task',))}at task: missing "
+                          f"section {task!r} for the chosen task")
     return cfg
 
 
@@ -340,6 +340,26 @@ def _at(path):
     return f"at {'/'.join(map(str, path))}: "
 
 
+class faults_at:
+    """Raise a ``ValueError`` or typed library error met in the block as a
+    :class:`ConfigError` at ``path`` plus the ``entry`` the error names.
+    Passed on: a ``ConfigError``, so blocks nest and the innermost path
+    wins, resource caps, tolerance failures and a bare ``NcresError``."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, tb):
+        if isinstance(exc, (ValueError, NcresError)) and not isinstance(exc, (
+                ConfigError, ResourceCapError, TailBoundError,
+                IllConditionedFitError)) and kind is not NcresError:
+            raise ConfigError(_at(self.path + getattr(exc, "entry", ()))
+                              + str(exc)) from exc
+
+
 def build_rational(spec, path):
     """The split form: a ``poles`` list plus a ``poly`` part."""
     terms = []
@@ -347,10 +367,8 @@ def build_rational(spec, path):
         terms.append((_complex(item["pole"]), int(item.get("order", 1)),
                       _complex(item.get("coeff", 1.0))))
     poly = [_complex(c) for c in spec.get("poly", [])]
-    try:
+    with faults_at(path):
         return rational(poly, terms)
-    except RealPoleError as exc:
-        raise ConfigError(f"{_at(path)}{exc}") from exc
 
 
 def build_symbol(spec, n, path):
@@ -360,23 +378,14 @@ def build_symbol(spec, n, path):
             raise ConfigError(f"{_at(path)}shifted_laplacian_power takes no "
                               f"{extra}")
         pw = spec["shifted_laplacian_power"]
-        try:
+        with faults_at(path + ("shifted_laplacian_power", "exponent")):
             return laplace_shift_power(n, pw["exponent"], pw["depth"])
-        except ValueError as exc:   # 2*exponent off the integers
-            raise ConfigError(
-                f"{_at(path + ('shifted_laplacian_power', 'exponent'))}"
-                f"{exc}") from exc
     if "literal" not in spec:
         raise ConfigError(
             f"{_at(path)}need literal or shifted_laplacian_power")
-    return parse_symbol(spec["literal"], n, order=spec.get("order"),
-                        exact_floor=spec.get("exact_floor"))
-
-
-def build_geometry(spec):
-    if spec["kind"] == "torus":
-        return Torus(spec["dim"])
-    return Cylinder(spec["dim"])
+    with faults_at(path):
+        return parse_symbol(spec["literal"], n, order=spec.get("order"),
+                            exact_floor=spec.get("exact_floor"))
 
 
 def build_weight(spec):
@@ -392,7 +401,8 @@ def build_model(spec):
 
 
 def build_boundary_term(spec, n, kind, path):
-    b = parse_symbol(spec["b"], n - 1)
+    with faults_at(path + ("b",)):
+        b = parse_symbol(spec["b"], n - 1)
     degree = float(spec["degree"])
     comp = b.component(degree)
     if comp.is_zero:
@@ -404,49 +414,32 @@ def build_boundary_term(spec, n, kind, path):
                  for i, p in enumerate(spec["pairs"])]
     else:
         fiber = build_rational(spec["fiber"], path + ("fiber",))
-    try:
+    with faults_at(path):
         return boundary_term(comp, fiber, kind=kind, type_d=type_d)
-    except MembershipError as exc:
-        where = ("fiber",)
-        if kind == "green":   # the first pair out of its spaces, at its factor
-            i = next(i for i, (k, t) in enumerate(fiber)
-                     if not (k.is_plus and t.is_minus(type_d)))
-            where = ("pairs", i, "t" if fiber[i][0].is_plus else "k")
-        raise ConfigError(f"{_at(path + where)}{exc}") from exc
 
 
 def build_bdm(spec, path):
-    geo = build_geometry(spec["geometry"])
-    n = geo.dim
-    if geo.has_boundary and n < 2:
-        # [0, pi] alone: a boundary of points, with no cosphere and no
-        # transmission condition to check
-        raise ConfigError(f"{_at(path + ('geometry', 'dim'))}a cylinder "
-                          f"needs dim >= 2")
+    n = spec["geometry"]["dim"]
+    geo = (Torus if spec["geometry"]["kind"] == "torus" else Cylinder)(n)
     p = build_symbol(spec["p"], n, path + ("p",)) if "p" in spec else None
     s = build_symbol(spec["s"], n - 1, path + ("s",)) if "s" in spec else None
     terms = {kind: tuple(build_boundary_term(g, n, kind, path + (kind, i))
                          for i, g in enumerate(spec.get(kind, [])))
              for kind in ("green", "potential", "trace")}
-    try:
+    with faults_at(path):
         return BdMSymbol(geo, p=p, green=terms["green"],
                          potential=terms["potential"],
                          trace_terms=terms["trace"], s=s,
                          order=spec.get("order"),
                          type_d=int(spec.get("type", 0)))
-    except GradingError as exc:
-        # boundary entries on a torus are checked first, then the order
-        where = next((k for k in ("s", "green", "potential", "trace")
-                      if spec.get(k) and not geo.has_boundary), "order")
-        raise ConfigError(f"{_at(path + (where,))}{exc}") from exc
 
 
-def build_t_grid(spec):
+def build_t_grid(spec, path):
     import numpy as np
     grid = np.geomspace(spec["start"], spec["stop"], spec["points"])
     if not np.all(np.diff(grid) > 0):
         raise ConfigError(
-            f"t grid needs strictly increasing points: start {spec['start']}, "
-            f"stop {spec['stop']} and {spec['points']} points give "
-            f"{np.unique(grid).size} distinct")
+            f"{_at(path)}t grid needs strictly increasing points: start "
+            f"{spec['start']}, stop {spec['stop']} and {spec['points']} "
+            f"points give {np.unique(grid).size} distinct")
     return grid

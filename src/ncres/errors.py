@@ -2,7 +2,13 @@
 
 
 class NcresError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors.  ``entry`` is the key of the
+    input at fault within what the raiser was given, such as ``("green",
+    0)`` of an operator matrix, or ``()`` where none is named."""
+
+    def __init__(self, message, entry=()):
+        super().__init__(message)
+        self.entry = entry
 
 
 class DimensionMismatchError(NcresError):
@@ -31,13 +37,8 @@ class TransmissionError(NcresError):
 
 class GradingError(NcresError):
     """An order or type outside what an operation takes: operator-matrix
-    entries off the declared grading, or an auxiliary symbol of order <= 0;
-    ``entry`` is the key of the entry at fault, such as ``("green", 0)``,
-    where one is named."""
-
-    def __init__(self, message, entry=None):
-        super().__init__(message)
-        self.entry = entry
+    entries off the declared grading, an auxiliary symbol of order <= 0, or
+    a weight outside an estimator's domain."""
 
 
 class TailBoundError(NcresError):
@@ -61,4 +62,6 @@ class WindowError(NcresError):
 
 
 class ConfigError(NcresError):
-    """Invalid job configuration; message carries the location."""
+    """A fault of the job document, its message led by the JSON path (and
+    the file and line) where it lies; raised by :mod:`ncres.config` and
+    :mod:`ncres.cli` only."""

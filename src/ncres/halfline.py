@@ -277,12 +277,14 @@ class SGSymbol:
 def sg_symbol(pairs, type_d=0):
     """Validate memberships and build a finite-rank boundary symbol."""
     clean = []
-    for k, t in pairs:
+    for i, (k, t) in enumerate(pairs):
         if not k.is_plus:
-            raise MembershipError("left factor not in the plus space")
+            raise MembershipError("left factor not in the plus space",
+                                  ("pairs", i, "k"))
         if not t.is_minus(type_d):
             raise MembershipError(
-                f"right factor not in the minus space of type {type_d}")
+                f"right factor not in the minus space of type {type_d}",
+                ("pairs", i, "t"))
         if not k.is_zero and not t.is_zero:
             clean.append((k, t))
     return SGSymbol(tuple(clean), type_d)
@@ -360,10 +362,12 @@ def boundary_term(b, fiber, kind="green", type_d=0):
             fiber = sg_symbol(fiber, type_d)
     elif kind == "potential":
         if not fiber.is_plus:
-            raise MembershipError("potential fiber not in the plus space")
+            raise MembershipError("potential fiber not in the plus space",
+                                  ("fiber",))
     elif kind == "trace":
         if not fiber.is_minus(type_d):
-            raise MembershipError("trace fiber not in the minus space")
+            raise MembershipError("trace fiber not in the minus space",
+                                  ("fiber",))
     else:
         raise ValueError(f"unknown boundary term kind {kind!r}")
     return HomBoundaryTerm(b, fiber, kind)

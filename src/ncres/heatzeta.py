@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConfigError, IllConditionedFitError, TailBoundError,
+from .errors import (GradingError, IllConditionedFitError, TailBoundError,
                      WindowError)
 from .spectral import Spectrum, SpectralWeight, SpectrumModel, check_mode_cap
 
@@ -93,11 +93,11 @@ def heat_tail_bound(model, p_weight, a_weight, t):
 
 def _descending_grid(t_grid):
     """The t grid sorted descending; :class:`ValueError` unless it is
-    non-empty with every t finite and positive."""
+    non-empty with every t finite and >= 1e-200, so 1 / t^1.5 is finite."""
     t = np.asarray(sorted(t_grid, reverse=True), dtype=float)
-    if t.size == 0 or not np.all(np.isfinite(t) & (t > 0)):
+    if t.size == 0 or not np.all(np.isfinite(t) & (t >= 1e-200)):
         raise ValueError("t grid must be non-empty with every t finite "
-                         "and positive")
+                         "and at least 1e-200")
     return t
 
 
@@ -127,9 +127,10 @@ def heat_samples(p_weight, a_weight, spec, t_grid):
     P and A are weight functions of the eigenvalues of the enumerated
     spectrum ``spec`` (simultaneous diagonalization is assumed throughout);
     A must be affine, scale * (shift + lam) with finite shift and finite
-    scale > 0, and P finite on the spectrum, or :class:`ConfigError` is
-    raised; P multiplies ``spec.counts``, multiplicities or per-eigenvalue
-    masses.  The grid is sorted descending and must hold finite t > 0 (else
+    scale > 0, and P finite on the spectrum, or :class:`GradingError` is
+    raised at the entry ``a_weight`` or ``p_weight``; P multiplies
+    ``spec.counts``, multiplicities or per-eigenvalue masses.  The grid is
+    sorted descending and must hold finite t >= 1e-200 (else
     :class:`ValueError`); each sample carries its certified tail bound,
     which :func:`fit_expansion` requires to be negligible.  It bounds
     truncation, not rounding: at cutoff 300 on T^2 it is 6.7e-41, yet
@@ -145,16 +146,18 @@ def heat_samples(p_weight, a_weight, spec, t_grid):
     """
     finite = 0.0 < a_weight.scale < math.inf and math.isfinite(a_weight.shift)
     if a_weight.power != 1.0 or not finite:
-        raise ConfigError(
+        raise GradingError(
             f"A weight {a_weight.describe()} is not affine in the eigenvalue"
-            f": need power 1, finite shift and 0 < scale < inf")
+            f": need power 1, finite shift and 0 < scale < inf",
+            ("a_weight",))
     t_grid = _descending_grid(t_grid)
     lam = spec.values[::-1]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         pw = p_weight(lam) * spec.counts[::-1]
     if not np.all(np.isfinite(pw)):
-        raise ConfigError(
-            f"P weight {p_weight.describe()} is not finite on the spectrum")
+        raise GradingError(
+            f"P weight {p_weight.describe()} is not finite on the spectrum",
+            ("p_weight",))
     aw = a_weight(lam)
     starts = _live_starts(aw, t_grid)
     values = np.zeros(t_grid.size)
@@ -218,16 +221,25 @@ def fit_expansion(samples, exponents, log_exponents=()):
             [(float(e), True) for e in log_exponents]
 
     def solve(tt, yy):
-        cols = [tt ** e for e, lg in names if not lg] + \
-               [tt ** e * np.log(tt) for e, lg in names if lg]
-        A = np.vstack(cols).T
-        w = 1.0 / np.maximum(np.abs(yy), 1e-300)
-        Aw = A * w[:, None]
-        scal = np.linalg.norm(Aw, axis=0)
-        scal[scal == 0] = 1.0
-        coef, _, _, sv = np.linalg.lstsq(Aw / scal, yy * w, rcond=None)
-        cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf
-        resid = float(np.sqrt(np.mean((A @ (coef / scal) - yy) ** 2 * w ** 2)))
+        # squares can pass the float range: a design whose column norms
+        # overflow is refused, and an overflowing residual summed relative
+        with np.errstate(over="ignore", invalid="ignore"):
+            cols = [tt ** e for e, lg in names if not lg] + \
+                   [tt ** e * np.log(tt) for e, lg in names if lg]
+            A = np.vstack(cols).T
+            w = 1.0 / np.maximum(np.abs(yy), 1e-300)
+            Aw = A * w[:, None]
+            scal = np.linalg.norm(Aw, axis=0)
+            if not np.all(np.isfinite(scal)):
+                raise IllConditionedFitError(
+                    "design columns overflow on the t grid")
+            scal[scal == 0] = 1.0
+            coef, _, _, sv = np.linalg.lstsq(Aw / scal, yy * w, rcond=None)
+            cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf
+            r = A @ (coef / scal) - yy
+            resid = float(np.sqrt(np.mean(r ** 2 * w ** 2)))
+        if not math.isfinite(resid):
+            resid = float(np.sqrt(np.mean((r * w) ** 2)))
         return coef / scal, cond, resid
 
     coef, cond, resid = solve(t, y)
@@ -345,7 +357,7 @@ def halfspace_heat_samples(t_grid, shift=1.0):
     cylinder spectrum at cutoff jmax (past its cap, :class:`ResourceCapError`
     before any bracket is built), and :func:`heat_samples` sums them with a
     tail that bounds each bracket by ||P|| = 1.  Every t must be finite and
-    positive, or :class:`ValueError` is raised.
+    at least 1e-200, or :class:`ValueError` is raised.
     """
     t_grid = _descending_grid(t_grid)
     jmax = int(math.ceil(9.0 / math.sqrt(t_grid[-1])))

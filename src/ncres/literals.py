@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import re
 
-from .errors import ConfigError
 from .symbols import classical_symbol, hom_term
 
 _EXP_RE = re.compile(r"^exp\(\s*i\s*\*\s*[\(\[]([^\)\]]*)[\)\]]\s*\.\s*x\s*\)$")
@@ -78,11 +77,11 @@ def _split_factors(expr):
 def _parse_int_tuple(body, n, what):
     items = [s.strip() for s in body.split(",") if s.strip()]
     if len(items) != n:
-        raise ConfigError(f"{what} needs {n} entries, got {len(items)}")
+        raise ValueError(f"{what} needs {n} entries, got {len(items)}")
     try:
         return tuple(int(s) for s in items)
     except ValueError as exc:
-        raise ConfigError(f"bad integer in {what}: {body!r}") from exc
+        raise ValueError(f"bad integer in {what}: {body!r}") from exc
 
 
 def parse_atom(text, n):
@@ -93,7 +92,7 @@ def parse_atom(text, n):
     w = 0.0
     for factor in _split_factors(text):
         if not factor:
-            raise ConfigError(f"empty factor in atom {text!r}")
+            raise ValueError(f"empty factor in atom {text!r}")
         m = _EXP_RE.match(factor)
         if m:
             k = _parse_int_tuple(m.group(1), n, "frequency")
@@ -103,14 +102,14 @@ def parse_atom(text, n):
         if m:
             a = _parse_int_tuple(m.group(1), n, "multi-index")
             if any(v < 0 for v in a):
-                raise ConfigError(f"negative monomial exponent in {factor!r}")
+                raise ValueError(f"negative monomial exponent in {factor!r}")
             alpha = [x + y for x, y in zip(alpha, a)]
             continue
         m = _XI_RE.match(factor)
         if m:
             axis = int(m.group(1))
             if not 1 <= axis <= n:
-                raise ConfigError(f"xi axis {axis} out of range 1..{n}")
+                raise ValueError(f"xi axis {axis} out of range 1..{n}")
             alpha[axis - 1] += int(m.group(2) or 1)
             continue
         m = _RAD_RE.match(factor)
@@ -118,21 +117,23 @@ def parse_atom(text, n):
             try:
                 w += float(m.group(1))
             except ValueError as exc:
-                raise ConfigError(
+                raise ValueError(
                     f"bad radial exponent in {factor!r}") from exc
             continue
         try:
             coeff *= complex(factor.replace(" ", ""))
         except ValueError as exc:
-            raise ConfigError(
+            raise ValueError(
                 f"unrecognized factor {factor!r} in atom {text!r}") from exc
     return coeff, tuple(freq), tuple(alpha), w
 
 
 def parse_symbol(text, n, order=None, exact_floor=None):
-    """Parse a symbol literal into a :class:`ClassicalSymbol`."""
+    """Parse a symbol literal into a :class:`ClassicalSymbol`; a literal
+    outside the grammar, or an ``order`` or ``exact_floor`` its atoms do
+    not fit, raises :class:`ValueError`."""
     if not text.strip():
-        raise ConfigError("empty symbol literal")
+        raise ValueError("empty symbol literal")
     atoms = []
     for sign, part in _split_signed(text.strip()):
         c, k, a, w = parse_atom(part, n)
@@ -142,11 +143,8 @@ def parse_symbol(text, n, order=None, exact_floor=None):
     by_degree = {}
     for c, k, a, w in atoms:
         by_degree.setdefault(sum(a) + w, []).append((c, k, a, w))
-    try:
-        terms = [hom_term(d, n, lst) for d, lst in sorted(by_degree.items())]
-        return classical_symbol(terms, n, order=order, exact_floor=exact_floor)
-    except ValueError as exc:
-        raise ConfigError(f"bad symbol literal {text!r}: {exc}") from exc
+    terms = [hom_term(d, n, lst) for d, lst in sorted(by_degree.items())]
+    return classical_symbol(terms, n, order=order, exact_floor=exact_floor)
 
 
 def format_symbol(sym):

@@ -145,22 +145,29 @@ class BdMSymbol:
 
     def __post_init__(self):
         n = self.geometry.dim
+        if self.geometry.has_boundary and n < 2:
+            # [0, pi] alone: a boundary of points, with no cosphere
+            raise DimensionMismatchError("a cylinder needs dim >= 2",
+                                         ("geometry", "dim"))
         if self.type_d < 0:
-            raise GradingError("type must be nonnegative")
+            raise GradingError("type must be nonnegative", ("type",))
         if self.p is not None and self.p.n != n:
             raise DimensionMismatchError("interior symbol dimension mismatch")
-        if not self.geometry.has_boundary and (
-                self.green or self.potential or self.trace_terms
-                or self.s is not None):
-            raise GradingError(
-                "boundary entries on a geometry without boundary")
+        boundary = (("s", self.s), ("green", self.green),
+                    ("potential", self.potential), ("trace", self.trace_terms))
+        for key, entry in boundary:
+            if entry and not self.geometry.has_boundary:
+                raise GradingError(
+                    "boundary entries on a geometry without boundary", (key,))
         if self.order is not None:
             if self.p is not None and self.p.order != self.order:
                 raise GradingError(
-                    f"interior order {self.p.order} != declared {self.order}")
+                    f"interior order {self.p.order} != declared {self.order}",
+                    ("order",))
             for term in self.green + self.potential:
                 if term.degree > self.order + 1e-9:
-                    raise GradingError("boundary term above the declared order")
+                    raise GradingError(
+                        "boundary term above the declared order", ("order",))
         for term in self.green + self.potential + self.trace_terms:
             if term.n != n:
                 raise DimensionMismatchError(
@@ -202,12 +209,10 @@ def boundary_residue(A):
             if not report.ok:
                 raise TransmissionError(
                     f"interior symbol violates transmission at "
-                    f"(degree, alpha', k) = {report.violation}")
+                    f"(degree, alpha', k) = {report.violation}", ("p",))
         interior = wodzicki_residue(A.p, geo)
     if not geo.has_boundary:
         return ResidueBreakdown(interior, 0j, 0j, interior)
-    if n < 2:
-        raise DimensionMismatchError("boundary residue needs dim >= 2")
 
     def on_boundary(term):
         return TWO_PI * geo.boundary_integral(sphere_integrate(term, n - 1))

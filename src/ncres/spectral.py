@@ -398,27 +398,29 @@ def dixmier_estimate(spec, weight):
     operator.
 
     The weight must be positive and non-increasing from the bottom
-    eigenvalue on, or :class:`GradingError` is raised; on the ascending
-    eigenvalues it then lists the singular values in non-increasing order.
-    Its order 2 * power must be at most -dim, inside the Dixmier ideal, or
-    :class:`GradingError` is raised: above it sigma_N grows like a power
-    of N, not like ln N, and the slope means nothing.
+    eigenvalue on, or :class:`GradingError` at the entry ``weight`` is
+    raised; on the ascending eigenvalues it then lists the singular values
+    in non-increasing order.  Its order 2 * power must be at most -dim,
+    inside the Dixmier ideal, or the same error is raised: above it sigma_N
+    grows like a power of N, not like ln N, and the slope means nothing.
     The window is (max(2, n_max / 100), n_max); fewer than 100 modes hold
-    no two decades and raise :class:`WindowError`.  A slope, residual or
-    Cesaro tail that is not finite, or a slope below the rounding floor of
-    the partial sums, raises :class:`IllConditionedFitError`.
+    no two decades and raise :class:`WindowError` at the entry ``model``.
+    A non-finite slope, residual or Cesaro tail, or a slope below the
+    partial sums' rounding floor, raises :class:`IllConditionedFitError`.
     """
     if not (weight.scale > 0.0
             and weight.non_increasing(float(spec.values[0]))):
         raise GradingError(
-            "Dixmier estimation needs positive non-increasing weights")
+            "Dixmier estimation needs positive non-increasing weights",
+            ("weight",))
     if 2.0 * weight.power > -spec.model.dim:
         raise GradingError(
             f"weight of order {2.0 * weight.power:g} above -{spec.model.dim}"
-            f" is outside the Dixmier ideal: sigma_N grows like a power of N")
+            f" is outside the Dixmier ideal: sigma_N grows like a power of N",
+            ("weight",))
     n_max = int(spec.counts.sum())
     if n_max < 100:
-        raise WindowError("too few modes for a slope window")
+        raise WindowError("too few modes for a slope window", ("model",))
     n_lo = max(2, int(n_max / 10 ** 2.0))
     ns = np.unique(np.round(np.geomspace(n_lo, n_max,
                                          400)).astype(np.int64))

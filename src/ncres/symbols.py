@@ -393,15 +393,17 @@ def laplace_shift_power(n, exponent, depth):
 
     2*exponent must be an integer (a finite one: an exponent past half the
     largest float is refused too).  The result's exactness floor is the
-    lowest expanded degree (the series continues below it), except for
-    nonnegative integer exponents where the expansion terminates.
+    lowest expanded degree (the series continues below it), except for a
+    nonnegative integer exponent of at most ``depth``, where the expansion
+    terminates and the symbol is exact.
     """
     order = 2.0 * exponent
     if not math.isfinite(order) or abs(order - round(order)) > _DEG_TOL:
         raise ValueError("2*exponent must be an integer")
-    terminates = exponent >= 0 and abs(exponent - round(exponent)) < _DEG_TOL
+    terminates = (exponent >= 0 and abs(exponent - round(exponent)) < _DEG_TOL
+                  and depth >= round(exponent))
     if terminates:
-        depth = min(depth, int(round(exponent)))
+        depth = int(round(exponent))
     terms = []
     for j in range(depth + 1):
         c = _gen_binom(exponent, j)

@@ -1,23 +1,29 @@
 """Command line: config validation, artifacts, exit codes, determinism."""
 
+import contextlib
 import csv
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ncres import spectral
+from ncres import cli, spectral
 from ncres.cli import main
-from ncres.config import (build_model, build_rational, build_weight,
-                          config_hash)
+from ncres.config import (SCHEMA, build_model, build_rational,
+                          build_weight, config_hash)
 from ncres.errors import (ConfigError, DimensionMismatchError,
-                          GradingError, RealPoleError, TransmissionError)
+                          GradingError, NcresError, RealPoleError,
+                          TransmissionError)
 from ncres.halfline import rational
 from ncres.literals import parse_symbol
 from ncres.parametric import (resolvent_log_coefficient,
@@ -707,20 +713,188 @@ def test_tail_gate_exit_code_ignores_the_scale_of_p(tmp_path, scale):
     assert code == 3
 
 
-@pytest.mark.parametrize("task, cfgfile, override, message", [
-    ("dixmier", "dixmier_torus.json", "dixmier.model.cutoff=3",
-     "too few modes")])
-def test_other_library_error_exit_code(tmp_path, capsys, task, cfgfile,
-                                       override, message):
-    # a library error that is neither a config, tolerance nor resource-cap
-    # error exits 1 with one "error:" line and writes nothing
-    code = run([task, "--config", CONFIGS / cfgfile, "--out", tmp_path,
-                "--set", override])
+def test_other_library_error_exit_code(tmp_path, capsys, monkeypatch):
+    # a library error of no fault's kind is a defect of the program: it
+    # exits 1 with one "error:" line and writes nothing
+    def defect(A):
+        raise NcresError("injected defect")
+
+    monkeypatch.setattr(cli, "boundary_residue", defect)
+    code = run(["residue", "--config", CONFIGS / "residue_torus.json",
+                "--out", tmp_path])
     assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and err.count("\n") == 1
-    assert message in err
+    assert capsys.readouterr().err == "error: injected defect\n"
+    assert not (tmp_path / "residue.csv").exists()
+
+
+def _members(node, path=()):
+    """The path of every member below ``node``, depth first."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield path + (key,)
+        yield from _members(value, path + (key,))
+
+
+# "at <path>: " after the "config error: " and any "file:line: " prefix
+_AT = re.compile(r"(?:^config error: |: )at ([^ :]+): ")
+
+
+def _path_in_document(line, cfg):
+    """The one JSON path that ``line`` names, which ``cfg`` must hold."""
+    paths = _AT.findall(line)
+    assert len(paths) == 1, line
+    members = {"/".join(map(str, path)) for path in _members(cfg)}
+    assert paths[0] in members, (paths[0], line)
+    return paths[0]
+
+
+_FLOOR = {"literal": "|xi|^-1", "exact_floor": -1}
+# every fault of a document that the library finds: a literal outside the
+# grammar, or with an order or exactness floor it does not have; a t grid
+# whose points repeat; a weight outside the heat sum's domain; a window
+# too small for a fit; a component read below the exactness floor
+DOCUMENT_FAULTS = [
+    ("residue_torus.json", ("residue", "p"), {"literal": "foo"},
+     "residue/p"),
+    ("residue_cylinder_green.json", ("residue", "green", 0, "b"), "foo",
+     "residue/green/0/b"),
+    ("parametric_resolvent.json", ("parametric", "p"), {"literal": "foo"},
+     "parametric/p"),
+    ("parametric_resolvent.json", ("parametric", "a"), {"literal": "foo"},
+     "parametric/a"),
+    ("residue_torus.json", ("residue", "p"),
+     {"literal": "|xi|^-2", "order": -3}, "residue/p"),
+    ("residue_torus.json", ("residue", "p"),
+     {"literal": "|xi|^-2", "exact_floor": 0}, "residue/p"),
+    ("heat_torus.json", ("heat", "t_grid", "stop"), 0.0010000000000000002,
+     "heat/t_grid"),
+    ("heat_torus.json", ("heat", "a_weight", "power"), 2, "heat/a_weight"),
+    ("heat_torus.json", ("heat", "p_weight"),
+     {"power": -3, "shift": 1e-300}, "heat/p_weight"),
+    ("heat_torus.json", ("heat", "t_grid", "points"), 5, "heat"),
+    ("heat_torus.json", ("heat", "t_grid", "stop"), 0.002, "heat"),
+    ("dixmier_torus.json", ("dixmier", "model", "cutoff"), 3,
+     "dixmier/model"),
+    ("residue_torus.json", ("residue", "p"), _FLOOR, "residue"),
+    ("parametric_resolvent.json", ("parametric", "p"), _FLOOR, "parametric"),
+    ("residue_torus.json", ("residue", "p"),
+     {"shifted_laplacian_power": {"exponent": -0.5, "depth": 0}},
+     "residue")]
+
+
+@pytest.mark.parametrize("name, path, value, where", DOCUMENT_FAULTS,
+                         ids=["residue-literal", "green-b-literal",
+                              "parametric-p-literal", "parametric-a-literal",
+                              "literal-order", "literal-floor",
+                              "repeated-t-grid", "non-affine-a-weight",
+                              "infinite-p-weight", "heat-window-points",
+                              "heat-window-decades", "dixmier-window",
+                              "residue-below-floor", "parametric-below-floor",
+                              "shifted-power-below-floor"])
+def test_document_fault_exit_code(tmp_path, capsys, name, path, value,
+                                  where):
+    # each is one config error line at the JSON path of the entry at
+    # fault, and no CSV is written
+    task = name.partition("_")[0]
+    doc = _edited(tmp_path, name, path, value)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run([task, "--config", doc, "--out", tmp_path]) == 2
+    line = _one_config_error_line(capsys)
+    assert _path_in_document(line, json.loads(doc.read_text())) == where
     assert not (tmp_path / f"{task}.csv").exists()
+
+
+# factors of the literal grammar, a few outside it
+_FACTORS = ["2", "-1.5", "3j", "(1+2j)", "xi1", "xi2^3", "xi^(1,0)", "xi3",
+            "|xi|^-2", "|xi|^-1", "|xi|^0.5", "|xi|^-1.2.3", "exp(i*(1,0).x)",
+            "exp(i*(1).x)", "frog", ""]
+_LITERALS = st.lists(st.lists(st.sampled_from(_FACTORS), min_size=1,
+                              max_size=3).map(" * ".join),
+                     min_size=1, max_size=3).map(" + ".join)
+
+
+def _values(schema):
+    """JSON values for ``schema``, drawn by walking the keywords that the
+    validator implements, inside its bounds.  Numbers are at most 6 in
+    size, so a drawn cutoff stays far under 300 and a shifted power's
+    order under 12: the parametric composition grows about like the order
+    to the sixth, and takes 5.5 s at order 48 in dim 3."""
+    if "enum" in schema:
+        return st.sampled_from(schema["enum"])
+    if "oneOf" in schema:
+        return st.one_of([_values(sub) for sub in schema["oneOf"]])
+    kind = schema["type"]
+    if kind in ("number", "integer"):
+        exclusive = "exclusiveMinimum" in schema
+        lo = schema.get("minimum", schema.get("exclusiveMinimum", -6))
+        hi = schema.get("maximum", 6)
+        ints = st.integers(lo + exclusive, hi)
+        if kind == "integer":
+            return ints
+        # halves hit the integer ladders that shifted powers need
+        return st.one_of(ints, ints.map(lambda k: k / 2),
+                         st.floats(lo, hi, exclude_min=exclusive))
+    if kind == "string":
+        return _LITERALS
+    if kind == "array":
+        return st.lists(_values(schema["items"]),
+                        min_size=schema.get("minItems", 0),
+                        max_size=schema.get("maxItems", 2))
+    props = {key: _values(sub) for key, sub in schema["properties"].items()}
+    required = schema.get("required", [])
+    return st.fixed_dictionaries(
+        {key: props[key] for key in required},
+        optional={key: v for key, v in props.items() if key not in required})
+
+
+def _schema_at(path):
+    """The schema of the member at ``path``; None inside a complex pair."""
+    schema = SCHEMA
+    for key in path:
+        if "oneOf" in schema:
+            return None
+        schema = schema["items"] if isinstance(key, int) else \
+            schema["properties"][key]
+    return schema
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data(), name=st.sampled_from(
+    ["residue_torus.json", "residue_cylinder_green.json",
+     "parametric_resolvent.json", "heat_torus.json"]))
+def test_perturbed_document_exit_code(data, name):
+    # one value of a demo document swapped for another its schema admits:
+    # the run succeeds with finite cells, or is refused at a path of the
+    # document, for tolerance or for a resource cap; exit 1 or a traceback
+    # is a defect of the program
+    cfg = json.loads((CONFIGS / name).read_text())
+    path = data.draw(st.sampled_from(
+        [p for p in _members(cfg) if p != ("output_dir",) and _schema_at(p)]))
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = data.draw(_values(_schema_at(path)))
+    task = name.partition("_")[0]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        doc = Path(tmp) / name
+        doc.write_text(json.dumps(cfg, indent=1))
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main([task, "--config", str(doc), "--out", tmp])
+        assert code in (0, 2, 3, 4), err.getvalue()
+        if code == 0:
+            lines = [l for l in (Path(tmp) / f"{task}.csv").read_text()
+                     .splitlines() if not l.startswith("#")]
+            header, *rows = list(csv.reader(lines))
+            for row in rows:
+                for col, field in zip(header, row):
+                    assert col in TEXT_COLUMNS or math.isfinite(
+                        float(field)), (col, field)
+    if code == 2:
+        _path_in_document(err.getvalue(), cfg)
 
 
 def _formula(dim=2, **entries):

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import exp1
 
-from ncres.errors import (ConfigError, IllConditionedFitError,
+from ncres.errors import (GradingError, IllConditionedFitError,
                           ResourceCapError, TailBoundError, WindowError)
 from ncres.heatzeta import (_BLOCK, EXP_UNDERFLOW, HeatSamples,
                             _live_starts, boundary_heat_test,
@@ -183,7 +183,7 @@ def test_tail_bound_holds_or_raises(power, shift, scale, cutoff, t):
     try:
         near, bound = heat_at(pw, AW, torus(cutoff), t)
         far, _ = heat_at(pw, AW, torus(2 * cutoff), t)
-    except (TailBoundError, ConfigError):
+    except (TailBoundError, GradingError):
         return
     assert bound >= far - near - 1e-12 * abs(far)
 
@@ -198,18 +198,18 @@ def test_tail_bound_holds_or_raises(power, shift, scale, cutoff, t):
     SpectralWeight(power=1.0, shift=-math.inf),
     SpectralWeight(power=1.0, shift=1.0, scale=math.inf)])
 def test_non_affine_a_weight_rejected(a_weight):
-    with pytest.raises(ConfigError):
+    with pytest.raises(GradingError):
         heat_at(INV, a_weight, torus(20), 0.1)
 
 
 def test_boundary_heat_rejects_a_non_finite_shift():
-    with pytest.raises(ConfigError):
+    with pytest.raises(GradingError):
         boundary_heat_test(shift=math.nan)
 
 
 def test_p_weight_singular_on_spectrum_rejected():
     # (0 + lam)^-1 is infinite at the zero mode of the torus
-    with pytest.raises(ConfigError):
+    with pytest.raises(GradingError):
         heat_at(SpectralWeight(power=-1.0), AW, torus(20), 0.1)
 
 
@@ -219,8 +219,10 @@ def test_heat_samples_grid_decreasing_invariant():
 
 
 @pytest.mark.parametrize("grid", [
-    [math.nan, 0.01], [0.01, math.inf], [0.0, 0.01], [-0.01, 0.01], []])
+    [math.nan, 0.01], [0.01, math.inf], [0.0, 0.01], [-0.01, 0.01], [],
+    [5e-324, 0.01], [1e-201, 0.01]])
 def test_t_grid_outside_domain_rejected(grid):
+    # below 1e-200, 746 / t or the tail bound's 1 / t^1.5 would overflow
     with pytest.raises(ValueError):
         heat_samples(INV, AW, torus(20), grid)
     with pytest.raises(ValueError):
@@ -381,6 +383,18 @@ def test_fit_rejects_ill_conditioned():
     s = _synthetic(ts, lambda t: 1 + t)
     with pytest.raises(IllConditionedFitError):
         fit_expansion(s, [1.0, 1.0 + 1e-12], [])   # collinear columns
+
+
+def test_fit_past_the_float_range():
+    # t^-294 on a grid from 1e-3 overflows: no fit and no warning; values
+    # near 1e177 square past the range, and the residual stays relative
+    ts = np.geomspace(1e-3, 5e-2, 40)
+    with pytest.raises(IllConditionedFitError, match="overflow"):
+        fit_expansion(_synthetic(ts, lambda t: 1 + t), [0.0, -294.0])
+    fit = fit_expansion(_synthetic(ts, lambda t: 1e177 * (1 + t)),
+                        [0.0, 1.0])
+    assert fit.coefficient(1.0) == pytest.approx(1e177, rel=1e-9)
+    assert fit.residual < 1e-9
 
 
 def test_heat_log_coefficient_matches_minus_pi():

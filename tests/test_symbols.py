@@ -243,6 +243,20 @@ def test_truncation_floor_guard():
         b.component(-7)
 
 
+def test_integer_power_is_exact_only_when_fully_expanded():
+    # (1 + |xi|^2)^3 cut at depth 1 is |xi|^6 + 3|xi|^4 with the series
+    # going on below: degrees 2 and 0 are unread, not zero
+    cut = laplace_shift_power(2, 3.0, 1)
+    assert cut.exact_floor == 4
+    with pytest.raises(TruncationFloorError):
+        cut.component(2)
+    full = laplace_shift_power(2, 3.0, 3)
+    assert full.exact_floor is None
+    x, xi = (0.0, 0.0), (1.0, 0.0)
+    assert [full.component(d)(x, xi) for d in (6, 4, 2, 0)] == [1, 3, 3, 1]
+    assert full.component(-2).is_zero
+
+
 def test_multi_indices_cover():
     idx = multi_indices(3, 2)
     assert len(idx) == 6 and all(sum(a) == 2 for a in idx)
@@ -300,10 +314,9 @@ def test_parse_multi_index_and_matrix_free_coeff():
 
 
 def test_parse_errors():
-    from ncres.errors import ConfigError
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError):
         parse_symbol("xi9", 2)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError):
         parse_symbol("frog * |xi|^-2", 2)
 
 
@@ -335,8 +348,7 @@ def test_literals_and_sampling_reach_hom_term_checks(monkeypatch):
     # so both sources of outside atoms must stop at hom_term
     import ncres.symbols
     monkeypatch.setattr(ncres.symbols, "_DEG_TOL", -1.0)
-    from ncres.errors import ConfigError
-    with pytest.raises(ConfigError, match=r"\|alpha\|\+w"):
+    with pytest.raises(ValueError, match=r"\|alpha\|\+w"):
         parse_symbol("xi1 * |xi|^-3", 2)
     with pytest.raises(ValueError, match=r"\|alpha\|\+w"):
         random_symbol(np.random.default_rng(0), n=2)
