@@ -175,8 +175,10 @@ def _dispatch(cfg):
                                                 ("heat", "t_grid")))
             report = writers._report_head("heat", meta) + "\n"
             if "exponents" in section:
-                fit = fit_expansion(samples, section["exponents"],
-                                    section.get("log_exponents", []))
+                # the fit's window weighs the document's grid
+                with faults_at(("heat", "t_grid")):
+                    fit = fit_expansion(samples, section["exponents"],
+                                        section.get("log_exponents", []))
                 report += writers.fit_report(fit, meta, title="heat fit")
         _write(out_dir, task, writers.heat_csv(samples, meta), report)
         return 0

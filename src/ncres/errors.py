@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from contextlib import contextmanager
+
 
 class NcresError(Exception):
     """Base class for all library errors.  ``entry`` is the key of the
@@ -9,6 +11,17 @@ class NcresError(Exception):
     def __init__(self, message, entry=()):
         super().__init__(message)
         self.entry = entry
+
+
+@contextmanager
+def naming(entry, kind):
+    """Give an error of ``kind`` raised in the block that names no entry
+    the entry ``entry``, the key under which the raiser reads its input."""
+    try:
+        yield
+    except kind as exc:
+        exc.entry = exc.entry or entry
+        raise
 
 
 class DimensionMismatchError(NcresError):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (GradingError, IllConditionedFitError, TailBoundError,
-                     WindowError)
+                     WindowError, naming)
 from .spectral import Spectrum, SpectralWeight, SpectrumModel, check_mode_cap
 
 COND_LIMIT = 1e8
@@ -297,12 +297,15 @@ def zeta_residue(p_weight, a_weight, spec, sigma, t_grid=None,
     the fitted small-t expansion (the candidate power t^-sigma is always
     included so a regular point fits ~0, and at sigma = 0 the log slot
     t^0 ln t that holds the residue); the piece beyond t = 1 is entire and
-    only reported as a diagnostic.
+    only reported as a diagnostic.  A grid too small for the fit raises
+    :class:`WindowError` at the entry ``t_grid`` when one is given.
     """
     if not 0 <= sigma < math.inf:
         raise ValueError("only finite sigma >= 0 residues are implemented")
+    window = ("t_grid",)
     if t_grid is None:
         t_grid = np.geomspace(1e-3, 5e-2, 40)
+        window = ()   # the default grid is no input of the caller's
     samples = heat_samples(p_weight, a_weight, spec, t_grid)
     d_exps, d_logs = default_exponents(p_weight, a_weight, spec.model.dim)
     exps = list(exponents) if exponents is not None else d_exps
@@ -310,7 +313,8 @@ def zeta_residue(p_weight, a_weight, spec, sigma, t_grid=None,
     exps = sorted(set(float(e) for e in exps) | {-float(sigma)})
     if sigma == 0 and 0.0 not in logexps:
         logexps.append(0.0)
-    fit = fit_expansion(samples, exps, logexps)
+    with naming(window, WindowError):
+        fit = fit_expansion(samples, exps, logexps)
     if sigma == 0:
         residue = -fit.coefficient(0.0, log=True)
     else:

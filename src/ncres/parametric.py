@@ -21,7 +21,7 @@ which is manifestly independent of the auxiliary symbol.
 
 from __future__ import annotations
 
-from .errors import GradingError
+from .errors import GradingError, TruncationFloorError, naming
 from .residue import TWO_PI, Torus, wodzicki_residue
 from .symbols import identity_symbol, leibniz_component
 
@@ -41,7 +41,8 @@ def resolvent_log_coefficient_closed(p, ord_a, k):
     be positive (:class:`GradingError` otherwise)."""
     _check_auxiliary_order(ord_a)
     n = p.n
-    res = wodzicki_residue(p, Torus(n))
+    with naming(("p",), TruncationFloorError):
+        res = wodzicki_residue(p, Torus(n))
     return TWO_PI ** (-n) * ((-1.0) ** k / ord_a) * res
 
 
@@ -49,16 +50,17 @@ def resolvent_log_coefficient(p, a, k):
     """Composition route to the same ln lambda coefficient.
 
     Composes ``p`` with the i = 0 term (-1)^k of the resolvent power of
-    ``a``, keeping only the degree -n slot that the residue reads, and
-    returns (2pi)^(-n) res(p # (-1)^k) / ord a; an ``a`` of order <= 0
-    raises :class:`GradingError`.
+    ``a``, keeping only the x-mean of the degree -n slot, all that the
+    torus residue reads, and returns (2pi)^(-n) res(p # (-1)^k) / ord a;
+    an ``a`` of order <= 0 raises :class:`GradingError`.
     """
     if k < 1:
         raise ValueError("resolvent power k must be >= 1")
     _check_auxiliary_order(a.order)
     n = p.n
     group = identity_symbol(n).scaled((-1.0) ** k)
-    composed = leibniz_component(p, group, -n)
+    with naming(("p",), TruncationFloorError):
+        composed = leibniz_component(p, group, -n, mean=True)
     return TWO_PI ** (-n) * wodzicki_residue(composed, Torus(n)) / a.order
 
 

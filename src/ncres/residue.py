@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import (DimensionMismatchError, GradingError,
-                     TransmissionError)
+                     TransmissionError, TruncationFloorError, naming)
 from .halfline import tr_boundary_term
 from .symbols import (ClassicalSymbol, HomTerm, _trig_value,
                       sphere_integrate, transmission_check, zero_term)
@@ -210,7 +210,8 @@ def boundary_residue(A):
                 raise TransmissionError(
                     f"interior symbol violates transmission at "
                     f"(degree, alpha', k) = {report.violation}", ("p",))
-        interior = wodzicki_residue(A.p, geo)
+        with naming(("p",), TruncationFloorError):
+            interior = wodzicki_residue(A.p, geo)
     if not geo.has_boundary:
         return ResidueBreakdown(interior, 0j, 0j, interior)
 

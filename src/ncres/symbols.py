@@ -30,10 +30,16 @@ A :class:`ClassicalSymbol` is the finite family of homogeneous components
 above the floor are exactly represented (absent means exactly zero), while
 anything below is unknown and may not be read.  Compositions propagate the
 floor so that truncation garbage can never leak into a residue.
+
+A reader of one composed component asks :func:`leibniz_component` for that
+degree alone, and a torus residue, which reads only the x-mean, for its
+zero-frequency atoms alone: each atom then meets only the partner atoms
+whose frequency cancels its own.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from math import lgamma
@@ -215,6 +221,19 @@ def _product(t1, t2):
                              tuple(map(add, a1, a2)), w1 + w2)
                             for c1, k1, a1, w1 in t1.atoms
                             for c2, k2, a2, w2 in t2.atoms])
+
+
+def _mean_product(t1, t2):
+    """The zero-frequency keys of :func:`_product`, bit for bit: each atom
+    of ``t1`` meets only the atoms of ``t2`` whose frequency cancels its
+    own, in the same order."""
+    partners = {}
+    for c2, k2, a2, w2 in t2.atoms:
+        partners.setdefault(tuple(-v for v in k2), []).append((c2, a2, w2))
+    zero = (0,) * t1.n
+    return _merge_into({}, [(c1 * c2, zero, tuple(map(add, a1, a2)), w1 + w2)
+                            for c1, k1, a1, w1 in t1.atoms
+                            for c2, a2, w2 in partners.get(k1, ())])
 
 
 def _trig_value(trig, x):
@@ -404,35 +423,30 @@ def laplace_shift_power(n, exponent, depth):
                   and depth >= round(exponent))
     if terminates:
         depth = int(round(exponent))
+    # binom(exponent, j) as the running product of (exponent - i) / (i + 1)
     terms = []
+    c = 1.0
     for j in range(depth + 1):
-        c = _gen_binom(exponent, j)
+        if j:
+            c *= (exponent - (j - 1)) / j
         terms.append(radial_term(order - 2 * j, n, c))
     floor = None if terminates else order - 2 * depth
     return classical_symbol(terms, n, order=int(round(order)),
                             exact_floor=floor)
 
 
-def _gen_binom(e, j):
-    out = 1.0
-    for i in range(j):
-        out *= (e - i) / (i + 1)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # composition (Leibniz product)
 
 
+@functools.cache
 def multi_indices(n, total):
-    """All multi-indices of length n summing to ``total`` (lexicographic)."""
+    """All multi-indices of length n summing to ``total`` (lexicographic),
+    as a tuple built once per argument pair."""
     if n == 1:
-        return [(total,)]
-    out = []
-    for first in range(total, -1, -1):
-        for rest in multi_indices(n - 1, total - first):
-            out.append((first,) + rest)
-    return out
+        return ((total,),)
+    return tuple((first,) + rest for first in range(total, -1, -1)
+                 for rest in multi_indices(n - 1, total - first))
 
 
 def _derivative_table(sym, maxlen, kind):
@@ -473,19 +487,27 @@ def leibniz_compose(a, b, depth):
     return _leibniz(a, b, depth)
 
 
-def leibniz_component(a, b, degree):
+def leibniz_component(a, b, degree, mean=False):
     """``leibniz_compose(a, b, a.order + b.order - degree).component(degree)``
     bit for bit (zero above the order, ValueError off the integer ladder),
-    composing only the products of that degree."""
+    composing only the products of that degree.
+
+    With ``mean``, only the zero-frequency atoms of that component, the
+    x-mean that a torus residue reads; they too are bit for bit those of
+    the full component, since merges act per key and a key carries its
+    frequency.  Other readers (a cylinder reads every normal frequency)
+    need the full component.
+    """
     top = a.order + b.order
     depth = round(top - degree)
     if abs(top - degree - depth) > _DEG_TOL:
         raise ValueError(f"degree {degree} off the ladder below {top}")
-    return _leibniz(a, b, depth, lowest=True).component(degree)
+    return _leibniz(a, b, depth, lowest=True, mean=mean).component(degree)
 
 
-def _leibniz(a, b, depth, lowest=False):
-    """:func:`leibniz_compose`; with ``lowest``, its slot ``depth`` only."""
+def _leibniz(a, b, depth, lowest=False, mean=False):
+    """:func:`leibniz_compose`; with ``lowest``, its slot ``depth`` only,
+    and with ``mean`` as well, that slot's zero-frequency atoms only."""
     if a.n != b.n:
         raise DimensionMismatchError("composition of incompatible symbols")
     n = a.n
@@ -515,6 +537,7 @@ def _leibniz(a, b, depth, lowest=False):
     da = _derivative_table(a, depth, "xi")
     db = _derivative_table(b, depth, "x")
     fact = [math.factorial(i) for i in range(depth + 1)]
+    product = _mean_product if mean else _product
     # each product is merged, scaled and folded straight into its slot, with
     # the sums of classical_symbol over the scaled product terms
     slots = {}
@@ -523,24 +546,29 @@ def _leibniz(a, b, depth, lowest=False):
             pref = (-1j) ** total
             for d in alpha:
                 pref /= fact[d]
-            for ta in da[alpha]:
-                if ta.is_zero:
+            das, dbs = da[alpha], db[alpha]
+            if lowest:
+                # component j of d^alpha a meets the one component of
+                # d^alpha b that lands in slot depth: depth - |alpha| - j
+                pairs = [(ta, dbs[depth - total - j])
+                         for j, ta in enumerate(das)
+                         if depth - total - j < len(dbs)]
+            else:
+                pairs = [(ta, tb) for ta in das for tb in dbs]
+            for ta, tb in pairs:
+                if ta.is_zero or tb.is_zero:
                     continue
-                for tb in db[alpha]:
-                    if tb.is_zero:
-                        continue
-                    deg = ta.degree + tb.degree
-                    if deg < trunc - _DEG_TOL or (
-                            lowest and deg > trunc + _DEG_TOL):
-                        continue
-                    if floor is not None and deg < floor - _DEG_TOL:
-                        continue
-                    atoms = _drop_zeros(
-                        [(c * pref, k, al, w)
-                         for (k, al, w), c in _product(ta, tb).items()])
-                    if atoms:
-                        _merge_into(slots.setdefault(round(top - deg), {}),
-                                    atoms, fold=True)
+                deg = ta.degree + tb.degree
+                if deg < trunc - _DEG_TOL:
+                    continue
+                if floor is not None and deg < floor - _DEG_TOL:
+                    continue
+                atoms = _drop_zeros(
+                    [(c * pref, k, al, w)
+                     for (k, al, w), c in product(ta, tb).items()])
+                if atoms:
+                    _merge_into(slots.setdefault(round(top - deg), {}),
+                                atoms, fold=True)
     return _ladder_symbol(top, n, slots, floor)
 
 

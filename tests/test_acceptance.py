@@ -82,7 +82,8 @@ DEFECTS = [
     ("check_residue_closed_form", "wodzicki_residue",
      lambda f: _times(f, 1.01), {"n=2", "n=3"}),
     ("check_trace_property", "leibniz_component",
-     lambda f: lambda a, b, d: zero_term(d, a.n), {"empty products"}),
+     lambda f: lambda a, b, d, mean=False: zero_term(d, a.n),
+     {"empty products"}),
     ("check_boundary_algebra", "pi_prime", lambda f: lambda h: -f(h),
      {"half"}),
     ("check_connes_identity", "wodzicki_residue",
@@ -99,10 +100,19 @@ DEFECTS = [
      lambda f: _times(f, 1.1, "log_coefficient"), {"ln t"}),
     ("check_determinism", "heat_csv", _counting, {"two runs"}),
 ]
+DEFECT_IDS = [d[0] for d in DEFECTS]
+
+# a mean that drops every product while the full slot keeps its own: the
+# commutator reads 0, and only the check against the full slot sees it
+DEFECTS.append(
+    ("check_trace_property", "leibniz_component",
+     lambda f: lambda a, b, d, mean=False:
+     zero_term(d, a.n) if mean else f(a, b, d), {"empty products"}))
+DEFECT_IDS.append("check_trace_property-empty-mean")
 
 
 @pytest.mark.parametrize("check, callee, defect, failed", DEFECTS,
-                         ids=[d[0] for d in DEFECTS])
+                         ids=DEFECT_IDS)
 def test_defect_fails_its_legs(monkeypatch, check, callee, defect, failed):
     monkeypatch.setattr(verify, callee, defect(getattr(verify, callee)))
     assert _failed(getattr(verify, check)()) == failed

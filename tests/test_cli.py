@@ -23,12 +23,12 @@ from ncres.config import (SCHEMA, build_model, build_rational,
                           build_weight, config_hash)
 from ncres.errors import (ConfigError, DimensionMismatchError,
                           GradingError, NcresError, RealPoleError,
-                          TransmissionError)
+                          TransmissionError, TruncationFloorError)
 from ncres.halfline import rational
 from ncres.literals import parse_symbol
 from ncres.parametric import (resolvent_log_coefficient,
                               resolvent_log_coefficient_closed)
-from ncres.residue import (BdMSymbol, Cylinder, boundary_residue,
+from ncres.residue import (BdMSymbol, Cylinder, Torus, boundary_residue,
                            dixmier_formula)
 from ncres.spectral import SpectralWeight, SpectrumModel
 from ncres.symbols import laplace_shift_power
@@ -212,6 +212,19 @@ def test_auxiliary_order_keeps_its_type_for_library_callers():
         assert info.value.entry == ("a",)
         with pytest.raises(GradingError, match="not positive"):
             resolvent_log_coefficient_closed(p, a.order, 2)
+
+
+def test_read_below_floor_names_p_for_library_callers():
+    # the residue, the closed form and the composition route each read p
+    # at degree -2, below its floor
+    p = parse_symbol("|xi|^-1", 2, exact_floor=-1)
+    a = parse_symbol("|xi|^2", 2)
+    for read in (lambda: boundary_residue(BdMSymbol(Torus(2), p=p)),
+                 lambda: resolvent_log_coefficient_closed(p, a.order, 1),
+                 lambda: resolvent_log_coefficient(p, a, 1)):
+        with pytest.raises(TruncationFloorError, match="floor -1") as info:
+            read()
+        assert info.value.entry == ("p",)
 
 
 def _edited(tmp_path, name, path, value):
@@ -750,6 +763,12 @@ def _path_in_document(line, cfg):
 
 
 _FLOOR = {"literal": "|xi|^-1", "exact_floor": -1}
+# no t_grid: the default grid's 40 points are too few for 23 coefficients
+_ZETA_DEFAULT_GRID = {"model": {"kind": "torus_lattice", "dim": 2,
+                                "cutoff": 300},
+                      "p_weight": {"power": 0.0},
+                      "a_weight": {"power": 1.0, "shift": 1.0},
+                      "sigma": 1.0, "exponents": [i / 2 for i in range(20)]}
 # every fault of a document that the library finds: a literal outside the
 # grammar, or with an order or exactness floor it does not have; a t grid
 # whose points repeat; a weight outside the heat sum's domain; a window
@@ -772,15 +791,20 @@ DOCUMENT_FAULTS = [
     ("heat_torus.json", ("heat", "a_weight", "power"), 2, "heat/a_weight"),
     ("heat_torus.json", ("heat", "p_weight"),
      {"power": -3, "shift": 1e-300}, "heat/p_weight"),
-    ("heat_torus.json", ("heat", "t_grid", "points"), 5, "heat"),
-    ("heat_torus.json", ("heat", "t_grid", "stop"), 0.002, "heat"),
+    ("heat_torus.json", ("heat", "t_grid", "points"), 5, "heat/t_grid"),
+    ("heat_torus.json", ("heat", "t_grid", "stop"), 0.002, "heat/t_grid"),
     ("dixmier_torus.json", ("dixmier", "model", "cutoff"), 3,
      "dixmier/model"),
-    ("residue_torus.json", ("residue", "p"), _FLOOR, "residue"),
-    ("parametric_resolvent.json", ("parametric", "p"), _FLOOR, "parametric"),
+    ("residue_torus.json", ("residue", "p"), _FLOOR, "residue/p"),
+    ("parametric_resolvent.json", ("parametric", "p"), _FLOOR,
+     "parametric/p"),
     ("residue_torus.json", ("residue", "p"),
      {"shifted_laplacian_power": {"exponent": -0.5, "depth": 0}},
-     "residue")]
+     "residue/p"),
+    # zeta's window names its grid where the document holds one, and the
+    # section where the default grid is too small for the exponents
+    ("zeta_epstein.json", ("zeta", "t_grid", "points"), 5, "zeta/t_grid"),
+    ("zeta_epstein.json", ("zeta",), _ZETA_DEFAULT_GRID, "zeta")]
 
 
 @pytest.mark.parametrize("name, path, value, where", DOCUMENT_FAULTS,
@@ -791,7 +815,8 @@ DOCUMENT_FAULTS = [
                               "infinite-p-weight", "heat-window-points",
                               "heat-window-decades", "dixmier-window",
                               "residue-below-floor", "parametric-below-floor",
-                              "shifted-power-below-floor"])
+                              "shifted-power-below-floor",
+                              "zeta-window-points", "zeta-window-default"])
 def test_document_fault_exit_code(tmp_path, capsys, name, path, value,
                                   where):
     # each is one config error line at the JSON path of the entry at

@@ -10,7 +10,7 @@ from ncres.errors import DimensionMismatchError, TruncationFloorError
 from ncres.halfline import boundary_term, compose_kt, simple_pole
 from ncres.literals import format_symbol, parse_symbol
 from ncres.sampling import random_symbol
-from ncres.symbols import (classical_symbol, commutator, hom_term,
+from ncres.symbols import (HomTerm, classical_symbol, commutator, hom_term,
                            identity_symbol, laplace_shift_power,
                            leibniz_component, leibniz_compose,
                            multi_indices, radial_term,
@@ -257,9 +257,24 @@ def test_integer_power_is_exact_only_when_fully_expanded():
     assert full.component(-2).is_zero
 
 
+@pytest.mark.parametrize("exponent", [-1.0, -0.5, 1.5, 2.5, -3.5])
+def test_shift_power_binomials_match_product_formula_bitwise(exponent):
+    depth = 300
+    sym = laplace_shift_power(2, exponent, depth)
+    order = 2 * exponent
+    for j in range(depth + 1):
+        binom = 1.0
+        for i in range(j):
+            binom *= (exponent - i) / (i + 1)
+        ((c, *_),) = sym.component(order - 2 * j).atoms
+        assert np.complex128(c).tobytes() == np.complex128(binom).tobytes()
+
+
 def test_multi_indices_cover():
     idx = multi_indices(3, 2)
     assert len(idx) == 6 and all(sum(a) == 2 for a in idx)
+    # built once per argument pair, and immutable, so no caller can edit it
+    assert multi_indices(3, 2) is idx and isinstance(idx, tuple)
 
 
 # ---------------------------------------------------------------------------
@@ -541,6 +556,28 @@ def test_compose_matches_reference_bitwise(kind, seed):
             _assert_same_atoms(ab_slot, ab.component(degree))
             _assert_same_atoms(ab_slot - leibniz_component(b, a, degree),
                                comm.component(degree))
+
+
+def _zero_frequency(term):
+    """The atoms of ``term`` whose frequency is zero, its x-mean."""
+    return HomTerm(term.degree, term.n,
+                   tuple(atom for atom in term.atoms if not any(atom[1])))
+
+
+@pytest.mark.parametrize("kind", ["complex", "real", "signs"])
+@settings(max_examples=5, deadline=None)
+@given(seed=seeds)
+def test_mean_component_matches_full_slot_bitwise(kind, seed):
+    a, b = _symbol_pair(seed, kind)
+    # criterion 08 composes with the x-independent identity, scaled +-1
+    for x, y in ((a, b), (b, a), (a, identity_symbol(a.n).scaled(-1.0)),
+                 (identity_symbol(a.n), b)):
+        top = x.order + y.order
+        for depth in (0, 2, 5):
+            full = leibniz_compose(x, y, depth).component(top - depth)
+            mean = leibniz_component(x, y, top - depth, mean=True)
+            _assert_invariant(mean)
+            _assert_same_atoms(mean, _zero_frequency(full))
 
 
 def test_leibniz_component_typed_errors():
