@@ -20,7 +20,7 @@ from .parametric import (resolvent_log_coefficient,
                          resolvent_log_coefficient_closed)
 from .residue import (BdMSymbol, Cylinder, ResidueBreakdown, Torus,
                       boundary_residue, dixmier_formula, residue_density,
-                      wodzicki_residue)
+                      weight_operator, wodzicki_residue)
 from .symbols import (ClassicalSymbol, HomTerm, classical_symbol, commutator,
                       hom_term, identity_symbol, laplace_shift_power,
                       leibniz_component, leibniz_compose, radial_term,
@@ -54,7 +54,8 @@ __all__ = [
     "fit_expansion", "heat_samples", "zeta_residue",
     "resolvent_log_coefficient", "resolvent_log_coefficient_closed",
     "BdMSymbol", "Cylinder", "ResidueBreakdown", "Torus",
-    "boundary_residue", "residue_density", "wodzicki_residue",
+    "boundary_residue", "residue_density", "weight_operator",
+    "wodzicki_residue",
     "DixmierEstimate", "SpectralWeight", "SpectrumModel",
     "cesaro_mean", "dixmier_estimate", "dixmier_formula", "enumerate_spectrum",
     "ClassicalSymbol", "HomTerm", "classical_symbol", "commutator",

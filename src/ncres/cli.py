@@ -39,7 +39,7 @@ from .errors import (ConfigError, IllConditionedFitError, NcresError,
                      ResourceCapError, TailBoundError)
 from .parametric import (resolvent_log_coefficient,
                          resolvent_log_coefficient_closed)
-from .residue import boundary_residue, dixmier_formula
+from .residue import boundary_residue, dixmier_formula, weight_operator
 from . import writers
 
 
@@ -151,14 +151,13 @@ def _dispatch(cfg):
         from .spectral import dixmier_estimate, enumerate_spectrum
         section = cfg["dixmier"]
         with faults_at(("dixmier",)):
-            spec = enumerate_spectrum(build_model(section["model"]))
-            est = dixmier_estimate(spec, build_weight(section["weight"]))
-        ref = None
-        if "formula" in section:
-            path = ("dixmier", "formula")
-            with faults_at(path):
-                ref = dixmier_formula(build_bdm(section["formula"],
-                                                path)).real
+            model = build_model(section["model"])
+            weight = build_weight(section["weight"])
+            est = dixmier_estimate(enumerate_spectrum(model), weight)
+            # the weight's own operator, where it has order -dim
+            op = weight_operator(model, weight) \
+                if 2.0 * weight.power == -model.dim else None
+            ref = None if op is None else dixmier_formula(op).real
         _write(out_dir, task, writers.dixmier_csv(est, meta),
                writers.dixmier_report(est, meta, expected=ref))
         return 0

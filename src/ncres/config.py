@@ -112,7 +112,7 @@ _TGRID = {
     "required": ["start", "stop", "points"],
     "additionalProperties": False,
 }
-# an operator-matrix (BdM) symbol: the residue task and dixmier.formula
+# an operator-matrix (BdM) symbol, the residue task's section
 _RESIDUE = {
     "type": "object",
     "properties": {
@@ -142,7 +142,6 @@ SCHEMA = {
             "properties": {
                 "model": _MODEL,
                 "weight": _WEIGHT,
-                "formula": _RESIDUE,
             },
             "required": ["model", "weight"],
             "additionalProperties": False,

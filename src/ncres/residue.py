@@ -24,7 +24,8 @@ from .errors import (DimensionMismatchError, GradingError,
                      TransmissionError, TruncationFloorError, naming)
 from .halfline import tr_boundary_term
 from .symbols import (ClassicalSymbol, HomTerm, _trig_value,
-                      sphere_integrate, transmission_check, zero_term)
+                      laplace_shift_power, sphere_integrate,
+                      transmission_check, zero_term)
 
 TWO_PI = 2.0 * math.pi
 
@@ -245,6 +246,26 @@ def dixmier_formula(A):
     if A.geometry.has_boundary:
         total += (r.green + r.boundary_pdo) / (TWO_PI ** n * (n - 1))
     return total
+
+
+def weight_operator(model, weight):
+    """The symbol of scale * (shift + Delta)^power down to degree -dim: on
+    ``Torus(dim)`` or ``Cylinder(dim)``, scaled by the copies, for a torus
+    lattice or a Dirichlet cylinder; for a boundary lattice, the ``s`` of
+    ``Cylinder(dim + 1)`` scaled by copies / 2, one per end.  None for an
+    order 2 * power off the integer ladder, the cylinder of dim 1 (no
+    boundary torus) and an odd order on a cylinder (no transmission)."""
+    order, d = 2.0 * weight.power, model.dim
+    if not order.is_integer() or model.kind == "dirichlet_cylinder" and (
+            d < 2 or order % 2):
+        return None
+    sym = laplace_shift_power(d, weight.power,
+                              max(0, math.ceil((order + d) / 2)), weight.shift)
+    if model.kind == "boundary_lattice":
+        return BdMSymbol(Cylinder(d + 1),
+                         s=sym.scaled(weight.scale * model.copies / 2))
+    geometry = Torus(d) if model.kind == "torus_lattice" else Cylinder(d)
+    return BdMSymbol(geometry, p=sym.scaled(weight.scale * model.copies))
 
 
 def _validate_dixmier_grading(A, n):

@@ -406,9 +406,10 @@ def identity_symbol(n):
     return classical_symbol([radial_term(0.0, n)], n)
 
 
-def laplace_shift_power(n, exponent, depth):
-    """Symbol of (1 - Delta)^exponent on the n-torus: the binomial expansion
-    of (1 + |xi|^2)^exponent into degrees 2*exponent - 2j, j <= depth.
+def laplace_shift_power(n, exponent, depth, shift=1.0):
+    """Symbol of (shift - Delta)^exponent on the n-torus: the binomial
+    expansion of (shift + |xi|^2)^exponent into degrees 2*exponent - 2j,
+    j <= depth, with coefficients binom(exponent, j) * shift^j.
 
     2*exponent must be an integer (a finite one: an exponent past half the
     largest float is refused too).  The result's exactness floor is the
@@ -429,7 +430,7 @@ def laplace_shift_power(n, exponent, depth):
     for j in range(depth + 1):
         if j:
             c *= (exponent - (j - 1)) / j
-        terms.append(radial_term(order - 2 * j, n, c))
+        terms.append(radial_term(order - 2 * j, n, c * shift ** j))
     floor = None if terminates else order - 2 * depth
     return classical_symbol(terms, n, order=int(round(order)),
                             exact_floor=floor)

@@ -86,10 +86,13 @@ DEFECTS = [
      {"empty products"}),
     ("check_boundary_algebra", "pi_prime", lambda f: lambda h: -f(h),
      {"half"}),
-    ("check_connes_identity", "wodzicki_residue",
-     lambda f: _times(f, 1.03), {"residue"}),
-    ("check_boundary_dixmier", "dixmier_formula", lambda f: _times(f, 1.01),
-     {"cylinder formula", "circles formula", "green"}),
+    # each Dixmier leg reads its expected value off dixmier_formula of the
+    # weight's operator; the cylinder's slope sits 2.97% from 1.03 pi/2,
+    # inside its 3% gate
+    ("check_connes_identity", "dixmier_formula",
+     lambda f: _times(f, 1.03), {"estimate"}),
+    ("check_boundary_dixmier", "dixmier_formula", lambda f: _times(f, 1.03),
+     {"circles", "green"}),
     ("check_heat_log_coefficient", "heat_samples",
      lambda f: _times(f, 1.1, "values"), {"ln t"}),
     ("check_zeta_residues", "zeta_residue",
@@ -109,6 +112,13 @@ DEFECTS.append(
      lambda f: lambda a, b, d, mean=False:
      zero_term(d, a.n) if mean else f(a, b, d), {"empty products"}))
 DEFECT_IDS.append("check_trace_property-empty-mean")
+
+# the heat and zeta legs read their expected values off boundary_residue of
+# the weight's operator
+DEFECTS.append(
+    ("check_zeta_residues", "boundary_residue",
+     lambda f: _times(f, 1.03, "total"), {"s=1", "s=0"}))
+DEFECT_IDS.append("check_zeta_residues-derived")
 
 
 @pytest.mark.parametrize("check, callee, defect, failed", DEFECTS,

@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from ncres import cli, spectral
 from ncres.cli import main
-from ncres.config import (SCHEMA, build_model, build_rational,
+from ncres.config import (SCHEMA, build_bdm, build_model, build_rational,
                           build_weight, config_hash)
 from ncres.errors import (ConfigError, DimensionMismatchError,
                           GradingError, NcresError, RealPoleError,
@@ -403,15 +403,13 @@ def test_override_error_names_the_config_file(tmp_path, capsys):
 PATH_DOCUMENTS = [
     ("dixmier", ['{',
                  '  "task": "dixmier",',
+                 '  "residue": {"geometry": {"kind": "torus", "dim": 2}},',
                  '  "dixmier": {',
-                 '    "model": {"kind": "torus_lattice", "dim": 2, '
-                 '"cutoff": 800},',
                  '    "weight": {"power": -1.0, "shift": 1.0},',
-                 '    "formula": {',
-                 '      "geometry": {"kind": "moebius", "dim": 2}',
-                 '    }',
+                 '    "model": {"dim": 2, "cutoff": 800,',
+                 '              "kind": "moebius"}',
                  '  }',
-                 '}'], "7: at dixmier/formula/geometry/kind:"),
+                 '}'], "7: at dixmier/model/kind:"),
     ("residue", ['{',
                  '  "task": "residue",',
                  '  "residue": {',
@@ -591,27 +589,60 @@ def test_flag_misuse_exit_code(tmp_path, capsys, argv):
 @pytest.mark.parametrize("formula", [
     "{}",
     '{"geometry": {"kind": "torus", "dim": 2}, "p": {"literal": 5}}',
-    '{"geometry": {"kind": "torus", "dim": 2}, "q": {"literal": "1"}}'])
-def test_dixmier_formula_validated_as_residue(tmp_path, capsys, formula):
+    '{"geometry": {"kind": "torus", "dim": 2}, "q": {"literal": "1"}}',
+    '{"geometry": {"kind": "torus", "dim": 2}, "p": {"literal": "|xi|^-2"}}'])
+def test_dixmier_formula_is_refused(tmp_path, capsys, formula):
+    # the reference is derived from the weight; the section that restated
+    # the weight's operator is gone, and a document that keeps it is
+    # refused, not read with the key ignored
     code = run(["dixmier", "--config", CONFIGS / "dixmier_torus.json",
                 "--out", tmp_path, "--set", f"dixmier.formula={formula}"])
     assert code == 2
-    assert "dixmier/formula" in _one_config_error_line(capsys)
+    assert "at dixmier: additional properties ['formula'] not allowed" in \
+        _one_config_error_line(capsys)
     assert not (tmp_path / "dixmier.csv").exists()
 
 
 def test_dixmier_report_with_formula_is_written_once(tmp_path, capsys):
-    formula = '{"geometry": {"kind": "torus", "dim": 2}, ' \
-              '"p": {"literal": "|xi|^-2"}}'
+    # the formula's reference, derived from the weight, is one line
     code = run(["dixmier", "--config", CONFIGS / "dixmier_torus.json",
-                "--out", tmp_path, "--set", "dixmier.model.cutoff=300",
-                "--set", f"dixmier.formula={formula}"])
+                "--out", tmp_path, "--set", "dixmier.model.cutoff=300"])
     assert code == 0
     for report in (capsys.readouterr().out,
                    (tmp_path / "dixmier.txt").read_text()):
         lines = report.splitlines()
         assert sum(l.lstrip().startswith("slope estimate") for l in lines) == 1
         assert sum(l.lstrip().startswith("reference") for l in lines) == 1
+
+
+@pytest.mark.parametrize("overrides, reference", [
+    ([], math.pi),
+    (["dixmier.weight.scale=2.5"], 2.5 * math.pi),
+    (["dixmier.model.kind=boundary_lattice", "dixmier.model.dim=1",
+      "dixmier.model.copies=2", "dixmier.model.cutoff=10000",
+      "dixmier.weight.power=-0.5"], 4.0),
+    (["dixmier.model.kind=dirichlet_cylinder", "dixmier.model.dim=1",
+      "dixmier.model.cutoff=10000", "dixmier.weight.power=-0.5"], None),
+    (["dixmier.model.kind=dirichlet_cylinder", "dixmier.model.dim=3",
+      "dixmier.model.cutoff=40", "dixmier.weight.power=-1.5"], None),
+    (["dixmier.weight.power=-1.5"], None)],
+    ids=["torus", "scale", "circles", "cylinder-dim1", "cylinder-odd",
+         "trace-class"])
+def test_dixmier_reference_from_the_weight(tmp_path, overrides, reference):
+    # the reference is Dixmier's formula of the weight's own operator where
+    # its order is -dim and the calculus holds that operator
+    argv = ["dixmier", "--config", CONFIGS / "dixmier_torus.json",
+            "--out", tmp_path, "--set", "dixmier.model.cutoff=300"]
+    for item in overrides:
+        argv += ["--set", item]
+    assert run(argv) == 0
+    found = re.findall(r"^  reference\s+(\S+) ",
+                       (tmp_path / "dixmier.txt").read_text(), re.M)
+    if reference is None:
+        assert found == []
+    else:
+        assert [float(v) for v in found] == [pytest.approx(reference,
+                                                           rel=1e-9)]
 
 
 def test_builders_leave_defaults_to_the_dataclasses():
@@ -922,12 +953,6 @@ def test_perturbed_document_exit_code(data, name):
         _path_in_document(err.getvalue(), cfg)
 
 
-def _formula(dim=2, **entries):
-    """A --set of dixmier.formula: these entries on the cylinder."""
-    return "dixmier.formula=" + json.dumps(
-        {"geometry": {"kind": "cylinder", "dim": dim}, **entries})
-
-
 def _boundary_term(degree, part, **extra):
     """A boundary term of ``degree`` with its fiber ``part``."""
     return {"degree": degree, "b": f"|xi|^{degree}", **part, **extra}
@@ -940,53 +965,23 @@ _PAIR = {"pairs": [{"k": _UPPER, "t": _LOWER}]}
     ("residue", "residue_cylinder_green.json",
      'residue.p={"literal": "|xi|^-3", "order": -3}', "residue/p",
      "interior symbol violates transmission"),
-    ("dixmier", "dixmier_torus.json",
-     'dixmier.formula={"geometry": {"kind": "cylinder", "dim": 2}, '
-     '"p": {"literal": "|xi|^-2 + |xi|^-3"}}', "dixmier/formula/p",
-     "interior symbol violates transmission"),
     ("residue", "residue_cylinder_green.json", "residue.order=7",
      "residue/order", "interior order -2 != declared 7"),
     ("residue", "residue_torus.json", "residue.order=7", "residue/order",
      "interior order -2 != declared 7"),
     ("residue", "residue_torus.json", 'residue.s={"literal": "|xi|^-1"}',
      "residue/s", "boundary entries on a geometry without boundary"),
-    ("dixmier", "dixmier_torus.json", _formula(p={"literal": "|xi|^-3"}),
-     "dixmier/formula/p", "interior symbol order -3 != -2"),
-    ("dixmier", "dixmier_torus.json", _formula(s={"literal": "|xi|^-2"}),
-     "dixmier/formula/s", "boundary symbol order -2 != -1"),
-    ("dixmier", "dixmier_torus.json", _formula(type=1),
-     "dixmier/formula/type", "Dixmier trace needs type 0"),
-    ("dixmier", "dixmier_torus.json",
-     _formula(green=[_boundary_term(-2, _PAIR), _boundary_term(-1, _PAIR)]),
-     "dixmier/formula/green/1", "singular Green term above order -n"),
-    ("dixmier", "dixmier_torus.json",
-     _formula(green=[_boundary_term(-2, _PAIR, type=1)]),
-     "dixmier/formula/green/0", "singular Green term must have type 0"),
-    ("dixmier", "dixmier_torus.json",
-     _formula(potential=[_boundary_term(-2, {"fiber": _UPPER}),
-                         _boundary_term(-1, {"fiber": _UPPER})]),
-     "dixmier/formula/potential/1", "potential term above order -n"),
-    ("dixmier", "dixmier_torus.json",
-     _formula(trace=[_boundary_term(0, {"fiber": _LOWER})]),
-     "dixmier/formula/trace/0", "trace term above order -n+1"),
-    ("dixmier", "dixmier_torus.json",
-     _formula(dim=1, p={"literal": "|xi|^-1"}),
-     "dixmier/formula/geometry/dim", "a cylinder needs dim >= 2"),
     ("residue", "residue_torus.json",
      'residue.geometry={"kind": "cylinder", "dim": 1}',
      "residue/geometry/dim", "a cylinder needs dim >= 2")],
-    ids=["transmission", "formula-transmission", "order", "order-torus",
-         "boundary-on-torus", "formula-p-order", "formula-s-order",
-         "formula-type", "formula-green-order", "formula-green-type",
-         "formula-potential-order", "formula-trace-order",
-         "formula-cylinder-dim1", "cylinder-dim1"])
+    ids=["transmission", "order", "order-torus", "boundary-on-torus",
+         "cylinder-dim1"])
 def test_operator_grading_fault_exit_code(tmp_path, capsys, task, cfgfile,
                                           override, where, message):
     # a p without the transmission property on a cylinder, a declared order
-    # the symbols do not have, boundary entries on a torus, an entry of
-    # Dixmier's formula off the grading of order -n, or a cylinder with no
-    # boundary torus: faults of the document at their path, not of the
-    # program
+    # the symbols do not have, boundary entries on a torus, or a cylinder
+    # with no boundary torus: faults of the document at their path, not of
+    # the program
     code = run([task, "--config", CONFIGS / cfgfile, "--out", tmp_path,
                 "--set", override])
     assert code == 2
@@ -1006,8 +1001,37 @@ def test_operator_grading_fault_keeps_its_type_for_library_callers():
     with pytest.raises(GradingError, match="order -3 != -2") as info:
         dixmier_formula(BdMSymbol(Cylinder(2), p=bad))
     assert info.value.entry == ("p",)
-    with pytest.raises(DimensionMismatchError, match="dim >= 2"):
-        boundary_residue(BdMSymbol(Cylinder(1)))
+    with pytest.raises(DimensionMismatchError, match="dim >= 2") as info:
+        boundary_residue(BdMSymbol(Cylinder(1), p=parse_symbol("|xi|^-1", 1)))
+    assert info.value.entry == ("geometry", "dim")
+
+
+@pytest.mark.parametrize("entries, error, entry, message", [
+    ({"p": {"literal": "|xi|^-2 + |xi|^-3"}}, TransmissionError, ("p",),
+     "interior symbol violates transmission"),
+    ({"p": {"literal": "|xi|^-3"}}, GradingError, ("p",),
+     "interior symbol order -3 != -2"),
+    ({"s": {"literal": "|xi|^-2"}}, GradingError, ("s",),
+     "boundary symbol order -2 != -1"),
+    ({"type": 1}, GradingError, ("type",), "Dixmier trace needs type 0"),
+    ({"green": [_boundary_term(-2, _PAIR), _boundary_term(-1, _PAIR)]},
+     GradingError, ("green", 1), "singular Green term above order -n"),
+    ({"green": [_boundary_term(-2, _PAIR, type=1)]}, GradingError,
+     ("green", 0), "singular Green term must have type 0"),
+    ({"potential": [_boundary_term(-2, {"fiber": _UPPER}),
+                    _boundary_term(-1, {"fiber": _UPPER})]},
+     GradingError, ("potential", 1), "potential term above order -n"),
+    ({"trace": [_boundary_term(0, {"fiber": _LOWER})]}, GradingError,
+     ("trace", 0), "trace term above order -n+1")],
+    ids=["transmission", "p-order", "s-order", "type", "green-order",
+         "green-type", "potential-order", "trace-order"])
+def test_dixmier_grading_names_its_entry(entries, error, entry, message):
+    # Dixmier's formula of an operator off the grading of order -n names
+    # the entry at fault, as the residue task's document would
+    A = build_bdm({"geometry": {"kind": "cylinder", "dim": 2}, **entries}, ())
+    with pytest.raises(error, match=re.escape(message)) as info:
+        dixmier_formula(A)
+    assert info.value.entry == entry
 
 
 def test_zeta_at_zero_without_log_slots(tmp_path):

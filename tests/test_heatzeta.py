@@ -17,6 +17,7 @@ from ncres.heatzeta import (_BLOCK, EXP_UNDERFLOW, HeatSamples,
                             default_exponents, fit_expansion,
                             halfspace_heat_samples, heat_samples,
                             zeta_residue)
+from ncres.residue import TWO_PI, boundary_residue, weight_operator
 from ncres.spectral import (Spectrum, SpectralWeight, SpectrumModel,
                             dixmier_estimate, enumerate_spectrum)
 
@@ -402,6 +403,25 @@ def test_heat_log_coefficient_matches_minus_pi():
     fit = fit_expansion(heat_samples(INV, AW, torus(300), grid),
                         [0.0, 0.5, 1.0, 1.5, 2.0], [0.0, 1.0])
     assert fit.coefficient(0.0, log=True) == pytest.approx(-PI, rel=0.02)
+
+
+def test_shifted_weight_log_coefficient_matches_its_operator():
+    # P = (2 + Delta)^(-1/2) on T^3: the ln t coefficient reads the j = 1
+    # binomial -1/2 times the shift 2, +2 pi, where a shift-1 operator
+    # would give pi
+    model = SpectrumModel("torus_lattice", 3, 200)
+    p = SpectralWeight(power=-0.5, shift=2.0)
+    fit = fit_expansion(heat_samples(p, AW, enumerate_spectrum(model),
+                                     np.geomspace(1e-3, 5e-2, 40)),
+                        np.arange(-1.0, 2.25, 0.5), [0.0, 1.0])
+
+    def log_t(weight):
+        op = weight_operator(model, weight)
+        return -boundary_residue(op).total.real / (2.0 * TWO_PI ** 3)
+
+    assert log_t(p) == pytest.approx(2 * PI, rel=1e-14)
+    assert log_t(SpectralWeight(power=-0.5, shift=1.0)) == pytest.approx(PI)
+    assert fit.coefficient(0.0, log=True) == pytest.approx(log_t(p), rel=1e-3)
 
 
 @pytest.mark.parametrize("scale", [1e-15, 1e-9, 1.0, 1e15])

@@ -14,7 +14,8 @@ from ncres.errors import (DimensionMismatchError, GradingError,
                           IllConditionedFitError, ModelError,
                           ResourceCapError, TransmissionError, WindowError)
 from ncres.halfline import boundary_term, compose_kt, sg_symbol, simple_pole
-from ncres.residue import BdMSymbol, Cylinder, Torus, dixmier_formula
+from ncres.residue import (BdMSymbol, Cylinder, Torus, dixmier_formula,
+                           weight_operator)
 from ncres import spectral
 from ncres.spectral import (Spectrum, SpectralWeight, SpectrumModel,
                             cesaro_mean, cylinder_from_torus,
@@ -688,6 +689,50 @@ def test_dixmier_formula_values():
     assert dixmier_formula(Ac) == pytest.approx(PI / 2)
     Ab = BdMSymbol(Cylinder(2), s=classical_symbol([radial_term(-1.0, 1)], 1))
     assert dixmier_formula(Ab) == pytest.approx(4.0)
+
+
+@pytest.mark.parametrize("model, weight, geometry, entry, value", [
+    (SpectrumModel("torus_lattice", 2, 9, copies=3),
+     SpectralWeight(-1.0, 1.0, 2.0), Torus(2), "p", 6 * PI),
+    (SpectrumModel("torus_lattice", 3, 9), SpectralWeight(-1.5, 1.0),
+     Torus(3), "p", 4 * PI / 3),
+    (SpectrumModel("dirichlet_cylinder", 2, 9), SpectralWeight(-1.0),
+     Cylinder(2), "p", PI / 2),
+    (SpectrumModel("boundary_lattice", 1, 9, copies=2),
+     SpectralWeight(-0.5, 1.0), Cylinder(2), "s", 4.0),
+    (SpectrumModel("boundary_lattice", 1, 9), SpectralWeight(-0.5, 1.0),
+     Cylinder(2), "s", 2.0),
+    (SpectrumModel("boundary_lattice", 2, 9, copies=2),
+     SpectralWeight(-1.0, 1.0), Cylinder(3), "s", 2 * PI)],
+    ids=["torus", "torus-dim3", "cylinder", "circles", "one-circle",
+         "boundary-dim2"])
+def test_weight_operator_states_the_weight(model, weight, geometry, entry,
+                                           value):
+    # a lattice's weight is an interior symbol of its geometry; a boundary
+    # lattice's is the s entry of the cylinder it bounds, two copies of it
+    # being the cylinder's two ends
+    op = weight_operator(model, weight)
+    assert op.geometry == geometry
+    assert (op.p is None, op.s is None) == (entry == "s", entry == "p")
+    assert dixmier_formula(op) == pytest.approx(value, rel=1e-14)
+
+
+def test_weight_operator_reaches_degree_minus_dim_or_is_absent():
+    t3 = SpectrumModel("torus_lattice", 3, 9)
+    # (2 + |xi|^2)^(-1/2): degrees -1 and -3, the binomial -1/2 times 2
+    p = weight_operator(t3, SpectralWeight(-0.5, 2.0)).p
+    assert p.exact_floor == -3
+    assert p.component(-3).atoms[0][0] == -1.0
+    # order -2 meets no degree -3: expanded past it, to an empty slot
+    p = weight_operator(t3, SpectralWeight(-1.0, 1.0)).p
+    assert p.exact_floor == -4 and p.component(-3).is_zero
+    for model, weight in [
+            # no boundary torus, no transmission for an odd order, and an
+            # order off the integer ladder
+            (SpectrumModel("dirichlet_cylinder", 1, 9), SpectralWeight(-0.5)),
+            (SpectrumModel("dirichlet_cylinder", 3, 9), SpectralWeight(-1.5)),
+            (SpectrumModel("torus_lattice", 2, 9), SpectralWeight(-0.75))]:
+        assert weight_operator(model, weight) is None
 
 
 def test_dixmier_formula_linearity_positivity():

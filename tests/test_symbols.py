@@ -259,15 +259,25 @@ def test_integer_power_is_exact_only_when_fully_expanded():
 
 @pytest.mark.parametrize("exponent", [-1.0, -0.5, 1.5, 2.5, -3.5])
 def test_shift_power_binomials_match_product_formula_bitwise(exponent):
+    # slot 2j of (shift + |xi|^2)^exponent is binom(exponent, j) shift^j;
+    # the default shift and shift 1 give the binomials themselves, bit for
+    # bit (binom * 1.0 is binom)
     depth = 300
-    sym = laplace_shift_power(2, exponent, depth)
     order = 2 * exponent
-    for j in range(depth + 1):
-        binom = 1.0
-        for i in range(j):
-            binom *= (exponent - i) / (i + 1)
-        ((c, *_),) = sym.component(order - 2 * j).atoms
-        assert np.complex128(c).tobytes() == np.complex128(binom).tobytes()
+    for shift in (None, 0.0, 1.0, 2.0):
+        sym = laplace_shift_power(2, exponent, depth) if shift is None \
+            else laplace_shift_power(2, exponent, depth, shift)
+        for j in range(depth + 1):
+            binom = 1.0
+            for i in range(j):
+                binom *= (exponent - i) / (i + 1)
+            want = binom if shift is None else binom * shift ** j
+            atoms = sym.component(order - 2 * j).atoms
+            if want == 0.0:   # shift 0 keeps |xi|^(2 exponent) alone
+                assert atoms == () and j > 0
+                continue
+            ((c, *_),) = atoms
+            assert np.complex128(c).tobytes() == np.complex128(want).tobytes()
 
 
 def test_multi_indices_cover():
