@@ -971,17 +971,22 @@ _PAIR = {"pairs": [{"k": _UPPER, "t": _LOWER}]}
      "interior order -2 != declared 7"),
     ("residue", "residue_torus.json", 'residue.s={"literal": "|xi|^-1"}',
      "residue/s", "boundary entries on a geometry without boundary"),
+    ("dixmier", "dixmier_torus.json",
+     'dixmier.formula={"geometry": {"kind": "cylinder", "dim": 1}, '
+     '"p": {"literal": "|xi|^-1"}}',
+     "dixmier", "additional properties ['formula'] not allowed"),
     ("residue", "residue_torus.json",
      'residue.geometry={"kind": "cylinder", "dim": 1}',
      "residue/geometry/dim", "a cylinder needs dim >= 2")],
     ids=["transmission", "order", "order-torus", "boundary-on-torus",
-         "cylinder-dim1"])
+         "formula-cylinder-dim1", "cylinder-dim1"])
 def test_operator_grading_fault_exit_code(tmp_path, capsys, task, cfgfile,
                                           override, where, message):
     # a p without the transmission property on a cylinder, a declared order
-    # the symbols do not have, boundary entries on a torus, or a cylinder
-    # with no boundary torus: faults of the document at their path, not of
-    # the program
+    # the symbols do not have, boundary entries on a torus, a cylinder with
+    # no boundary torus, or a Dixmier formula section (the reference is
+    # derived from the weight): faults of the document at their path, not
+    # of the program
     code = run([task, "--config", CONFIGS / cfgfile, "--out", tmp_path,
                 "--set", override])
     assert code == 2
