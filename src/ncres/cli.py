@@ -39,7 +39,8 @@ from .errors import (ConfigError, IllConditionedFitError, NcresError,
                      ResourceCapError, TailBoundError)
 from .parametric import (resolvent_log_coefficient,
                          resolvent_log_coefficient_closed)
-from .residue import boundary_residue, dixmier_formula, weight_operator
+from .residue import (boundary_residue, dixmier_formula, heat_log_reference,
+                      weight_operator, zeta_reference)
 from . import writers
 
 
@@ -167,9 +168,9 @@ def _dispatch(cfg):
         from .spectral import enumerate_spectrum
         section = cfg["heat"]
         with faults_at(("heat",)):
-            spec = enumerate_spectrum(build_model(section["model"]))
-            samples = heat_samples(build_weight(section["p_weight"]),
-                                   build_weight(section["a_weight"]), spec,
+            model = build_model(section["model"])
+            p, a = (build_weight(section[k]) for k in ("p_weight", "a_weight"))
+            samples = heat_samples(p, a, enumerate_spectrum(model),
                                    build_t_grid(section["t_grid"],
                                                 ("heat", "t_grid")))
             report = writers._report_head("heat", meta) + "\n"
@@ -179,6 +180,12 @@ def _dispatch(cfg):
                     fit = fit_expansion(samples, section["exponents"],
                                         section.get("log_exponents", []))
                 report += writers.fit_report(fit, meta, title="heat fit")
+                # the ln t coefficient that P's own operator derives
+                ref = heat_log_reference(model, p, a)
+                if ref is not None and (0.0, True) in fit.coefficients:
+                    report += writers.reference_line(
+                        "ln t reference", fit.coefficient(0.0, log=True),
+                        ref) + "\n"
         _write(out_dir, task, writers.heat_csv(samples, meta), report)
         return 0
 
@@ -187,17 +194,21 @@ def _dispatch(cfg):
         from .spectral import enumerate_spectrum
         section = cfg["zeta"]
         with faults_at(("zeta",)):
-            spec = enumerate_spectrum(build_model(section["model"]))
+            model = build_model(section["model"])
+            p, a = (build_weight(section[k]) for k in ("p_weight", "a_weight"))
             result = zeta_residue(
-                build_weight(section["p_weight"]),
-                build_weight(section["a_weight"]), spec, section["sigma"],
+                p, a, enumerate_spectrum(model), section["sigma"],
                 t_grid=build_t_grid(section["t_grid"], ("zeta", "t_grid"))
                 if "t_grid" in section else None,
                 exponents=section.get("exponents"),
                 log_exponents=section.get("log_exponents"))
+            ref = zeta_reference(model, p, a, result.sigma)
         report = writers._report_head("zeta", meta) + "\n"
         report += (f"  residue at s={result.sigma:g}: {result.residue!r}\n"
                    f"  entire part (diagnostic): {result.entire_part!r}\n")
+        if ref is not None:
+            report += writers.reference_line("reference", result.residue,
+                                             ref) + "\n"
         report += writers.fit_report(result.fit, meta, title="zeta fit")
         _write(out_dir, task, writers.zeta_csv(result, meta), report)
         return 0

@@ -22,11 +22,11 @@ import math
 import re
 
 from .errors import (ConfigError, IllConditionedFitError, NcresError,
-                     ResourceCapError, TailBoundError)
+                     ResourceCapError, TailBoundError, naming)
 from .halfline import boundary_term, rational
 from .literals import parse_symbol
 from .residue import BdMSymbol, Cylinder, Torus
-from .symbols import laplace_shift_power
+from .symbols import check_symbol_cap, laplace_shift_power
 
 TASKS = ("residue", "dixmier", "heat", "zeta", "parametric", "verify")
 
@@ -343,7 +343,9 @@ class faults_at:
     """Raise a ``ValueError`` or typed library error met in the block as a
     :class:`ConfigError` at ``path`` plus the ``entry`` the error names.
     Passed on: a ``ConfigError``, so blocks nest and the innermost path
-    wins, resource caps, tolerance failures and a bare ``NcresError``."""
+    wins, tolerance failures and a bare ``NcresError``.  A resource cap
+    keeps its type and is placed at ``path`` plus its entry, once: the
+    placed error's entry is None."""
 
     def __init__(self, path):
         self.path = path
@@ -352,6 +354,9 @@ class faults_at:
         return self
 
     def __exit__(self, kind, exc, tb):
+        if isinstance(exc, ResourceCapError) and exc.entry is not None:
+            raise ResourceCapError(_at(self.path + exc.entry) + str(exc),
+                                   None) from exc
         if isinstance(exc, (ValueError, NcresError)) and not isinstance(exc, (
                 ConfigError, ResourceCapError, TailBoundError,
                 IllConditionedFitError)) and kind is not NcresError:
@@ -377,12 +382,17 @@ def build_symbol(spec, n, path):
             raise ConfigError(f"{_at(path)}shifted_laplacian_power takes no "
                               f"{extra}")
         pw = spec["shifted_laplacian_power"]
-        with faults_at(path + ("shifted_laplacian_power", "exponent")):
+        at = path + ("shifted_laplacian_power",)
+        with faults_at(at):
+            # 2 * exponent stays exact for an int of any size
+            check_symbol_cap(2 * pw["exponent"], pw["depth"] + 1,
+                             ("exponent",), ("depth",))
+        with faults_at(at + ("exponent",)):
             return laplace_shift_power(n, pw["exponent"], pw["depth"])
     if "literal" not in spec:
         raise ConfigError(
             f"{_at(path)}need literal or shifted_laplacian_power")
-    with faults_at(path):
+    with faults_at(path), naming(("literal",), ResourceCapError):
         return parse_symbol(spec["literal"], n, order=spec.get("order"),
                             exact_floor=spec.get("exact_floor"))
 

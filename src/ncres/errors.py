@@ -6,11 +6,19 @@ from contextlib import contextmanager
 class NcresError(Exception):
     """Base class for all library errors.  ``entry`` is the key of the
     input at fault within what the raiser was given, such as ``("green",
-    0)`` of an operator matrix, or ``()`` where none is named."""
+    0)`` of an operator matrix, or ``()`` where none is named; None once
+    the document layer has placed the error at its JSON path."""
 
     def __init__(self, message, entry=()):
         super().__init__(message)
         self.entry = entry
+
+
+def sci(n):
+    """``n`` as d.dde+x for a message, exact for an int of any size, which
+    a float cast would overflow; decimal is imported only on this path."""
+    from decimal import Decimal
+    return f"{Decimal(n):.2e}"
 
 
 @contextmanager

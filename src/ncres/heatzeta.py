@@ -379,7 +379,7 @@ def halfspace_heat_samples(t_grid, shift=1.0):
     ball = lam <= jmax * jmax
     masses = np.bincount(lam[ball], weights=G[ball])
     m = np.flatnonzero(masses)
-    spec = Spectrum(m.astype(float), masses[m], model)
+    spec = Spectrum(m.astype(np.int32), masses[m], model)
     return heat_samples(SpectralWeight(power=0.0),
                         SpectralWeight(power=1.0, shift=shift), spec, t_grid)
 

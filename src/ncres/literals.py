@@ -21,9 +21,10 @@ The same grammar, with n = 1 frequencies/monomials, serves boundary symbols.
 
 from __future__ import annotations
 
+import math
 import re
 
-from .symbols import classical_symbol, hom_term
+from .symbols import check_symbol_cap, classical_symbol, hom_term
 
 _EXP_RE = re.compile(r"^exp\(\s*i\s*\*\s*[\(\[]([^\)\]]*)[\)\]]\s*\.\s*x\s*\)$")
 _XI_RE = re.compile(r"^xi(\d+)(?:\^(\d+))?$")
@@ -119,6 +120,9 @@ def parse_atom(text, n):
             except ValueError as exc:
                 raise ValueError(
                     f"bad radial exponent in {factor!r}") from exc
+            if not math.isfinite(w):
+                raise ValueError(f"radial exponent in {factor!r} passes "
+                                 f"the float range")
             continue
         try:
             coeff *= complex(factor.replace(" ", ""))
@@ -131,7 +135,10 @@ def parse_atom(text, n):
 def parse_symbol(text, n, order=None, exact_floor=None):
     """Parse a symbol literal into a :class:`ClassicalSymbol`; a literal
     outside the grammar, or an ``order`` or ``exact_floor`` its atoms do
-    not fit, raises :class:`ValueError`."""
+    not fit, raises :class:`ValueError`.  A symbol past the caps of
+    :func:`check_symbol_cap` raises :class:`ResourceCapError` before it is
+    built, at the entry ``order`` or ``exact_floor`` where that sets it,
+    else at none (the literal)."""
     if not text.strip():
         raise ValueError("empty symbol literal")
     atoms = []
@@ -143,6 +150,12 @@ def parse_symbol(text, n, order=None, exact_floor=None):
     by_degree = {}
     for c, k, a, w in atoms:
         by_degree.setdefault(sum(a) + w, []).append((c, k, a, w))
+    top = max(by_degree) if order is None else order
+    low = min(by_degree)
+    floored = exact_floor is not None and exact_floor < low
+    check_symbol_cap(top, top - (exact_floor if floored else low) + 1,
+                     () if order is None else ("order",),
+                     ("exact_floor",) if floored else ())
     terms = [hom_term(d, n, lst) for d, lst in sorted(by_degree.items())]
     return classical_symbol(terms, n, order=order, exact_floor=exact_floor)
 

@@ -18,12 +18,12 @@ the boundary, the cosphere is S^0, the two points +-1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import (DimensionMismatchError, GradingError,
                      TransmissionError, TruncationFloorError, naming)
 from .halfline import tr_boundary_term
-from .symbols import (ClassicalSymbol, HomTerm, _trig_value,
+from .symbols import (ORDER_CAP, ClassicalSymbol, HomTerm, _trig_value,
                       laplace_shift_power, sphere_integrate,
                       transmission_check, zero_term)
 
@@ -254,18 +254,52 @@ def weight_operator(model, weight):
     lattice or a Dirichlet cylinder; for a boundary lattice, the ``s`` of
     ``Cylinder(dim + 1)`` scaled by copies / 2, one per end.  None for an
     order 2 * power off the integer ladder, the cylinder of dim 1 (no
-    boundary torus) and an odd order on a cylinder (no transmission)."""
+    boundary torus), an odd order on a cylinder (no transmission), and
+    where no symbol under the caps states it: an order past ``ORDER_CAP``,
+    or a shift whose powers pass the float range."""
     order, d = 2.0 * weight.power, model.dim
-    if not order.is_integer() or model.kind == "dirichlet_cylinder" and (
-            d < 2 or order % 2):
+    if not order.is_integer() or abs(order) > ORDER_CAP or \
+            model.kind == "dirichlet_cylinder" and (d < 2 or order % 2):
         return None
-    sym = laplace_shift_power(d, weight.power,
-                              max(0, math.ceil((order + d) / 2)), weight.shift)
+    try:
+        sym = laplace_shift_power(d, weight.power,
+                                  max(0, math.ceil((order + d) / 2)),
+                                  weight.shift)
+    except OverflowError:
+        return None
     if model.kind == "boundary_lattice":
         return BdMSymbol(Cylinder(d + 1),
                          s=sym.scaled(weight.scale * model.copies / 2))
     geometry = Torus(d) if model.kind == "torus_lattice" else Cylinder(d)
     return BdMSymbol(geometry, p=sym.scaled(weight.scale * model.copies))
+
+
+def heat_log_reference(model, p, a):
+    """The ln t coefficient of Tr P e^(-tA) that P's operator derives,
+    -res P / (ord A (2 pi)^n), for the weights P and A (A affine) on
+    ``model``; None where :func:`weight_operator` states no operator for P
+    or the value is not finite."""
+    op = weight_operator(model, p)
+    if op is None:
+        return None
+    value = -boundary_residue(op).total.real / (
+        2.0 * a.power * TWO_PI ** op.geometry.dim)
+    return value if math.isfinite(value) else None
+
+
+def zeta_reference(model, p, a, sigma):
+    """The residue of Tr P A^-s at s = sigma: minus the ln t coefficient
+    of the one weight P A^-sigma, which exists where P is constant or
+    shares A's shift; None elsewhere, as :func:`heat_log_reference`."""
+    if p.power != 0.0 and p.shift != a.shift:
+        return None
+    try:
+        pa = replace(p, power=p.power - sigma * a.power, shift=a.shift,
+                     scale=p.scale * a.scale ** -sigma)
+    except OverflowError:
+        return None
+    value = heat_log_reference(model, pa, a)
+    return None if value is None else -value
 
 
 def _validate_dixmier_grading(A, n):

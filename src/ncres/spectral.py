@@ -2,18 +2,21 @@
 
 Model spectra (torus lattices, Dirichlet cylinders, boundary lattices) are
 enumerated exhaustively up to a cutoff and aggregated by eigenvalue into
-arrays (values, multiplicities) ordered by ascending eigenvalue, float64
-and int32.  The plane is counted one cache-sized block of eigenvalues at a
-time, its octant with the axes and diagonals, and in dim 2 each block's
-nonzero entries are gathered before the next is counted, so no table is
-held beside the spectrum; dim 3 sums the plane into one int32 table of
-space.  Only tori are counted: :func:`cylinder_from_torus` derives the
-Dirichlet cylinder of dim 1-3 from its torus in place, as half the points
-off the hyperplane j = 0.  Every enumeration is bounded by one constant,
-``MODE_CAP`` modes, checked on the model before anything is allocated.
-Partial sums sigma_N (one pass over the same blocks), logarithmic Cesaro
-means and the Dixmier trace estimator operate on those arrays and a weight
-passed with them.
+arrays (values, multiplicities) ordered by ascending eigenvalue.  Each
+eigenvalue is held as the exact integer it is: int32 values and int32
+counts, 8 B per eigenvalue, except that a 1-D lattice whose R^2 passes
+2^31 - 1 (R > 46340) holds int64 values, 12 B.  A weight converts them to
+float64 once, exact below 2^53.  The plane is counted one cache-sized
+block of eigenvalues at a time, its octant with the axes and diagonals,
+and in dim 2 each block's nonzero entries are gathered before the next is
+counted, so no table is held beside the spectrum; dim 3 sums the plane
+into one int32 table of space.  Only tori are counted:
+:func:`cylinder_from_torus` derives the Dirichlet cylinder of dim 1-3 from
+its torus in place, as half the points off the hyperplane j = 0.  Every
+enumeration is bounded by one constant, ``MODE_CAP`` modes, checked on the
+model before anything is allocated.  Partial sums sigma_N (one pass over
+the same blocks), logarithmic Cesaro means and the Dixmier trace estimator
+operate on those arrays and a weight passed with them.
 
 The estimator reports the least-squares slope of sigma_N against ln N over
 the top two decades of N.  Because sigma_N = C ln N + const + o(1) for the
@@ -32,13 +35,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (GradingError, IllConditionedFitError, ModelError,
-                     ResourceCapError, WindowError)
+                     ResourceCapError, WindowError, sci)
 
 # the most modes an enumeration may hold.  Its longest array then has at
 # most MODE_CAP + 1 entries: the R + 1 modes of a dim-1 cylinder's torus,
 # or the dim-2 outputs, at most R^2 + 1 <= 1.5e8 long (the cylinder at
-# R = 12247).  And MODE_CAP < 2^31, so no multiplicity, times its copies,
-# overflows the int32 counts
+# R = 12247), so every eigenvalue of dims 2-3 fits int32.  And MODE_CAP <
+# 2^31, so no multiplicity, times its copies, overflows the int32 counts
 MODE_CAP = 300_000_000
 
 
@@ -55,10 +58,14 @@ class SpectralWeight:
     scale: float = 1.0
 
     def __call__(self, lam):
-        lam = np.asarray(lam, dtype=float)
+        x = np.asarray(lam, dtype=float)
         # in place: temporaries of the spectrum's size would land in the
-        # malloc heap and stay resident after the caller frees them
-        out = self.shift + lam
+        # malloc heap and stay resident after the caller frees them.  An
+        # integer spectrum's float copy, made here, is worked in too
+        if x is lam or x.ndim == 0:
+            out = self.shift + x
+        else:
+            out = np.add(self.shift, x, out=x)
         out **= self.power
         out *= self.scale
         return out
@@ -103,7 +110,11 @@ class SpectrumModel:
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Aggregated model spectrum, sorted by ascending eigenvalue."""
+    """Aggregated model spectrum, sorted by ascending eigenvalue.
+
+    An enumerated spectrum holds its eigenvalues as exact integers, int32
+    (int64 for a 1-D lattice past R = 46340), beside int32 counts: 8 B per
+    eigenvalue.  Its consumers read them through a weight, in float64."""
 
     values: np.ndarray   # base eigenvalues, strictly increasing
     # multiplicities, or non-negative per-eigenvalue masses of an
@@ -113,10 +124,11 @@ class Spectrum:
 
 
 def check_mode_cap(model):
-    """Raise :class:`ResourceCapError` when the modes of the box around the
-    enumerated ball exceed ``MODE_CAP``; the estimate is an exact int for
-    any cutoff, from floor(cutoff) as enumeration counts.  Under the cap
-    every multiplicity fits the int32 counts."""
+    """Raise :class:`ResourceCapError` at the entry ``model`` when the
+    modes of the box around the enumerated ball exceed ``MODE_CAP``; the
+    estimate is an exact int for any cutoff, from floor(cutoff) as
+    enumeration counts.  Under the cap every multiplicity fits the int32
+    counts."""
     r = math.floor(model.cutoff)
     d = model.dim
     if model.kind in ("torus_lattice", "boundary_lattice"):
@@ -127,14 +139,7 @@ def check_mode_cap(model):
         raise ValueError(f"unknown model kind {model.kind!r}")
     if est > MODE_CAP:
         raise ResourceCapError(
-            f"~{_sci(est)} modes exceed the cap {_sci(MODE_CAP)}")
-
-
-def _sci(n):
-    """``n`` as d.dde+x, exact for an int of any size, which a float cast
-    would overflow; decimal is imported only on this error path."""
-    from decimal import Decimal
-    return f"{Decimal(n):.2e}"
+            f"~{sci(est)} modes exceed the cap {sci(MODE_CAP)}", ("model",))
 
 
 # eigenvalues per block of the plane count, the gather and the partial
@@ -208,15 +213,19 @@ def _space_counts(plane, sq):
 
 def _lattice(dim, cutoff):
     """The torus Z^dim below the cutoff as (values, counts): the eigenvalues
-    |k|^2 <= floor(cutoff)^2, ascending float64, and their int32
-    multiplicities.  It checks no cap."""
+    |k|^2 <= floor(cutoff)^2, ascending exact integers, and their int32
+    multiplicities.  The values are int32 (in dim 1 while R^2 < 2^31, int64
+    past it).  It checks no cap."""
     R = int(cutoff)
     if dim == 1:
-        # eigenvalues k^2 indexed directly; the dense eigenvalue-indexed
-        # array would be quadratic in the cutoff
-        ks = np.arange(0, R + 1)
-        values = (ks * ks).astype(float)
-        return values, np.where(ks == 0, 1, 2).astype(np.int32)
+        # eigenvalues k^2 indexed directly, squared in place; the dense
+        # eigenvalue-indexed array would be quadratic in the cutoff
+        values = np.arange(R + 1,
+                           dtype=np.int32 if R * R < 2 ** 31 else np.int64)
+        values *= values
+        counts = np.full(R + 1, 2, dtype=np.int32)
+        counts[0] = 1
+        return values, counts
     if dim not in (2, 3):
         raise ValueError("lattice counting implemented for dim <= 3")
     R2 = R * R
@@ -233,7 +242,7 @@ def _lattice(dim, cutoff):
     # the nonzero entries of each block while it is in cache; the outputs
     # grow in place past an estimate that falls short (realloc remaps a
     # large block without copying its pages) and end exact
-    values = np.empty(size)
+    values = np.empty(size, dtype=np.int32)
     counts = np.empty(size, dtype=np.int32)
     k = 0
     for a, blk in blocks:

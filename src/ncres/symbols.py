@@ -45,7 +45,8 @@ from dataclasses import dataclass
 from math import lgamma
 from operator import add
 
-from .errors import DimensionMismatchError, TruncationFloorError
+from .errors import (DimensionMismatchError, ResourceCapError,
+                     TruncationFloorError, sci)
 
 _DEG_TOL = 1e-9
 
@@ -250,6 +251,30 @@ def zero_term(degree, n):
 
 def _drop_zeros(atoms):
     return tuple(atom for atom in atoms if atom[0] != 0)
+
+
+# the largest |order| of a symbol that a document states, and the most
+# homogeneous components it may store (its order minus its lowest stored
+# degree, plus one).  In dim 3 the parametric task composes down to degree
+# -3 at a cost that grows about like the order to the sixth (a shifted
+# Laplacian power: 0.47 s at order 19, 0.93 s at 21, 4.4 s at 29), while a
+# stored component costs it about 20 us (19 ms for 1025 components)
+ORDER_CAP = 20
+COMPONENT_CAP = 1024
+
+
+def check_symbol_cap(order, components, order_entry=(), components_entry=()):
+    """Raise :class:`ResourceCapError` before a symbol is built: at
+    ``order_entry`` when |order| passes ``ORDER_CAP``, else at
+    ``components_entry`` when it would store more than ``COMPONENT_CAP``
+    components.  Ints are compared exactly, so no size overflows.  An
+    infinite order is no size but a fault that the builder reports."""
+    if ORDER_CAP < abs(order) != math.inf:
+        raise ResourceCapError(f"symbol order {sci(order)} is past the cap "
+                               f"{ORDER_CAP}", order_entry)
+    if not components <= COMPONENT_CAP:
+        raise ResourceCapError(f"~{sci(components)} symbol components exceed"
+                               f" the cap {COMPONENT_CAP}", components_entry)
 
 
 def radial_term(degree, n, coeff=1.0):

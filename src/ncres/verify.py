@@ -27,8 +27,8 @@ from .heatzeta import boundary_heat_test, fit_expansion, heat_samples, \
     zeta_residue
 from .parametric import heat_log_coefficient_from_resolvent, \
     resolvent_log_coefficient, resolvent_log_coefficient_closed
-from .residue import TWO_PI, BdMSymbol, Cylinder, Torus, boundary_residue, \
-    dixmier_formula, weight_operator, wodzicki_residue
+from .residue import BdMSymbol, Cylinder, Torus, dixmier_formula, \
+    heat_log_reference, weight_operator, wodzicki_residue, zeta_reference
 from .sampling import random_minus_fn, random_plus_fn, random_sg, random_symbol
 from .spectral import SpectralWeight, SpectrumModel, cylinder_from_torus, \
     dixmier_estimate, enumerate_spectrum
@@ -105,20 +105,6 @@ _A = SpectralWeight(power=1.0, shift=1.0)
 
 def _dixmier(model, weight):
     return dixmier_formula(weight_operator(model, weight)).real
-
-
-def _log_t(model, p, a=_A):
-    """The ln t coefficient of Tr P e^(-tA): -res P / (ord A (2 pi)^n)."""
-    op = weight_operator(model, p)
-    return -boundary_residue(op).total.real / (
-        2.0 * a.power * TWO_PI ** op.geometry.dim)
-
-
-def _zeta(model, p, sigma, a=_A):
-    """The residue of Tr P A^-s at sigma, minus the ln t coefficient of
-    P A^-sigma (P constant or sharing A's shift)."""
-    return -_log_t(model, SpectralWeight(p.power - sigma * a.power, a.shift,
-                                         p.scale * a.scale ** -sigma), a)
 
 
 def check_residue_closed_form():
@@ -230,9 +216,9 @@ def check_boundary_dixmier(spectra=None):
                        trace_terms=(tterm,))
     return CheckResult(
         "boundary_dixmier",
-        "cylinder 3%, boundary circles 2% against the residue, green term "
-        "2 at 1e-12, k/t inert", [
-            Leg("cylinder", est_c.slope, _dixmier(cyl, w_c), "rel", 0.03),
+        "cylinder 0.5%, boundary circles 2% against the residue, green "
+        "term 2 at 1e-12, k/t inert", [
+            Leg("cylinder", est_c.slope, _dixmier(cyl, w_c), "rel", 0.005),
             Leg("circles", est_b.slope, _dixmier(circles, w_b), "rel", 0.02),
             Leg("green", f_g, 2.0, "abs", 1e-12),
             Leg("k/t inert", dixmier_formula(A_pert), dixmier_formula(A_c),
@@ -253,7 +239,8 @@ def check_heat_log_coefficient(spectra=None):
                             exps, logs)
         coeffs.append(fit.coefficient(0.0, log=True))
     return CheckResult("heat_log_coefficient", "2%; shift invariance 0.5%", [
-        Leg("ln t", coeffs[0], _log_t(_HEAT_TORUS, _INV_SHIFTED), "rel", 0.02),
+        Leg("ln t", coeffs[0],
+            heat_log_reference(_HEAT_TORUS, _INV_SHIFTED, _A), "rel", 0.02),
         Leg("shift", coeffs[1], coeffs[0], "rel", 0.005)])
 
 
@@ -269,9 +256,10 @@ def check_zeta_residues(spectra=None):
                       exponents=[0.0, 0.5, 1.0, 1.5, 2.0],
                       log_exponents=[0.0, 1.0])
     return CheckResult("zeta_residues", "s=1 1%; s=0 2%", [
-        Leg("s=1", z1.residue, _zeta(_HEAT_TORUS, one, 1.0), "rel", 0.01),
-        Leg("s=0", z0.residue, _zeta(_HEAT_TORUS, _INV_SHIFTED, 0.0), "rel",
-            0.02)])
+        Leg("s=1", z1.residue, zeta_reference(_HEAT_TORUS, one, _A, 1.0),
+            "rel", 0.01),
+        Leg("s=0", z0.residue, zeta_reference(_HEAT_TORUS, _INV_SHIFTED, _A,
+                                              0.0), "rel", 0.02)])
 
 
 def check_parametric_routes(seed=0):
@@ -300,8 +288,8 @@ def check_parametric_routes(seed=0):
         "parametric_routes",
         "route agreement 1e-8; residue loop 1e-8",
         [Leg("routes", worst, 0.0, "abs", 1e-8),
-         Leg("residue loop", c, _log_t(_HEAT_TORUS, _INV_SHIFTED), "rel",
-             1e-8)])
+         Leg("residue loop", c,
+             heat_log_reference(_HEAT_TORUS, _INV_SHIFTED, _A), "rel", 1e-8)])
 
 
 def check_boundary_heat():
@@ -312,7 +300,8 @@ def check_boundary_heat():
     # cutoff, and the half-space picks its own
     cyl = SpectrumModel("dirichlet_cylinder", 2, 1)
     return CheckResult("boundary_heat_log", "5%", [
-        Leg("ln t", c, _log_t(cyl, _INV_SHIFTED), "rel", 0.05)])
+        Leg("ln t", c, heat_log_reference(cyl, _INV_SHIFTED, _A), "rel",
+            0.05)])
 
 
 def check_determinism():

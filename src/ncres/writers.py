@@ -88,9 +88,17 @@ def dixmier_report(est, meta, expected=None):
                  f"(drift over top decade {est.cesaro_drift:.3e})")
     lines.append(f"  omega consistent {est.omega_consistent}")
     if expected is not None:
-        rel = abs(est.slope - expected) / abs(expected)
-        lines.append(f"  reference        {expected:.10g} (rel dev {rel:.2e})")
+        lines.append(reference_line("reference", est.slope, expected))
     return "\n".join(lines) + "\n"
+
+
+def reference_line(label, value, expected):
+    """The report line of a derived ``expected`` value and the deviation of
+    ``value`` from it, relative, or absolute where ``expected`` is 0."""
+    dev, kind = abs(value - expected), "abs"
+    if expected != 0:
+        dev, kind = dev / abs(expected), "rel"
+    return f"  {label:<16} {expected:.10g} ({kind} dev {dev:.2e})"
 
 
 def heat_csv(samples, meta):

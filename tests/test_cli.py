@@ -31,7 +31,7 @@ from ncres.parametric import (resolvent_log_coefficient,
 from ncres.residue import (BdMSymbol, Cylinder, Torus, boundary_residue,
                            dixmier_formula)
 from ncres.spectral import SpectralWeight, SpectrumModel
-from ncres.symbols import laplace_shift_power
+from ncres.symbols import COMPONENT_CAP, ORDER_CAP, laplace_shift_power
 
 CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
@@ -645,6 +645,54 @@ def test_dixmier_reference_from_the_weight(tmp_path, overrides, reference):
                                                            rel=1e-9)]
 
 
+# the bench's reader of the heat report's ln t coefficient
+_HEAT_LOG = re.compile(r"^\s*t\^0 \* ln t\s+(\S+)\s*$", re.M)
+
+
+@pytest.mark.parametrize("task, doc, overrides, label, reference, gate", [
+    ("heat", "heat_torus", [], "ln t reference", -math.pi, 0.02),
+    ("zeta", "zeta_epstein", [], "reference", math.pi, 0.01),
+    ("heat", "heat_torus", ["heat.model.kind=dirichlet_cylinder"],
+     "ln t reference", -math.pi / 2, 0.02),
+    ("zeta", "zeta_epstein",
+     ["zeta.p_weight={\"power\": -1, \"shift\": 1}", "zeta.sigma=0",
+      "zeta.exponents=[0, 0.5, 1, 1.5, 2]", "zeta.log_exponents=[0, 1]"],
+     "reference", math.pi, 0.02),
+    # no line: P neither constant nor sharing A's shift, no ln t slot, and
+    # no operator for the Dirichlet cylinder of dim 1
+    ("zeta", "zeta_epstein", ["zeta.p_weight={\"power\": -1, \"shift\": 2}"],
+     "reference", None, None),
+    ("heat", "heat_torus", ["heat.log_exponents=[1.0]"], "ln t reference",
+     None, None),
+    ("heat", "heat_torus", ["heat.model.kind=dirichlet_cylinder",
+                            "heat.model.dim=1", "heat.model.cutoff=3000",
+                            "heat.p_weight.power=-0.5"],
+     "ln t reference", None, None)],
+    ids=["heat", "zeta", "heat-cylinder", "zeta-s0", "zeta-other-shift",
+         "heat-no-log-slot", "heat-cylinder-dim1"])
+def test_heat_and_zeta_reports_state_their_reference(
+        tmp_path, task, doc, overrides, label, reference, gate):
+    # the value that P's own operator derives, and the deviation of the
+    # fitted ln t coefficient or residue from it, on one line where the map
+    # holds that operator; the CSV is the parent's, and the heat report's
+    # ln t coefficient stays the one line the benchmark reads
+    argv = [task, "--config", CONFIGS / f"{doc}.json", "--out", tmp_path]
+    for item in overrides:
+        argv += ["--set", item]
+    assert run(argv) == 0
+    report = (tmp_path / f"{task}.txt").read_text()
+    found = re.findall(rf"^  {label}\s+(\S+) \(rel dev (\S+)\)$", report,
+                       re.M)
+    if reference is None:
+        assert found == [] and "dev" not in report
+        return
+    (value, dev), = found
+    if task == "heat":
+        assert len(_HEAT_LOG.findall(report)) == 1
+    assert float(value) == pytest.approx(reference, rel=1e-9)
+    assert 0 < float(dev) <= gate
+
+
 def test_builders_leave_defaults_to_the_dataclasses():
     assert build_weight({}) == SpectralWeight()
     assert build_weight({"power": -1, "shift": 2.0}) == \
@@ -691,7 +739,8 @@ def test_dim1_array_cap_with_huge_mode_cap(tmp_path, capsys):
                 "--set", "dixmier.model.cutoff=1e300"])
     assert code == 4
     err = capsys.readouterr().err.splitlines()
-    assert err == ["resource cap: ~2.00e+300 modes exceed the cap 3.00e+8"]
+    assert err == ["resource cap: at dixmier/model: ~2.00e+300 modes "
+                   "exceed the cap 3.00e+8"]
     assert not (tmp_path / "dixmier.csv").exists()
 
 
@@ -835,7 +884,11 @@ DOCUMENT_FAULTS = [
     # zeta's window names its grid where the document holds one, and the
     # section where the default grid is too small for the exponents
     ("zeta_epstein.json", ("zeta", "t_grid", "points"), 5, "zeta/t_grid"),
-    ("zeta_epstein.json", ("zeta",), _ZETA_DEFAULT_GRID, "zeta")]
+    ("zeta_epstein.json", ("zeta",), _ZETA_DEFAULT_GRID, "zeta"),
+    # a radial exponent past the float range: a fault, not an order past
+    # the symbol cap
+    ("residue_torus.json", ("residue", "p"), {"literal": "|xi|^-" + "9" * 400},
+     "residue/p")]
 
 
 @pytest.mark.parametrize("name, path, value, where", DOCUMENT_FAULTS,
@@ -847,7 +900,8 @@ DOCUMENT_FAULTS = [
                               "heat-window-decades", "dixmier-window",
                               "residue-below-floor", "parametric-below-floor",
                               "shifted-power-below-floor",
-                              "zeta-window-points", "zeta-window-default"])
+                              "zeta-window-points", "zeta-window-default",
+                              "literal-infinite-degree"])
 def test_document_fault_exit_code(tmp_path, capsys, name, path, value,
                                   where):
     # each is one config error line at the JSON path of the entry at
@@ -862,6 +916,47 @@ def test_document_fault_exit_code(tmp_path, capsys, name, path, value,
     assert not (tmp_path / f"{task}.csv").exists()
 
 
+# a symbol past a cap: its order (twice a shifted power's exponent, a
+# literal's order or degree), or the components it would store (a shifted
+# power's depth, a literal's span down to its exactness floor or lowest
+# degree), each refused before any work at its JSON path
+SYMBOL_CAPS = [
+    ("parametric_resolvent.json", ("parametric", "p"),
+     {"shifted_laplacian_power": {"exponent": ORDER_CAP / 2 + 1,
+                                  "depth": 2}},
+     "parametric/p/shifted_laplacian_power/exponent"),
+    ("parametric_resolvent.json", ("parametric", "a"),
+     {"literal": "|xi|^2", "order": ORDER_CAP + 1}, "parametric/a/order"),
+    ("residue_torus.json", ("residue", "p"),
+     {"literal": f"|xi|^{-ORDER_CAP - 1}"}, "residue/p/literal"),
+    ("parametric_resolvent.json", ("parametric", "p"),
+     {"shifted_laplacian_power": {"exponent": -1.0, "depth": 10 ** 9}},
+     "parametric/p/shifted_laplacian_power/depth"),
+    ("residue_torus.json", ("residue", "p"),
+     {"literal": "|xi|^-2", "exact_floor": -200000}, "residue/p/exact_floor"),
+    ("residue_torus.json", ("residue", "p"),
+     {"literal": f"|xi|^2 + |xi|^{-COMPONENT_CAP}"}, "residue/p/literal"),
+    ("residue_cylinder_green.json", ("residue", "green", 0, "b"),
+     f"|xi|^-2 + |xi|^{-COMPONENT_CAP - 2}", "residue/green/0/b")]
+
+
+@pytest.mark.parametrize("name, path, value, where", SYMBOL_CAPS,
+                         ids=["exponent", "literal-order", "literal-degree",
+                              "depth", "exact-floor", "literal-span",
+                              "green-b-span"])
+def test_symbol_cap_exit_code(tmp_path, capsys, name, path, value, where):
+    # one resource cap line at the JSON path of the entry past the cap, and
+    # no CSV; nothing past the cap is built (a floor of -200000 stored
+    # 199,999 empty components in 2 s, and a depth of 10^9 ran for good)
+    task = name.partition("_")[0]
+    doc = _edited(tmp_path, name, path, value)
+    assert run([task, "--config", doc, "--out", tmp_path]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("resource cap:"), err
+    assert _path_in_document(err[0], json.loads(doc.read_text())) == where
+    assert not (tmp_path / f"{task}.csv").exists()
+
+
 # factors of the literal grammar, a few outside it
 _FACTORS = ["2", "-1.5", "3j", "(1+2j)", "xi1", "xi2^3", "xi^(1,0)", "xi3",
             "|xi|^-2", "|xi|^-1", "|xi|^0.5", "|xi|^-1.2.3", "exp(i*(1,0).x)",
@@ -871,22 +966,32 @@ _LITERALS = st.lists(st.lists(st.sampled_from(_FACTORS), min_size=1,
                      min_size=1, max_size=3).map(" + ".join)
 
 
-def _values(schema):
+# values past the symbol caps (as an order, twice an exponent, a depth or
+# an exactness floor), each refused before any work
+_PAST_CAPS = [s * v for v in (ORDER_CAP + 1, COMPONENT_CAP + 1, 10 ** 9)
+              for s in (1, -1)]
+
+
+def _values(schema, wide=False):
     """JSON values for ``schema``, drawn by walking the keywords that the
     validator implements, inside its bounds.  Numbers are at most 6 in
     size, so a drawn cutoff stays far under 300 and a shifted power's
     order under 12: the parametric composition grows about like the order
-    to the sixth, and takes 5.5 s at order 48 in dim 3."""
+    to the sixth, and takes 5.5 s at order 48 in dim 3.  The numbers of a
+    symbol (``wide``) are also drawn past its caps, up to 1e9."""
     if "enum" in schema:
         return st.sampled_from(schema["enum"])
     if "oneOf" in schema:
-        return st.one_of([_values(sub) for sub in schema["oneOf"]])
+        return st.one_of([_values(sub, wide) for sub in schema["oneOf"]])
     kind = schema["type"]
     if kind in ("number", "integer"):
         exclusive = "exclusiveMinimum" in schema
         lo = schema.get("minimum", schema.get("exclusiveMinimum", -6))
         hi = schema.get("maximum", 6)
         ints = st.integers(lo + exclusive, hi)
+        if wide:
+            ints = st.one_of(ints, st.sampled_from(
+                [v for v in _PAST_CAPS if v >= lo + exclusive]))
         if kind == "integer":
             return ints
         # halves hit the integer ladders that shifted powers need
@@ -895,14 +1000,20 @@ def _values(schema):
     if kind == "string":
         return _LITERALS
     if kind == "array":
-        return st.lists(_values(schema["items"]),
+        return st.lists(_values(schema["items"], wide),
                         min_size=schema.get("minItems", 0),
                         max_size=schema.get("maxItems", 2))
-    props = {key: _values(sub) for key, sub in schema["properties"].items()}
+    wide = wide or _is_symbol(schema)
+    props = {key: _values(sub, wide)
+             for key, sub in schema["properties"].items()}
     required = schema.get("required", [])
     return st.fixed_dictionaries(
         {key: props[key] for key in required},
         optional={key: v for key, v in props.items() if key not in required})
+
+
+def _is_symbol(schema):
+    return "shifted_laplacian_power" in schema.get("properties", {})
 
 
 def _schema_at(path):
@@ -931,7 +1042,10 @@ def test_perturbed_document_exit_code(data, name):
     node = cfg
     for key in path[:-1]:
         node = node[key]
-    node[path[-1]] = data.draw(_values(_schema_at(path)))
+    # a symbol's numbers are drawn past its caps too
+    wide = any(_is_symbol(_schema_at(path[:i]) or {})
+               for i in range(len(path)))
+    node[path[-1]] = data.draw(_values(_schema_at(path), wide))
     task = name.partition("_")[0]
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
@@ -949,7 +1063,7 @@ def test_perturbed_document_exit_code(data, name):
                 for col, field in zip(header, row):
                     assert col in TEXT_COLUMNS or math.isfinite(
                         float(field)), (col, field)
-    if code == 2:
+    if code in (2, 4):
         _path_in_document(err.getvalue(), cfg)
 
 

@@ -17,7 +17,7 @@ from ncres.heatzeta import (_BLOCK, EXP_UNDERFLOW, HeatSamples,
                             default_exponents, fit_expansion,
                             halfspace_heat_samples, heat_samples,
                             zeta_residue)
-from ncres.residue import TWO_PI, boundary_residue, weight_operator
+from ncres.residue import heat_log_reference
 from ncres.spectral import (Spectrum, SpectralWeight, SpectrumModel,
                             dixmier_estimate, enumerate_spectrum)
 
@@ -416,8 +416,7 @@ def test_shifted_weight_log_coefficient_matches_its_operator():
                         np.arange(-1.0, 2.25, 0.5), [0.0, 1.0])
 
     def log_t(weight):
-        op = weight_operator(model, weight)
-        return -boundary_residue(op).total.real / (2.0 * TWO_PI ** 3)
+        return heat_log_reference(model, weight, AW)
 
     assert log_t(p) == pytest.approx(2 * PI, rel=1e-14)
     assert log_t(SpectralWeight(power=-0.5, shift=1.0)) == pytest.approx(PI)

@@ -15,14 +15,15 @@ from ncres.errors import (DimensionMismatchError, GradingError,
                           ResourceCapError, TransmissionError, WindowError)
 from ncres.halfline import boundary_term, compose_kt, sg_symbol, simple_pole
 from ncres.residue import (BdMSymbol, Cylinder, Torus, dixmier_formula,
-                           weight_operator)
+                           heat_log_reference, weight_operator,
+                           zeta_reference)
 from ncres import spectral
 from ncres.spectral import (Spectrum, SpectralWeight, SpectrumModel,
                             cesaro_mean, cylinder_from_torus,
                             dixmier_estimate, enumerate_spectrum,
                             partial_sums)
-from ncres.symbols import (classical_symbol, hom_term, laplace_shift_power,
-                           radial_term)
+from ncres.symbols import (ORDER_CAP, classical_symbol, hom_term,
+                           laplace_shift_power, radial_term)
 
 PI = math.pi
 INV = SpectralWeight(power=-1.0, shift=1.0)
@@ -116,9 +117,23 @@ def test_enumeration_dtypes_and_order(kind, dim):
     # multiplicity times its copies overflows; sums of counts take int64
     assert spectral.MODE_CAP < 2 ** 31
     assert sp.counts.dtype == np.int32
-    assert sp.values.dtype == np.float64
+    # the eigenvalues are exact integers, int32 while R^2 < 2^31: in dims
+    # 2-3 always, as the cap keeps R^2 <= 1.5e8
+    assert sp.values.dtype == np.int32
     assert np.all(np.diff(sp.values) > 0)
     assert np.all(sp.counts >= 2)
+
+
+@pytest.mark.parametrize("kind", ["torus_lattice", "dirichlet_cylinder",
+                                  "boundary_lattice"])
+def test_1d_eigenvalues_pass_to_int64_past_int32(kind):
+    # 46340^2 < 2^31 - 1 < 46341^2: the last radius with int32 values and
+    # the first with int64, each exact at the top
+    for R, dtype in ((46340, np.int32), (46341, np.int64)):
+        sp = enumerate_spectrum(SpectrumModel(kind, 1, R))
+        assert sp.values.dtype == dtype and sp.counts.dtype == np.int32
+        assert int(sp.values[-1]) == R * R
+        assert np.all(np.diff(sp.values) > 0)
 
 
 def test_boundary_copies_must_be_positive():
@@ -370,6 +385,41 @@ def test_weight_matches_its_formula_bitwise(weight):
         assert got_warned == want_warned
 
 
+@pytest.mark.parametrize("weight", [
+    SpectralWeight(),
+    SpectralWeight(power=-1.0, shift=1.0),
+    SpectralWeight(power=-0.5, shift=0.0, scale=3.0),
+    SpectralWeight(power=2.5, shift=-2.0, scale=0.7),
+    SpectralWeight(power=400.0, shift=1.0)])
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_weight_of_integer_eigenvalues_matches_float_input(weight, dtype):
+    # integer eigenvalues give the float64 input's bits, warnings and
+    # types, exact below 2^53 and rounded as a float cast rounds above; the
+    # integer array itself is not written
+    top = np.iinfo(dtype).max
+    ints = [np.array([0, 1, 2, 7, 1000, 46340 ** 2, top], dtype=dtype),
+            np.array(7, dtype=dtype), 7]
+    if dtype == np.int64:
+        ints.append(np.array([2 ** 53 + 1, 3 * 10 ** 16 + 1], dtype=dtype))
+    for lam in ints:
+        before = np.array(lam, copy=True)
+        got, got_warned = _evaluated(weight, lam)
+        want, want_warned = _evaluated(weight, np.asarray(lam, dtype=float))
+        assert type(got) is type(want)
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        assert got_warned == want_warned
+        assert np.array_equal(lam, before)
+
+
+def _evaluated(f, lam):
+    """(f(lam), the category and message of each warning it raised)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = f(lam)
+    return out, [(w.category, str(w.message)) for w in caught]
+
+
 def _harmonic(n):
     """Eigenvalues 0..n-1, one mode each: INV gives sigma_N = H_N."""
     return Spectrum(np.arange(float(n)), np.ones(n, dtype=np.int64),
@@ -530,25 +580,41 @@ def _traced_peak(f, *args):
 
 @pytest.mark.parametrize("kind", ["torus_lattice", "dirichlet_cylinder"])
 def test_enumeration_holds_the_plane_table_and_its_spectrum(kind):
-    # the bound an int16 plane table set: the table, the returned values
-    # and counts, and one block buffer of 8 B per eigenvalue.  The count
-    # holds no table now and must stay within what the table allowed
-    R = 1000
-    spec, peak = _traced_peak(enumerate_spectrum, SpectrumModel(kind, 2, R))
-    assert peak <= 2 * (R * R + 1) + 16 * spec.values.size + 8 * _B
+    # dim 3 holds its one table: the int32 space table and the int16 plane
+    # it sums (6 B per entry of R^2 + 1), the outputs at 8 B per eigenvalue
+    # within 10% of their length, and two buffers of 8 B per block
+    # eigenvalue.  Float64 eigenvalues read 3.71 MB on the cylinder at
+    # R = 334 (the torus's cap), against this bound's 3.58 MB
+    for R in (300, 334):
+        spec, peak = _traced_peak(enumerate_spectrum,
+                                  SpectrumModel(kind, 3, R))
+        assert peak <= (6 * (R * R + 1) + 8 * spec.values.size * 1.1
+                        + 2 * 8 * _B), R
 
 
 @pytest.mark.parametrize("kind", ["torus_lattice", "dirichlet_cylinder"])
 def test_enumeration_holds_only_its_spectrum(kind):
-    # no table: the outputs at 12 B per eigenvalue, within 10% of their
-    # final length, plus four buffers of 8 B per block eigenvalue (the
-    # spare block of capacity at 12 B, and the count's bincount, index
-    # array and last block).  At R = 2000 an int16 table of R^2 + 1 beside
-    # int64 counts reads 21.8 MB, against this bound's 15.0 MB
+    # no table: the int32 outputs at 8 B per eigenvalue, within 10% of
+    # their final length, plus four buffers of 8 B per block eigenvalue
+    # (the spare block of capacity, and the count's bincount, index array
+    # and last block).  At R = 2000 float64 eigenvalues read 13.7 MB,
+    # against this bound's 11.4 MB
     for R in (1000, 2000):
         spec, peak = _traced_peak(enumerate_spectrum,
                                   SpectrumModel(kind, 2, R))
-        assert peak <= 12 * spec.values.size * 1.1 + 4 * 8 * _B, R
+        assert peak <= 8 * spec.values.size * 1.1 + 4 * 8 * _B, R
+
+
+@pytest.mark.parametrize("kind", ["torus_lattice", "dirichlet_cylinder",
+                                  "boundary_lattice"])
+def test_1d_enumeration_holds_only_its_spectrum(kind):
+    # int64 squares and int32 counts at 12 B per eigenvalue, built in
+    # place: float64 squares beside an int64 range and a mask read 28 B
+    R = 10 ** 6
+    spec, peak = _traced_peak(enumerate_spectrum,
+                              SpectrumModel(kind, 1, R, copies=2))
+    assert spec.values.dtype == np.int64
+    assert peak <= 12 * spec.values.size + (1 << 20)
 
 
 @pytest.mark.parametrize("kind", ["torus_lattice", "dirichlet_cylinder"])
@@ -731,8 +797,31 @@ def test_weight_operator_reaches_degree_minus_dim_or_is_absent():
             # order off the integer ladder
             (SpectrumModel("dirichlet_cylinder", 1, 9), SpectralWeight(-0.5)),
             (SpectrumModel("dirichlet_cylinder", 3, 9), SpectralWeight(-1.5)),
-            (SpectrumModel("torus_lattice", 2, 9), SpectralWeight(-0.75))]:
+            (SpectrumModel("torus_lattice", 2, 9), SpectralWeight(-0.75)),
+            # past the order cap, whose expansion would run to degree -dim,
+            # and a shift whose square passes the float range
+            (t3, SpectralWeight(0.5 * ORDER_CAP + 0.5, scale=0.0)),
+            (t3, SpectralWeight(-0.5 * ORDER_CAP - 0.5)),
+            (t3, SpectralWeight(0.5, 1e300))]:
         assert weight_operator(model, weight) is None
+    assert weight_operator(t3, SpectralWeight(0.5 * ORDER_CAP)) is not None
+
+
+def test_heat_and_zeta_references_from_the_weight():
+    # -res P / (2 (2 pi)^n) and minus that of P A^-sigma; None where no
+    # operator states P, or P A^-sigma is no one weight or overflows
+    t2 = SpectrumModel("torus_lattice", 2, 9)
+    a = SpectralWeight(1.0, 1.0)
+    assert heat_log_reference(t2, INV, a) == pytest.approx(-PI, rel=1e-14)
+    assert zeta_reference(t2, SpectralWeight(0.0), a, 1.0) == \
+        pytest.approx(PI, rel=1e-14)
+    assert zeta_reference(t2, INV, a, 0.0) == pytest.approx(PI, rel=1e-14)
+    # P of order 0 on T^2 has no degree -2 component
+    assert heat_log_reference(t2, SpectralWeight(0.0, 3.0), a) == 0.0
+    assert heat_log_reference(t2, SpectralWeight(-0.75), a) is None
+    assert zeta_reference(t2, SpectralWeight(-1.0, 2.0), a, 1.0) is None
+    assert zeta_reference(t2, SpectralWeight(0.0), SpectralWeight(
+        1.0, 1.0, 1e-300), 2.0) is None
 
 
 def test_dixmier_formula_linearity_positivity():

@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncres.errors import DimensionMismatchError, TruncationFloorError
+from ncres.errors import (DimensionMismatchError, ResourceCapError,
+                          TruncationFloorError)
 from ncres.halfline import boundary_term, compose_kt, simple_pole
 from ncres.literals import format_symbol, parse_symbol
 from ncres.sampling import random_symbol
-from ncres.symbols import (HomTerm, classical_symbol, commutator, hom_term,
+from ncres.symbols import (COMPONENT_CAP, ORDER_CAP, HomTerm,
+                           check_symbol_cap, classical_symbol, commutator,
+                           hom_term,
                            identity_symbol, laplace_shift_power,
                            leibniz_component, leibniz_compose,
                            multi_indices, radial_term,
@@ -610,3 +613,34 @@ def test_leibniz_component_typed_errors():
         leibniz_component(a, laplace_shift_power(3, -1.0, 2), -5)
     with pytest.raises(DimensionMismatchError):
         leibniz_component(a, laplace_shift_power(3, -1.0, 2), 2)
+
+
+def test_symbol_caps_are_inclusive_and_exact():
+    # each cap admits its bound and refuses one past it at its own entry;
+    # an int of any size compares exactly, and an infinite order is left
+    # to the builder's own check
+    check_symbol_cap(ORDER_CAP, COMPONENT_CAP)
+    check_symbol_cap(-ORDER_CAP, 1)
+    check_symbol_cap(math.inf, 1)
+    for order, components, entry in (
+            (ORDER_CAP + 1, 1, ("order",)), (-10 ** 400, 1, ("order",)),
+            (0, COMPONENT_CAP + 1, ("components",)),
+            (0, 10 ** 400, ("components",)), (0, math.inf, ("components",))):
+        with pytest.raises(ResourceCapError, match="the cap") as info:
+            check_symbol_cap(order, components, ("order",), ("components",))
+        assert info.value.entry == entry
+
+
+@pytest.mark.parametrize("text, floor, entry", [
+    (f"|xi|^{ORDER_CAP + 1}", None, ()),
+    (f"|xi|^2 + |xi|^{1 - COMPONENT_CAP}", None, ()),
+    ("|xi|^-2", -2 - COMPONENT_CAP, ("exact_floor",))])
+def test_parse_symbol_refuses_past_the_caps_before_building(text, floor,
+                                                            entry):
+    # the span the literal or its floor sets, at the entry that sets it;
+    # a span of exactly COMPONENT_CAP is built
+    with pytest.raises(ResourceCapError) as info:
+        parse_symbol(text, 2, exact_floor=floor)
+    assert info.value.entry == entry
+    assert parse_symbol(f"|xi|^2 + |xi|^{3 - COMPONENT_CAP}", 2).truncation \
+        == COMPONENT_CAP - 1
