@@ -26,7 +26,7 @@ from .errors import (ConfigError, IllConditionedFitError, NcresError,
 from .halfline import boundary_term, rational
 from .literals import parse_symbol
 from .residue import BdMSymbol, Cylinder, Torus
-from .symbols import check_symbol_cap, laplace_shift_power
+from .symbols import laplace_shift_power
 
 TASKS = ("residue", "dixmier", "heat", "zeta", "parametric", "verify")
 
@@ -382,12 +382,8 @@ def build_symbol(spec, n, path):
             raise ConfigError(f"{_at(path)}shifted_laplacian_power takes no "
                               f"{extra}")
         pw = spec["shifted_laplacian_power"]
-        at = path + ("shifted_laplacian_power",)
-        with faults_at(at):
-            # 2 * exponent stays exact for an int of any size
-            check_symbol_cap(2 * pw["exponent"], pw["depth"] + 1,
-                             ("exponent",), ("depth",))
-        with faults_at(at + ("exponent",)):
+        with faults_at(path + ("shifted_laplacian_power",)), \
+                naming(("exponent",), ValueError):
             return laplace_shift_power(n, pw["exponent"], pw["depth"])
     if "literal" not in spec:
         raise ConfigError(

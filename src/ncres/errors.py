@@ -24,11 +24,12 @@ def sci(n):
 @contextmanager
 def naming(entry, kind):
     """Give an error of ``kind`` raised in the block that names no entry
-    the entry ``entry``, the key under which the raiser reads its input."""
+    the entry ``entry``, the key under which the raiser reads its input;
+    ``kind`` may be a builtin error, which then carries the entry too."""
     try:
         yield
     except kind as exc:
-        exc.entry = exc.entry or entry
+        exc.entry = getattr(exc, "entry", ()) or entry
         raise
 
 

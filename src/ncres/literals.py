@@ -153,8 +153,12 @@ def parse_symbol(text, n, order=None, exact_floor=None):
     top = max(by_degree) if order is None else order
     low = min(by_degree)
     floored = exact_floor is not None and exact_floor < low
-    check_symbol_cap(top, top - (exact_floor if floored else low) + 1,
-                     () if order is None else ("order",),
+    bottom = exact_floor if floored else low
+    try:
+        span = top - bottom + 1
+    except OverflowError:   # an int past the float range beside a float
+        span = math.inf if top > bottom else 0
+    check_symbol_cap(top, span, () if order is None else ("order",),
                      ("exact_floor",) if floored else ())
     terms = [hom_term(d, n, lst) for d, lst in sorted(by_degree.items())]
     return classical_symbol(terms, n, order=order, exact_floor=exact_floor)

@@ -21,9 +21,10 @@ import math
 from dataclasses import dataclass, replace
 
 from .errors import (DimensionMismatchError, GradingError,
-                     TransmissionError, TruncationFloorError, naming)
+                     ResourceCapError, TransmissionError,
+                     TruncationFloorError, naming)
 from .halfline import tr_boundary_term
-from .symbols import (ORDER_CAP, ClassicalSymbol, HomTerm, _trig_value,
+from .symbols import (ClassicalSymbol, HomTerm, _trig_value,
                       laplace_shift_power, sphere_integrate,
                       transmission_check, zero_term)
 
@@ -258,14 +259,14 @@ def weight_operator(model, weight):
     where no symbol under the caps states it: an order past ``ORDER_CAP``,
     or a shift whose powers pass the float range."""
     order, d = 2.0 * weight.power, model.dim
-    if not order.is_integer() or abs(order) > ORDER_CAP or \
-            model.kind == "dirichlet_cylinder" and (d < 2 or order % 2):
+    if not order.is_integer() or model.kind == "dirichlet_cylinder" and (
+            d < 2 or order % 2):
         return None
     try:
         sym = laplace_shift_power(d, weight.power,
                                   max(0, math.ceil((order + d) / 2)),
                                   weight.shift)
-    except OverflowError:
+    except (OverflowError, ResourceCapError):
         return None
     if model.kind == "boundary_lattice":
         return BdMSymbol(Cylinder(d + 1),

@@ -58,14 +58,11 @@ class SpectralWeight:
     scale: float = 1.0
 
     def __call__(self, lam):
-        x = np.asarray(lam, dtype=float)
-        # in place: temporaries of the spectrum's size would land in the
-        # malloc heap and stay resident after the caller frees them.  An
-        # integer spectrum's float copy, made here, is worked in too
-        if x is lam or x.ndim == 0:
-            out = self.shift + x
-        else:
-            out = np.add(self.shift, x, out=x)
+        # in a float64 copy made here, in place: temporaries of the
+        # spectrum's size would land in the malloc heap and stay resident
+        # after the caller frees them.  [()] makes a 0-d result a scalar
+        x = np.array(lam, dtype=float)
+        out = np.add(self.shift, x, out=x)[()]
         out **= self.power
         out *= self.scale
         return out

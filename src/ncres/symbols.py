@@ -253,23 +253,25 @@ def _drop_zeros(atoms):
     return tuple(atom for atom in atoms if atom[0] != 0)
 
 
-# the largest |order| of a symbol that a document states, and the most
+# the largest order of a symbol that a document states, and the most
 # homogeneous components it may store (its order minus its lowest stored
 # degree, plus one).  In dim 3 the parametric task composes down to degree
 # -3 at a cost that grows about like the order to the sixth (a shifted
 # Laplacian power: 0.47 s at order 19, 0.93 s at 21, 4.4 s at 29), while a
-# stored component costs it about 20 us (19 ms for 1025 components)
+# stored component costs it about 20 us (19 ms for 1025 components).  A
+# negative order is not capped: every component then lies below degree
+# -3, where the residue and the composition find nothing to do
 ORDER_CAP = 20
 COMPONENT_CAP = 1024
 
 
 def check_symbol_cap(order, components, order_entry=(), components_entry=()):
     """Raise :class:`ResourceCapError` before a symbol is built: at
-    ``order_entry`` when |order| passes ``ORDER_CAP``, else at
+    ``order_entry`` when order passes ``ORDER_CAP``, else at
     ``components_entry`` when it would store more than ``COMPONENT_CAP``
     components.  Ints are compared exactly, so no size overflows.  An
     infinite order is no size but a fault that the builder reports."""
-    if ORDER_CAP < abs(order) != math.inf:
+    if ORDER_CAP < order != math.inf:
         raise ResourceCapError(f"symbol order {sci(order)} is past the cap "
                                f"{ORDER_CAP}", order_entry)
     if not components <= COMPONENT_CAP:
@@ -398,8 +400,10 @@ def classical_symbol(terms, n, order=None, exact_floor=None):
         raise ValueError(f"symbol order must be an integer, got {order}")
     order = int(round(order))
     for t in terms:
-        j = order - t.degree
-        if abs(j - round(j)) > _DEG_TOL or t.degree > order + _DEG_TOL:
+        # a degree above the order is refused before the difference is
+        # taken, which overflows for an int order past the float range
+        if t.degree - _DEG_TOL > order or abs(
+                (j := order - t.degree) - round(j)) > _DEG_TOL:
             raise ValueError(
                 f"term degree {t.degree} not on the ladder below order {order}")
         if t.n != n:
@@ -440,9 +444,16 @@ def laplace_shift_power(n, exponent, depth, shift=1.0):
     largest float is refused too).  The result's exactness floor is the
     lowest expanded degree (the series continues below it), except for a
     nonnegative integer exponent of at most ``depth``, where the expansion
-    terminates and the symbol is exact.
+    terminates and the symbol is exact.  An order 2*exponent or ``depth``
+    past :func:`check_symbol_cap` raises :class:`ResourceCapError` at the
+    entry ``exponent`` or ``depth``.
     """
-    order = 2.0 * exponent
+    # 2 * exponent stays exact for an int of any size
+    check_symbol_cap(2 * exponent, depth + 1, ("exponent",), ("depth",))
+    try:
+        order = 2.0 * exponent
+    except OverflowError:   # an int past the float range
+        order = math.inf
     if not math.isfinite(order) or abs(order - round(order)) > _DEG_TOL:
         raise ValueError("2*exponent must be an integer")
     terminates = (exponent >= 0 and abs(exponent - round(exponent)) < _DEG_TOL

@@ -928,7 +928,7 @@ SYMBOL_CAPS = [
     ("parametric_resolvent.json", ("parametric", "a"),
      {"literal": "|xi|^2", "order": ORDER_CAP + 1}, "parametric/a/order"),
     ("residue_torus.json", ("residue", "p"),
-     {"literal": f"|xi|^{-ORDER_CAP - 1}"}, "residue/p/literal"),
+     {"literal": f"|xi|^{ORDER_CAP + 1}"}, "residue/p/literal"),
     ("parametric_resolvent.json", ("parametric", "p"),
      {"shifted_laplacian_power": {"exponent": -1.0, "depth": 10 ** 9}},
      "parametric/p/shifted_laplacian_power/depth"),
@@ -957,6 +957,24 @@ def test_symbol_cap_exit_code(tmp_path, capsys, name, path, value, where):
     assert not (tmp_path / f"{task}.csv").exists()
 
 
+@pytest.mark.parametrize("name, path, value", [
+    ("residue_torus.json", ("residue", "p"), {"literal": "|xi|^-25"}),
+    ("parametric_resolvent.json", ("parametric", "p"),
+     {"literal": f"|xi|^{-10 ** 9}"}),
+    ("parametric_resolvent.json", ("parametric", "p"),
+     {"shifted_laplacian_power": {"exponent": -11, "depth": 2}})],
+                         ids=["literal", "literal-far", "exponent"])
+def test_negative_order_past_the_order_cap_runs(tmp_path, capsys, name,
+                                                path, value):
+    # the order cap bounds a positive order only: below degree -dim every
+    # component is one the residue and the composition skip
+    task = name.partition("_")[0]
+    doc = _edited(tmp_path, name, path, value)
+    assert run([task, "--config", doc, "--out", tmp_path]) == 0
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / f"{task}.csv").exists()
+
+
 # factors of the literal grammar, a few outside it
 _FACTORS = ["2", "-1.5", "3j", "(1+2j)", "xi1", "xi2^3", "xi^(1,0)", "xi3",
             "|xi|^-2", "|xi|^-1", "|xi|^0.5", "|xi|^-1.2.3", "exp(i*(1,0).x)",
@@ -967,7 +985,8 @@ _LITERALS = st.lists(st.lists(st.sampled_from(_FACTORS), min_size=1,
 
 
 # values past the symbol caps (as an order, twice an exponent, a depth or
-# an exactness floor), each refused before any work
+# an exactness floor), each refused before any work, and their negatives,
+# which the order cap admits
 _PAST_CAPS = [s * v for v in (ORDER_CAP + 1, COMPONENT_CAP + 1, 10 ** 9)
               for s in (1, -1)]
 

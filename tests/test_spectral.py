@@ -412,6 +412,36 @@ def test_weight_of_integer_eigenvalues_matches_float_input(weight, dtype):
         assert np.array_equal(lam, before)
 
 
+class _Buffer:
+    """An array-like whose __array__ hands out its own float64 buffer
+    unless asked for a copy."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def __array__(self, dtype=None, copy=None):
+        return self.values.copy() if copy else self.values
+
+
+@pytest.mark.parametrize("weight", [SpectralWeight(),
+                                    SpectralWeight(-1.0, 1.0, 2.0)])
+def test_weight_leaves_float64_input_unwritten(tmp_path, weight):
+    # every input is read through a copy: a float64 array, a view of one,
+    # a memmap (an ndarray subclass, which asarray re-views) and an
+    # array-like handing out its own buffer; each gives the plain array's
+    # bits
+    values = np.array([0.0, 1.0, 2.0, 7.0, 1e3])
+    mapped = np.memmap(tmp_path / "lam.bin", dtype=float, mode="w+",
+                       shape=values.shape)
+    mapped[:] = values
+    want = weight(values.copy())
+    for lam in (values, values[:], mapped, _Buffer(values)):
+        got = weight(lam)
+        assert np.asarray(got).tobytes() == want.tobytes()
+        assert np.array_equal(np.asarray(lam), [0.0, 1.0, 2.0, 7.0, 1e3])
+    del mapped
+
+
 def _evaluated(f, lam):
     """(f(lam), the category and message of each warning it raised)."""
     with warnings.catch_warnings(record=True) as caught:
@@ -801,10 +831,12 @@ def test_weight_operator_reaches_degree_minus_dim_or_is_absent():
             # past the order cap, whose expansion would run to degree -dim,
             # and a shift whose square passes the float range
             (t3, SpectralWeight(0.5 * ORDER_CAP + 0.5, scale=0.0)),
-            (t3, SpectralWeight(-0.5 * ORDER_CAP - 0.5)),
             (t3, SpectralWeight(0.5, 1e300))]:
         assert weight_operator(model, weight) is None
     assert weight_operator(t3, SpectralWeight(0.5 * ORDER_CAP)) is not None
+    # a negative order is not capped: one component, below degree -3
+    p = weight_operator(t3, SpectralWeight(-0.5 * ORDER_CAP - 0.5)).p
+    assert p.order == -ORDER_CAP - 1 and p.component(-3).is_zero
 
 
 def test_heat_and_zeta_references_from_the_weight():

@@ -617,18 +617,40 @@ def test_leibniz_component_typed_errors():
 
 def test_symbol_caps_are_inclusive_and_exact():
     # each cap admits its bound and refuses one past it at its own entry;
-    # an int of any size compares exactly, and an infinite order is left
-    # to the builder's own check
+    # an int of any size compares exactly, an infinite order is left to the
+    # builder's own check, and a negative order is not capped
     check_symbol_cap(ORDER_CAP, COMPONENT_CAP)
-    check_symbol_cap(-ORDER_CAP, 1)
+    check_symbol_cap(-ORDER_CAP - 1, 1)
+    check_symbol_cap(-10 ** 400, 1)
     check_symbol_cap(math.inf, 1)
     for order, components, entry in (
-            (ORDER_CAP + 1, 1, ("order",)), (-10 ** 400, 1, ("order",)),
+            (ORDER_CAP + 1, 1, ("order",)), (10 ** 400, 1, ("order",)),
             (0, COMPONENT_CAP + 1, ("components",)),
             (0, 10 ** 400, ("components",)), (0, math.inf, ("components",))):
         with pytest.raises(ResourceCapError, match="the cap") as info:
             check_symbol_cap(order, components, ("order",), ("components",))
         assert info.value.entry == entry
+
+
+def test_symbol_builders_refuse_ints_past_the_float_range():
+    # an int of any size meets the caps or a fault, not an OverflowError:
+    # past the order cap, past the component cap at the floor, or below
+    # the literal's own degree and off its ladder
+    for kwargs, entry in (({"order": 10 ** 400}, ("order",)),
+                          ({"exact_floor": -10 ** 400}, ("exact_floor",))):
+        with pytest.raises(ResourceCapError) as info:
+            parse_symbol("|xi|^-2", 2, **kwargs)
+        assert info.value.entry == entry
+    with pytest.raises(ValueError, match="not on the ladder"):
+        parse_symbol("|xi|^-2", 2, order=-10 ** 400)
+    for exponent, depth, entry in ((10 ** 400, 2, ("exponent",)),
+                                   (-1.0, 10 ** 9, ("depth",))):
+        with pytest.raises(ResourceCapError) as info:
+            laplace_shift_power(3, exponent, depth)
+        assert info.value.entry == entry
+    with pytest.raises(ValueError, match="integer"):
+        laplace_shift_power(3, -10 ** 400, 2)
+    assert laplace_shift_power(3, -11, 2).order == -22
 
 
 @pytest.mark.parametrize("text, floor, entry", [
