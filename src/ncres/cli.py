@@ -9,10 +9,9 @@ section of its own; leaving it out elsewhere is a configuration error.
 Each run writes ``<task>.csv`` and ``<task>.txt`` into the output
 directory, both stamped with the library version and the sha256 of the
 effective configuration, and is bit-reproducible for a fixed document:
-reductions are serial, over fixed blocks in order.  ``--threads`` and the
-``threads`` field are accepted so that older commands and documents still
-run; they have no effect, and the flag is parsed and dropped, never
-validated or copied into the document.
+reductions are serial, over fixed blocks in order.  ``--threads`` is
+accepted so that older commands still run; it has no effect, and is
+parsed and dropped, never validated or copied into the document.
 
 Exit codes: 0 success, 2 a fault of the document at its JSON path (each
 task runs in :class:`ncres.config.faults_at` at its section), 3 tolerance
@@ -32,15 +31,14 @@ import sys
 from pathlib import Path
 
 from ._version import __version__
-from .config import (TASKS, build_bdm, build_model, build_symbol,
-                     build_t_grid, build_weight, config_hash, decode_config,
-                     faults_at, validate_config)
+from .config import (TASKS, build_bdm, build_symbol, build_t_grid,
+                     config_hash, decode_config, faults_at, validate_config)
 from .errors import (ConfigError, IllConditionedFitError, NcresError,
                      ResourceCapError, TailBoundError)
 from .parametric import (resolvent_log_coefficient,
                          resolvent_log_coefficient_closed)
-from .residue import (boundary_residue, dixmier_formula, heat_log_reference,
-                      weight_operator, zeta_reference)
+from .residue import (boundary_residue, dixmier_reference,
+                      heat_log_reference, zeta_reference)
 from . import writers
 
 
@@ -116,128 +114,83 @@ def _effective_config(args):
         cfg["output_dir"] = args.out
     if args.seed is not None:
         cfg["seed"] = args.seed
-    validate_config(cfg, text, source)
+    cfg = validate_config(cfg, text, source)
     if cfg["task"] != args.task:
         raise ConfigError(f"at task: config task {cfg['task']!r} != task "
                           f"argument {args.task!r}")
     return cfg
 
 
-def _outputs(cfg):
-    out = Path(cfg.get("output_dir", "out"))
-    out.mkdir(parents=True, exist_ok=True)
+def _dispatch(cfg):
+    task = cfg["task"]
+    out_dir = Path(cfg.get("output_dir", "out"))
+    out_dir.mkdir(parents=True, exist_ok=True)
     meta = {"config_sha256": config_hash(cfg), "seed": cfg.get("seed", 0)}
-    return out, meta
+    if task == "verify":
+        from .verify import run_all
+        results, ok = run_all(seed=cfg.get("seed", 0),
+                              progress=lambda r: print(r.line(), flush=True))
+        (out_dir / "verify.csv").write_bytes(writers.verify_csv(results, meta))
+        (out_dir / "verify.txt").write_text(
+            "\n".join(r.line() for r in results) + "\n")
+        print("all checks passed" if ok else "FAILURES above", flush=True)
+        return 0 if ok else 3
 
-
-def _write(out_dir, task, csv_data, report):
+    section = cfg[task]
+    with faults_at((task,)):
+        if task == "residue":
+            breakdown = boundary_residue(build_bdm(section, (task,)))
+            csv_data = writers.residue_csv(breakdown, meta)
+            report = writers.residue_report(breakdown, meta)
+        elif task == "parametric":
+            n, k = section["dim"], section["power"]
+            p = build_symbol(section["p"], n, (task, "p"))
+            a = build_symbol(section["a"], n, (task, "a"))
+            closed = resolvent_log_coefficient_closed(p, a.order, k)
+            route = resolvent_log_coefficient(p, a, k)
+            csv_data = writers.parametric_csv(closed, route, meta)
+            report = writers.parametric_report(closed, route, meta)
+        else:
+            from .spectral import (SpectralWeight, SpectrumModel,
+                                   dixmier_estimate, enumerate_spectrum)
+            model = SpectrumModel(**section["model"])
+            weights = [SpectralWeight(**section[key])
+                       for key in ("weight", "p_weight", "a_weight")
+                       if key in section]
+            spectrum = enumerate_spectrum(model)
+            grid = build_t_grid(section["t_grid"], (task, "t_grid")) \
+                if "t_grid" in section else None
+            if task == "dixmier":
+                est = dixmier_estimate(spectrum, *weights)
+                csv_data = writers.dixmier_csv(est, meta)
+                report = writers.dixmier_report(
+                    est, meta, dixmier_reference(model, *weights))
+            elif task == "heat":
+                from .heatzeta import fit_expansion, heat_samples
+                samples = heat_samples(*weights, spectrum, grid)
+                fit = ref = None
+                if "exponents" in section:
+                    # the fit's window weighs the document's grid
+                    with faults_at((task, "t_grid")):
+                        fit = fit_expansion(samples, section["exponents"],
+                                            section.get("log_exponents", []))
+                    ref = heat_log_reference(model, *weights)
+                csv_data = writers.heat_csv(samples, meta)
+                report = writers.heat_report(fit, meta, ref)
+            else:
+                from .heatzeta import zeta_residue
+                result = zeta_residue(
+                    *weights, spectrum, section["sigma"], t_grid=grid,
+                    exponents=section.get("exponents"),
+                    log_exponents=section.get("log_exponents"))
+                csv_data = writers.zeta_csv(result, meta)
+                report = writers.zeta_report(
+                    result, meta,
+                    zeta_reference(model, *weights, result.sigma))
     (out_dir / f"{task}.csv").write_bytes(csv_data)
     (out_dir / f"{task}.txt").write_text(report)
     sys.stdout.write(report)
-
-
-def _dispatch(cfg):
-    task = cfg["task"]
-    out_dir, meta = _outputs(cfg)
-
-    if task == "residue":
-        with faults_at(("residue",)):
-            breakdown = boundary_residue(build_bdm(cfg["residue"],
-                                                   ("residue",)))
-        _write(out_dir, task, writers.residue_csv(breakdown, meta),
-               writers.residue_report(breakdown, meta))
-        return 0
-
-    if task == "dixmier":
-        from .spectral import dixmier_estimate, enumerate_spectrum
-        section = cfg["dixmier"]
-        with faults_at(("dixmier",)):
-            model = build_model(section["model"])
-            weight = build_weight(section["weight"])
-            est = dixmier_estimate(enumerate_spectrum(model), weight)
-            # the weight's own operator, where it has order -dim
-            op = weight_operator(model, weight) \
-                if 2.0 * weight.power == -model.dim else None
-            ref = None if op is None else dixmier_formula(op).real
-        _write(out_dir, task, writers.dixmier_csv(est, meta),
-               writers.dixmier_report(est, meta, expected=ref))
-        return 0
-
-    if task == "heat":
-        from .heatzeta import fit_expansion, heat_samples
-        from .spectral import enumerate_spectrum
-        section = cfg["heat"]
-        with faults_at(("heat",)):
-            model = build_model(section["model"])
-            p, a = (build_weight(section[k]) for k in ("p_weight", "a_weight"))
-            samples = heat_samples(p, a, enumerate_spectrum(model),
-                                   build_t_grid(section["t_grid"],
-                                                ("heat", "t_grid")))
-            report = writers._report_head("heat", meta) + "\n"
-            if "exponents" in section:
-                # the fit's window weighs the document's grid
-                with faults_at(("heat", "t_grid")):
-                    fit = fit_expansion(samples, section["exponents"],
-                                        section.get("log_exponents", []))
-                report += writers.fit_report(fit, meta, title="heat fit")
-                # the ln t coefficient that P's own operator derives
-                ref = heat_log_reference(model, p, a)
-                if ref is not None and (0.0, True) in fit.coefficients:
-                    report += writers.reference_line(
-                        "ln t reference", fit.coefficient(0.0, log=True),
-                        ref) + "\n"
-        _write(out_dir, task, writers.heat_csv(samples, meta), report)
-        return 0
-
-    if task == "zeta":
-        from .heatzeta import zeta_residue
-        from .spectral import enumerate_spectrum
-        section = cfg["zeta"]
-        with faults_at(("zeta",)):
-            model = build_model(section["model"])
-            p, a = (build_weight(section[k]) for k in ("p_weight", "a_weight"))
-            result = zeta_residue(
-                p, a, enumerate_spectrum(model), section["sigma"],
-                t_grid=build_t_grid(section["t_grid"], ("zeta", "t_grid"))
-                if "t_grid" in section else None,
-                exponents=section.get("exponents"),
-                log_exponents=section.get("log_exponents"))
-            ref = zeta_reference(model, p, a, result.sigma)
-        report = writers._report_head("zeta", meta) + "\n"
-        report += (f"  residue at s={result.sigma:g}: {result.residue!r}\n"
-                   f"  entire part (diagnostic): {result.entire_part!r}\n")
-        if ref is not None:
-            report += writers.reference_line("reference", result.residue,
-                                             ref) + "\n"
-        report += writers.fit_report(result.fit, meta, title="zeta fit")
-        _write(out_dir, task, writers.zeta_csv(result, meta), report)
-        return 0
-
-    if task == "parametric":
-        section = cfg["parametric"]
-        n = section["dim"]
-        with faults_at(("parametric",)):
-            p = build_symbol(section["p"], n, ("parametric", "p"))
-            a = build_symbol(section["a"], n, ("parametric", "a"))
-            k = section["power"]
-            closed = resolvent_log_coefficient_closed(p, a.order, k)
-            route = resolvent_log_coefficient(p, a, k)
-        report = writers._report_head("parametric", meta) + "\n"
-        report += (f"  closed form      {closed:.12g}\n"
-                   f"  expansion route  {route:.12g}\n"
-                   f"  difference       {abs(route - closed):.3e}\n")
-        _write(out_dir, task,
-               writers.parametric_csv(closed, route, meta), report)
-        return 0
-
-    from .verify import run_all   # the task is verify
-    results, ok = run_all(seed=cfg.get("seed", 0),
-                          progress=lambda r: print(r.line(), flush=True))
-    (out_dir / "verify.csv").write_bytes(writers.verify_csv(results, meta))
-    (out_dir / "verify.txt").write_text(
-        "\n".join(r.line() for r in results) + "\n")
-    print("all checks passed" if ok else "FAILURES above", flush=True)
-    return 0 if ok else 3
+    return 0
 
 
 if __name__ == "__main__":

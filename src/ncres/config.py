@@ -1,6 +1,6 @@
 """Job configuration: JSON schema, validation and object construction.
 
-A job is one JSON document.  Shared fields: ``task``, ``seed``, ``threads``,
+A job is one JSON document.  Shared fields: ``task``, ``seed``,
 ``output_dir``; one section per task other than ``verify``, which has
 none, carries the inputs (symbol literals in the grammar of
 :mod:`ncres.literals`, rational functions as pole lists plus a
@@ -134,7 +134,6 @@ SCHEMA = {
     "properties": {
         "task": {"enum": list(TASKS)},
         "seed": {"type": "integer", "minimum": 0},
-        "threads": {"type": "integer", "minimum": 1, "maximum": 64},
         "output_dir": {"type": "string"},
         "residue": _RESIDUE,
         "dixmier": {
@@ -196,12 +195,11 @@ SCHEMA = {
 def config_hash(cfg):
     """sha256 of the semantic configuration.
 
-    The output directory, ``threads`` and ``parametric.levels`` (both
-    accepted so that older documents load, and without effect) are not
-    inputs, so they stay out of the hash.
+    The output directory and ``parametric.levels`` (accepted so that older
+    documents load, and without effect) are not inputs, so they stay out
+    of the hash.
     """
-    clean = {k: v for k, v in cfg.items()
-             if k not in ("threads", "output_dir")}
+    clean = {k: v for k, v in cfg.items() if k != "output_dir"}
     if "parametric" in clean:
         clean["parametric"] = {k: v for k, v in clean["parametric"].items()
                                if k != "levels"}
@@ -310,7 +308,22 @@ def decode_config(text, source="<config>"):
             f"{source}: {str(exc).partition(';')[0]}") from exc
 
 
+def _with_ints(value, schema):
+    """``value``, valid under ``schema``, with each integral float at an
+    ``integer`` position made the int it equals (no ``oneOf`` of
+    ``SCHEMA`` holds an integer)."""
+    if "properties" in schema:
+        props = schema["properties"]
+        return {k: _with_ints(v, props[k]) for k, v in value.items()}
+    if "items" in schema:
+        return [_with_ints(v, schema["items"]) for v in value]
+    return int(value) if schema.get("type") == "integer" else value
+
+
 def validate_config(cfg, text="", source="<config>"):
+    """``cfg`` checked against ``SCHEMA`` and returned with its integers as
+    ints: Draft 2020-12 admits 5.0 as an integer, and the library reads
+    the int."""
     # the first error by path; at one path, the first in keyword order
     errors = sorted(_schema_errors(cfg, SCHEMA), key=lambda e: e[0])
     if errors:
@@ -321,7 +334,7 @@ def validate_config(cfg, text="", source="<config>"):
     if task != "verify" and task not in cfg:
         raise ConfigError(f"{_where(source, text, ('task',))}at task: missing "
                           f"section {task!r} for the chosen task")
-    return cfg
+    return _with_ints(cfg, SCHEMA)
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +381,7 @@ def build_rational(spec, path):
     """The split form: a ``poles`` list plus a ``poly`` part."""
     terms = []
     for item in spec.get("poles", []):
-        terms.append((_complex(item["pole"]), int(item.get("order", 1)),
+        terms.append((_complex(item["pole"]), item.get("order", 1),
                       _complex(item.get("coeff", 1.0))))
     poly = [_complex(c) for c in spec.get("poly", [])]
     with faults_at(path):
@@ -393,18 +406,6 @@ def build_symbol(spec, n, path):
                             exact_floor=spec.get("exact_floor"))
 
 
-def build_weight(spec):
-    from .spectral import SpectralWeight
-    return SpectralWeight(**spec)
-
-
-def build_model(spec):
-    """A validated model section; an absent field takes the dataclass
-    default."""
-    from .spectral import SpectrumModel
-    return SpectrumModel(**spec)
-
-
 def build_boundary_term(spec, n, kind, path):
     with faults_at(path + ("b",)):
         b = parse_symbol(spec["b"], n - 1)
@@ -412,7 +413,7 @@ def build_boundary_term(spec, n, kind, path):
     comp = b.component(degree)
     if comp.is_zero:
         raise ConfigError(f"{_at(path)}b has no component at degree {degree}")
-    type_d = int(spec.get("type", 0))
+    type_d = spec.get("type", 0)
     if kind == "green":
         fiber = [(build_rational(p["k"], path + ("pairs", i, "k")),
                   build_rational(p["t"], path + ("pairs", i, "t")))
@@ -436,7 +437,7 @@ def build_bdm(spec, path):
                          potential=terms["potential"],
                          trace_terms=terms["trace"], s=s,
                          order=spec.get("order"),
-                         type_d=int(spec.get("type", 0)))
+                         type_d=spec.get("type", 0))
 
 
 def build_t_grid(spec, path):

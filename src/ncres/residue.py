@@ -275,6 +275,16 @@ def weight_operator(model, weight):
     return BdMSymbol(geometry, p=sym.scaled(weight.scale * model.copies))
 
 
+def dixmier_reference(model, weight):
+    """Dixmier's trace of the weight's own operator on ``model``, by
+    :func:`dixmier_formula`; None unless the weight has order -dim and
+    :func:`weight_operator` states its operator."""
+    if 2.0 * weight.power != -model.dim:
+        return None
+    op = weight_operator(model, weight)
+    return None if op is None else dixmier_formula(op).real
+
+
 def heat_log_reference(model, p, a):
     """The ln t coefficient of Tr P e^(-tA) that P's operator derives,
     -res P / (ord A (2 pi)^n), for the weights P and A (A affine) on

@@ -7,10 +7,11 @@ suite and is the backend of the ``verify`` task of the command line, while
 every lattice is enumerated once: the checks that read a spectrum share
 the run's pool of them (``spectra``), and a check called on its own
 enumerates what it reads.  Each Dixmier and ln t expectation is derived
-from the operator that a weight states on its model (``weight_operator``),
-not typed in.  Tolerances are fixed here, not configurable: they encode
-the convergence analysis (closed forms at 1e-10/1e-8, lattice estimators
-at a few percent reflecting their 1/ln N rate, fit extractions at 1-5%).
+from the operator that a weight states on its model, by the references of
+:mod:`ncres.residue`, not typed in.  Tolerances are fixed here, not
+configurable: they encode the convergence analysis (closed forms at
+1e-10/1e-8, lattice estimators at a few percent reflecting their 1/ln N
+rate, fit extractions at 1-5%).
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from .heatzeta import boundary_heat_test, fit_expansion, heat_samples, \
 from .parametric import heat_log_coefficient_from_resolvent, \
     resolvent_log_coefficient, resolvent_log_coefficient_closed
 from .residue import BdMSymbol, Cylinder, Torus, dixmier_formula, \
-    heat_log_reference, weight_operator, wodzicki_residue, zeta_reference
+    dixmier_reference, heat_log_reference, weight_operator, \
+    wodzicki_residue, zeta_reference
 from .sampling import random_minus_fn, random_plus_fn, random_sg, random_symbol
 from .spectral import SpectralWeight, SpectrumModel, cylinder_from_torus, \
     dixmier_estimate, enumerate_spectrum
@@ -101,10 +103,6 @@ _CONNES_TORUS = SpectrumModel("torus_lattice", 2, 4000)
 _HEAT_TORUS = SpectrumModel("torus_lattice", 2, 300)
 _INV_SHIFTED = SpectralWeight(power=-1.0, shift=1.0)
 _A = SpectralWeight(power=1.0, shift=1.0)
-
-
-def _dixmier(model, weight):
-    return dixmier_formula(weight_operator(model, weight)).real
 
 
 def check_residue_closed_form():
@@ -184,8 +182,8 @@ def check_connes_identity(spectra=None):
     slope = dixmier_estimate(_spectrum(spectra, _CONNES_TORUS),
                              _INV_SHIFTED).slope
     return CheckResult("connes_identity_torus", "2% against the residue", [
-        Leg("estimate", slope, _dixmier(_CONNES_TORUS, _INV_SHIFTED), "rel",
-            0.02)])
+        Leg("estimate", slope,
+            dixmier_reference(_CONNES_TORUS, _INV_SHIFTED), "rel", 0.02)])
 
 
 def check_boundary_dixmier(spectra=None):
@@ -218,8 +216,10 @@ def check_boundary_dixmier(spectra=None):
         "boundary_dixmier",
         "cylinder 0.5%, boundary circles 2% against the residue, green "
         "term 2 at 1e-12, k/t inert", [
-            Leg("cylinder", est_c.slope, _dixmier(cyl, w_c), "rel", 0.005),
-            Leg("circles", est_b.slope, _dixmier(circles, w_b), "rel", 0.02),
+            Leg("cylinder", est_c.slope, dixmier_reference(cyl, w_c), "rel",
+                0.005),
+            Leg("circles", est_b.slope, dixmier_reference(circles, w_b),
+                "rel", 0.02),
             Leg("green", f_g, 2.0, "abs", 1e-12),
             Leg("k/t inert", dixmier_formula(A_pert), dixmier_formula(A_c),
                 "exact")])

@@ -106,7 +106,20 @@ def heat_csv(samples, meta):
                      [samples.t, samples.values, samples.tail_bounds])
 
 
-def fit_report(fit, meta, title="fit"):
+def heat_report(fit, meta, expected=None):
+    """The heat task's head, then its fit where the document asks for one,
+    with the ``expected`` ln t coefficient where the fit has that slot."""
+    report = _report_head("heat", meta) + "\n"
+    if fit is not None:
+        report += fit_report(fit, meta, "heat fit")
+        if expected is not None and (0.0, True) in fit.coefficients:
+            report += reference_line("ln t reference",
+                                     fit.coefficient(0.0, log=True),
+                                     expected) + "\n"
+    return report
+
+
+def fit_report(fit, meta, title):
     lines = [_report_head(title, meta)]
     for (e, lg), c in sorted(fit.coefficients.items()):
         name = f"t^{e:g}" + (" * ln t" if lg else "")
@@ -131,11 +144,28 @@ def zeta_csv(result, meta):
                      zip(*rows))
 
 
+def zeta_report(result, meta, expected=None):
+    lines = [_report_head("zeta", meta),
+             f"  residue at s={result.sigma:g}: {result.residue!r}",
+             f"  entire part (diagnostic): {result.entire_part!r}"]
+    if expected is not None:
+        lines.append(reference_line("reference", result.residue, expected))
+    return "\n".join(lines) + "\n" + fit_report(result.fit, meta, "zeta fit")
+
+
 def parametric_csv(closed, route, meta):
     rows = [("closed_form", closed.real, closed.imag),
             ("expansion_route", route.real, route.imag),
             ("difference", (route - closed).real, (route - closed).imag)]
     return csv_bytes(meta, ["route", "value_re", "value_im"], zip(*rows))
+
+
+def parametric_report(closed, route, meta):
+    lines = [_report_head("parametric", meta),
+             f"  closed form      {closed:.12g}",
+             f"  expansion route  {route:.12g}",
+             f"  difference       {abs(route - closed):.3e}"]
+    return "\n".join(lines) + "\n"
 
 
 def verify_csv(results, meta):

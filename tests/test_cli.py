@@ -19,8 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from ncres import cli, spectral
 from ncres.cli import main
-from ncres.config import (SCHEMA, build_bdm, build_model, build_rational,
-                          build_weight, config_hash)
+from ncres.config import SCHEMA, build_bdm, build_rational, config_hash
 from ncres.errors import (ConfigError, DimensionMismatchError,
                           GradingError, NcresError, RealPoleError,
                           TransmissionError, TruncationFloorError)
@@ -30,7 +29,6 @@ from ncres.parametric import (resolvent_log_coefficient,
                               resolvent_log_coefficient_closed)
 from ncres.residue import (BdMSymbol, Cylinder, Torus, boundary_residue,
                            dixmier_formula)
-from ncres.spectral import SpectralWeight, SpectrumModel
 from ncres.symbols import COMPONENT_CAP, ORDER_CAP, laplace_shift_power
 
 CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
@@ -490,14 +488,18 @@ def test_cli_runs_without_jsonschema(tmp_path):
 def test_symbolic_tasks_load_no_numeric_layer(tmp_path):
     # the package, the CLI, --version and the residue and parametric tasks
     # (a cylinder's transmission check included) run without numpy or the
-    # numeric layers; a dixmier run in the same process then loads them and
-    # writes the bytes of a process that had them from the start
+    # numeric layers; a dixmier run in the same process then loads numpy
+    # and the spectra only, and writes the bytes of a process that had
+    # every layer from the start; heat and zeta runs add the heat sums but
+    # never the verify suite
     jobs = [["residue", "--config", str(CONFIGS / "residue_torus.json")],
             ["residue", "--config",
              str(CONFIGS / "residue_cylinder_green.json")],
             ["parametric", "--config",
              str(CONFIGS / "parametric_resolvent.json")]]
     dixmier = ["dixmier", "--config", str(CONFIGS / "dixmier_torus.json")]
+    heat_zeta = [["heat", "--config", str(CONFIGS / "heat_torus.json")],
+                 ["zeta", "--config", str(CONFIGS / "zeta_epstein.json")]]
     _run_script(
         "import contextlib, io, sys\n"
         "numeric = ('numpy', 'ncres.spectral', 'ncres.heatzeta', "
@@ -521,7 +523,12 @@ def test_symbolic_tasks_load_no_numeric_layer(tmp_path):
         "    assert not loaded(), (argv, loaded())\n"
         f"assert main({dixmier!r} + ['--out', {str(tmp_path / 'lazy')!r}])"
         " == 0\n"
-        "assert loaded() == ['numpy', 'ncres.spectral'], loaded()\n")
+        "assert loaded() == ['numpy', 'ncres.spectral'], loaded()\n"
+        f"for i, argv in enumerate({heat_zeta!r}):\n"
+        f"    assert main(argv + ['--out', {str(tmp_path)!r} + f'/hz{{i}}'])"
+        " == 0\n"
+        "    assert loaded() == ['numpy', 'ncres.spectral', "
+        "'ncres.heatzeta'], (argv, loaded())\n")
     # this process imported every layer before its first job
     assert run(dixmier + ["--out", tmp_path / "eager"]) == 0
     assert ((tmp_path / "lazy" / "dixmier.csv").read_bytes()
@@ -693,16 +700,28 @@ def test_heat_and_zeta_reports_state_their_reference(
     assert 0 < float(dev) <= gate
 
 
-def test_builders_leave_defaults_to_the_dataclasses():
-    assert build_weight({}) == SpectralWeight()
-    assert build_weight({"power": -1, "shift": 2.0}) == \
-        SpectralWeight(-1, 2.0, 1.0)
-    plain = build_model({"kind": "torus_lattice", "dim": 2, "cutoff": 50})
-    assert plain == SpectrumModel("torus_lattice", 2, 50)
-    assert repr(plain) == repr(SpectrumModel("torus_lattice", 2, 50))
-    full = build_model({"kind": "dirichlet_cylinder", "dim": 2, "cutoff": 9,
-                        "copies": 2})
-    assert full == SpectrumModel("dirichlet_cylinder", 2, 9, 2)
+def test_builders_leave_defaults_to_the_dataclasses(tmp_path):
+    # a field that the document leaves out takes the dataclass default: the
+    # data rows equal those of the explicit default, the hash apart.  On
+    # the cylinder, whose eigenvalues start at 1, the weight needs no shift
+    model = {"kind": "dirichlet_cylinder", "dim": 2, "cutoff": 300}
+    weight = {"power": -1.0}
+    for section, absent, explicit in [
+            ("model", model, dict(model, copies=1)),
+            ("weight", weight, dict(weight, shift=0.0, scale=1.0))]:
+        rows = []
+        for spec in (absent, explicit):
+            out = tmp_path / f"{section}{len(rows)}"
+            out.mkdir()
+            doc = _edited(out, "dixmier_torus.json", ("dixmier", section),
+                          spec)
+            assert run(["dixmier", "--config", doc, "--out", out,
+                        "--set", "dixmier.model.kind=dirichlet_cylinder",
+                        "--set", "dixmier.model.cutoff=300"]) == 0
+            rows.append([l for l in (out / "dixmier.csv").read_text()
+                         .splitlines()
+                         if not l.startswith("# config_sha256=")])
+        assert rows[0] == rows[1], section
 
 
 def test_task_mismatch_rejected(tmp_path):
@@ -746,19 +765,21 @@ def test_dim1_array_cap_with_huge_mode_cap(tmp_path, capsys):
 
 @pytest.mark.parametrize("path", [("dixmier", "window_decades"),
                                   ("dixmier", "model", "mode_cap"),
-                                  ("dixmier", "weight", "rate")])
+                                  ("dixmier", "weight", "rate"),
+                                  ("threads",)])
 def test_removed_knob_exit_code(tmp_path, capsys, path):
-    # the window is two decades, the mode cap a constant and a weight a
-    # plain power; a document or override that sets a removed knob is
-    # refused at its path
+    # the window is two decades, the mode cap a constant, a weight a plain
+    # power and the threads field without effect; a document or override
+    # that sets a removed knob is refused at its path
     doc = _edited(tmp_path, "dixmier_torus.json", path, 2)
     for source in (["--config", doc],
                    ["--config", CONFIGS / "dixmier_torus.json",
                     "--set", f"{'.'.join(path)}=2"]):
         assert run(["dixmier", "--out", tmp_path] + source) == 2
         line = _one_config_error_line(capsys)
-        assert (f"at {'/'.join(path[:-1])}: additional properties "
-                f"['{path[-1]}'] not allowed") in line
+        at = "/".join(path[:-1]) or "<root>"
+        assert (f"at {at}: additional properties ['{path[-1]}'] not "
+                "allowed") in line
     assert not (tmp_path / "dixmier.csv").exists()
 
 
@@ -916,6 +937,37 @@ def test_document_fault_exit_code(tmp_path, capsys, name, path, value,
     assert not (tmp_path / f"{task}.csv").exists()
 
 
+# integers of the document given as integral floats, which Draft 2020-12
+# admits as integers: each but the type reached the library as a float and
+# ended in a traceback, and every one moved the config hash
+INTEGRAL_FLOATS = [
+    ("parametric_resolvent.json", "parametric.p.shifted_laplacian_power.depth",
+     5),
+    ("heat_torus.json", "heat.t_grid.points", 40),
+    ("dixmier_torus.json", "dixmier.model.copies", 2),
+    ("residue_torus.json", "residue.geometry.dim", 2),
+    ("dixmier_torus.json", "dixmier.model.dim", 2),
+    ("residue_cylinder_green.json", "residue.type", 0)]
+
+
+@pytest.mark.parametrize("name, path, value", INTEGRAL_FLOATS,
+                         ids=["depth", "points", "copies", "geometry-dim",
+                              "model-dim", "type"])
+def test_integral_float_runs_as_its_int(tmp_path, capsys, name, path, value):
+    # the run reads the int, and writes the bytes of the int override, its
+    # config hash included
+    task = name.partition("_")[0]
+    blobs = []
+    for literal in (f"{value}", f"{value}.0"):
+        out = tmp_path / literal
+        assert run([task, "--config", CONFIGS / name, "--out", out,
+                    "--set", f"{path}={literal}"]) == 0
+        blobs.append([(out / f"{task}.{ext}").read_bytes()
+                      for ext in ("csv", "txt")])
+    assert capsys.readouterr().err == ""
+    assert blobs[0] == blobs[1]
+
+
 # a symbol past a cap: its order (twice a shifted power's exponent, a
 # literal's order or degree), or the components it would store (a shifted
 # power's depth, a literal's span down to its exactness floor or lowest
@@ -1012,7 +1064,8 @@ def _values(schema, wide=False):
             ints = st.one_of(ints, st.sampled_from(
                 [v for v in _PAST_CAPS if v >= lo + exclusive]))
         if kind == "integer":
-            return ints
+            # Draft 2020-12 admits an integral float as an integer
+            return st.one_of(ints, ints.map(float))
         # halves hit the integer ladders that shifted powers need
         return st.one_of(ints, ints.map(lambda k: k / 2),
                          st.floats(lo, hi, exclude_min=exclusive))
@@ -1049,7 +1102,7 @@ def _schema_at(path):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(data=st.data(), name=st.sampled_from(
     ["residue_torus.json", "residue_cylinder_green.json",
-     "parametric_resolvent.json", "heat_torus.json"]))
+     "parametric_resolvent.json", "heat_torus.json", "dixmier_torus.json"]))
 def test_perturbed_document_exit_code(data, name):
     # one value of a demo document swapped for another its schema admits:
     # the run succeeds with finite cells, or is refused at a path of the
